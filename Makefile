@@ -1,7 +1,8 @@
 # Repro build/verify entry points. `make verify` is the tier-1 gate
 # (format, build, vet, lint, docs checks, tests); `make bench` runs the
 # vecstore kernel benchmarks that track the contiguous-scan and PQ-LUT
-# speedups.
+# speedups plus the build/evaluate hot-path benchmarks (token counting,
+# prompt plan fit, coalescer and gateway call cost, the Table 2 matrix).
 
 GO ?= go
 
@@ -24,11 +25,14 @@ verify:
 # TestSwapSearchRaceConsistency's swap/search hammering and the live
 # ingest Add+Search+compact hammer), the mutable vecstore layer
 # (memtable + Live rotation), the router's scatter/gather + breaker +
-# health prober, the gateways, the parallel pipeline, and the
-# observability layer (metrics registry snapshots under writer load,
-# trace/slowlog concurrent appends).
+# health prober, the gateways (both coalescer dispatch branches under the
+# Close-vs-enqueue hammer), the parallel pipeline, the observability layer
+# (metrics registry snapshots under writer load, trace/slowlog concurrent
+# appends), and the evaluation path's cross-goroutine state: prompt plans
+# shared by every model's workers (eval, core) and the process-wide
+# ability-calibration memo (llmsim).
 race:
-	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs
+	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim
 
 # Short native-fuzz pass over the VSF loader's magic dispatch and header
 # parsing (FuzzLoad); the checked-in corpus under testdata/fuzz pins the
@@ -65,9 +69,14 @@ lint:
 
 # Kernel benchmarks: ns/vector and bytes/vector for the contiguous
 # blocked scan vs the frozen jagged baseline, the SQ8/PQ quantized scans,
-# and the multi-query batch kernels.
+# and the multi-query batch kernels; then the build/evaluate hot path:
+# BenchmarkCountTokens (must report 0 allocs/op), BenchmarkPromptPlanFit
+# vs BenchmarkAssemblePrompt, BenchmarkDoFastFunc and
+# BenchmarkGatewayCallFastHandler (two closed-loop callers, ns per call),
+# BenchmarkEvaluateSynthetic.
 bench:
 	$(GO) test ./internal/vecstore -run '^$$' -bench . -benchmem
+	$(GO) test ./internal/tokenizer ./internal/rag ./internal/batch ./internal/argo ./internal/eval -run '^$$' -bench . -benchmem
 
 # Full paper-artifact bench suite (Tables 2-4, Figures 4-6, ablations).
 bench-all:

@@ -47,7 +47,7 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated shard base URLs (required)")
 	routes := flag.String("routes", "chunks", "comma-separated route names every shard serves")
 	maxBatch := flag.Int("max-batch", 32, "coalescer batch size")
-	maxDelay := flag.Duration("max-delay", time.Millisecond, "coalescer admission window")
+	maxDelay := flag.Duration("max-delay", time.Millisecond, "cap on the coalescer admission wait (the wait applied is one scatter/gather service time when that is shorter)")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-attempt shard deadline")
 	retries := flag.Int("retries", 1, "retries per shard call after the first attempt (negative: none)")
 	backoff := flag.Duration("backoff", 5*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")

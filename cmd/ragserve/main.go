@@ -55,7 +55,7 @@ func main() {
 	artifacts := flag.String("artifacts", "", "load a saved artifact directory (from mcqgen) instead of regenerating")
 	indexKind := flag.String("index", "flat", "chunk index kind: flat | ivf | pq | ivfpq | hnsw (trace stores stay flat)")
 	maxBatch := flag.Int("max-batch", 32, "coalescer batch size")
-	maxDelay := flag.Duration("max-delay", time.Millisecond, "coalescer admission window")
+	maxDelay := flag.Duration("max-delay", time.Millisecond, "cap on the coalescer admission wait (the wait applied is one batch service time when that is shorter)")
 	cacheCap := flag.Int("cache", 4096, "per-route query cache entries (0 disables)")
 	traces := flag.Bool("traces", true, "serve the three reasoning-trace stores as /v1/traces/<mode> routes")
 	live := flag.Bool("live", false, "accept live inserts on the chunk route (POST /v1/chunks/add) via a memtable layer")
@@ -152,7 +152,7 @@ func run(addr, artifactDir, indexKind, saveIndex, saveTraces, shard string, scal
 		return err
 	}
 	st := store.IndexStats()
-	fmt.Printf("ragserve listening on %s — %d chunks, %d traces, %s chunk index (%.1f bytes/vector), batch≤%d window=%s cache=%d\n",
+	fmt.Printf("ragserve listening on %s — %d chunks, %d traces, %s chunk index (%.1f bytes/vector), batch≤%d window≤%s cache=%d\n",
 		srv.Addr(), len(a.Chunks), len(a.Traces), st.Kind, st.BytesPerVector(), maxBatch, maxDelay, cacheCap)
 	fmt.Printf("routes: %s\n", strings.Join(srv.Routes(), ", "))
 	logger.Info("serving", "addr", srv.Addr(), "routes", strings.Join(srv.Routes(), ","), "debug", debug)

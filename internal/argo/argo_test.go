@@ -55,8 +55,14 @@ func TestBatching(t *testing.T) {
 	if atomic.LoadInt32(&maxBatch) < 2 {
 		t.Fatalf("no coalescing observed (max batch %d)", maxBatch)
 	}
-	if g.Stats().Requests != 64 {
-		t.Fatalf("stats requests %d", g.Stats().Requests)
+	st := g.Stats()
+	if st.Requests != 64 {
+		t.Fatalf("stats requests %d", st.Requests)
+	}
+	// The coalescer's policy is visible through the gateway: a window
+	// within the configured cap, and the time the 64 calls spent queued.
+	if st.Window <= 0 || st.Window > 5*time.Millisecond || st.QueueWait <= 0 {
+		t.Fatalf("stats window %v (cap 5ms), queue wait %v", st.Window, st.QueueWait)
 	}
 }
 
@@ -257,6 +263,29 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 			_, _ = g.Call(context.Background(), Request{ID: fmt.Sprint(i)})
 		}
 	})
+}
+
+// BenchmarkGatewayCallFastHandler is the generation stage's shape: two
+// closed-loop workers calling a handler that costs next to nothing, at the
+// default MaxDelay. ns/op is the latency of one Call.
+func BenchmarkGatewayCallFastHandler(b *testing.B) {
+	g := NewGateway(Config{}, echoHandler)
+	defer g.Close()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < b.N/2; i++ {
+				if _, err := g.Call(context.Background(), Request{ID: fmt.Sprintf("w%d-%d", w, i)}); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestServerShutdownDrainsInFlight(t *testing.T) {

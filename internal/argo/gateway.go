@@ -6,9 +6,13 @@
 // campaign needs from a model endpoint:
 //
 //   - request coalescing: concurrent Call()s are packed into batches of up
-//     to MaxBatch, or whatever arrived within MaxDelay — provided by the
-//     shared internal/batch coalescer, which the serve retrieval server
-//     reuses for the same admission-window batching;
+//     to MaxBatch by the shared internal/batch coalescer (which the serve
+//     retrieval server and the router reuse). The gateway inherits its
+//     admission rule — a call waits for batchmates at most one handler
+//     service time, capped by MaxDelay — so a slow model endpoint still
+//     gets full batches while a fast handler (the in-process simulated
+//     teacher, ~30 µs per batch) is not made to sit out MaxDelay per call;
+//     Stats().Window shows which regime the gateway is in;
 //   - token-bucket rate limiting across batches;
 //   - bounded retries with exponential backoff and deterministic jitter for
 //     transient failures (the schedule is the shared internal/retry.Policy,
@@ -52,7 +56,7 @@ type BatchHandler func(ctx context.Context, batch []Request) []Response
 // Config parameterises a Gateway.
 type Config struct {
 	MaxBatch    int           // max requests per handler call (default 16)
-	MaxDelay    time.Duration // max time a request waits for batchmates (default 2ms)
+	MaxDelay    time.Duration // cap on the time a request waits for batchmates (default 2ms); see batch.Config
 	MaxRetries  int           // retry budget per request for transient failures (default 3)
 	BaseBackoff time.Duration // first retry delay (default 1ms, doubles per attempt)
 	// RatePerSec limits handler dispatches per second; 0 disables.
@@ -83,13 +87,18 @@ func (c *Config) fill() {
 
 // Stats is a snapshot of gateway accounting. Batches counts handler
 // invocations including retry rounds, so it can exceed the coalescer's
-// dispatch count.
+// dispatch count. Window and QueueWait are the coalescer's: the admission
+// window the next batch will get (MaxDelay while the handler is at least
+// that slow, its smoothed service time otherwise) and the cumulative time
+// calls spent queued before their batch was dispatched.
 type Stats struct {
 	Requests   int64
 	Batches    int64
 	Retries    int64
 	Failures   int64
 	MaxBatched int
+	Window     time.Duration
+	QueueWait  time.Duration
 }
 
 // ErrGatewayClosed is returned by Call after Close.
@@ -148,8 +157,11 @@ func (g *Gateway) Close() {
 // Stats returns a snapshot of the gateway counters.
 func (g *Gateway) Stats() Stats {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
+	st := g.stats
+	g.mu.Unlock()
+	co := g.co.Stats()
+	st.Window, st.QueueWait = co.Window, co.QueueWait
+	return st
 }
 
 // Call submits one request and blocks for its response. Transient failures

@@ -1,10 +1,29 @@
 // Package batch provides the request-coalescing primitive shared by the
 // repo's two gateways: the argo model-API proxy and the serve retrieval
-// server. Concurrent Do() calls are packed into batches of up to MaxBatch
-// items, or whatever arrived within MaxDelay of the first, and handed to a
-// single batch function — the admission-window design the source paper's
-// service gateway uses to amortise per-call overhead across a campaign's
-// worth of concurrent workers.
+// server (and the router in front of it). Concurrent Do() calls are packed
+// into batches of up to MaxBatch items and handed to a single batch
+// function — the admission-window design the source paper's service
+// gateway uses to amortise per-call overhead across a campaign's worth of
+// concurrent workers.
+//
+// The admission window is measured, not configured. The rule: the queueing
+// delay a batch's first item is charged for batchmates is at most one
+// service time, capped by MaxDelay —
+//
+//	window = min(MaxDelay, smoothed duration of the batch function's recent runs)
+//
+// because waiting longer than a batch takes to serve can never pay for
+// itself. A slow batch function (a vector scan, a shard scatter: service
+// time ≥ MaxDelay) keeps the full MaxDelay window and keeps filling its
+// batches; a fast one (a ~30 µs simulated-teacher handler) stops charging
+// every caller MaxDelay to amortise microseconds of work. The estimate
+// starts at MaxDelay ("assume slow until measured"), so the first batches
+// after New wait the full cap, and follows the batch function with an
+// exponential moving average of gain 1/4. Below minTimerWindow a Go timer
+// cannot honour the window, so none is armed: the dispatcher yields once
+// and takes what is already queued. Stats reports the current window and
+// the cumulative queue wait so an operator can see which regime a
+// deployment is in.
 //
 // The coalescer guarantees that every accepted item is answered exactly
 // once, even when Close races concurrent Do calls (see the closeMu
@@ -15,7 +34,9 @@ package batch
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,10 +45,25 @@ type Config struct {
 	// MaxBatch is the largest batch handed to the batch function
 	// (default 16).
 	MaxBatch int
-	// MaxDelay bounds how long the first item of a batch waits for
-	// batchmates (default 2ms).
+	// MaxDelay caps how long the first item of a batch waits for
+	// batchmates (default 2ms). The wait actually applied is the batch
+	// function's smoothed service time when that is shorter.
 	MaxDelay time.Duration
 }
+
+const (
+	// minTimerWindow is the shortest admission window worth arming a timer
+	// for; below it the dispatcher yields once and drains the queue. A Go
+	// timer fires tens of microseconds late at best — and up to a
+	// millisecond late when the process is otherwise idle, because the
+	// runtime then sleeps in the poller at 1 ms granularity — which at
+	// these windows is the whole window several times over.
+	minTimerWindow = 250 * time.Microsecond
+	// serviceGain is the inverse smoothing gain of the service-time
+	// estimate: each batch moves it a quarter of the way to its own
+	// duration.
+	serviceGain = 4
+)
 
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
@@ -43,6 +79,13 @@ type Stats struct {
 	Items    int64 // items accepted and dispatched
 	Batches  int64 // batch-function invocations
 	MaxBatch int   // largest batch dispatched
+	// Window is the admission window the next batch will get: MaxDelay
+	// while the batch function is at least that slow, its smoothed service
+	// time otherwise.
+	Window time.Duration
+	// QueueWait is the cumulative time items spent between entering Do and
+	// their batch being dispatched.
+	QueueWait time.Duration
 }
 
 // ErrClosed is returned by Do after Close.
@@ -57,6 +100,7 @@ type Func[Q, R any] func(items []Q) []R
 
 type item[Q, R any] struct {
 	q    Q
+	enq  time.Time // when the item entered Do
 	done chan result[R]
 }
 
@@ -81,6 +125,10 @@ type Coalescer[Q, R any] struct {
 	closeMu sync.RWMutex
 	closed  bool
 
+	// service is the smoothed duration of run's recent invocations in
+	// nanoseconds; the dispatcher writes it, Stats reads it.
+	service atomic.Int64
+
 	mu    sync.Mutex
 	stats Stats
 }
@@ -94,6 +142,7 @@ func New[Q, R any](cfg Config, run Func[Q, R]) *Coalescer[Q, R] {
 		queue: make(chan item[Q, R], cfg.MaxBatch*4),
 		done:  make(chan struct{}),
 	}
+	c.service.Store(int64(cfg.MaxDelay))
 	c.wg.Add(1)
 	go c.dispatchLoop()
 	return c
@@ -103,7 +152,7 @@ func New[Q, R any](cfg Config, run Func[Q, R]) *Coalescer[Q, R] {
 // ErrClosed; a cancelled context abandons the wait (the item may still be
 // served as part of an already-formed batch).
 func (c *Coalescer[Q, R]) Do(ctx context.Context, q Q) (R, error) {
-	it := item[Q, R]{q: q, done: make(chan result[R], 1)}
+	it := item[Q, R]{q: q, enq: time.Now(), done: make(chan result[R], 1)}
 	// Hold the read side across the enqueue: either we observe the closed
 	// flag and refuse, or the enqueue completes before Close can run its
 	// final drain — so every accepted item is always answered.
@@ -149,57 +198,92 @@ func (c *Coalescer[Q, R]) Close() {
 // Stats returns a snapshot of the coalescer counters.
 func (c *Coalescer[Q, R]) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.Window = c.window()
+	return st
 }
 
-// dispatchLoop collects pending items into batches and services them.
+// dispatchLoop collects pending items into batches and services them. The
+// timer and the pendings slice are allocated once and reused by every
+// batch.
 func (c *Coalescer[Q, R]) dispatchLoop() {
 	defer c.wg.Done()
+	timer := time.NewTimer(c.cfg.MaxDelay)
+	timer.Stop()
+	pendings := make([]item[Q, R], 0, c.cfg.MaxBatch)
 	for {
 		// Block for the first item (or shutdown).
-		var first item[Q, R]
 		select {
-		case first = <-c.queue:
+		case first := <-c.queue:
+			pendings = append(pendings[:0], first)
 		case <-c.done:
 			c.failRemaining()
 			return
 		}
-		pendings := []item[Q, R]{first}
-		timer := time.NewTimer(c.cfg.MaxDelay)
-	fill:
-		for len(pendings) < c.cfg.MaxBatch {
-			select {
-			case it := <-c.queue:
-				pendings = append(pendings, it)
-			case <-timer.C:
-				break fill
-			case <-c.done:
-				break fill
+		if window := c.window(); window < minTimerWindow {
+			// Too short for a timer to honour: let callers that are
+			// already runnable reach their enqueue, then take what is
+			// queued and go.
+			runtime.Gosched()
+		drain:
+			for len(pendings) < c.cfg.MaxBatch {
+				select {
+				case it := <-c.queue:
+					pendings = append(pendings, it)
+				default:
+					break drain
+				}
 			}
+		} else {
+			timer.Reset(window)
+		fill:
+			for len(pendings) < c.cfg.MaxBatch {
+				select {
+				case it := <-c.queue:
+					pendings = append(pendings, it)
+				case <-timer.C:
+					break fill
+				case <-c.done:
+					break fill
+				}
+			}
+			timer.Stop()
 		}
-		timer.Stop()
 		c.serveBatch(pendings)
+		clear(pendings) // do not pin served items' payloads while idle
 	}
 }
 
-// serveBatch invokes the batch function and delivers index-aligned
-// results. A short result slice is a contract violation: the uncovered
-// items fail rather than hang.
+// window is the admission window of the next batch: the smoothed service
+// time, capped by MaxDelay.
+func (c *Coalescer[Q, R]) window() time.Duration {
+	return min(c.cfg.MaxDelay, time.Duration(c.service.Load()))
+}
+
+// serveBatch invokes the batch function, folds its duration into the
+// service-time estimate and delivers index-aligned results. A short result
+// slice is a contract violation: the uncovered items fail rather than hang.
 func (c *Coalescer[Q, R]) serveBatch(pendings []item[Q, R]) {
 	items := make([]Q, len(pendings))
+	start := time.Now()
+	var waited time.Duration
 	for i, it := range pendings {
 		items[i] = it.q
+		waited += start.Sub(it.enq)
 	}
 	c.mu.Lock()
 	c.stats.Items += int64(len(pendings))
 	c.stats.Batches++
+	c.stats.QueueWait += waited
 	if len(pendings) > c.stats.MaxBatch {
 		c.stats.MaxBatch = len(pendings)
 	}
 	c.mu.Unlock()
 
 	results := c.run(items)
+	est := c.service.Load()
+	c.service.Store(est + (int64(time.Since(start))-est)/serviceGain)
 	for i, it := range pendings {
 		if i < len(results) {
 			it.done <- result[R]{r: results[i]}

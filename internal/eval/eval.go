@@ -42,9 +42,12 @@ func (s *Setup) k() int {
 }
 
 // retrieved caches one question's retrieval results for one condition so
-// the expensive similarity searches run once, not once per model.
+// the expensive similarity searches, and the token counts of the prompt
+// the results go into, are taken once, not once per model.
 type retrieved struct {
-	texts  []string
+	// plan is nil under the baseline condition, which retrieves nothing
+	// and whose utility is 0 whatever the window.
+	plan   *rag.PromptPlan
 	chunks []rag.RetrievedChunk
 	traces []rag.RetrievedTrace
 }
@@ -53,25 +56,28 @@ type retrieved struct {
 // at once, preserving question order. The whole question set goes through
 // the store's batch path (embedding fan-out + the vecstore multi-query
 // scan kernel), which amortises each decoded code tile across the entire
-// 16,680-question sweep instead of re-decoding per question.
+// 16,680-question sweep instead of re-decoding per question. Each
+// question's prompt is then planned (rag.PlanPrompt) — the part of prompt
+// assembly that does not depend on a model's window.
 func (s *Setup) retrieveAll(cond llmsim.Condition) ([]retrieved, error) {
 	out := make([]retrieved, len(s.Questions))
 	if cond == llmsim.CondBaseline {
 		return out, nil
 	}
+	texts := make([][]string, len(s.Questions))
 	queries := make([]string, len(s.Questions))
 	for i, q := range s.Questions {
 		queries[i] = q.Question
 	}
 	if cond == llmsim.CondChunks {
 		for i, rc := range s.Chunks.RetrieveBatch(queries, s.k()) {
-			texts := make([]string, len(rc))
+			texts[i] = make([]string, len(rc))
 			for j, c := range rc {
-				texts[j] = c.Chunk.Text
+				texts[i][j] = c.Chunk.Text
 			}
-			out[i] = retrieved{texts: texts, chunks: rc}
+			out[i].chunks = rc
 		}
-		return out, nil
+		return out, s.planAll(out, texts)
 	}
 	mode, err := condMode(cond)
 	if err != nil {
@@ -89,13 +95,22 @@ func (s *Setup) retrieveAll(cond llmsim.Condition) ([]retrieved, error) {
 		}
 	}
 	for i, rt := range store.RetrieveBatch(queries, s.k(), excludes) {
-		texts := make([]string, len(rt))
+		texts[i] = make([]string, len(rt))
 		for j, tr := range rt {
-			texts[j] = tr.Trace.Reasoning
+			texts[i][j] = tr.Trace.Reasoning
 		}
-		out[i] = retrieved{texts: texts, traces: rt}
+		out[i].traces = rt
 	}
-	return out, nil
+	return out, s.planAll(out, texts)
+}
+
+// planAll builds every question's prompt plan over its retrieved texts.
+func (s *Setup) planAll(out []retrieved, texts [][]string) error {
+	return pipeline.ForEach(context.Background(), indexRange(len(out)), s.Workers,
+		func(_ context.Context, i int) error {
+			out[i].plan = rag.PlanPrompt(s.Questions[i], texts[i])
+			return nil
+		})
 }
 
 func condMode(c llmsim.Condition) (mcq.ReasoningMode, error) {
@@ -231,29 +246,25 @@ func runCell(setup *Setup, student *llmsim.Student, judge *llmsim.Judge,
 	cond llmsim.Condition, ret []retrieved, r *rng.Source) (*Cell, error) {
 
 	window := student.Profile.ContextWindow
-	// Pass 1: assemble prompts, measure per-question utility through this
-	// model's window.
-	type prep struct {
-		utility float64
-		prompt  rag.Prompt
-	}
-	preps, err := pipeline.Map(context.Background(), indexRange(len(setup.Questions)), setup.Workers,
-		func(_ context.Context, i int) (prep, error) {
-			q := setup.Questions[i]
-			p := rag.AssemblePrompt(q, ret[i].texts, window)
-			var u float64
-			switch cond {
-			case llmsim.CondBaseline:
-				u = 0
-			case llmsim.CondChunks:
-				u = rag.ChunkUtility(setup.KB, q, ret[i].chunks, p.Retained)
-			default:
-				u = rag.TraceUtility(setup.KB, q, ret[i].traces, p.Retained)
-			}
-			return prep{utility: u, prompt: p}, nil
-		})
-	if err != nil {
-		return nil, err
+	// Pass 1: fit each question's shared prompt plan to this model's
+	// window and measure the utility of what survived. The baseline
+	// retrieves nothing: its utilities stay 0.
+	utilities := make([]float64, len(setup.Questions))
+	if cond != llmsim.CondBaseline {
+		err := pipeline.ForEach(context.Background(), indexRange(len(setup.Questions)), setup.Workers,
+			func(_ context.Context, i int) error {
+				q := setup.Questions[i]
+				fit := ret[i].plan.Fit(window)
+				if cond == llmsim.CondChunks {
+					utilities[i] = rag.ChunkUtility(setup.KB, q, ret[i].chunks, fit.Retained)
+				} else {
+					utilities[i] = rag.TraceUtility(setup.KB, q, ret[i].traces, fit.Retained)
+				}
+				return nil
+			})
+		if err != nil {
+			return nil, err
+		}
 	}
 	// Mean utility per math/no-math subset: the calibrated response rows
 	// differ by subset, so each must be normalised against its own mean
@@ -261,17 +272,17 @@ func runCell(setup *Setup, student *llmsim.Student, judge *llmsim.Judge,
 	// other's response curve).
 	var uSum, uSumMath, uSumPlain float64
 	var nMath, nPlain int
-	for i, p := range preps {
-		uSum += p.utility
+	for i, u := range utilities {
+		uSum += u
 		if setup.Questions[i].Math {
-			uSumMath += p.utility
+			uSumMath += u
 			nMath++
 		} else {
-			uSumPlain += p.utility
+			uSumPlain += u
 			nPlain++
 		}
 	}
-	uMean := uSum / float64(len(preps))
+	uMean := uSum / float64(len(utilities))
 	uMeanMath, uMeanPlain := uMean, uMean
 	if nMath > 0 {
 		uMeanMath = uSumMath / float64(nMath)
@@ -292,7 +303,7 @@ func runCell(setup *Setup, student *llmsim.Student, judge *llmsim.Judge,
 		if q.Math {
 			m = uMeanMath
 		}
-		resp := student.Answer(q, setup.Bench, cond, preps[i].utility, m, r)
+		resp := student.Answer(q, setup.Bench, cond, utilities[i], m, r)
 		grade := judge.GradeResponse(q, resp.Text)
 		if grade.ParsedChoice < 0 {
 			cell.Unparseable++

@@ -327,3 +327,21 @@ func TestUnparseableCounted(t *testing.T) {
 		t.Fatal("well-formed replies flagged unparseable")
 	}
 }
+
+var sinkMatrix *eval.Matrix
+
+// BenchmarkEvaluateSynthetic times the full Table 2 matrix (8 models × 5
+// conditions) over the shared scale-0.01 build: retrieval and prompt
+// planning once per condition, then fit + answer + grade per cell.
+func BenchmarkEvaluateSynthetic(b *testing.B) {
+	a := artifacts(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := core.EvaluateSynthetic(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkMatrix = m
+	}
+}

@@ -15,7 +15,10 @@
 // the tests assert.
 package llmsim
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 func sigmoid(x float64) float64 {
 	if x >= 0 {
@@ -87,4 +90,32 @@ func solveAbility(target float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// solved memoises solveAbility per target accuracy for the life of the
+// process. The published tables hold a few dozen distinct accuracies, every
+// Student built from them wants the same inversions, and one inversion is
+// 80 bisection steps of a 4096-node quadrature — so each is solved once,
+// not once per NewStudent per evaluation run.
+var solved struct {
+	sync.RWMutex
+	z map[float64]float64
+}
+
+// abilityFor returns solveAbility(target) from the process-wide memo.
+func abilityFor(target float64) float64 {
+	solved.RLock()
+	z, ok := solved.z[target]
+	solved.RUnlock()
+	if ok {
+		return z
+	}
+	z = solveAbility(target) // outside the lock: concurrent first askers may both solve, to the same value
+	solved.Lock()
+	if solved.z == nil {
+		solved.z = make(map[float64]float64)
+	}
+	solved.z[target] = z
+	solved.Unlock()
+	return z
 }

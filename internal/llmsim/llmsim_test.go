@@ -3,6 +3,7 @@ package llmsim
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chunk"
@@ -50,6 +51,42 @@ func TestSolveAbilityClamps(t *testing.T) {
 	}
 	if z := solveAbility(1.5); math.IsInf(z, 0) || math.IsNaN(z) {
 		t.Fatal("overshoot target produced non-finite ability")
+	}
+}
+
+func TestAbilityMemoConcurrent(t *testing.T) {
+	// The solved-ability memo is process-wide and a Student's cell cache
+	// is shared by whoever holds the Student: hammer both from several
+	// goroutines (the race gate runs this) and require the values a fresh
+	// solve gives.
+	p, err := ProfileByName("SmolLM3-3B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewStudent(p)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := NewStudent(p)
+			for _, bench := range []Benchmark{BenchSynthetic, BenchAstro} {
+				for _, math := range []bool{false, true} {
+					for _, cond := range AllConditions {
+						want := solveAbility(shared.targetsFor(bench, math)[cond])
+						for _, s := range []*Student{shared, own} {
+							if z, ok := s.ability(bench, math, cond); !ok || z != want {
+								t.Errorf("%s/%t/%s: ability %v (ok %t), fresh solve %v", bench, math, cond, z, ok, want)
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, ok := NewStudent(GPT4Profile()).ability(BenchAstro, false, CondChunks); ok {
+		t.Fatal("GPT-4 has no published chunk row, yet ability reports one")
 	}
 }
 

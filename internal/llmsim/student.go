@@ -3,6 +3,7 @@ package llmsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mcq"
 	"repro/internal/rng"
@@ -39,8 +40,18 @@ const (
 type Student struct {
 	Profile *Profile
 
+	// abilities is copy-on-write: a hit is one atomic load and a map
+	// lookup, a miss takes mu, copies the (at most 15-entry) map and
+	// publishes the copy.
 	mu        sync.Mutex
-	abilities map[string]float64 // (bench|math|cond) → z
+	abilities atomic.Pointer[map[abilityKey]float64]
+}
+
+// abilityKey names one calibrated cell of a profile's accuracy tables.
+type abilityKey struct {
+	bench Benchmark
+	math  bool
+	cond  Condition
 }
 
 // probFloor/probCeil keep per-question probabilities away from the
@@ -53,7 +64,7 @@ const (
 
 // NewStudent wraps a profile in a responder.
 func NewStudent(p *Profile) *Student {
-	return &Student{Profile: p, abilities: make(map[string]float64)}
+	return &Student{Profile: p}
 }
 
 // targetsFor selects the published accuracy row for a benchmark/subset.
@@ -71,21 +82,29 @@ func (s *Student) targetsFor(bench Benchmark, math bool) Targets {
 }
 
 // ability returns the calibrated logit ability for a (bench, math subset,
-// condition) cell, caching the bisection result.
+// condition) cell. The inversion itself is shared process-wide
+// (abilityFor); the per-student map only saves the table lookups.
 func (s *Student) ability(bench Benchmark, math bool, cond Condition) (float64, bool) {
-	key := fmt.Sprintf("%s|%t|%s", bench, math, cond)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if z, ok := s.abilities[key]; ok {
-		return z, true
+	key := abilityKey{bench, math, cond}
+	if m := s.abilities.Load(); m != nil {
+		if z, ok := (*m)[key]; ok {
+			return z, true
+		}
 	}
-	t := s.targetsFor(bench, math)
-	target, ok := t[cond]
+	target, ok := s.targetsFor(bench, math)[cond]
 	if !ok {
 		return 0, false
 	}
-	z := solveAbility(target)
-	s.abilities[key] = z
+	z := abilityFor(target)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := map[abilityKey]float64{key: z}
+	if m := s.abilities.Load(); m != nil {
+		for k, v := range *m {
+			next[k] = v
+		}
+	}
+	s.abilities.Store(&next)
 	return z, true
 }
 

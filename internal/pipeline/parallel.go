@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Future is a single-assignment result slot.
@@ -82,8 +83,8 @@ func Map[I, O any](ctx context.Context, items []I, workers int, fn func(context.
 	}
 	out := make([]O, len(items))
 	failures := make(map[int]error)
-	var mu sync.Mutex
-	var next int
+	var mu sync.Mutex     // guards failures
+	var next atomic.Int64 // index of the next item to hand out
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -93,10 +94,7 @@ func Map[I, O any](ctx context.Context, items []I, workers int, fn func(context.
 				if ctx.Err() != nil {
 					return
 				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
+				i := int(next.Add(1) - 1)
 				if i >= len(items) {
 					return
 				}

@@ -46,8 +46,9 @@ func relevance(kb *corpus.KB, q *mcq.Question, text string, itemFactID string) f
 	}
 	// Topic match: any keyword of the fact's topic present.
 	topic := kb.Topics[f.Topic]
+	lower := strings.ToLower(text)
 	for _, kw := range topic.Keywords {
-		if len(kw) > 4 && strings.Contains(strings.ToLower(text), kw) {
+		if len(kw) > 4 && strings.Contains(lower, kw) {
 			return 0.25
 		}
 	}

@@ -51,7 +51,10 @@ type Config struct {
 	// mount all of them (default: just "chunks").
 	Routes []string
 	// MaxBatch caps the coalesced micro-batch scattered per shard call
-	// (default 32); MaxDelay is the admission window (default 1ms).
+	// (default 32); MaxDelay caps the admission window, which is one
+	// smoothed scatter/gather service time when that is shorter (default
+	// 1ms; see internal/batch). A route's current window is the
+	// router.<route>.coalesce_window_us gauge on /metrics.
 	MaxBatch int
 	MaxDelay time.Duration
 	// DefaultK / MaxK bound the retrieval depth as on the backends.
@@ -175,6 +178,7 @@ type route struct {
 	hBatch                                  *metrics.Histogram
 	hStageQueue, hStageScatter, hStageMerge *metrics.Histogram
 	hStageEncode                            *metrics.Histogram
+	gWindow                                 *metrics.Gauge
 }
 
 type job struct {
@@ -274,6 +278,7 @@ func New(cfg Config) (*Router, error) {
 			hStageScatter:   reg.Histogram(p + "stage.scatter"),
 			hStageMerge:     reg.Histogram(p + "stage.merge"),
 			hStageEncode:    reg.Histogram(p + "stage.encode"),
+			gWindow:         reg.Gauge(p + "coalesce_window_us"),
 		}
 		rt.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, func(jobs []job) []result {
 			return r.runBatch(rt, jobs)
@@ -873,6 +878,10 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	// The coalescing windows are read when asked for, not pushed per batch.
+	for _, rt := range r.routes {
+		rt.gWindow.Set(rt.co.Stats().Window.Microseconds())
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	r.reg.WriteTo(w) //nolint:errcheck // client went away
 }

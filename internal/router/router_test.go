@@ -3,6 +3,8 @@ package router
 import (
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +100,25 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 	if hz.Status != "ok" || hz.ShardsOK != 3 || len(hz.Shards) != 3 {
 		t.Fatalf("healthz %+v", hz)
+	}
+
+	// The route's coalescing window is on /metrics, within its cap
+	// (testRouter's MaxDelay): the one search so far served a batch, so
+	// the estimate has left its seed but cannot exceed it. The router's
+	// /metrics speaks the backends' exposition, so the backend client
+	// reads it.
+	mtext, err := serve.NewClient(c.BaseURL(), nil).MetricsCtx(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var windowUS int64 = -1
+	for _, line := range strings.Split(mtext, "\n") {
+		if rest, ok := strings.CutPrefix(line, "gauge router.chunks.coalesce_window_us "); ok {
+			windowUS, _ = strconv.ParseInt(rest, 10, 64)
+		}
+	}
+	if windowUS <= 0 || windowUS > 500 {
+		t.Fatalf("router.chunks.coalesce_window_us = %d, want within (0, 500] in:\n%s", windowUS, mtext)
 	}
 
 	// Kill shard1 cold. Every response from here to recovery must be a

@@ -100,7 +100,7 @@ func TestSearchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"counter serve.chunks.requests", "histogram serve.chunks.batch.size", "gauge serve.chunks.index.vectors 64"} {
+	for _, want := range []string{"counter serve.chunks.requests", "histogram serve.chunks.batch.size", "gauge serve.chunks.index.vectors 64", "gauge serve.chunks.coalesce_window_us "} {
 		if !strings.Contains(mtext, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, mtext)
 		}

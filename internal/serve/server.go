@@ -44,8 +44,10 @@ type Config struct {
 	// MaxBatch caps the coalesced batch handed to RetrieveBatch
 	// (default 32).
 	MaxBatch int
-	// MaxDelay is the admission window: how long the first request of a
-	// batch waits for batchmates (default 1ms).
+	// MaxDelay caps the admission window: the first request of a batch
+	// waits for batchmates one smoothed batch service time, at most this
+	// long (default 1ms; see internal/batch). A route's current window is
+	// the serve.<route>.coalesce_window_us gauge on /metrics.
 	MaxDelay time.Duration
 	// CacheCap is the per-route query-cache capacity in entries; 0
 	// disables the caches (default 4096 via DefaultConfig).
@@ -163,6 +165,7 @@ type route struct {
 	hStageQueue, hStageCache, hStageEmbed  *metrics.Histogram
 	hStageScan, hStageMerge, hStageEncode  *metrics.Histogram
 	gVectors, gEpoch, gCacheLen, gMemRows  *metrics.Gauge
+	gWindow                                *metrics.Gauge
 }
 
 type searchJob struct {
@@ -318,6 +321,7 @@ func newRoute(name string, st Store, cfg Config, reg *metrics.Registry) *route {
 		gEpoch:          reg.Gauge(p + "index.epoch"),
 		gCacheLen:       reg.Gauge(p + "cache.len"),
 		gMemRows:        reg.Gauge(p + "index.memrows"),
+		gWindow:         reg.Gauge(p + "coalesce_window_us"),
 	}
 	if cfg.CacheCap > 0 {
 		rt.cache = NewCache(cfg.CacheCap, cfg.CacheShards)
@@ -1109,11 +1113,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// The cache-size gauges are refreshed here rather than on every fill:
-	// Len locks all shards, which would re-serialize the miss paths.
+	// Len locks all shards, which would re-serialize the miss paths. The
+	// coalescing window is likewise read when asked for, not pushed per
+	// batch.
 	for _, rt := range s.routes {
 		if rt.cache != nil {
 			rt.gCacheLen.Set(int64(rt.cache.Len()))
 		}
+		rt.gWindow.Set(rt.co.Stats().Window.Microseconds())
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	s.reg.WriteTo(w) //nolint:errcheck // client went away

@@ -11,6 +11,7 @@ package tokenizer
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single lexical unit with its normalized form.
@@ -69,13 +70,58 @@ func Words(text string) []string {
 	return out
 }
 
-// CountTokens approximates the LLM token count of text. Real BPE tokenizers
-// emit roughly 1.3 tokens per English word; we apply the same expansion so
-// context-budget math is comparable to the paper's setting.
-func CountTokens(text string) int {
-	n := len(Tokenize(text))
-	return n + n/3
+// NumTokens returns len(Tokenize(text)) without building the tokens: the
+// same state machine run over the string in place, with no rune slice, no
+// builder and no lowercasing, so it allocates nothing. Counts of texts that
+// are joined by whitespace add up to the count of the joined text, which is
+// what lets prompt assembly count each part once.
+func NumTokens(text string) int {
+	n := 0
+	inWord := false
+	for i, r := range text {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			inWord = true
+		case (r == '-' || r == '\'' || r == '.') && inWord && wordRuneAt(text, i+1):
+			// Intra-word hyphen, apostrophe or decimal point (all one byte
+			// wide, so the next rune starts at i+1): the word continues.
+		case unicode.IsSpace(r):
+			if inWord {
+				n++
+				inWord = false
+			}
+		default:
+			if inWord {
+				n++
+				inWord = false
+			}
+			n++
+		}
+	}
+	if inWord {
+		n++
+	}
+	return n
 }
+
+// wordRuneAt reports whether a letter or digit starts at byte offset i.
+func wordRuneAt(text string, i int) bool {
+	if i >= len(text) {
+		return false
+	}
+	r, _ := utf8.DecodeRuneInString(text[i:])
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// LLMTokens converts a word-token count into the approximate LLM token
+// count. Real BPE tokenizers emit roughly 1.3 tokens per English word; we
+// apply the same expansion so context-budget math is comparable to the
+// paper's setting.
+func LLMTokens(n int) int { return n + n/3 }
+
+// CountTokens approximates the LLM token count of text. It allocates
+// nothing.
+func CountTokens(text string) int { return LLMTokens(NumTokens(text)) }
 
 // sentenceEnd reports whether the token at position i in toks terminates a
 // sentence. It guards against splitting at common scientific abbreviations

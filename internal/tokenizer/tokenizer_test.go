@@ -74,6 +74,51 @@ func TestCountTokensExpansion(t *testing.T) {
 	}
 }
 
+// countCases exercise every branch of the counting state machine against
+// the token-building one: Unicode letters and spaces, the three intra-word
+// joiners in every position, trailing punctuation, invalid UTF-8 and empty
+// input. FuzzCountTokens starts from the same list.
+var countCases = []string{
+	"",
+	"   \n\t ",
+	"Radiation induces DNA damage.",
+	"non-small cell dose of 1.8 Gy in p53's pathway",
+	"(p53, ATM)",
+	"trailing-", "trailing'", "trailing.", "-leading", "'leading", ".5 Gy",
+	"a--b", "a-'b", "1..8", "x.-y", "end. Next", "e.g. this", "3.", "-", "'", ".",
+	"naïve café – Ångström's β-decay… ¿qué?",
+	"γ-H2AX foci, 2.5 Gy",
+	"细胞 凋亡。放射-治疗",
+	"tab\tseparated\u00a0nbsp\u2003emspace",
+	"bad\xffutf8-\xfe.\xfd",
+	"a-\xff",
+	"[1] item one\n[2] item-two.\n\nQuestion: why?\nA) x\nAnswer: ",
+}
+
+func TestCountTokensMatchesTokenize(t *testing.T) {
+	for _, s := range countCases {
+		n := len(Tokenize(s))
+		if got := NumTokens(s); got != n {
+			t.Errorf("NumTokens(%q) = %d, Tokenize gives %d", s, got, n)
+		}
+		if got := CountTokens(s); got != n+n/3 {
+			t.Errorf("CountTokens(%q) = %d, want %d", s, got, n+n/3)
+		}
+	}
+}
+
+func FuzzCountTokens(f *testing.F) {
+	for _, s := range countCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n := len(Tokenize(s))
+		if got := CountTokens(s); got != n+n/3 {
+			t.Fatalf("CountTokens(%q) = %d, Tokenize gives %d tokens, want %d", s, got, n, n+n/3)
+		}
+	})
+}
+
 func TestSplitSentencesBasic(t *testing.T) {
 	s := SplitSentences("Radiation damages DNA. Repair pathways respond quickly! Does apoptosis follow? Yes.")
 	if len(s) != 4 {
@@ -252,5 +297,16 @@ func BenchmarkSplitSentences(b *testing.B) {
 	b.SetBytes(int64(len(text)))
 	for i := 0; i < b.N; i++ {
 		_ = SplitSentences(text)
+	}
+}
+
+var sinkCount int
+
+func BenchmarkCountTokens(b *testing.B) {
+	text := strings.Repeat("Ionizing radiation induces double-strand breaks in tumor DNA. ", 50)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkCount = CountTokens(text)
 	}
 }
