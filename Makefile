@@ -3,10 +3,12 @@
 # vecstore kernel benchmarks that track the contiguous-scan and PQ-LUT
 # speedups plus the build/evaluate hot-path benchmarks (token counting,
 # prompt plan fit, coalescer and gateway call cost, the Table 2 matrix).
+# End-to-end performance numbers come from ragbench, not from here:
+# `bash benchmarks/run.sh` (see benchmarks/README.md).
 
 GO ?= go
 
-.PHONY: verify bench bench-all bench-serve docs fmt lint race fuzz-smoke profile
+.PHONY: verify bench bench-all docs fmt lint race fuzz-smoke
 
 verify:
 	@unformatted="$$(gofmt -l .)"; \
@@ -40,9 +42,12 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/vecstore -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s
 
-# Documentation gate: vet plus a package-comment check — every internal
+# Documentation gate: vet, a package-comment check — every internal
 # package must open with a `// Package <name> ...` comment somewhere in
-# its files so `go doc` output stays useful (most keep it in doc.go).
+# its files so `go doc` output stays useful (most keep it in doc.go) — and
+# a stale-reference check: every `make <target>` that README.md, docs/*.md
+# or an internal/*/doc.go mentions must be a target of this Makefile, so
+# deleting a target cannot leave the docs pointing at it.
 docs:
 	$(GO) vet ./...
 	@missing=""; \
@@ -54,6 +59,13 @@ docs:
 	done; \
 	if [ -n "$$missing" ]; then \
 		echo "missing package comment in:$$missing"; exit 1; \
+	fi
+	@targets=" $$(sed -n 's/^\([a-z][a-z-]*\):.*/\1/p' Makefile | tr '\n' ' ')"; \
+	stale="$$(grep -no '`make [a-z][a-z-]*' README.md docs/*.md internal/*/doc.go | while IFS= read -r hit; do \
+		case "$$targets" in *" $${hit##*make } "*) ;; *) echo "  $$hit\`";; esac; \
+	done)"; \
+	if [ -n "$$stale" ]; then \
+		echo "docs mention make targets the Makefile does not have:"; echo "$$stale"; exit 1; \
 	fi
 	@echo "docs checks passed"
 
@@ -81,23 +93,6 @@ bench:
 # Full paper-artifact bench suite (Tables 2-4, Figures 4-6, ablations).
 bench-all:
 	$(GO) test . -run '^$$' -bench . -benchmem
-
-# End-to-end serving benchmark: ragload drives an in-process ragserve
-# (sequential baseline vs. coalesced concurrency, cache hit rate, hot
-# swaps under load, and a mixed-route phase across the chunk + trace
-# stores), then a 3-shard router fleet with a mid-phase shard kill
-# (degraded-recall + breaker trip/recovery), and writes the
-# machine-readable report with per-route and router records.
-# BENCH_serve.json is schema-checked by the root bench test inside
-# `make verify` (serve.BenchReport.Check), so a malformed emit fails CI.
-bench-serve:
-	$(GO) run ./cmd/ragload -inprocess -scale 0.01 -n 2000 -c 32 -json BENCH_serve.json
-
-# bench-serve with a CPU profile of the whole run (load generator +
-# in-process server). Inspect with `go tool pprof cpu.pprof`; for a
-# live server use `ragserve -debug` and hit /debug/pprof/ instead.
-profile:
-	$(GO) run ./cmd/ragload -inprocess -scale 0.01 -n 2000 -c 32 -json BENCH_serve.json -cpuprofile cpu.pprof
 
 fmt:
 	gofmt -w .

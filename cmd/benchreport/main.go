@@ -326,9 +326,7 @@ func ivfAblation(w io.Writer, a *core.Artifacts) error {
 // hnswTradeoffAblation holds the modernised HNSW graph against the two
 // poles it sits between — the exact Flat scan and the compressed IVF-PQ —
 // on the same chunk embeddings: what each costs to build, what it holds
-// per vector, what recall it returns, and what a single query costs. The
-// serving-side counterpart (throughput through the full stack) is the
-// hnsw phase of BENCH_serve.json.
+// per vector, what recall it returns, and what a single query costs.
 func hnswTradeoffAblation(w io.Writer, a *core.Artifacts) error {
 	encDefault := embed.NewDefault()
 	vecs := make([][]float32, 0, len(a.Chunks))

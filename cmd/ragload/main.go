@@ -1,29 +1,19 @@
-// Command ragload is the load generator for ragserve: closed- or
-// open-loop traffic against a running server (optionally fanned across
-// several routes with -routes), or a fully in-process benchmark
-// (-inprocess) that builds a corpus, starts a multi-store server on a
-// loopback socket, and measures the serving stack end to end — sequential
-// baseline vs. coalesced concurrent throughput, cache hit rate, hot index
-// swaps under load, a mixed-route phase over the chunk and
-// reasoning-trace stores with per-route QPS and hit rates, a zipfian
-// key-popularity phase (heavy-tailed cache workload, the baseline for the
-// eviction-policy sweep), a live-ingestion phase (a mixed read/write
-// closed loop against a mutable route with background memtable
-// compactions and a post-quiesce audit that no acked insert was lost),
-// a router phase: the corpus partitioned across a 3-shard fleet
-// behind the scatter/gather router, with one shard killed cold mid-run to
-// measure degraded-recall throughput and breaker trip/recovery (zero 5xx
-// expected), and a per-stage latency phase that folds timing-enabled
-// requests' span timelines into a queue/cache/embed/scan/merge breakdown.
-// -cpuprofile wraps the whole run in a CPU profile (`make profile`).
+// Command ragload is the load generator for a running ragserve: closed-
+// or open-loop search traffic over serve.RunLoadMixed, optionally fanned
+// round-robin across several routes (-routes) and drawn from a uniform or
+// zipfian key popularity (-dist). It prints the latency/throughput report
+// (per route when there are several) and the server's /metrics afterwards.
+// Performance numbers for the repository come from ragbench
+// (`bash benchmarks/run.sh`, see benchmarks/README.md); ragload is for
+// poking at a live server.
 //
 // Usage:
 //
-//	ragload -addr http://127.0.0.1:8080 -n 5000 -c 32      # drive a server
+//	ragload -addr http://127.0.0.1:8080 -n 5000 -c 32      # closed loop
 //	ragload -addr ... -rate 500                            # open loop at 500 qps
 //	ragload -addr ... -routes chunks,traces/detailed       # mixed-route load
 //	ragload -addr ... -dist zipf -queries 4096             # heavy-tailed keys
-//	ragload -inprocess -scale 0.01 -json BENCH_serve.json  # end-to-end bench
+//	ragload -addr ... -json load.json                      # machine-readable report
 package main
 
 import (
@@ -34,73 +24,34 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime/pprof"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
-	"time"
 
-	"repro/internal/chunk"
-	"repro/internal/core"
-	"repro/internal/embed"
-	"repro/internal/rag"
-	"repro/internal/retry"
-	"repro/internal/router"
 	"repro/internal/serve"
-	"repro/internal/vecstore"
 )
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8080", "target server base URL")
-	inprocess := flag.Bool("inprocess", false, "build a corpus and server in-process instead of targeting -addr")
-	scale := flag.Float64("scale", 0.01, "corpus scale for -inprocess")
-	seed := flag.Uint64("seed", 42, "corpus seed for -inprocess")
-	n := flag.Int("n", 2000, "requests per phase")
+	n := flag.Int("n", 2000, "requests to issue")
 	c := flag.Int("c", 32, "concurrent clients (closed loop) / in-flight cap (open loop)")
 	rate := flag.Float64("rate", 0, "open-loop admission rate in qps (0 = closed loop)")
 	k := flag.Int("k", 5, "retrieval depth")
-	nq := flag.Int("queries", 0, "distinct query pool size (remote: 0 = one per request; inprocess: hot-set size for the cached/mixed phases, 0 = 64)")
-	swaps := flag.Int("swaps", 4, "hot swaps performed during the -inprocess swap phase (0 disables)")
-	routes := flag.String("routes", "chunks", "comma-separated routes to fan remote requests across (e.g. chunks,traces/detailed)")
-	dist := flag.String("dist", "uniform", "query-key distribution: uniform or zipf (remote mode; inprocess always adds a zipf phase)")
-	zipfS := flag.Float64("zipf-s", 1.1, "zipf exponent for -dist zipf and the inprocess zipf phase")
+	nq := flag.Int("queries", 0, "distinct query pool size (0 = one per request)")
+	routes := flag.String("routes", "chunks", "comma-separated routes to fan requests across (e.g. chunks,traces/detailed)")
+	dist := flag.String("dist", "uniform", "query-key distribution: uniform or zipf")
+	zipfS := flag.Float64("zipf-s", 1.1, "zipf exponent for -dist zipf")
 	jsonPath := flag.String("json", "", "write the machine-readable report here")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run here (see `make profile`)")
 	flag.Parse()
 
 	if *dist != "uniform" && *dist != "zipf" {
 		log.Fatalf("-dist %q: want uniform or zipf", *dist)
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// Interrupting a run cancels this ctx: pacing and polling sleeps
-	// (retry.Sleep) wake immediately and the run exits with an error
-	// instead of riding out its schedule or writing a truncated report.
+	// Interrupting a run cancels this ctx: pacing sleeps wake immediately
+	// and the run exits with an error instead of riding out its schedule
+	// or writing a truncated report.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var err error
-	if *inprocess {
-		err = runInProcess(ctx, *scale, *seed, *n, *c, *k, *nq, *swaps, *rate, *zipfS, *jsonPath)
-	} else {
-		err = runRemote(ctx, *addr, *routes, *n, *c, *nq, *k, *rate, *dist, *zipfS, *jsonPath)
-	}
-	if *cpuprofile != "" {
-		// Stop before the error exit below: log.Fatal skips defers, and an
-		// unflushed profile is unreadable.
-		pprof.StopCPUProfile()
-		fmt.Printf("cpu profile written to %s\n", *cpuprofile)
-	}
-	if err != nil {
+	if err := run(ctx, *addr, *routes, *n, *c, *nq, *k, *rate, *dist, *zipfS, *jsonPath); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -118,9 +69,9 @@ func queryPool(n int) []string {
 	return out
 }
 
-func runRemote(ctx context.Context, addr, routeList string, n, c, nq, k int, rate float64, dist string, zipfS float64, jsonPath string) error {
+func run(ctx context.Context, addr, routeList string, n, c, nq, k int, rate float64, dist string, zipfS float64, jsonPath string) error {
 	client := serve.NewClient(addr, nil)
-	if _, err := client.Healthz(); err != nil {
+	if _, err := client.HealthzCtx(ctx); err != nil {
 		return fmt.Errorf("server not healthy: %w", err)
 	}
 	if nq <= 0 {
@@ -151,525 +102,18 @@ func runRemote(ctx context.Context, addr, routeList string, n, c, nq, k int, rat
 			fmt.Printf("\n%s:\n%s\n", route, rep.PerRoute[route])
 		}
 	}
-	mtext, err := client.Metrics()
+	mtext, err := client.MetricsCtx(ctx)
 	if err != nil {
 		return err
 	}
 	fmt.Println("\nserver /metrics:")
 	fmt.Print(mtext)
-	if jsonPath != "" {
-		return writeJSON(jsonPath, map[string]any{"bench": "serve-remote", "load": rep})
-	}
-	return nil
-}
-
-func runInProcess(ctx context.Context, scale float64, seed uint64, n, c, k, nq, swaps int, rate, zipfS float64, jsonPath string) error {
-	if nq <= 0 {
-		nq = 64
-	}
-	cfg := core.DefaultConfig(scale)
-	cfg.Seed = seed
-	fmt.Printf("building corpus at scale %.4f (seed %d)…\n", scale, seed)
-	a, err := core.BuildBenchmark(cfg)
-	if err != nil {
-		return err
-	}
-	srvCfg := serve.DefaultConfig()
-	// A cache smaller than the zipf phase's key pool (but comfortably
-	// larger than the ≤64-key hot sets of the uniform phases, whose hit
-	// rates must stay comparable across PRs): the zipf working set then
-	// overflows the cache and forces evictions, making the recorded hit
-	// rate actually sensitive to the eviction policy — the point of the
-	// eviction-sweep baseline. At the default 4096 entries, 2000 requests
-	// can never evict and every policy would score identically.
-	srvCfg.CacheCap = 256
-	// The ingest phase's compaction trigger: background drains publish a
-	// few times mid-loop instead of once at the end.
-	srvCfg.CompactAt = 256
-	srv := serve.New(a.ChunkStore, srvCfg)
-	if err := srv.MountTraceStores(a.TraceStores); err != nil {
-		return err
-	}
-	// A separate live-mounted route shares the already-built chunk index
-	// (no re-embedding) and takes the ingest phase's writes, keeping the
-	// chunks route's read-only numbers comparable across PRs.
-	liveStore := rag.WrapChunkStore(nil, a.ChunkStore.Index(), a.Chunks)
-	liveStore.EnableLive()
-	if err := srv.Mount(liveRoute, rag.NewChunkFacade(liveStore)); err != nil {
-		return err
-	}
-	// The graph route serves the same corpus through the modernised HNSW:
-	// the already-embedded flat chunk index is flattened into the graph
-	// (timed — the route's price of admission) and mounted alongside the
-	// exact routes, before Start like every mount.
-	flatIx, ok := a.ChunkStore.Index().(*vecstore.Flat)
-	if !ok {
-		return fmt.Errorf("inprocess bench needs a Flat chunk index to seed the hnsw route, got %T", a.ChunkStore.Index())
-	}
-	buildStart := time.Now()
-	hnswIx := flatIx.ToHNSW(vecstore.HNSWConfig{Seed: seed})
-	hnswBuildMS := float64(time.Since(buildStart).Nanoseconds()) / 1e6
-	hnswStore := rag.WrapChunkStore(nil, hnswIx, a.Chunks)
-	if err := srv.Mount(hnswRoute, rag.NewChunkFacade(hnswStore)); err != nil {
-		return err
-	}
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return err
-	}
-	defer srv.Close()
-	client := serve.NewClient("http://"+srv.Addr(), nil)
-	do := func(q string, kk int) error {
-		_, err := client.Search(q, kk)
-		return err
-	}
-	fmt.Printf("serving %d chunks (+%d traces) on %s, routes: %s\n\n",
-		len(a.Chunks), len(a.Traces), srv.Addr(), strings.Join(srv.Routes(), ", "))
-	rep := serve.BenchReport{Bench: "serve", Scale: scale, Chunks: len(a.Chunks), Swaps: swaps}
-
-	// Phase 1 — sequential baseline: one client, distinct queries, so every
-	// request is a cache-missing batch of one.
-	rep.Sequential = serve.RunLoad(serve.LoadConfig{Concurrency: 1, Requests: n, K: k, Queries: queryPool(n)}, do)
-	fmt.Printf("sequential baseline:\n%s\n\n", rep.Sequential)
-
-	// Phase 2 — concurrent closed loop on fresh distinct queries: the same
-	// per-request work, but coalesced onto the batch kernel.
-	before := srv.Registry().Snapshot()
-	q2 := queryPool(2 * n)[n:] // disjoint from phase 1 → no cache hits
-	rep.Concurrent = serve.RunLoad(serve.LoadConfig{Concurrency: c, Requests: n, RatePerSec: rate, K: k, Queries: q2}, do)
-	after := srv.Registry().Snapshot()
-	chunksPrefix := serve.MetricPrefix(serve.RouteChunks)
-	batches := after.Counter(chunksPrefix+"batches") - before.Counter(chunksPrefix+"batches")
-	queries := after.Counter(chunksPrefix+"batch.queries") - before.Counter(chunksPrefix+"batch.queries")
-	if batches > 0 {
-		rep.MeanBatch = float64(queries) / float64(batches)
-	}
-	rep.Speedup = rep.Concurrent.QPS / rep.Sequential.QPS
-	fmt.Printf("concurrent (%d clients):\n%s\nmean batch %.2f, speedup %.2fx over sequential\n\n",
-		c, rep.Concurrent, rep.MeanBatch, rep.Speedup)
-
-	// Phase 3 — hot query set: a pool much smaller than the cache, and
-	// disjoint from phases 1-2 so the measured hit rate includes the hot
-	// set's own compulsory misses.
-	before = after
-	hot := queryPool(2*n + nq)[2*n:]
-	rep.Cached = serve.RunLoad(serve.LoadConfig{Concurrency: c, Requests: n, K: k, Queries: hot}, do)
-	after = srv.Registry().Snapshot()
-	hits := after.Counter(chunksPrefix+"cache.hits") - before.Counter(chunksPrefix+"cache.hits")
-	misses := after.Counter(chunksPrefix+"cache.misses") - before.Counter(chunksPrefix+"cache.misses")
-	if hits+misses > 0 {
-		rep.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	fmt.Printf("cached hot set:\n%s\ncache hit rate %.1f%%\n\n", rep.Cached, 100*rep.CacheHitRate)
-
-	// Phase 4 — hot swaps under load: save the index, then swap it in
-	// repeatedly while the closed loop runs. Zero failures expected.
-	if swaps > 0 {
-		dir, err := os.MkdirTemp("", "ragload")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		vsf := filepath.Join(dir, "index.vsf")
-		if err := a.ChunkStore.SaveIndex(vsf); err != nil {
-			return err
-		}
-		done := make(chan *serve.LoadReport, 1)
-		go func() {
-			done <- serve.RunLoad(serve.LoadConfig{Concurrency: c, Requests: n, K: k, Queries: queryPool(n)}, do)
-		}()
-		for i := 0; i < swaps; i++ {
-			if err := retry.Sleep(ctx, 10*time.Millisecond); err != nil {
-				return fmt.Errorf("interrupted during swap phase: %w", err)
-			}
-			if _, err := client.Swap(vsf); err != nil {
-				return fmt.Errorf("hot swap %d: %w", i, err)
-			}
-		}
-		rep.SwapPhase = <-done
-		rep.SwapFailures = rep.SwapPhase.Failures
-		fmt.Printf("under %d hot swaps:\n%s\nswap failures: %d\n\n", swaps, rep.SwapPhase, rep.SwapFailures)
-	}
-
-	// Phase 5 — mixed-route closed loop: the same hot-set workload fanned
-	// round-robin across every mounted route (chunk store + the three
-	// reasoning-trace stores), reporting per-route QPS and hit rate.
-	routes := srv.Routes()
-	before = srv.Registry().Snapshot()
-	mixedHot := queryPool(2*n + 2*nq)[2*n+nq:] // disjoint from the phase-3 hot set
-	mixed := serve.RunLoadMixed(serve.LoadConfig{Concurrency: c, Requests: n, K: k, Queries: mixedHot},
-		routes, func(route, q string, kk int) error {
-			_, err := client.SearchRoute(route, q, kk, "")
-			return err
-		})
-	after = srv.Registry().Snapshot()
-	rep.Mixed = mixed.Total
-	rep.Routes = make(map[string]*serve.RouteBench, len(routes))
-	fmt.Printf("mixed routes (%s):\n%s\n", strings.Join(routes, ", "), mixed.Total)
-	for _, route := range routes {
-		prefix := serve.MetricPrefix(route)
-		hits := after.Counter(prefix+"cache.hits") - before.Counter(prefix+"cache.hits")
-		misses := after.Counter(prefix+"cache.misses") - before.Counter(prefix+"cache.misses")
-		rb := &serve.RouteBench{Load: mixed.PerRoute[route]}
-		if hits+misses > 0 {
-			rb.CacheHitRate = float64(hits) / float64(hits+misses)
-		}
-		if snap, ok := srv.RouteSnapshot(route); ok {
-			rb.Epoch = snap.Epoch
-		}
-		rb.Swaps = after.Counter(prefix + "swaps")
-		rep.Routes[route] = rb
-		fmt.Printf("  %-18s %6.0f qps  p95 %7.3fms  hit rate %5.1f%%  epoch %d\n",
-			route, rb.Load.QPS, rb.Load.P95MS, 100*rb.CacheHitRate, rb.Epoch)
-	}
-	fmt.Println()
-
-	// Phase 6 — zipfian key popularity: a pool much larger than the hot
-	// sets above, drawn with heavy-tailed rank frequencies, the realistic
-	// cache workload (and the baseline for the eviction-policy sweep).
-	before = srv.Registry().Snapshot()
-	zipfPool := queryPool(2*n + 2*nq + 8*nq)[2*n+2*nq:] // disjoint from all prior phases
-	rep.ZipfS = zipfS
-	rep.Zipf = serve.RunLoad(serve.LoadConfig{
-		Concurrency: c, Requests: n, K: k, Queries: zipfPool,
-		Dist: "zipf", ZipfS: zipfS, Seed: seed,
-	}, do)
-	after = srv.Registry().Snapshot()
-	hits = after.Counter(chunksPrefix+"cache.hits") - before.Counter(chunksPrefix+"cache.hits")
-	misses = after.Counter(chunksPrefix+"cache.misses") - before.Counter(chunksPrefix+"cache.misses")
-	if hits+misses > 0 {
-		rep.ZipfHitRate = float64(hits) / float64(hits+misses)
-	}
-	fmt.Printf("zipf(s=%.2f) key popularity over %d keys:\n%s\ncache hit rate %.1f%%\n\n",
-		zipfS, len(zipfPool), rep.Zipf, 100*rep.ZipfHitRate)
-
-	// Phase 7 — live ingestion: a mixed read/write closed loop on the live
-	// route (every insertEvery-th request inserts a batch while the rest
-	// search), background compactions publishing mid-loop, then a forced
-	// final drain and a visibility audit of every acked insert. Zero
-	// failures and zero lost inserts expected.
-	rep.Ingest, err = runIngestPhase(ctx, srv, client, n, c, k)
-	if err != nil {
-		return err
-	}
-
-	// Phase 8 — router fleet: the same corpus partitioned across three
-	// in-process shards behind the scatter/gather router, with a cold
-	// shard kill mid-way through the degraded sub-phase. Zero failures
-	// expected: outages degrade responses, they never 5xx.
-	rep.Router, err = runRouterPhase(ctx, a.Chunks, n, c, k)
-	if err != nil {
-		return err
-	}
-
-	// Phase 9 — per-stage latency breakdown: timing-enabled requests on the
-	// chunks route, folding the returned span timelines into per-stage
-	// p50/p99 (where a search's time goes, not just how long it takes).
-	rep.Stages, err = runStagesPhase(ctx, client, n, k, 2*n+2*nq+8*nq)
-	if err != nil {
-		return err
-	}
-
-	// Phase 10 — graph index: the hnsw route's closed loop against the
-	// modernised HNSW built before Start, with index-side recall@10 vs
-	// the exact Flat the graph was flattened from.
-	rep.HNSW, err = runHNSWPhase(ctx, client, hnswIx, flatIx, n, c, k, hnswBuildMS, 3*n+2*nq+8*nq)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("benchmark interrupted: %w", err)
-	}
-
-	rep.P50MS, rep.P95MS, rep.P99MS = rep.Concurrent.P50MS, rep.Concurrent.P95MS, rep.Concurrent.P99MS
-	fmt.Println("server /metrics after all phases:")
-	fmt.Print(srv.Registry().Render())
-	if err := rep.Check(); err != nil {
-		return fmt.Errorf("malformed bench report: %w", err)
-	}
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\nreport written to %s\n", jsonPath)
-	}
-	return nil
-}
-
-// liveRoute is the mutable route the ingest phase writes to.
-const liveRoute = "live"
-
-// hnswRoute is the graph-index route the hnsw phase drives.
-const hnswRoute = "hnsw"
-
-// runHNSWPhase measures the graph route: closed-loop throughput through
-// the serving stack on the modernised HNSW, and recall@10 of the graph
-// against the exact Flat it was built from (embedded probe queries). The
-// recall number here is a serving-side sanity floor — the strict
-// efSearch-sweep gate lives in the vecstore tests.
-func runHNSWPhase(ctx context.Context, client *serve.Client, h *vecstore.HNSW, flat *vecstore.Flat, n, c, k int, buildMS float64, poolOffset int) (*serve.HNSWBench, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("interrupted before hnsw phase: %w", err)
-	}
-	fmt.Println("hnsw graph route:")
-	hb := &serve.HNSWBench{BuildMS: buildMS, EfSearch: h.EfSearch()}
-	pool := queryPool(poolOffset + n)[poolOffset:] // disjoint from all prior phases
-	hb.Load = serve.RunLoad(serve.LoadConfig{Concurrency: c, Requests: n, K: k, Queries: pool},
-		func(q string, kk int) error {
-			_, err := client.SearchRoute(hnswRoute, q, kk, "")
-			return err
-		})
-	hb.QPS = hb.Load.QPS
-	enc := embed.NewDefault()
-	recallQ := make([][]float32, 50)
-	for i := range recallQ {
-		recallQ[i] = enc.Encode(fmt.Sprintf("graph recall probe %d over the bench corpus", i))
-	}
-	hb.RecallAt10 = h.RecallAgainst(flat, recallQ, 10)
-	fmt.Printf("%s\nbuild %.1fms, recall@10 %.3f at efSearch %d\n\n",
-		hb.Load, hb.BuildMS, hb.RecallAt10, hb.EfSearch)
-	return hb, nil
-}
-
-// ingest phase workload shape: every insertEvery-th request of the closed
-// loop is an insert of insertBatch fresh chunks; the rest are searches.
-const (
-	insertEvery = 8
-	insertBatch = 4
-)
-
-// runIngestPhase measures live ingestion: a closed loop mixing searches
-// and inserts on the live route, background compactions triggered by
-// memtable fill, a forced final drain, and an audit that every acked
-// insert is retrievable by its own text (the deterministic encoder ranks
-// an exact-text match first, so a lost row is a k=1 miss).
-func runIngestPhase(ctx context.Context, srv *serve.Server, client *serve.Client, n, c, k int) (*serve.IngestBench, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("interrupted before ingest phase: %w", err)
-	}
-	fmt.Println("live ingestion (mixed read/write):")
-	prefix := serve.MetricPrefix(liveRoute)
-	before := srv.Registry().Snapshot()
-
-	var (
-		reqSeq    atomic.Int64
-		insertSeq atomic.Int64
-		mu        sync.Mutex
-		acked     []string // texts of acked inserts, audit targets
-		insertNS  []int64  // per-insert-request latency
-	)
-	ib := &serve.IngestBench{}
-	ib.Load = serve.RunLoad(serve.LoadConfig{Concurrency: c, Requests: n, K: k, Queries: queryPool(n)},
-		func(q string, kk int) error {
-			if reqSeq.Add(1)%insertEvery != 0 {
-				_, err := client.SearchRoute(liveRoute, q, kk, "")
-				return err
-			}
-			batch := make([]serve.AddChunk, insertBatch)
-			for i := range batch {
-				id := insertSeq.Add(1)
-				batch[i] = serve.AddChunk{
-					ID:    fmt.Sprintf("ingest-%06d", id),
-					DocID: "ingest",
-					Text:  fmt.Sprintf("live ingestion payload %d with checksum %d and offset %d", id, id*7%101, id*3%89),
-				}
-			}
-			start := time.Now()
-			resp, err := client.AddRoute(liveRoute, batch)
-			if err != nil {
-				return err
-			}
-			elapsed := time.Since(start).Nanoseconds()
-			mu.Lock()
-			for i := 0; i < resp.Added; i++ {
-				acked = append(acked, batch[i].Text)
-			}
-			insertNS = append(insertNS, elapsed)
-			mu.Unlock()
-			return nil
-		})
-	ib.Inserts = int64(len(acked))
-
-	// Force the tail of the memtable down, then audit visibility.
-	if _, err := client.CompactRoute(liveRoute); err != nil {
-		return nil, fmt.Errorf("final compaction: %w", err)
-	}
-	for _, text := range acked {
-		resp, err := client.SearchRoute(liveRoute, text, 1, "")
-		if err != nil {
-			return nil, fmt.Errorf("audit search: %w", err)
-		}
-		if len(resp.Results) != 1 || resp.Results[0].Text != text {
-			ib.Lost++
-		}
-	}
-
-	after := srv.Registry().Snapshot()
-	ib.Compactions = after.Counter(prefix+"compactions") - before.Counter(prefix+"compactions")
-	if snap, ok := srv.RouteSnapshot(liveRoute); ok {
-		if lv, isLive := snap.Store.Index().(*vecstore.Live); isLive {
-			ib.MemRows = lv.MemLen()
-		}
-	}
-	sort.Slice(insertNS, func(i, j int) bool { return insertNS[i] < insertNS[j] })
-	if len(insertNS) > 0 {
-		ib.InsertP99MS = float64(insertNS[len(insertNS)*99/100]) / 1e6
-	}
-	fmt.Printf("%s\ninserts %d (lost %d), compactions %d, memtable left %d, insert p99 %.3fms\n\n",
-		ib.Load, ib.Inserts, ib.Lost, ib.Compactions, ib.MemRows, ib.InsertP99MS)
-	return ib, nil
-}
-
-// routerShards is the fleet size of the router bench phase.
-const routerShards = 3
-
-// runRouterPhase partitions chunks modulo routerShards, starts one
-// fault-injectable ragserve backend per shard plus a router over them, and
-// measures three sub-phases: sequential baseline, concurrent healthy
-// fan-out, and a closed loop during which shard1 is killed cold. It then
-// revives the shard and waits for the router's half-open probe to restore
-// full-recall responses.
-func runRouterPhase(ctx context.Context, chunks []chunk.Chunk, n, c, k int) (*serve.RouterBench, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("interrupted before router phase: %w", err)
-	}
-	fmt.Printf("router fleet (%d shards over %d chunks):\n", routerShards, len(chunks))
-	parts := make([][]chunk.Chunk, routerShards)
-	for i, ch := range chunks {
-		parts[i%routerShards] = append(parts[i%routerShards], ch)
-	}
-	gates := make([]*serve.FaultGate, routerShards)
-	urls := make([]string, routerShards)
-	for i, part := range parts {
-		s := serve.New(rag.BuildChunkStore(nil, part, 0), serve.DefaultConfig())
-		gate, err := s.StartFaulty("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		gates[i], urls[i] = gate, "http://"+s.Addr()
-	}
-	r, err := router.New(router.Config{
-		Shards:        urls,
-		Retry:         retry.Policy{MaxRetries: 1, BaseBackoff: time.Millisecond},
-		Breaker:       router.BreakerConfig{Threshold: 3, Cooldown: 100 * time.Millisecond},
-		ProbeInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Start("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	client := router.NewClient("http://"+r.Addr(), nil)
-
-	rb := &serve.RouterBench{Shards: routerShards}
-	var degraded atomic.Int64
-	do := func(q string, kk int) error {
-		resp, err := client.Search(q, kk)
-		if err != nil {
-			return err
-		}
-		if resp.Degraded {
-			degraded.Add(1)
-		}
+	if jsonPath == "" {
 		return nil
 	}
-
-	rb.Sequential = serve.RunLoad(serve.LoadConfig{Concurrency: 1, Requests: n, K: k, Queries: queryPool(n)}, do)
-	fmt.Printf("  sequential:\n  %s\n", rb.Sequential)
-	rb.Concurrent = serve.RunLoad(serve.LoadConfig{Concurrency: c, Requests: n, K: k, Queries: queryPool(2 * n)[n:]}, do)
-	rb.QPS = rb.Concurrent.QPS
-	fmt.Printf("  concurrent (%d clients):\n  %s\n", c, rb.Concurrent)
-
-	// Degraded sub-phase: shard1 drops cold one third of the way in and
-	// stays down. Every response past the kill must still be a 200 — the
-	// exact top-k over shard0+shard2 with degraded:true.
-	degraded.Store(0)
-	var issued atomic.Int64
-	var killOnce sync.Once
-	killAt := int64(n / 3)
-	if killAt < 1 {
-		killAt = 1
-	}
-	rb.Degraded = serve.RunLoad(serve.LoadConfig{Concurrency: c, Requests: n, K: k, Queries: queryPool(3 * n)[2*n:]},
-		func(q string, kk int) error {
-			if issued.Add(1) == killAt {
-				killOnce.Do(func() { gates[1].Set(serve.FaultDown) })
-			}
-			return do(q, kk)
-		})
-	rb.DegradedQPS = rb.Degraded.QPS
-	rb.DegradedResponses = degraded.Load()
-	rb.BreakerTrips = r.BreakerTrips()
-	fmt.Printf("  one shard killed at request %d:\n  %s\n  degraded responses: %d, failures: %d, breaker trips: %d\n",
-		killAt, rb.Degraded, rb.DegradedResponses, rb.Degraded.Failures, rb.BreakerTrips)
-
-	// Revive the shard: the health prober's half-open probe must close the
-	// breaker and bring back full-recall responses.
-	gates[1].Clear()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := client.Search("breaker recovery probe", k)
-		if err == nil && !resp.Degraded {
-			rb.Recovered = true
-			break
-		}
-		if err := retry.Sleep(ctx, 25*time.Millisecond); err != nil {
-			return nil, fmt.Errorf("interrupted during breaker recovery wait: %w", err)
-		}
-	}
-	fmt.Printf("  shard revived, breaker closed again: %v\n\n", rb.Recovered)
-	return rb, nil
-}
-
-// runStagesPhase issues timing-enabled single searches on the chunks route
-// and aggregates the returned span durations by stage name. poolOffset
-// keeps its queries disjoint from every prior phase, so each request is a
-// cache miss whose trace crosses all five serve stages (the cache span is
-// the lookup itself, recorded on hits and misses alike).
-func runStagesPhase(ctx context.Context, client *serve.Client, n, k, poolOffset int) (map[string]*serve.StageLat, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("interrupted before stages phase: %w", err)
-	}
-	fmt.Println("per-stage latency breakdown (timing-enabled requests):")
-	if n > 512 {
-		n = 512 // plenty of samples for a stable p99 without stretching the run
-	}
-	pool := queryPool(poolOffset + n)[poolOffset:]
-	samples := make(map[string][]int64, len(serve.StageNames))
-	for _, q := range pool {
-		resp, err := client.SearchRouteReq(serve.RouteChunks, serve.SearchRequest{Query: q, K: k, Timing: true})
-		if err != nil {
-			return nil, fmt.Errorf("stages phase: %w", err)
-		}
-		if resp.Timing == nil {
-			return nil, fmt.Errorf("stages phase: timing requested but the response carried none")
-		}
-		for _, sp := range resp.Timing.Spans {
-			samples[sp.Name] = append(samples[sp.Name], sp.DurUS)
-		}
-	}
-	out := make(map[string]*serve.StageLat, len(serve.StageNames))
-	for _, name := range serve.StageNames {
-		ds := samples[name]
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		sl := &serve.StageLat{Samples: int64(len(ds))}
-		if len(ds) > 0 {
-			sl.P50MS = float64(ds[len(ds)/2]) / 1e3
-			sl.P99MS = float64(ds[len(ds)*99/100]) / 1e3
-		}
-		out[name] = sl
-		fmt.Printf("  %-6s %6d samples  p50 %8.3fms  p99 %8.3fms\n", name, sl.Samples, sl.P50MS, sl.P99MS)
-	}
-	fmt.Println()
-	return out, nil
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(map[string]any{"bench": "serve-remote", "load": rep}, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
 }

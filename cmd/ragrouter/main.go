@@ -15,13 +15,13 @@
 //
 // Search through the router exactly like a single ragserve:
 //
-//	curl -s localhost:8080/v1/search -d '{"query":"supernova light curves","k":5}'
+//	curl -s localhost:8080/v1/chunks/search -d '{"query":"supernova light curves","k":5}'
 //
 // Kill a shard and the same query answers degraded (exact over the other
 // two shards) while /healthz shows the breaker trip and, after the shard
 // returns, the half-open probe closing it again:
 //
-//	kill %2 && curl -s localhost:8080/v1/search -d '{"query":"...","k":5}' | jq .degraded
+//	kill %2 && curl -s localhost:8080/v1/chunks/search -d '{"query":"...","k":5}' | jq .degraded
 //	curl -s localhost:8080/healthz | jq .shards
 //
 // SIGINT/SIGTERM drains gracefully like ragserve.

@@ -14,7 +14,7 @@
 //	ragserve -shard 1/3 -traces=false             # shard 1 of a 3-backend ragrouter fleet
 //	ragserve -live -compact-at 1024               # accept inserts on the chunk route
 //
-// Hot swap while serving (per route; /admin/swap aliases the chunk route):
+// Hot swap while serving (per route):
 //
 //	curl -X POST localhost:8080/admin/chunks/swap -d '{"path":"/tmp/idx.vsf"}'
 //	curl -X POST localhost:8080/admin/traces/detailed/swap -d '{"path":"/tmp/tr/traces_detailed.vsf"}'

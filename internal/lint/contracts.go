@@ -80,12 +80,12 @@ func isIdent(e ast.Expr, name string) bool {
 }
 
 // stageTaxonomy is the closed set of span names the serving stack may
-// record: the serve-tier stages BenchReport.Check admits (queue, cache,
-// embed, scan, merge — see serve.StageNames), plus the two stages that
-// exist outside the sampled breakdown: encode (booked after the response
-// snapshot on both tiers) and scatter (the router's fan-out). A new
-// stage must be added here AND to the bench schema in the same change —
-// TestStageTaxonomyCoversBenchSchema pins the subset relation.
+// record, and this map is its one definition: the five stages a
+// cache-missing search crosses on a backend (queue, cache, embed, scan,
+// merge), encode (booked after the response snapshot on both tiers) and
+// scatter (the router's fan-out). Dashboards, the slowlog and ragbench's
+// per-stage metrics key on these names, so a new stage is added here in
+// the same change that records it.
 var stageTaxonomy = map[string]bool{
 	"queue":   true,
 	"cache":   true,
@@ -97,22 +97,22 @@ var stageTaxonomy = map[string]bool{
 }
 
 // pipelineStageTaxonomy is the generation pipeline's own stage set
-// (internal/core's per-stage histograms, which predate the serving tier
-// and never reach BenchReport). Metric names may use either tier's
-// stages; trace spans are a serving-tier concept and use stageTaxonomy
-// alone.
+// (internal/core's per-stage histograms, which predate the serving
+// tier). Metric names may use either tier's stages; trace spans are a
+// serving-tier concept and use stageTaxonomy alone.
 var pipelineStageTaxonomy = map[string]bool{
 	"parse": true,
 	"chunk": true,
 }
 
 // stagenames: a span recorded under a name outside the taxonomy, or a
-// stage histogram registered under one, drifts silently from the bench
-// schema until BenchReport.Check rejects a report in CI. Catch the
-// literal at analysis time instead. Matching is by receiver type name
-// (Trace.AddSpan/StartSpan, Registry histogram/counter names containing
-// "stage."), so the obs and metrics packages don't need importing here.
-var analyzerStageNames = &Analyzer{
+// stage histogram registered under one, drifts silently away from every
+// reader of the stage names (slowlog consumers, ragbench's per-stage
+// metrics). Catch the literal at analysis time. Matching is by receiver
+// type name (Trace.AddSpan/StartSpan, Registry histogram/counter names
+// containing "stage."), so the obs and metrics packages don't need
+// importing here.
+var analyzerStageTaxonomy = &Analyzer{
 	Name: "stagenames",
 	Doc:  "stage/metric name literals must belong to the approved stage taxonomy",
 	Run: func(p *Package, report func(pos token.Pos, msg string)) {
@@ -133,7 +133,7 @@ var analyzerStageNames = &Analyzer{
 						for _, s := range stringLits(lit) {
 							if !stageTaxonomy[s] {
 								report(call.Args[0].Pos(), "span name "+quoted(s)+
-									" is outside the approved stage taxonomy (see internal/lint stageTaxonomy and serve.StageNames)")
+									" is outside the approved stage taxonomy (see stageTaxonomy in internal/lint/contracts.go)")
 							}
 						}
 					}
@@ -146,7 +146,7 @@ var analyzerStageNames = &Analyzer{
 						stage := s[idx+len("stage."):]
 						if !stageTaxonomy[stage] && !pipelineStageTaxonomy[stage] {
 							report(call.Args[0].Pos(), "stage metric suffix "+quoted(stage)+
-								" is outside the approved stage taxonomy (see internal/lint stageTaxonomy and serve.StageNames)")
+								" is outside the approved stage taxonomy (see stageTaxonomy in internal/lint/contracts.go)")
 						}
 					}
 				}

@@ -22,8 +22,8 @@
 //	           allocation — the VSF header-bomb class FuzzLoad hunts
 //	           dynamically.
 //	stagenames stage/metric name literals passed to obs traces and
-//	           metrics histograms must belong to the approved taxonomy
-//	           that serve.BenchReport.Check gates.
+//	           metrics histograms must belong to the closed stage
+//	           taxonomy (stageTaxonomy in contracts.go, its one owner).
 //	errwrap    fmt.Errorf with an error operand must use %w so callers
 //	           can errors.Is/As through the wrap.
 //

@@ -42,7 +42,7 @@ func All() []*Analyzer {
 		analyzerLockHeld,
 		analyzerNilRecv,
 		analyzerAllocBound,
-		analyzerStageNames,
+		analyzerStageTaxonomy,
 		analyzerErrWrap,
 	}
 }

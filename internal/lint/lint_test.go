@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/serve"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current analyzer output")
@@ -147,18 +145,6 @@ func TestSelect(t *testing.T) {
 	}
 	if _, err := Select("nosuch"); err == nil {
 		t.Error("Select(\"nosuch\") should fail")
-	}
-}
-
-// TestStageTaxonomyCoversBenchSchema pins the subset relation between
-// the bench schema's sampled stages and the analyzer's taxonomy: every
-// stage BenchReport.Check requires must be a name the stagenames
-// analyzer accepts, or a schema extension would be un-lintable.
-func TestStageTaxonomyCoversBenchSchema(t *testing.T) {
-	for _, s := range serve.StageNames {
-		if !stageTaxonomy[s] {
-			t.Errorf("serve.StageNames stage %q missing from lint stageTaxonomy", s)
-		}
 	}
 }
 

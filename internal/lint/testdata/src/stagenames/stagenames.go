@@ -1,5 +1,5 @@
 // Fixture for the stagenames analyzer: span and stage-metric names must
-// come from the taxonomy that BenchReport.Check gates on.
+// come from the closed stage taxonomy.
 package stagenames
 
 import "time"

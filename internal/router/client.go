@@ -1,76 +1,33 @@
 package router
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // Client is a typed JSON client for the router API, decoding the
 // degradation contract (degraded, shards_ok/shards_total) alongside the
-// results. The load harness and tests drive a router fleet through it.
+// results. It rides serve.Client's transport — the router speaks the
+// backends' wire conventions (JSON bodies, X-Trace-Id propagation,
+// *serve.StatusError for a non-200) and differs only in its reply types.
 type Client struct {
-	base string
-	hc   *http.Client
+	sc *serve.Client
 }
 
 // NewClient returns a client for the router at baseURL; a nil httpClient
 // gets the serve-client default (30s timeout, pooled transport).
 func NewClient(baseURL string, httpClient *http.Client) *Client {
-	// Reuse the serve client purely for its transport defaults.
-	sc := serve.NewClient(baseURL, httpClient)
-	return &Client{base: sc.BaseURL(), hc: sc.HTTPClient()}
+	return &Client{sc: serve.NewClient(baseURL, httpClient)}
 }
 
 // BaseURL returns the router base URL the client targets.
-func (c *Client) BaseURL() string { return c.base }
-
-func (c *Client) post(ctx context.Context, path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	// Propagate a context trace's id so the router adopts it — the same
-	// contract the router itself uses toward its shards.
-	if tr := obs.FromContext(ctx); tr != nil {
-		hreq.Header.Set(obs.TraceHeader, tr.ID())
-	}
-	hr, err := c.hc.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer hr.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hr.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	if hr.StatusCode != http.StatusOK {
-		return &serve.StatusError{Path: path, Status: hr.StatusCode, Msg: string(bytes.TrimSpace(data))}
-	}
-	return json.Unmarshal(data, resp)
-}
-
-// Search runs one query on the chunks route via the legacy alias.
-func (c *Client) Search(query string, k int) (SearchResponse, error) {
-	return c.SearchRouteCtx(context.Background(), serve.RouteChunks, query, k, "")
-}
+func (c *Client) BaseURL() string { return c.sc.BaseURL() }
 
 // SearchRouteCtx runs one query on the named route.
 func (c *Client) SearchRouteCtx(ctx context.Context, route, query string, k int, exclude string) (SearchResponse, error) {
-	var resp SearchResponse
-	err := c.post(ctx, "/v1/"+route+"/search", serve.SearchRequest{Query: query, K: k, Exclude: exclude}, &resp)
-	return resp, err
+	return c.SearchRouteReqCtx(ctx, route, serve.SearchRequest{Query: query, K: k, Exclude: exclude})
 }
 
 // SearchRouteReqCtx runs one query on the named route from a full request
@@ -78,19 +35,14 @@ func (c *Client) SearchRouteCtx(ctx context.Context, route, query string, k int,
 // helpers don't carry.
 func (c *Client) SearchRouteReqCtx(ctx context.Context, route string, req serve.SearchRequest) (SearchResponse, error) {
 	var resp SearchResponse
-	err := c.post(ctx, "/v1/"+route+"/search", req, &resp)
+	err := c.sc.Do(ctx, http.MethodPost, "/v1/"+route+"/search", req, &resp)
 	return resp, err
-}
-
-// SearchBatch runs an explicit batch on the chunks route.
-func (c *Client) SearchBatch(queries []string, k int) (BatchSearchResponse, error) {
-	return c.SearchRouteBatchCtx(context.Background(), serve.RouteChunks, queries, k, nil)
 }
 
 // SearchRouteBatchCtx runs an explicit batch on the named route.
 func (c *Client) SearchRouteBatchCtx(ctx context.Context, route string, queries []string, k int, exclude []string) (BatchSearchResponse, error) {
 	var resp BatchSearchResponse
-	err := c.post(ctx, "/v1/"+route+"/search/batch", serve.BatchSearchRequest{Queries: queries, K: k, Exclude: exclude}, &resp)
+	err := c.sc.Do(ctx, http.MethodPost, "/v1/"+route+"/search/batch", serve.BatchSearchRequest{Queries: queries, K: k, Exclude: exclude}, &resp)
 	return resp, err
 }
 
@@ -102,21 +54,6 @@ func (c *Client) Healthz() (Healthz, error) {
 // HealthzCtx fetches the router health report under ctx.
 func (c *Client) HealthzCtx(ctx context.Context) (Healthz, error) {
 	var hz Healthz
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return hz, err
-	}
-	hr, err := c.hc.Do(req)
-	if err != nil {
-		return hz, err
-	}
-	defer hr.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hr.Body, 1<<20))
-	if err != nil {
-		return hz, err
-	}
-	if hr.StatusCode != http.StatusOK {
-		return hz, fmt.Errorf("router: /healthz: status %d", hr.StatusCode)
-	}
-	return hz, json.Unmarshal(data, &hz)
+	err := c.sc.Do(ctx, http.MethodGet, "/healthz", nil, &hz)
+	return hz, err
 }

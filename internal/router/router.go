@@ -21,13 +21,9 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -36,6 +32,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/batch"
+	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/retry"
@@ -214,7 +211,7 @@ type Router struct {
 	proberOnce sync.Once
 
 	httpSrv *http.Server
-	ln      net.Listener
+	addr    string
 }
 
 // MetricPrefix returns a route's metrics namespace ("router.<name>." with
@@ -308,16 +305,6 @@ func (r *Router) Shards() []string {
 		out[i] = sh.url
 	}
 	return out
-}
-
-// BreakerTrips sums the trip count across all shards (the bench
-// harness's breaker accounting).
-func (r *Router) BreakerTrips() int64 {
-	var n int64
-	for _, sh := range r.shards {
-		n += sh.br.Trips()
-	}
-	return n
 }
 
 // runBatch is a route's coalescer batch function: scatter the whole
@@ -571,8 +558,7 @@ func (r *Router) search(ctx context.Context, rt *route, query string, k int, exc
 //	POST /v1/<name>/search        → {"results","degraded","shards_ok","shards_total","route"}
 //	POST /v1/<name>/search/batch  → {"results":[[…],…],"degraded",…}
 //
-// plus the chunks-route legacy aliases /v1/search and /v1/search/batch
-// (when "chunks" is routed) and the shared endpoints:
+// plus the shared endpoints:
 //
 //	GET /healthz   per-shard breaker state, probe status, trip counts
 //	GET /metrics   text exposition of the registry
@@ -586,37 +572,16 @@ func (r *Router) search(ctx context.Context, rt *route, query string, k int, exc
 func (r *Router) Handler() http.Handler {
 	r.startProber()
 	mux := http.NewServeMux()
+	slow := make(map[string]*obs.SlowLog, len(r.routes))
 	for name, rt := range r.routes {
 		mux.HandleFunc("POST /v1/"+name+"/search", r.searchHandler(rt))
 		mux.HandleFunc("POST /v1/"+name+"/search/batch", r.batchHandler(rt))
-	}
-	if rt, ok := r.routes[serve.RouteChunks]; ok {
-		mux.HandleFunc("POST /v1/search", r.searchHandler(rt))
-		mux.HandleFunc("POST /v1/search/batch", r.batchHandler(rt))
+		slow[name] = rt.slow
 	}
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	mux.HandleFunc("GET /debug/slowlog/{route...}", r.handleSlowlog)
-	if r.cfg.Debug {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+	httpkit.MountDebug(mux, slow, r.cfg.Debug)
 	return mux
-}
-
-// handleSlowlog serves a route's retained slowest traces.
-func (r *Router) handleSlowlog(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("route")
-	rt, ok := r.routes[name]
-	if !ok {
-		http.Error(w, fmt.Sprintf("router: unknown route %q (routed: %s)", name, strings.Join(r.Routes(), ", ")),
-			http.StatusNotFound)
-		return
-	}
-	writeJSON(w, obs.SlowLogPage{Route: rt.name, Slowest: rt.slow.Snapshot()})
 }
 
 func (r *Router) startProber() {
@@ -630,27 +595,19 @@ func (r *Router) startProber() {
 
 // Start binds addr and serves in the background until Shutdown.
 func (r *Router) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	r.ln = ln
-	r.httpSrv = &http.Server{Handler: r.Handler(), ReadTimeout: 30 * time.Second}
-	go r.httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
-	return nil
+	var err error
+	r.httpSrv, r.addr, err = httpkit.Start(addr, r.Handler)
+	return err
 }
 
 // Addr returns the bound address (after Start).
-func (r *Router) Addr() string { return r.ln.Addr().String() }
+func (r *Router) Addr() string { return r.addr }
 
 // Shutdown drains gracefully: stop accepting, finish in-flight requests
 // within ctx, then stop the prober, the coalescers and any pending
 // shard-call backoffs (the lifecycle context aborts their sleeps).
 func (r *Router) Shutdown(ctx context.Context) error {
-	var err error
-	if r.httpSrv != nil {
-		err = r.httpSrv.Shutdown(ctx)
-	}
+	err := httpkit.Shutdown(ctx, r.httpSrv)
 	r.cancel()
 	for _, rt := range r.routes {
 		rt.co.Close()
@@ -660,11 +617,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 }
 
 // Close is Shutdown with a bounded drain window.
-func (r *Router) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return r.Shutdown(ctx)
-}
+func (r *Router) Close() error { return httpkit.Close(r.Shutdown) }
 
 // Wire types.
 
@@ -721,7 +674,7 @@ type Healthz struct {
 func (r *Router) searchHandler(rt *route) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		var sr serve.SearchRequest
-		if !r.decode(rt, w, req, &sr) {
+		if !httpkit.Decode(w, req, rt.mErrors, &sr) {
 			return
 		}
 		if sr.Query == "" {
@@ -748,19 +701,9 @@ func (r *Router) searchHandler(rt *route) http.HandlerFunc {
 		if sr.Timing {
 			resp.Timing = &serve.TimingInfo{TraceID: tr.ID(), TotalUS: tr.Since().Microseconds(), Spans: tr.Spans()}
 		}
-		rt.encodeTraced(w, tr, resp)
+		httpkit.EncodeTraced(w, tr, rt.hStageEncode, resp)
 		rt.slow.Record(tr, "search", sr.Query)
 	}
-}
-
-// encodeTraced writes the JSON response under an "encode" span and the
-// encode-stage histogram, mirroring the serve tier.
-func (rt *route) encodeTraced(w http.ResponseWriter, tr *obs.Trace, v any) {
-	start := time.Now()
-	writeJSON(w, v)
-	d := time.Since(start)
-	rt.hStageEncode.Observe(d)
-	tr.AddSpan("encode", start, d)
 }
 
 // batchHandler serves an explicit batch as its own micro-batch: it
@@ -769,7 +712,7 @@ func (rt *route) encodeTraced(w http.ResponseWriter, tr *obs.Trace, v any) {
 func (r *Router) batchHandler(rt *route) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		var br serve.BatchSearchRequest
-		if !r.decode(rt, w, req, &br) {
+		if !httpkit.Decode(w, req, rt.mErrors, &br) {
 			return
 		}
 		if len(br.Queries) == 0 {
@@ -842,7 +785,7 @@ func (r *Router) batchHandler(rt *route) http.HandlerFunc {
 		if br.Timing {
 			resp.Timing = &serve.TimingInfo{TraceID: tr.ID(), TotalUS: tr.Since().Microseconds(), Spans: tr.Spans()}
 		}
-		rt.encodeTraced(w, tr, resp)
+		httpkit.EncodeTraced(w, tr, rt.hStageEncode, resp)
 		rt.slow.Record(tr, "search/batch", br.Queries[0])
 	}
 }
@@ -874,7 +817,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 		hz.Shards[sh.name] = entry
 	}
-	writeJSON(w, hz)
+	httpkit.WriteJSON(w, hz)
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -882,26 +825,5 @@ func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, rt := range r.routes {
 		rt.gWindow.Set(rt.co.Stats().Window.Microseconds())
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	r.reg.WriteTo(w) //nolint:errcheck // client went away
-}
-
-func (r *Router) decode(rt *route, w http.ResponseWriter, req *http.Request, dst any) bool {
-	body, err := io.ReadAll(io.LimitReader(req.Body, 16<<20))
-	if err != nil {
-		rt.mErrors.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		rt.mErrors.Inc()
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
+	httpkit.WriteMetrics(w, r.reg)
 }

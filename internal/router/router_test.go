@@ -2,6 +2,8 @@ package router
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
 	"reflect"
 	"strconv"
 	"strings"
@@ -68,7 +70,7 @@ func TestRouterEndToEnd(t *testing.T) {
 
 	// Healthy fleet: full fan-out, not degraded, and the router's merged
 	// answer equals a single unsharded store's, bit for bit.
-	resp, err := c.Search(f.corpus[5].Text, 3)
+	resp, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[5].Text, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestRouterEndToEnd(t *testing.T) {
 
 	queries := []string{f.corpus[0].Text, f.corpus[31].Text, "supernova decay calibration"}
 	want := storeSearch(f.corpus, queries, 10)
-	bresp, err := c.SearchBatch(queries, 10)
+	bresp, err := c.SearchRouteBatchCtx(t.Context(), serve.RouteChunks, queries, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	if !recovered {
 		t.Fatalf("breaker never closed after revival: %+v", hz)
 	}
-	resp, err = c.Search(f.corpus[1].Text, 5)
+	resp, err = c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[1].Text, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +199,12 @@ func TestRouterAllShardsFailed(t *testing.T) {
 		g.Set(serve.FaultError)
 	}
 	// Not one shard answered: the only case the router 5xxes.
-	_, err := c.Search(f.corpus[0].Text, 3)
+	_, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[0].Text, 3, "")
 	var se *serve.StatusError
 	if !errors.As(err, &se) || se.Status != 503 {
 		t.Fatalf("err=%v, want router 503", err)
 	}
-	if _, err := c.SearchBatch([]string{f.corpus[0].Text}, 3); !errors.As(err, &se) || se.Status != 503 {
+	if _, err := c.SearchRouteBatchCtx(t.Context(), serve.RouteChunks, []string{f.corpus[0].Text}, 3, nil); !errors.As(err, &se) || se.Status != 503 {
 		t.Fatalf("batch err=%v, want router 503", err)
 	}
 	// The two failed requests tripped both breakers (threshold 2), so the
@@ -212,7 +214,7 @@ func TestRouterAllShardsFailed(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := c.Search(f.corpus[0].Text, 3)
+		resp, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[0].Text, 3, "")
 		if err == nil && !resp.Degraded {
 			break
 		}
@@ -227,17 +229,35 @@ func TestRouterRequestValidation(t *testing.T) {
 	f := testFleet(t, 2, 16)
 	c := testRouter(t, f)
 	var se *serve.StatusError
-	if _, err := c.Search("", 3); !errors.As(err, &se) || se.Status != 400 {
+	if _, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, "", 3, ""); !errors.As(err, &se) || se.Status != 400 {
 		t.Fatalf("empty query: err=%v, want 400", err)
 	}
 	big := make([]string, 2000)
 	for i := range big {
 		big[i] = "q"
 	}
-	if _, err := c.SearchBatch(big, 3); !errors.As(err, &se) || se.Status != 413 {
+	if _, err := c.SearchRouteBatchCtx(t.Context(), serve.RouteChunks, big, 3, nil); !errors.As(err, &se) || se.Status != 413 {
 		t.Fatalf("oversized batch: err=%v, want 413", err)
 	}
 	if _, err := c.SearchRouteBatchCtx(t.Context(), serve.RouteChunks, []string{"a", "b"}, 3, []string{"only-one"}); !errors.As(err, &se) || se.Status != 400 {
 		t.Fatalf("mismatched exclude: err=%v, want 400", err)
+	}
+}
+
+// TestUnroutedPathsAre404: the router serves /v1/<route>/... only; the
+// bare /v1/search paths do not exist on this tier either.
+func TestUnroutedPathsAre404(t *testing.T) {
+	f := testFleet(t, 2, 16)
+	c := testRouter(t, f)
+	for _, path := range []string{"/v1/search", "/v1/search/batch"} {
+		resp, err := http.Post(c.BaseURL()+path, "application/json",
+			strings.NewReader(fmt.Sprintf(`{"query":%q,"queries":[%q]}`, f.corpus[0].Text, f.corpus[0].Text)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

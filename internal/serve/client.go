@@ -32,10 +32,6 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // BaseURL returns the endpoint the client targets.
 func (c *Client) BaseURL() string { return c.base }
 
-// HTTPClient returns the underlying *http.Client, so sibling clients (the
-// router's) can share the pooled transport defaults.
-func (c *Client) HTTPClient() *http.Client { return c.hc }
-
 // StatusError is a non-200 reply, carried as a typed error so callers
 // (the router's retry classifier) can tell a 5xx worth retrying from a
 // 4xx that is the caller's own fault.
@@ -50,23 +46,53 @@ func (e *StatusError) Error() string {
 }
 
 func (c *Client) post(path string, req, resp any) error {
-	return c.postCtx(context.Background(), path, req, resp)
+	return c.Do(context.Background(), http.MethodPost, path, req, resp)
 }
 
-// postCtx is the transport core: the request carries ctx, so a caller's
-// deadline or cancellation propagates into the connection — the router's
-// per-shard deadlines reach the backend end to end instead of stopping at
-// the client library.
-func (c *Client) postCtx(ctx context.Context, path string, req, resp any) error {
-	body, err := json.Marshal(req)
+// maxResponseBytes bounds how much of one reply the client will read — a
+// runaway or hostile endpoint cannot make a caller buffer without limit.
+const maxResponseBytes = 64 << 20
+
+// Do is the transport core, shared with the router's client (same wire
+// conventions, different reply types): it sends req as a JSON body (none
+// when req is nil) and decodes the 200 reply into resp. The request carries
+// ctx, so a caller's deadline or cancellation propagates into the
+// connection — the router's per-shard deadlines reach the backend end to
+// end instead of stopping at the client library.
+func (c *Client) Do(ctx context.Context, method, path string, req, resp any) error {
+	r, err := c.roundTrip(ctx, method, path, req)
 	if err != nil {
 		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	defer r.Body.Close()
+	// Read to EOF (within the cap) rather than stream-decode: a body closed
+	// before its EOF costs the pooled connection.
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxResponseBytes))
 	if err != nil {
 		return err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	return json.Unmarshal(data, resp)
+}
+
+// roundTrip sends one request and returns the reply only if it is a 200;
+// any other status becomes a *StatusError carrying the first 4 KiB of the
+// body, so no caller can mistake an error page for a payload.
+func (c *Client) roundTrip(ctx context.Context, method, path string, req any) (*http.Response, error) {
+	var body io.Reader
+	if req != nil {
+		data, err := json.Marshal(req)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(data)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if req != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
 	// Propagate the caller's trace id so the server adopts it instead of
 	// minting one — one id names the request across tiers.
 	if tr := obs.FromContext(ctx); tr != nil {
@@ -74,36 +100,14 @@ func (c *Client) postCtx(ctx context.Context, path string, req, resp any) error 
 	}
 	r, err := c.hc.Do(hreq)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer r.Body.Close()
 	if r.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4<<10))
-		return &StatusError{Path: path, Status: r.StatusCode, Msg: string(bytes.TrimSpace(msg))}
+		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4<<10)) // best effort: the status is the error
+		r.Body.Close()
+		return nil, &StatusError{Path: path, Status: r.StatusCode, Msg: string(bytes.TrimSpace(msg))}
 	}
-	return json.NewDecoder(r.Body).Decode(resp)
-}
-
-// Search issues one /v1/search request (the chunks route's legacy alias).
-func (c *Client) Search(query string, k int) (SearchResponse, error) {
-	var out SearchResponse
-	err := c.post("/v1/search", SearchRequest{Query: query, K: k}, &out)
-	return out, err
-}
-
-// SearchBatch issues one /v1/search/batch request.
-func (c *Client) SearchBatch(queries []string, k int) (BatchSearchResponse, error) {
-	var out BatchSearchResponse
-	err := c.post("/v1/search/batch", BatchSearchRequest{Queries: queries, K: k}, &out)
-	return out, err
-}
-
-// Swap asks the server to hot-swap the chunks route's index from a VSF
-// file (the legacy /admin/swap alias).
-func (c *Client) Swap(path string) (SwapResponse, error) {
-	var out SwapResponse
-	err := c.post("/admin/swap", SwapRequest{Path: path}, &out)
-	return out, err
+	return r, nil
 }
 
 // SearchRoute issues one /v1/<route>/search request ("chunks",
@@ -161,7 +165,7 @@ func (c *Client) SearchRouteReq(route string, req SearchRequest) (SearchResponse
 // SearchRouteReqCtx is SearchRouteReq under a caller context.
 func (c *Client) SearchRouteReqCtx(ctx context.Context, route string, req SearchRequest) (SearchResponse, error) {
 	var out SearchResponse
-	err := c.postCtx(ctx, "/v1/"+route+"/search", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search", req, &out)
 	return out, err
 }
 
@@ -171,7 +175,7 @@ func (c *Client) SearchRouteReqCtx(ctx context.Context, route string, req Search
 // fan-out trace.
 func (c *Client) SearchRouteBatchReqCtx(ctx context.Context, route string, req BatchSearchRequest) (BatchSearchResponse, error) {
 	var out BatchSearchResponse
-	err := c.postCtx(ctx, "/v1/"+route+"/search/batch", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search/batch", req, &out)
 	return out, err
 }
 
@@ -179,7 +183,7 @@ func (c *Client) SearchRouteBatchReqCtx(ctx context.Context, route string, req B
 // per-shard deadline rides the request all the way to the backend.
 func (c *Client) SearchRouteCtx(ctx context.Context, route, query string, k int, exclude string) (SearchResponse, error) {
 	var out SearchResponse
-	err := c.postCtx(ctx, "/v1/"+route+"/search", SearchRequest{Query: query, K: k, Exclude: exclude}, &out)
+	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search", SearchRequest{Query: query, K: k, Exclude: exclude}, &out)
 	return out, err
 }
 
@@ -187,7 +191,7 @@ func (c *Client) SearchRouteCtx(ctx context.Context, route, query string, k int,
 // router's scatter path, one call per shard per micro-batch.
 func (c *Client) SearchRouteBatchCtx(ctx context.Context, route string, queries []string, k int, exclude []string) (BatchSearchResponse, error) {
 	var out BatchSearchResponse
-	err := c.postCtx(ctx, "/v1/"+route+"/search/batch", BatchSearchRequest{Queries: queries, K: k, Exclude: exclude}, &out)
+	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search/batch", BatchSearchRequest{Queries: queries, K: k, Exclude: exclude}, &out)
 	return out, err
 }
 
@@ -200,19 +204,7 @@ func (c *Client) Healthz() (Healthz, error) {
 // router's health prober runs it on a short deadline).
 func (c *Client) HealthzCtx(ctx context.Context) (Healthz, error) {
 	var out Healthz
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return out, err
-	}
-	r, err := c.hc.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return out, &StatusError{Path: "/healthz", Status: r.StatusCode}
-	}
-	err = json.NewDecoder(r.Body).Decode(&out)
+	err := c.Do(ctx, http.MethodGet, "/healthz", nil, &out)
 	return out, err
 }
 
@@ -224,15 +216,11 @@ func (c *Client) Metrics() (string, error) {
 // MetricsCtx fetches the /metrics text exposition under a caller
 // context, so a scrape against a wedged server can be abandoned.
 func (c *Client) MetricsCtx(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	r, err := c.hc.Do(req)
+	r, err := c.roundTrip(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return "", err
 	}
 	defer r.Body.Close()
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxResponseBytes))
 	return string(body), err
 }

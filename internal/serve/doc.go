@@ -37,11 +37,12 @@
 //     the text exposition of an internal/metrics Registry with one
 //     namespace per route (serve.chunks.…, serve.traces.detailed.…:
 //     QPS counters, batch-size distribution, cache hit rate, latency
-//     quantiles). RunLoad/RunLoadMixed drive closed/open-loop and
-//     mixed-route workloads for cmd/ragload and `make bench-serve`,
-//     whose BENCH_serve.json report is schema-checked (BenchReport.Check)
-//     by the root bench test.
+//     quantiles). RunLoad/RunLoadMixed drive closed/open-loop,
+//     uniform/zipf and mixed-route load for cmd/ragload and the tests.
 //
+// The HTTP scaffolding (request decoding, response encoding, the debug
+// surface, listen/drain) is internal/httpkit, shared with internal/router.
 // cmd/ragserve wires the stores to a corpus and a SIGTERM drain;
-// cmd/ragload is the matching load generator.
+// cmd/ragload is the matching load generator; measured performance is
+// ragbench's (benchmarks/README.md).
 package serve

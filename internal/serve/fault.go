@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httpkit"
 )
 
 // FaultMode is one injected failure behaviour of a FaultGate.
@@ -41,11 +42,10 @@ func (m FaultMode) String() string {
 	}
 }
 
-// FaultGate is the load harness's fault injector: an HTTP middleware that
-// can make a healthy backend misbehave on demand — 5xx every request,
-// stall past a deadline, or drop connections cold — so the router's
-// degraded-recall path is exercised under real load, not just in unit
-// tests. Mode changes are atomic and take effect on the next request;
+// FaultGate is a fault injector: an HTTP middleware that can make a
+// healthy backend misbehave on demand — 5xx every request, stall past a
+// deadline, or drop connections cold — so the router's degraded-recall
+// path is exercised against real sockets. Mode changes are atomic and take effect on the next request;
 // Clear restores pass-through, which is how a "revived" shard re-enters
 // service through the router's half-open breaker probe.
 type FaultGate struct {
@@ -108,16 +108,14 @@ func (g *FaultGate) Wrap(next http.Handler) http.Handler {
 }
 
 // StartFaulty is Server.Start behind a FaultGate: the returned gate
-// controls every request the listener accepts. The load harness uses it
-// to kill/stall/5xx one shard of a router fleet mid-run.
+// controls every request the listener accepts. The router tests use it
+// to kill/stall/5xx one shard of a fleet mid-run.
 func (s *Server) StartFaulty(addr string) (*FaultGate, error) {
 	gate := NewFaultGate()
-	ln, err := net.Listen("tcp", addr)
+	var err error
+	s.httpSrv, s.addr, err = httpkit.Start(addr, func() http.Handler { return gate.Wrap(s.Handler()) })
 	if err != nil {
 		return nil, err
 	}
-	s.ln = ln
-	s.httpSrv = &http.Server{Handler: gate.Wrap(s.Handler()), ReadTimeout: 30 * time.Second}
-	go s.httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
 	return gate, nil
 }

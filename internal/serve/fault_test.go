@@ -43,13 +43,13 @@ func TestFaultGateModes(t *testing.T) {
 	c := NewClient("http://"+s.Addr(), nil)
 
 	// Pass-through serves normally.
-	if _, err := c.Search(chunks[0].Text, 3); err != nil {
+	if _, err := c.SearchRoute(RouteChunks, chunks[0].Text, 3, ""); err != nil {
 		t.Fatalf("pass-through: %v", err)
 	}
 
 	// FaultError: every request becomes a typed 503.
 	gate.Set(FaultError)
-	_, err = c.Search(chunks[0].Text, 3)
+	_, err = c.SearchRoute(RouteChunks, chunks[0].Text, 3, "")
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != 503 {
 		t.Fatalf("error mode: err=%v, want StatusError 503", err)
@@ -69,7 +69,7 @@ func TestFaultGateModes(t *testing.T) {
 
 	// FaultDown: the connection dies without a status.
 	gate.Set(FaultDown)
-	if _, err := c.Search(chunks[0].Text, 3); err == nil {
+	if _, err := c.SearchRoute(RouteChunks, chunks[0].Text, 3, ""); err == nil {
 		t.Fatal("downed backend returned nil error")
 	} else if errors.As(err, &se) {
 		t.Fatalf("downed backend produced an HTTP status (%d), want a transport error", se.Status)
@@ -78,7 +78,7 @@ func TestFaultGateModes(t *testing.T) {
 	// Clear revives the backend — the shape a breaker's half-open probe
 	// relies on.
 	gate.Clear()
-	if _, err := c.Search(chunks[0].Text, 3); err != nil {
+	if _, err := c.SearchRoute(RouteChunks, chunks[0].Text, 3, ""); err != nil {
 		t.Fatalf("cleared gate: %v", err)
 	}
 }

@@ -230,8 +230,10 @@ func TestAutoCompaction(t *testing.T) {
 
 // TestIngestConcurrentAddSearchCompact is the serving-layer race hammer:
 // programmatic writers, searchers and a compactor loop hit one route
-// concurrently; afterwards every acked insert must be retrievable by its
-// own text. Runs under `make race` via the serve package.
+// concurrently; afterwards compactions must have published, the final
+// drain must leave the memtable empty, and every acked insert must be
+// retrievable by its own text. Runs under `make race` via the serve
+// package.
 func TestIngestConcurrentAddSearchCompact(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CompactAt = 16 // exercise the add-triggered background path too
@@ -308,6 +310,12 @@ func TestIngestConcurrentAddSearchCompact(t *testing.T) {
 	snap := s.Snapshot()
 	if want := 32 + writers*perWriter; snap.Store.Len() != want {
 		t.Fatalf("store has %d vectors after quiesce, want %d", snap.Store.Len(), want)
+	}
+	if n := s.Registry().Snapshot().Counter(MetricPrefix(RouteChunks) + "compactions"); n < 1 {
+		t.Fatalf("%d compactions published while %d inserts landed", n, writers*perWriter)
+	}
+	if lv := snap.Store.Index().(*vecstore.Live); lv.MemLen() != 0 {
+		t.Fatalf("%d memtable rows left after the final drain", lv.MemLen())
 	}
 	for w, texts := range ackedTexts {
 		for i, text := range texts {

@@ -126,6 +126,16 @@ func TestMultiStoreRoutes(t *testing.T) {
 		}
 	}
 
+	// Request accounting is per route: the 1 + 1 + 2-query-batch sent to
+	// traces[0]'s mode, one search on each other mode, none on chunks.
+	reg := s.Registry().Snapshot()
+	for route, wantN := range map[string]int64{RouteChunks: 0, TraceRoute(tr.Mode): 4,
+		TraceRoute(traces[1].Mode): 1, TraceRoute(traces[2].Mode): 1} {
+		if n := reg.Counter(MetricPrefix(route) + "requests"); n != wantN {
+			t.Fatalf("route %s counted %d requests, want %d", route, n, wantN)
+		}
+	}
+
 	// Unknown routes are errors, not silent chunk fallbacks.
 	if _, _, _, err := s.SearchRoute(context.Background(), "nope", "x", 1, ""); err == nil {
 		t.Fatal("unknown route accepted")
@@ -178,7 +188,7 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 	}
 	chunkQ := testChunks(48)[7].Text
 	for i := 0; i < 2; i++ {
-		if _, err := c.Search(chunkQ, 3); err != nil {
+		if _, err := c.SearchRoute(RouteChunks, chunkQ, 3, ""); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.SearchTrace("detailed", detailed.Reasoning, 3, ""); err != nil {
@@ -203,7 +213,7 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 		t.Fatalf("trace entry went cold across a chunk swap: cached=%v epoch=%d", tresp.Cached, tresp.Epoch)
 	}
 	// The chunk route's own cache was purged (fresh lookup misses).
-	cresp, err := c.Search(chunkQ, 3)
+	cresp, err := c.SearchRoute(RouteChunks, chunkQ, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +222,7 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 	}
 
 	// And symmetrically: swap the detailed trace route, chunks stay warm.
-	if _, err := c.Search(chunkQ, 3); err != nil { // re-warm under epoch 1
+	if _, err := c.SearchRoute(RouteChunks, chunkQ, 3, ""); err != nil { // re-warm under epoch 1
 		t.Fatal(err)
 	}
 	tswap, err := c.SwapRoute("traces/detailed", traceVSF)
@@ -222,7 +232,7 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 	if tswap.Epoch != 1 || tswap.Route != "traces/detailed" {
 		t.Fatalf("trace swap %+v", tswap)
 	}
-	cresp, err = c.Search(chunkQ, 3)
+	cresp, err = c.SearchRoute(RouteChunks, chunkQ, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -62,14 +63,13 @@ func TestSearchEndToEnd(t *testing.T) {
 		t.Fatalf("healthz routes %+v", hz.Routes)
 	}
 
-	// Querying a chunk's own text must return that chunk first, on both
-	// the legacy alias and the named route.
-	resp, err := c.Search(chunks[17].Text, 3)
+	// Querying a chunk's own text must return that chunk first.
+	resp, err := c.SearchRoute(RouteChunks, chunks[17].Text, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != 3 || resp.Results[0].ID != chunks[17].ID {
-		t.Fatalf("results %+v", resp.Results)
+	if resp.Route != RouteChunks || len(resp.Results) != 3 || resp.Results[0].ID != chunks[17].ID {
+		t.Fatalf("response %+v", resp)
 	}
 	if resp.Results[0].Text != chunks[17].Text {
 		t.Fatal("chunk text not carried on the wire")
@@ -77,16 +77,9 @@ func TestSearchEndToEnd(t *testing.T) {
 	if resp.Results[0].Group != chunks[17].DocID {
 		t.Fatal("doc id not carried on the wire")
 	}
-	named, err := c.SearchRoute(RouteChunks, chunks[17].Text, 3, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if named.Route != RouteChunks || named.Results[0].ID != chunks[17].ID {
-		t.Fatalf("named route response %+v", named)
-	}
 
 	// Batch endpoint answers in query order.
-	bresp, err := c.SearchBatch([]string{chunks[3].Text, chunks[40].Text}, 2)
+	bresp, err := c.SearchRouteBatch(RouteChunks, []string{chunks[3].Text, chunks[40].Text}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +114,7 @@ func TestCoalescingUnderConcurrentClients(t *testing.T) {
 	}
 	rep := RunLoad(LoadConfig{Concurrency: clients, Requests: len(queries), Queries: queries, K: 4},
 		func(q string, k int) error {
-			_, err := c.Search(q, k)
+			_, err := c.SearchRoute(RouteChunks, q, k, "")
 			return err
 		})
 	if rep.Failures != 0 {
@@ -147,14 +140,14 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	s, _, chunks := testServer(t, 32, DefaultConfig())
 	c := NewClient("http://"+s.Addr(), nil)
 
-	first, err := c.Search(chunks[5].Text, 3)
+	first, err := c.SearchRoute(RouteChunks, chunks[5].Text, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached {
 		t.Fatal("first lookup reported cached")
 	}
-	second, err := c.Search(chunks[5].Text, 3)
+	second, err := c.SearchRoute(RouteChunks, chunks[5].Text, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +158,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 		t.Fatal("cached result differs from computed one")
 	}
 	// Different k is a different cache entry.
-	if _, err := c.Search(chunks[5].Text, 5); err != nil {
+	if _, err := c.SearchRoute(RouteChunks, chunks[5].Text, 5, ""); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Registry().Snapshot()
@@ -206,7 +199,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				default:
 				}
 				q := chunks[(w*31+i)%len(chunks)]
-				resp, err := c.Search(q.Text, 3)
+				resp, err := c.SearchRoute(RouteChunks, q.Text, 3, "")
 				requests.Add(1)
 				if err != nil {
 					failures.Add(1)
@@ -254,7 +247,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 func TestSwapRejectsBadInput(t *testing.T) {
 	s, _, chunks := testServer(t, 16, DefaultConfig())
 	c := NewClient("http://"+s.Addr(), nil)
-	if _, err := c.Swap(filepath.Join(t.TempDir(), "missing.vsf")); err == nil {
+	if _, err := c.SwapRoute(RouteChunks, filepath.Join(t.TempDir(), "missing.vsf")); err == nil {
 		t.Fatal("swap from a missing file succeeded")
 	}
 	if _, err := s.SwapIndex(vecstore.NewFlat(7), "bad-dim"); err == nil {
@@ -271,7 +264,7 @@ func TestSwapRejectsBadInput(t *testing.T) {
 		t.Fatalf("failed swaps advanced the epoch to %d", got)
 	}
 	// Still serving.
-	if _, err := c.Search(chunks[0].Text, 1); err != nil {
+	if _, err := c.SearchRoute(RouteChunks, chunks[0].Text, 1, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -287,7 +280,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		resp, err := c.Search(chunks[1].Text, 2)
+		resp, err := c.SearchRoute(RouteChunks, chunks[1].Text, 2, "")
 		if err == nil && len(resp.Results) == 0 {
 			err = fmt.Errorf("empty results")
 		}
@@ -305,7 +298,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 }
 
 func TestSearchDirectAPI(t *testing.T) {
-	// The in-process path (no HTTP) that bench-serve's baseline uses.
+	// The programmatic path: no HTTP, same cache and coalescer.
 	chunks := testChunks(32)
 	store := rag.BuildChunkStore(nil, chunks, 0)
 	s := New(store, DefaultConfig())
@@ -365,14 +358,32 @@ func TestBatchEndpointBounded(t *testing.T) {
 	cfg.MaxBatchQueries = 4
 	s, _, chunks := testServer(t, 16, cfg)
 	c := NewClient("http://"+s.Addr(), nil)
-	if _, err := c.SearchBatch([]string{chunks[0].Text, chunks[1].Text}, 2); err != nil {
+	if _, err := c.SearchRouteBatch(RouteChunks, []string{chunks[0].Text, chunks[1].Text}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	oversize := make([]string, 5)
 	for i := range oversize {
 		oversize[i] = chunks[i].Text
 	}
-	if _, err := c.SearchBatch(oversize, 2); err == nil || !strings.Contains(err.Error(), "413") {
+	if _, err := c.SearchRouteBatch(RouteChunks, oversize, 2, nil); err == nil || !strings.Contains(err.Error(), "413") {
 		t.Fatalf("oversized batch not rejected: %v", err)
+	}
+}
+
+// TestUnroutedPathsAre404 pins the one URL namespace: the chunk store is
+// reachable at /v1/chunks/... like every other route, and the bare
+// single-store paths do not exist.
+func TestUnroutedPathsAre404(t *testing.T) {
+	s, _, chunks := testServer(t, 8, DefaultConfig())
+	for _, path := range []string{`/v1/search`, `/v1/search/batch`, `/admin/swap`} {
+		resp, err := http.Post("http://"+s.Addr()+path, "application/json",
+			strings.NewReader(fmt.Sprintf(`{"query":%q,"queries":[%q],"path":"x.vsf"}`, chunks[0].Text, chunks[0].Text)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

@@ -2,12 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +12,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/chunk"
+	"repro/internal/httpkit"
 	"repro/internal/mcq"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -29,9 +26,8 @@ import (
 // concrete store kinds.
 type Store = rag.Facade
 
-// RouteChunks is the name of the default chunk-store route, reachable both
-// at /v1/chunks/... and at the legacy single-store paths /v1/search,
-// /v1/search/batch and /admin/swap.
+// RouteChunks is the name of the default chunk-store route, served at
+// /v1/chunks/... like every other route.
 const RouteChunks = "chunks"
 
 // TraceRoute returns the route name of one reasoning-trace mode
@@ -123,11 +119,11 @@ type Server struct {
 	cfg     Config
 	reg     *metrics.Registry
 	routes  map[string]*route
-	chunks  *route // the RouteChunks route, target of the legacy API
+	chunks  *route // the RouteChunks route, target of Search/SwapIndex/Snapshot
 	started atomic.Bool
 
 	httpSrv *http.Server
-	ln      net.Listener
+	addr    string
 }
 
 // route is the per-store serving state. All fields are built once at
@@ -285,7 +281,7 @@ func validRouteName(name string) bool {
 // MetricPrefix returns the metrics namespace of a route — "serve.<name>."
 // with path separators mapped to dots — the prefix under which every
 // per-route counter, gauge and histogram is registered. External readers
-// (ragload's per-route accounting) must build names through this instead
+// (ragbench's per-route accounting) must build names through this instead
 // of re-deriving the scheme.
 func MetricPrefix(route string) string {
 	return "serve." + strings.ReplaceAll(route, "/", ".") + "."
@@ -713,8 +709,7 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // The add endpoint works only on routes mounted over a live (mutable)
 // store and rejects others with 400; compact is a no-op on them.
 //
-// plus the PR 3 single-store aliases for the chunks route (/v1/search,
-// /v1/search/batch, /admin/swap) and the shared endpoints:
+// plus the shared endpoints:
 //
 //	GET  /healthz   {"status","epoch","vectors","source","routes":{...}}
 //	GET  /metrics   text exposition of the registry
@@ -726,65 +721,37 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 func (s *Server) Handler() http.Handler {
 	s.started.Store(true)
 	mux := http.NewServeMux()
+	slow := make(map[string]*obs.SlowLog, len(s.routes))
 	for name, rt := range s.routes {
 		mux.HandleFunc("POST /v1/"+name+"/search", rt.handleSearch)
 		mux.HandleFunc("POST /v1/"+name+"/search/batch", rt.handleSearchBatch)
 		mux.HandleFunc("POST /v1/"+name+"/add", rt.handleAdd)
 		mux.HandleFunc("POST /admin/"+name+"/swap", rt.handleSwap)
 		mux.HandleFunc("POST /admin/"+name+"/compact", rt.handleCompact)
-	}
-	if rt := s.chunks; rt != nil {
-		mux.HandleFunc("POST /v1/search", rt.handleSearch)
-		mux.HandleFunc("POST /v1/search/batch", rt.handleSearchBatch)
-		mux.HandleFunc("POST /admin/swap", rt.handleSwap)
+		slow[name] = rt.slow
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/slowlog/{route...}", s.handleSlowlog)
-	if s.cfg.Debug {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+	httpkit.MountDebug(mux, slow, s.cfg.Debug)
 	return mux
-}
-
-// handleSlowlog serves a route's retained slowest traces.
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	rt, err := s.route(r.PathValue("route"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, obs.SlowLogPage{Route: rt.name, Slowest: rt.slow.Snapshot()})
 }
 
 // Start binds addr ("127.0.0.1:0" for an ephemeral port) and serves in the
 // background until Shutdown. Mount every store before Start.
 func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.Handler(), ReadTimeout: 30 * time.Second}
-	go s.httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
-	return nil
+	var err error
+	s.httpSrv, s.addr, err = httpkit.Start(addr, s.Handler)
+	return err
 }
 
 // Addr returns the bound address (after Start).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // Shutdown drains gracefully: the listener stops accepting, in-flight
 // requests run to completion (bounded by ctx), and only then do the
 // route coalescers stop — the argo SIGTERM-drain pattern.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
+	err := httpkit.Shutdown(ctx, s.httpSrv)
 	for _, rt := range s.routes {
 		rt.co.Close()
 	}
@@ -792,11 +759,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Close is Shutdown with a bounded drain window.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return s.Shutdown(ctx)
-}
+func (s *Server) Close() error { return httpkit.Close(s.Shutdown) }
 
 // Wire types.
 
@@ -941,7 +904,7 @@ func (rt *route) results(hits []rag.Hit) []SearchResult {
 
 func (rt *route) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !rt.decode(w, r, &req) {
+	if !httpkit.Decode(w, r, rt.mErrors, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -963,18 +926,8 @@ func (rt *route) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// its own encode span (it still lands in the slowlog and histogram).
 		resp.Timing = &TimingInfo{TraceID: tr.ID(), TotalUS: tr.Since().Microseconds(), Spans: tr.Spans()}
 	}
-	rt.encodeTraced(w, tr, resp)
+	httpkit.EncodeTraced(w, tr, rt.hStageEncode, resp)
 	rt.slow.Record(tr, "search", req.Query)
-}
-
-// encodeTraced writes the JSON response under an "encode" span and the
-// encode-stage histogram — the last hop of a traced request's life.
-func (rt *route) encodeTraced(w http.ResponseWriter, tr *obs.Trace, v any) {
-	start := time.Now()
-	writeJSON(w, v)
-	d := time.Since(start)
-	rt.hStageEncode.Observe(d)
-	tr.AddSpan("encode", start, d)
 }
 
 // handleSearchBatch serves an already-batched request straight through the
@@ -982,7 +935,7 @@ func (rt *route) encodeTraced(w http.ResponseWriter, tr *obs.Trace, v any) {
 // and cache.
 func (rt *route) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSearchRequest
-	if !rt.decode(w, r, &req) {
+	if !httpkit.Decode(w, r, rt.mErrors, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -1022,13 +975,13 @@ func (rt *route) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	if req.Timing {
 		out.Timing = &TimingInfo{TraceID: tr.ID(), TotalUS: tr.Since().Microseconds(), Spans: tr.Spans()}
 	}
-	rt.encodeTraced(w, tr, out)
+	httpkit.EncodeTraced(w, tr, rt.hStageEncode, out)
 	rt.slow.Record(tr, "search/batch", req.Queries[0])
 }
 
 func (rt *route) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var req SwapRequest
-	if !rt.decode(w, r, &req) {
+	if !httpkit.Decode(w, r, rt.mErrors, &req) {
 		return
 	}
 	if req.Path == "" {
@@ -1042,12 +995,12 @@ func (rt *route) handleSwap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, SwapResponse{Epoch: snap.Epoch, Vectors: snap.Store.Len(), Source: snap.Source, Route: rt.name})
+	httpkit.WriteJSON(w, SwapResponse{Epoch: snap.Epoch, Vectors: snap.Store.Len(), Source: snap.Source, Route: rt.name})
 }
 
 func (rt *route) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req AddRequest
-	if !rt.decode(w, r, &req) {
+	if !httpkit.Decode(w, r, rt.mErrors, &req) {
 		return
 	}
 	if len(req.Chunks) == 0 {
@@ -1071,7 +1024,7 @@ func (rt *route) handleAdd(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, resp)
+	httpkit.WriteJSON(w, resp)
 }
 
 // handleCompact triggers a synchronous compaction; the body is ignored.
@@ -1087,7 +1040,7 @@ func (rt *route) handleCompact(w http.ResponseWriter, _ *http.Request) {
 	if lv, ok := snap.Store.Index().(*vecstore.Live); ok {
 		memRows = lv.MemLen()
 	}
-	writeJSON(w, CompactResponse{Compacted: compacted, Epoch: snap.Epoch, Vectors: snap.Store.Len(), MemRows: memRows, Route: rt.name})
+	httpkit.WriteJSON(w, CompactResponse{Compacted: compacted, Epoch: snap.Epoch, Vectors: snap.Store.Len(), MemRows: memRows, Route: rt.name})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -1108,7 +1061,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		snap := s.chunks.snap.Load()
 		hz.Epoch, hz.Vectors, hz.Source = snap.Epoch, snap.Store.Len(), snap.Source
 	}
-	writeJSON(w, hz)
+	httpkit.WriteJSON(w, hz)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -1122,26 +1075,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		rt.gWindow.Set(rt.co.Stats().Window.Microseconds())
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.reg.WriteTo(w) //nolint:errcheck // client went away
-}
-
-func (rt *route) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		rt.mErrors.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		rt.mErrors.Inc()
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
+	httpkit.WriteMetrics(w, s.reg)
 }
