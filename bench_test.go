@@ -295,8 +295,8 @@ func BenchmarkAblationIVFnprobe(b *testing.B) {
 // BenchmarkRetrievalFanout measures the evaluation harness's retrieval
 // fan-out path: every benchmark question against the chunk store in one
 // RetrieveBatch call, which runs through the vecstore multi-query scan
-// kernel (each decoded FP16 tile is amortised across the whole question
-// batch). Reports µs per query.
+// kernel (each FP16 row pair is scored against the whole question batch
+// while it is in cache). Reports µs per query.
 func BenchmarkRetrievalFanout(b *testing.B) {
 	a := artifacts(b)
 	store := rag.BuildChunkStore(newEncoder(), a.Chunks, 0)

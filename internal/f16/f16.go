@@ -140,9 +140,13 @@ func DecodeInto(dst []float32, h []uint16) {
 }
 
 // Dot returns the inner product of a half-precision stored vector with a
-// float32 query. This is the hot loop of vector search: the query stays in
-// full precision and each stored component is widened once. The loop is
-// manually unrolled by four to keep the widening conversions pipelined.
+// float32 query: the query stays in full precision and each stored
+// component is widened once through the exact lookup table. Four
+// accumulators (lane j sums elements j, j+4, …; the remainder folds into
+// lane 0; lanes are added left to right) pin the rounding order every
+// scan in internal/vecstore reproduces. The four add chains are also the
+// loop's limit: each waits on the previous add's latency, which is why
+// Dot2 scores two rows at once.
 func Dot(h []uint16, q []float32) float32 {
 	if len(h) != len(q) {
 		panic("f16: Dot length mismatch")
@@ -159,6 +163,35 @@ func Dot(h []uint16, q []float32) float32 {
 		s0 += ToFloat32(h[i]) * q[i]
 	}
 	return s0 + s1 + s2 + s3
+}
+
+// Dot2 returns (Dot(a, q), Dot(b, q)) bit for bit in one pass: each row
+// keeps Dot's own four-accumulator tree and tail loop, and interleaving
+// the two rows gives the core eight independent add chains instead of
+// four, with every query element loaded once for both. It is the FP16
+// scoring kernel of internal/vecstore's scans.
+func Dot2(a, b []uint16, q []float32) (float32, float32) {
+	if len(a) != len(q) || len(b) != len(q) {
+		panic("f16: Dot2 length mismatch")
+	}
+	var a0, a1, a2, a3, b0, b1, b2, b3 float32
+	i := 0
+	for ; i+4 <= len(q); i += 4 {
+		qs, as, bs := q[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		a0 += ToFloat32(as[0]) * qs[0]
+		b0 += ToFloat32(bs[0]) * qs[0]
+		a1 += ToFloat32(as[1]) * qs[1]
+		b1 += ToFloat32(bs[1]) * qs[1]
+		a2 += ToFloat32(as[2]) * qs[2]
+		b2 += ToFloat32(bs[2]) * qs[2]
+		a3 += ToFloat32(as[3]) * qs[3]
+		b3 += ToFloat32(bs[3]) * qs[3]
+	}
+	for ; i < len(q); i++ {
+		a0 += ToFloat32(a[i]) * q[i]
+		b0 += ToFloat32(b[i]) * q[i]
+	}
+	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
 }
 
 // DotF32 returns the inner product of two float32 vectors.

@@ -156,6 +156,61 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 	Dot(make([]uint16, 2), make([]float32, 3))
 }
 
+// sameBits compares float32s by bit pattern, treating every NaN as equal.
+func sameBits(a, b float32) bool {
+	if a != a && b != b {
+		return true
+	}
+	return math.Float32bits(a) == math.Float32bits(b)
+}
+
+// TestDot2MatchesDot pins Dot2 to Dot bit for bit. For each dimension the
+// rows between them hold every one of the 65 536 half bit patterns (±0,
+// subnormals, normals, ±Inf, NaN) in order, so every pattern meets every
+// accumulator lane and the tail loop; each row is paired with its
+// neighbour, its mirror and itself.
+func TestDot2MatchesDot(t *testing.T) {
+	r := rng.New(5)
+	for _, dim := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 383, 384, 385} {
+		n := (1<<16 + dim - 1) / dim
+		codes := make([]uint16, n*dim)
+		for i := range codes {
+			codes[i] = uint16(i) // past 0xFFFF the last row wraps back to 0x0000
+		}
+		rows := make([][]uint16, n)
+		for i := range rows {
+			rows[i] = codes[i*dim : (i+1)*dim]
+		}
+		q := make([]float32, dim)
+		for i := range q {
+			q[i] = float32(r.Normal(0, 1))
+		}
+		for i, a := range rows {
+			for _, b := range [][]uint16{rows[(i+1)%n], rows[n-1-i], a} {
+				ga, gb := Dot2(a, b, q)
+				wa, wb := Dot(a, q), Dot(b, q)
+				if !sameBits(ga, wa) || !sameBits(gb, wb) {
+					t.Fatalf("dim=%d row %d: Dot2 = (%x, %x), Dot = (%x, %x)", dim, i,
+						math.Float32bits(ga), math.Float32bits(gb), math.Float32bits(wa), math.Float32bits(wb))
+				}
+			}
+		}
+	}
+}
+
+func TestDot2PanicsOnMismatch(t *testing.T) {
+	for _, c := range []struct{ a, b int }{{2, 3}, {3, 2}, {2, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic for lengths a=%d b=%d q=3", c.a, c.b)
+				}
+			}()
+			Dot2(make([]uint16, c.a), make([]uint16, c.b), make([]float32, 3))
+		}()
+	}
+}
+
 func TestNormalizeUnitNorm(t *testing.T) {
 	v := []float32{3, 4}
 	Normalize(v)
@@ -263,6 +318,27 @@ func BenchmarkDotHalf384(b *testing.B) {
 		_ = Dot(h, q)
 	}
 }
+
+// BenchmarkDot2Half384 scores two rows per call; compare ns/op with twice
+// BenchmarkDotHalf384 for what the paired add chains buy.
+func BenchmarkDot2Half384(b *testing.B) {
+	r := rng.New(1)
+	v := make([]float32, 2*384)
+	q := make([]float32, 384)
+	for i := range v {
+		v[i] = float32(r.Normal(0, 1))
+	}
+	for i := range q {
+		q[i] = float32(r.Normal(0, 1))
+	}
+	h := Encode(v)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dot2Sink, _ = Dot2(h[:384], h[384:], q)
+	}
+}
+
+var dot2Sink float32
 
 func BenchmarkDotF32384(b *testing.B) {
 	r := rng.New(1)

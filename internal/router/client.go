@@ -46,11 +46,6 @@ func (c *Client) SearchRouteBatchCtx(ctx context.Context, route string, queries 
 	return resp, err
 }
 
-// Healthz fetches the router health report.
-func (c *Client) Healthz() (Healthz, error) {
-	return c.HealthzCtx(context.Background())
-}
-
 // HealthzCtx fetches the router health report under ctx.
 func (c *Client) HealthzCtx(ctx context.Context) (Healthz, error) {
 	var hz Healthz

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -96,7 +97,7 @@ func TestRouterEndToEnd(t *testing.T) {
 		}
 	}
 
-	hz, err := c.Healthz()
+	hz, err := c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestRouterEndToEnd(t *testing.T) {
 		if !reflect.DeepEqual(resp.Results, wantDeg) {
 			t.Fatalf("degraded results not exact over survivors:\ngot:  %+v\nwant: %+v", resp.Results, wantDeg)
 		}
-		hz, err = c.Healthz()
+		hz, err = c.HealthzCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	recovered := false
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		hz, err = c.Healthz()
+		hz, err = c.HealthzCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,14 +119,6 @@ func (c *Client) SearchRoute(route, query string, k int, exclude string) (Search
 	return out, err
 }
 
-// SearchRouteBatch issues one /v1/<route>/search/batch request. exclude
-// is nil or one entry per query.
-func (c *Client) SearchRouteBatch(route string, queries []string, k int, exclude []string) (BatchSearchResponse, error) {
-	var out BatchSearchResponse
-	err := c.post("/v1/"+route+"/search/batch", BatchSearchRequest{Queries: queries, K: k, Exclude: exclude}, &out)
-	return out, err
-}
-
 // SearchTrace issues one query against a reasoning-trace mode route.
 func (c *Client) SearchTrace(mode, query string, k int, exclude string) (SearchResponse, error) {
 	return c.SearchRoute("traces/"+mode, query, k, exclude)
@@ -155,14 +147,9 @@ func (c *Client) SwapRoute(route, path string) (SwapResponse, error) {
 	return out, err
 }
 
-// SearchRouteReq issues one /v1/<route>/search request from a full request
-// body — the way to set opt-in fields like Timing that the positional
-// helpers don't carry.
-func (c *Client) SearchRouteReq(route string, req SearchRequest) (SearchResponse, error) {
-	return c.SearchRouteReqCtx(context.Background(), route, req)
-}
-
-// SearchRouteReqCtx is SearchRouteReq under a caller context.
+// SearchRouteReqCtx issues one /v1/<route>/search request from a full
+// request body under a caller context — the way to set opt-in fields like
+// Timing that the positional helpers don't carry.
 func (c *Client) SearchRouteReqCtx(ctx context.Context, route string, req SearchRequest) (SearchResponse, error) {
 	var out SearchResponse
 	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search", req, &out)
@@ -187,17 +174,12 @@ func (c *Client) SearchRouteCtx(ctx context.Context, route, query string, k int,
 	return out, err
 }
 
-// SearchRouteBatchCtx is SearchRouteBatch under a caller context — the
-// router's scatter path, one call per shard per micro-batch.
+// SearchRouteBatchCtx issues one /v1/<route>/search/batch request under a
+// caller context. exclude is nil or one entry per query.
 func (c *Client) SearchRouteBatchCtx(ctx context.Context, route string, queries []string, k int, exclude []string) (BatchSearchResponse, error) {
 	var out BatchSearchResponse
 	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search/batch", BatchSearchRequest{Queries: queries, K: k, Exclude: exclude}, &out)
 	return out, err
-}
-
-// Healthz fetches the health summary.
-func (c *Client) Healthz() (Healthz, error) {
-	return c.HealthzCtx(context.Background())
 }
 
 // HealthzCtx fetches the health summary under a caller context (the
@@ -206,11 +188,6 @@ func (c *Client) HealthzCtx(ctx context.Context) (Healthz, error) {
 	var out Healthz
 	err := c.Do(ctx, http.MethodGet, "/healthz", nil, &out)
 	return out, err
-}
-
-// Metrics fetches the /metrics text exposition.
-func (c *Client) Metrics() (string, error) {
-	return c.MetricsCtx(context.Background())
 }
 
 // MetricsCtx fetches the /metrics text exposition under a caller

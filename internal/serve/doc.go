@@ -14,9 +14,9 @@
 //   - Request coalescing. Concurrent single-query requests are packed
 //     into micro-batches (internal/batch, the same admission-window
 //     coalescer behind the argo model gateway) and dispatched through the
-//     store's RetrieveBatch — so the vecstore multi-query kernel
-//     amortises tile decode, and a PQ index amortises its per-query LUT
-//     build, across the whole batch. Trace-route requests carry the
+//     store's RetrieveBatch — so the vecstore multi-query kernel streams
+//     the codes once for the whole batch, and a PQ index amortises its
+//     per-query LUT build across it. Trace-route requests carry the
 //     per-query question self-exclusion id through the same batches.
 //
 //   - Query cache. A sharded LRU keyed by (epoch, k, exclude, query)

@@ -19,7 +19,7 @@ func TestHealthzDegradedOnEmptyRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	hz, err := NewClient("http://"+s.Addr(), nil).Healthz()
+	hz, err := NewClient("http://"+s.Addr(), nil).HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

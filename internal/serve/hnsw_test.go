@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,7 +91,7 @@ func TestHNSWRouteEndToEnd(t *testing.T) {
 	}
 
 	before := searchAll()
-	exact, err := c.SearchRouteBatch(RouteChunks, queries, k, nil)
+	exact, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, queries, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestMultiStoreRoutes(t *testing.T) {
 
 	// Batch variant on a trace route, per-query exclusion.
 	tr2 := traces[3] // same mode as traces[0] (AllModes cycle per question)
-	bresp, err := c.SearchRouteBatch("traces/"+string(tr.Mode),
+	bresp, err := c.SearchRouteBatchCtx(context.Background(), "traces/"+string(tr.Mode),
 		[]string{tr.Reasoning, tr2.Reasoning}, 2, []string{"", tr2.QuestionID})
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +108,14 @@ func TestMultiStoreRoutes(t *testing.T) {
 	}
 
 	// Healthz reports every route; metrics are namespaced per route.
-	hz, err := c.Healthz()
+	hz, err := c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hz.Routes) != 4 {
 		t.Fatalf("healthz routes %+v", hz.Routes)
 	}
-	mtext, err := c.Metrics()
+	mtext, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestSearchEndToEnd(t *testing.T) {
 	s, _, chunks := testServer(t, 64, DefaultConfig())
 	c := NewClient("http://"+s.Addr(), nil)
 
-	hz, err := c.Healthz()
+	hz, err := c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSearchEndToEnd(t *testing.T) {
 	}
 
 	// Batch endpoint answers in query order.
-	bresp, err := c.SearchRouteBatch(RouteChunks, []string{chunks[3].Text, chunks[40].Text}, 2, nil)
+	bresp, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, []string{chunks[3].Text, chunks[40].Text}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSearchEndToEnd(t *testing.T) {
 		t.Fatalf("batch results %+v", bresp.Results)
 	}
 
-	mtext, err := c.Metrics()
+	mtext, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,14 +358,14 @@ func TestBatchEndpointBounded(t *testing.T) {
 	cfg.MaxBatchQueries = 4
 	s, _, chunks := testServer(t, 16, cfg)
 	c := NewClient("http://"+s.Addr(), nil)
-	if _, err := c.SearchRouteBatch(RouteChunks, []string{chunks[0].Text, chunks[1].Text}, 2, nil); err != nil {
+	if _, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, []string{chunks[0].Text, chunks[1].Text}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	oversize := make([]string, 5)
 	for i := range oversize {
 		oversize[i] = chunks[i].Text
 	}
-	if _, err := c.SearchRouteBatch(RouteChunks, oversize, 2, nil); err == nil || !strings.Contains(err.Error(), "413") {
+	if _, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, oversize, 2, nil); err == nil || !strings.Contains(err.Error(), "413") {
 		t.Fatalf("oversized batch not rejected: %v", err)
 	}
 }

@@ -67,7 +67,7 @@ func TestTimingAndSlowlog(t *testing.T) {
 
 	// Same query again: a cache hit books only the cache stage — no queue
 	// wait, no kernel stages.
-	hit, err := c.SearchRouteReq(RouteChunks, SearchRequest{
+	hit, err := c.SearchRouteReqCtx(context.Background(), RouteChunks, SearchRequest{
 		Query: chunks[5].Text, K: 3, Timing: true,
 	})
 	if err != nil {

@@ -27,32 +27,37 @@
 // array holds every row, with row i at codes[i*stride:(i+1)*stride] (Flat,
 // SQ8 and PQ globally; IVF and IVFPQ as one contiguous block per inverted
 // list). There are no per-vector slice headers and no pointer dereferences
-// on the scan path. FP16 and int8 searches run through a blocked kernel
-// (scan.go): a tile of scanTileRows (64) rows is decoded into a pooled
-// FP32 scratch buffer once, then scored with the 4-way-unrolled float32
-// dot product. Blocks with at least segmentMinRows (4096) rows of work per
-// core are split into GOMAXPROCS segments scanned concurrently with
-// per-segment top-k heaps merged exactly at the end — a single query
-// saturates the machine, not just the query-level fan-out of BatchSearch.
+// on the scan path. FP16 and int8 searches run through one blocked scan loop
+// (scan.go) that walks a block in tiles of scanTileRows (64) rows and lets
+// the block type score each tile against the query batch. FP16 rows are
+// scored in pairs straight from the codes by f16.Dot2 — two interleaved
+// rows give the core eight independent add chains, and a lone 384-dim dot
+// is bound by add latency, not decode — while SQ8 rows are reconstructed
+// into a pooled FP32 tile first. Blocks with at least segmentMinRows
+// (4096) rows of work per core are split into GOMAXPROCS segments scanned
+// concurrently with per-segment top-k heaps merged exactly at the end — a
+// single query saturates the machine, not just the query-level fan-out of
+// BatchSearch.
 //
-// PQ searches skip tile decoding entirely: a per-query M×256 look-up
-// table of sub-query·centroid dot products is built once, after which
-// scoring a row is one table lookup and add per subspace (asymmetric
-// distance computation). The LUT kernels share the segment-parallel
-// plumbing and pooled scratch of the decode kernels.
+// PQ searches skip decoding entirely: a per-query M×256 look-up table of
+// sub-query·centroid dot products is built once, after which scoring a
+// row is one table lookup and add per subspace (asymmetric distance
+// computation). The LUT kernels share the segment-parallel plumbing and
+// pooled scratch of the blocked scan loop.
 //
-// SearchBatch is the multi-query kernel: each decoded tile (or, for PQ,
-// each per-query LUT and cache-resident code segment) is reused across the
-// whole query batch, amortising decode bandwidth the way a GEMM amortises
-// operand loads. BatchSearch delegates to it whenever the index implements
-// BatchSearcher.
+// SearchBatch is the multi-query kernel: each FP16 row pair (or SQ8
+// tile; or, for PQ, each per-query LUT and cache-resident code segment)
+// is scored against the whole query batch while it is in cache, so the
+// codes are streamed once per batch. A single-query search is the same
+// loop over a one-query batch. BatchSearch delegates to it whenever the
+// index implements BatchSearcher.
 //
-// Scores are bit-for-bit identical to the reference scalar scans (decode
-// one row, one dot product at a time; for PQ, one LUT row-sum at a time):
-// binary16→float32 decoding is exact, the accumulation trees match, and
+// Scores are bit-for-bit identical to the reference scalar scans (one row,
+// one f16.Dot at a time; for PQ, one LUT row-sum at a time):
+// binary16→float32 conversion is exact, the accumulation trees match, and
 // top-k selection uses the total order (score descending, id ascending),
-// making segment merges associative. parity_test.go and pq_test.go pin
-// this down.
+// making push order and segment merges irrelevant. parity_test.go and
+// pq_test.go pin this down.
 //
 // All indexes are safe for concurrent Search after construction; Add is not
 // concurrent with Search.

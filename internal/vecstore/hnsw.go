@@ -17,7 +17,7 @@ import (
 // which suits the pipeline's streaming ingestion of trace embeddings.
 //
 // Storage is flat. Vectors live in one contiguous FP16 code block — the
-// same layout the scan kernels tile over — and adjacency is a CSR-style
+// same layout the scan kernels stream over — and adjacency is a CSR-style
 // fixed-slot array: level 0 gives node i the degree-prefixed block
 // links0[i*(2M+1) : (i+1)*(2M+1)], and levels >= 1 share one packed arena
 // (upper) addressed through upperBase. Construction is deterministic given
@@ -218,13 +218,10 @@ func (s *hnswScratch) vecFor(dim int) []float32 {
 	return s.vec[:dim]
 }
 
-// scoreOne decodes row id and scores it against q. Identical to the
-// reference's f16.Dot on the jagged row: same decode, same accumulation
-// tree (see the exactness note in scan.go).
-func (h *HNSW) scoreOne(id int, q []float32, sc *hnswScratch) float32 {
-	v := sc.vecFor(h.dim)
-	f16.DecodeInto(v, h.codes[id*h.dim:(id+1)*h.dim])
-	return f16.DotF32(v, q)
+// scoreOne scores row id against q: the reference's f16.Dot on the same
+// codes.
+func (h *HNSW) scoreOne(id int, q []float32) float32 {
+	return f16.Dot(h.block().row(id), q)
 }
 
 // Add implements Index, inserting the vector into the graph.
@@ -295,7 +292,7 @@ type scored struct {
 // (scoring is pure, so batching it first changes nothing).
 func (h *HNSW) greedyClosest(q []float32, start, lv int, sc *hnswScratch) int {
 	cur := start
-	curScore := h.scoreOne(cur, q, sc)
+	curScore := h.scoreOne(cur, q)
 	for {
 		ns := h.neighbours(cur, lv)
 		if len(ns) == 0 {
@@ -322,7 +319,7 @@ func (h *HNSW) greedyClosest(q []float32, start, lv int, sc *hnswScratch) int {
 func (h *HNSW) searchLayer(q []float32, start, ef, lv int, sc *hnswScratch) []scored {
 	sc.beginVisit(len(h.keys))
 	sc.mark(start)
-	startS := scored{start, h.scoreOne(start, q, sc)}
+	startS := scored{start, h.scoreOne(start, q)}
 	// Candidate max-queue and result min-set, both kept as sorted slices
 	// (ef is small; O(ef) insertion is fine and allocation-light).
 	cands := append(sc.cands[:0], startS)
@@ -466,9 +463,10 @@ func (h *HNSW) Search(query []float32, k int) []Result {
 	return out
 }
 
-// SearchBatch implements BatchSearcher. Graph traversals don't share tile
-// decodes the way flat scans do, so the batch fans out query-per-worker
-// (each worker drawing its own pooled scratch).
+// SearchBatch implements BatchSearcher. Graph traversals visit different
+// rows per query, so there is no row to score against the whole batch the
+// way flat scans do; the batch fans out query-per-worker (each worker
+// drawing its own pooled scratch).
 func (h *HNSW) SearchBatch(queries [][]float32, k int) [][]Result {
 	out, _ := h.SearchBatchTimed(queries, k)
 	return out

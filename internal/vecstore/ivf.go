@@ -183,8 +183,9 @@ func (ix *IVF) Search(query []float32, k int) []Result {
 	}
 	probes := ix.km.NearestN(query, ix.nprobe)
 	h := getTopK(k)
+	hs := []*topK{h}
 	for _, c := range probes {
-		scanTopK(halfBlock{codes: ix.cellCodes[c], dim: ix.dim}, query, h, ix.cellIDs[c], 0)
+		scanBatchTopK(halfBlock{codes: ix.cellCodes[c], dim: ix.dim}, query, hs, ix.cellIDs[c], 0)
 	}
 	res := h.results(ix.keys)
 	putTopK(h)
@@ -192,8 +193,8 @@ func (ix *IVF) Search(query []float32, k int) []Result {
 }
 
 // SearchBatch implements BatchSearcher: queries are grouped by probed cell
-// so each cell's block is decoded once per tile for every query probing it,
-// and cells are scanned in parallel.
+// so each cell's block is streamed once for every query probing it, and
+// cells are scanned in parallel.
 func (ix *IVF) SearchBatch(queries [][]float32, k int) [][]Result {
 	if !ix.trained {
 		panic("vecstore: Search on untrained IVF")
@@ -237,7 +238,9 @@ func (ix *IVF) SearchBatch(queries [][]float32, k int) [][]Result {
 			qsub[i] = queries[qi]
 			hs[i] = getTopK(k)
 		}
-		scanBatchTopK(halfBlock{codes: ix.cellCodes[c], dim: ix.dim}, qsub, hs, ix.cellIDs[c], 0)
+		qp := packQueries(qsub, ix.dim)
+		scanBatchTopK(halfBlock{codes: ix.cellCodes[c], dim: ix.dim}, *qp, hs, ix.cellIDs[c], 0)
+		putTile(qp)
 		partial[wi] = hs
 	})
 	final := make([]*topK, len(queries))

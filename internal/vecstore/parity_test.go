@@ -1,6 +1,7 @@
 package vecstore
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -100,6 +101,28 @@ func TestFlatKernelParityParallel(t *testing.T) {
 	}
 }
 
+// TestFlatKernelParityOddRows runs the unpaired last FP16 row inside the
+// last parallel segment, single-query and batched.
+func TestFlatKernelParityOddRows(t *testing.T) {
+	const dim = 384
+	n := 2*segmentMinRows + scanTileRows/2 + 1
+	vecs, keys := parityVectors(t, dim, n)
+	ix := NewFlat(dim)
+	for i, v := range vecs {
+		ix.Add(v, keys[i])
+	}
+	if workers := scanSegments(n, 1); workers < 2 && runtime.GOMAXPROCS(0) >= 2 {
+		t.Fatalf("n=%d scans in %d segment(s), want the parallel path", n, workers)
+	}
+	queries := randomUnit(rng.New(102), 3, dim)
+	for _, q := range queries {
+		checkSameResults(t, "flat odd rows", ix.Search(q, 10), ix.searchReference(q, 10))
+	}
+	for qi, res := range ix.SearchBatch(queries, 10) {
+		checkSameResults(t, "flat odd rows batch", res, ix.searchReference(queries[qi], 10))
+	}
+}
+
 func TestFlatSearchIntoReusesBuffer(t *testing.T) {
 	const dim, n = 32, 500
 	vecs, keys := parityVectors(t, dim, n)
@@ -149,15 +172,18 @@ func TestFlatSearchBatchParity(t *testing.T) {
 		for i, v := range vecs {
 			ix.Add(v, keys[i])
 		}
-		queries := randomUnit(rng.New(109), 17, dim)
-		for _, k := range parityKs {
-			batch := ix.SearchBatch(queries, k)
-			if len(batch) != len(queries) {
-				t.Fatalf("dim=%d: %d batch results", dim, len(batch))
-			}
-			for qi, q := range queries {
-				checkSameResults(t, "batch dim="+itoaTest(dim)+" k="+itoaTest(k),
-					batch[qi], ix.searchReference(q, k))
+		all := randomUnit(rng.New(109), 17, dim)
+		for _, nq := range []int{1, 2, 3, 17} {
+			queries := all[:nq]
+			for _, k := range parityKs {
+				batch := ix.SearchBatch(queries, k)
+				if len(batch) != len(queries) {
+					t.Fatalf("dim=%d: %d batch results", dim, len(batch))
+				}
+				for qi, q := range queries {
+					checkSameResults(t, "batch dim="+itoaTest(dim)+" nq="+itoaTest(nq)+" k="+itoaTest(k),
+						batch[qi], ix.searchReference(q, k))
+				}
 			}
 		}
 	}
@@ -197,6 +223,47 @@ func TestIVFSearchBatchParity(t *testing.T) {
 		for qi, q := range queries {
 			checkSameResults(t, "ivf batch k="+itoaTest(k), batch[qi], ix.searchReference(q, k))
 		}
+	}
+}
+
+// TestIVFOddCellParity scans one cell with an odd posting count, so its
+// last row is unpaired, single-query and batched.
+func TestIVFOddCellParity(t *testing.T) {
+	const dim, n = 48, 2*scanTileRows + 3
+	vecs, keys := parityVectors(t, dim, n)
+	ix := NewIVF(IVFConfig{Dim: dim, NList: 1, NProbe: 1, Seed: 9})
+	for i, v := range vecs {
+		ix.Add(v, keys[i])
+	}
+	ix.Train()
+	if got := len(ix.cellIDs[0]); got%2 == 0 {
+		t.Fatalf("cell holds %d postings, want an odd count", got)
+	}
+	queries := randomUnit(rng.New(119), 3, dim)
+	batch := ix.SearchBatch(queries, 10)
+	for qi, q := range queries {
+		want := ix.searchReference(q, 10)
+		checkSameResults(t, "ivf odd cell", ix.Search(q, 10), want)
+		checkSameResults(t, "ivf odd cell batch", batch[qi], want)
+	}
+}
+
+// TestMemtableOddRowsParity checks a memtable with an odd row count
+// against the reference scan of a Flat over the same vectors.
+func TestMemtableOddRowsParity(t *testing.T) {
+	const dim, n = 384, 3*scanTileRows + 1
+	vecs, keys := parityVectors(t, dim, n)
+	mt, ref := NewMemtable(dim), NewFlat(dim)
+	for i, v := range vecs {
+		mt.Add(v, keys[i])
+		ref.Add(v, keys[i])
+	}
+	queries := randomUnit(rng.New(121), 2, dim)
+	batch := mt.SearchBatch(queries, 10)
+	for qi, q := range queries {
+		want := ref.searchReference(q, 10)
+		checkSameResults(t, "memtable odd rows", mt.Search(q, 10), want)
+		checkSameResults(t, "memtable odd rows batch", batch[qi], want)
 	}
 }
 

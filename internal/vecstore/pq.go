@@ -311,9 +311,9 @@ func lutScore(code []byte, lut []float32, ksub int) float32 {
 
 // pqBlock is a contiguous block of M-byte PQ codes (row i at
 // codes[i*m:(i+1)*m]) sharing one codebook. It implements codeBlock so PQ
-// rows can flow through the generic tile-decode kernels (reconstruction
-// scans, parity checks); the production search path bypasses DecodeTile
-// entirely via the LUT kernels below.
+// rows can flow through the generic scan kernels (reconstruction scans,
+// parity checks); the production search path bypasses the decode entirely
+// via the LUT kernels below.
 type pqBlock struct {
 	codes []byte
 	cb    *pqCodebook
@@ -322,6 +322,11 @@ type pqBlock struct {
 func (b pqBlock) Rows() int   { return len(b.codes) / b.cb.m }
 func (b pqBlock) RowDim() int { return b.cb.dim }
 
+func (b pqBlock) ScoreTile(scores []float32, r0, r1 int, qs []float32) {
+	scoreDecoded(scores, r0, r1, b.cb.dim, qs, b.DecodeTile, b.Dot)
+}
+
+// DecodeTile reconstructs rows [r0,r1) into dst[0:(r1-r0)*dim].
 func (b pqBlock) DecodeTile(dst []float32, r0, r1 int) {
 	m, dim := b.cb.m, b.cb.dim
 	for r := r0; r < r1; r++ {

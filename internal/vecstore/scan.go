@@ -9,52 +9,65 @@ import (
 )
 
 // This file implements the blocked scan kernel shared by the contiguous
-// indexes (Flat, IVF cells, SQ8). The layout discipline is FAISS's: codes
-// live in one flat array with row i at codes[i*dim:(i+1)*dim], so a scan is
-// a pure forward stream with no pointer chasing. The kernel decodes a tile
-// of scanTileRows rows into a pooled FP32 scratch buffer once, then runs
-// the 4-way-unrolled float32 dot product over each row of the tile. Large
-// blocks are split into GOMAXPROCS segments searched concurrently with
-// per-segment top-k heaps merged at the end, so a single query saturates
-// the machine. A multi-query variant amortises each decoded tile across a
-// whole batch of queries (the GEMM-shaped win used by SearchBatch).
+// indexes (Flat, IVF cells, the memtable, SQ8, and HNSW's gathers). The
+// layout discipline is FAISS's: codes live in one flat array with row i at
+// codes[i*dim:(i+1)*dim], so a scan is a pure forward stream with no
+// pointer chasing. The scan loop walks a block in tiles of scanTileRows rows;
+// the block type scores each tile against the whole query batch into a
+// pooled score buffer (codeBlock.ScoreTile), and the loop pushes the
+// scores into per-query top-k heaps. Large blocks are split into
+// GOMAXPROCS segments searched concurrently with per-segment heaps merged
+// at the end, so a single query saturates the machine. A single-query
+// search is the same loop over a one-query batch.
 //
-// Exactness: decoding a row and calling f16.DotF32 performs bit-identical
-// arithmetic to the legacy per-element-widening f16.Dot (binary16→float32
-// is exact and the accumulation trees match), and the top-k heap orders by
-// the total order (score desc, id asc), so segment merging is associative
-// and the kernel reproduces the reference scalar scan bit-for-bit. The
-// parity tests in parity_test.go enforce this.
+// FP16 rows are scored in pairs straight from the codes by f16.Dot2 (an
+// odd last row by f16.Dot): a 384-dim dot is bound by the latency of its
+// four add chains, not by decode or bandwidth, and two interleaved rows
+// give the core eight independent chains. Each pair is scored against
+// every query of the batch while it sits in L1. SQ8 and PQ rows still
+// decode a tile to FP32 first and score it with their own pinned dot.
+//
+// Exactness: f16.Dot2 returns f16.Dot's result for each row bit for bit,
+// every block keeps the accumulation order of its reference scan, and the
+// top-k heap orders by the total order (score desc, id asc), so push order
+// and segment merging cannot change results: the kernel reproduces the
+// reference scalar scan bit-for-bit. The parity tests in parity_test.go
+// enforce this.
 
 const (
-	// scanTileRows is the number of rows decoded into the FP32 scratch
-	// tile per kernel step. 64 rows × 384 dims × 4 B ≈ 96 KiB — sized to
-	// stay L2-resident while amortising the decode loop.
+	// scanTileRows is the number of rows scored per kernel step, the
+	// granularity of the score buffer (and, for SQ8/PQ, of the FP32 decode
+	// tile). It is even, so FP16 row pairs never straddle a tile or a
+	// segment, and the only unpaired row is a block's last.
 	scanTileRows = 64
 	// segmentMinRows is the minimum per-segment work that justifies
 	// spawning a parallel scan goroutine for a single query.
 	segmentMinRows = 4096
 )
 
-// codeBlock is a contiguous block of encoded rows that can decode row
-// ranges into FP32. The Slice method returns the same concrete type so the
-// generic kernels stay fully monomorphised (no interface dispatch or
-// boxing in the hot loop).
+// codeBlock is a contiguous block of encoded rows that scores row ranges
+// against a query batch. The Slice method returns the same concrete type so
+// the generic kernels stay monomorphised per block type.
+//
+// A batch travels as one packed row-major matrix qs: query qi is
+// qs[qi*dim:(qi+1)*dim], so a single query is its own batch and the
+// one-query scan allocates nothing.
 type codeBlock[B any] interface {
 	Rows() int
 	RowDim() int
-	// DecodeTile decodes rows [r0,r1) into dst[0:(r1-r0)*dim].
-	DecodeTile(dst []float32, r0, r1 int)
-	// Dot scores one decoded row against a query. Each block type pins the
-	// accumulation order its pre-rewrite scan used, so kernel scores stay
-	// bit-identical to the seed implementation (FP16 rows: the 4-way
-	// unrolled tree of f16.Dot; SQ8 rows: the single-accumulator loop).
-	Dot(row, q []float32) float32
+	// ScoreTile writes the inner product of row r0+i with query qi of qs
+	// to scores[qi*(r1-r0)+i] for every row of [r0,r1) and every query.
+	// Each block type pins the accumulation order of its reference scan,
+	// so kernel scores stay bit-identical to it (FP16 rows: the 4-way tree
+	// of f16.Dot; SQ8 rows: the single-accumulator loop; PQ rows:
+	// lutScore's tree over subspace partial dots).
+	ScoreTile(scores []float32, r0, r1 int, qs []float32)
 	// Slice returns the sub-block of rows [r0,r1).
 	Slice(r0, r1 int) B
 }
 
-// halfBlock is a contiguous FP16 code block (Flat storage, IVF cells).
+// halfBlock is a contiguous FP16 code block (Flat storage, IVF cells, the
+// memtable, HNSW vectors).
 type halfBlock struct {
 	codes []uint16
 	dim   int
@@ -63,14 +76,48 @@ type halfBlock struct {
 func (b halfBlock) Rows() int   { return len(b.codes) / b.dim }
 func (b halfBlock) RowDim() int { return b.dim }
 
-func (b halfBlock) DecodeTile(dst []float32, r0, r1 int) {
-	f16.DecodeInto(dst[:(r1-r0)*b.dim], b.codes[r0*b.dim:r1*b.dim])
-}
+func (b halfBlock) row(r int) []uint16 { return b.codes[r*b.dim : (r+1)*b.dim] }
 
-func (b halfBlock) Dot(row, q []float32) float32 { return f16.DotF32(row, q) }
+// ScoreTile scores the rows in pairs through f16.Dot2, each pair against
+// every query before the next pair is loaded; an odd last row goes
+// through f16.Dot.
+func (b halfBlock) ScoreTile(scores []float32, r0, r1 int, qs []float32) {
+	n, dim := r1-r0, b.dim
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		x, y := b.row(r0+i), b.row(r0+i+1)
+		for qi := 0; qi*dim < len(qs); qi++ {
+			scores[qi*n+i], scores[qi*n+i+1] = f16.Dot2(x, y, qs[qi*dim:(qi+1)*dim])
+		}
+	}
+	if i < n {
+		x := b.row(r0 + i)
+		for qi := 0; qi*dim < len(qs); qi++ {
+			scores[qi*n+i] = f16.Dot(x, qs[qi*dim:(qi+1)*dim])
+		}
+	}
+}
 
 func (b halfBlock) Slice(r0, r1 int) halfBlock {
 	return halfBlock{codes: b.codes[r0*b.dim : r1*b.dim], dim: b.dim}
+}
+
+// scoreDecoded is ScoreTile for blocks that decode a tile of rows to FP32
+// in pooled scratch and score each decoded row with their own dot (SQ8,
+// PQ).
+func scoreDecoded(scores []float32, r0, r1, dim int, qs []float32,
+	decode func(dst []float32, r0, r1 int), dot func(row, q []float32) float32) {
+	n := r1 - r0
+	tp := getTile(n * dim)
+	tile := *tp
+	decode(tile, r0, r1)
+	for qi := 0; qi*dim < len(qs); qi++ {
+		q, out := qs[qi*dim:(qi+1)*dim], scores[qi*n:(qi+1)*n]
+		for i := range out {
+			out[i] = dot(tile[i*dim:(i+1)*dim], q)
+		}
+	}
+	putTile(tp)
 }
 
 // sq8Block is a contiguous int8 code block with per-dimension affine
@@ -84,6 +131,11 @@ type sq8Block struct {
 func (b sq8Block) Rows() int   { return len(b.codes) / b.dim }
 func (b sq8Block) RowDim() int { return b.dim }
 
+func (b sq8Block) ScoreTile(scores []float32, r0, r1 int, qs []float32) {
+	scoreDecoded(scores, r0, r1, b.dim, qs, b.DecodeTile, b.Dot)
+}
+
+// DecodeTile reconstructs rows [r0,r1) into dst[0:(r1-r0)*dim].
 func (b sq8Block) DecodeTile(dst []float32, r0, r1 int) {
 	k := 0
 	for r := r0; r < r1; r++ {
@@ -110,8 +162,9 @@ func (b sq8Block) Slice(r0, r1 int) sq8Block {
 	return sq8Block{codes: b.codes[r0*b.dim : r1*b.dim], lo: b.lo, scale: b.scale, dim: b.dim}
 }
 
-// tilePool recycles FP32 scratch tiles across searches (zero steady-state
-// allocation in the scan itself).
+// tilePool recycles FP32 scratch (score buffers, packed query batches,
+// SQ8/PQ decode tiles, PQ LUTs) across searches: zero steady-state
+// allocation in the scan itself.
 var tilePool = sync.Pool{New: func() any { return new([]float32) }}
 
 func getTile(n int) *[]float32 {
@@ -143,99 +196,58 @@ func getTopK(k int) *topK {
 
 func putTopK(h *topK) { topKPool.Put(h) }
 
-// scanTopK streams one code block through the tile kernel, pushing every
-// row's inner product with q into h. Row r is reported as id ids[r] when
-// ids is non-nil (IVF cell postings), base+r otherwise.
-func scanTopK[B codeBlock[B]](b B, q []float32, h *topK, ids []int, base int) {
-	rows, dim := b.Rows(), b.RowDim()
-	if rows == 0 {
-		return
+// gatherScores scores an arbitrary gather of FP16 rows — the beam-search
+// candidate sets of HNSW, rather than a forward stream — against q,
+// writing scores[i] for rows[i]. Rows are paired in gather order through
+// f16.Dot2 like the scan's tiles, an odd last row through f16.Dot, so the
+// scores are bit-identical to scoring one row at a time.
+func gatherScores(b halfBlock, rows []int32, q []float32, scores []float32) {
+	i := 0
+	for ; i+2 <= len(rows); i += 2 {
+		scores[i], scores[i+1] = f16.Dot2(b.row(int(rows[i])), b.row(int(rows[i+1])), q)
 	}
-	tp := getTile(scanTileRows * dim)
-	tile := *tp
-	for r0 := 0; r0 < rows; r0 += scanTileRows {
-		r1 := r0 + scanTileRows
-		if r1 > rows {
-			r1 = rows
-		}
-		b.DecodeTile(tile, r0, r1)
-		off := 0
-		for r := r0; r < r1; r++ {
-			s := b.Dot(tile[off:off+dim], q)
-			if ids != nil {
-				h.push(ids[r], s)
-			} else {
-				h.push(base+r, s)
-			}
-			off += dim
-		}
+	if i < len(rows) {
+		scores[i] = f16.Dot(b.row(int(rows[i])), q)
 	}
-	putTile(tp)
 }
 
-// gatherScores decodes an arbitrary gather of rows — the beam-search
-// candidate sets of graph indexes, rather than a forward stream — through
-// the block's tile decoder and writes each row's inner product with q
-// into scores (scores[i] pairs with rows[i]). Rows are staged through the
-// pooled FP32 scratch in scanTileRows chunks, so the traversal hot loop
-// shares the scan path's decode/Dot kernels instead of re-deriving them
-// row-by-row; per the exactness note above, the results are bit-identical
-// to decoding and scoring one row at a time.
-func gatherScores[B codeBlock[B]](b B, rows []int32, q []float32, scores []float32) {
-	if len(rows) == 0 {
+// scanBatchTopK streams one code block through the kernel, a tile of rows
+// at a time scored against every query of the packed batch qs, and pushes
+// each score into hs[qi], the heap of query qi. Row r is reported as id
+// ids[r] when ids is non-nil (IVF cell postings), base+r otherwise. A
+// single-query scan is a one-query batch: qs is the query itself.
+func scanBatchTopK[B codeBlock[B]](b B, qs []float32, hs []*topK, ids []int, base int) {
+	rows := b.Rows()
+	if rows == 0 || len(hs) == 0 {
 		return
 	}
-	dim := b.RowDim()
-	tp := getTile(scanTileRows * dim)
-	tile := *tp
-	for i0 := 0; i0 < len(rows); i0 += scanTileRows {
-		i1 := min(i0+scanTileRows, len(rows))
-		off := 0
-		for i := i0; i < i1; i++ {
-			r := int(rows[i])
-			b.DecodeTile(tile[off:off+dim], r, r+1)
-			off += dim
-		}
-		off = 0
-		for i := i0; i < i1; i++ {
-			scores[i] = b.Dot(tile[off:off+dim], q)
-			off += dim
-		}
-	}
-	putTile(tp)
-}
-
-// scanBatchTopK is the multi-query kernel: each decoded tile is reused for
-// every query in the batch, so decode cost is amortised 1/len(queries).
-// hs[i] receives the results for queries[i].
-func scanBatchTopK[B codeBlock[B]](b B, queries [][]float32, hs []*topK, ids []int, base int) {
-	rows, dim := b.Rows(), b.RowDim()
-	if rows == 0 || len(queries) == 0 {
-		return
-	}
-	tp := getTile(scanTileRows * dim)
-	tile := *tp
+	sp := getTile(scanTileRows * len(hs))
+	scores := *sp
 	for r0 := 0; r0 < rows; r0 += scanTileRows {
-		r1 := r0 + scanTileRows
-		if r1 > rows {
-			r1 = rows
-		}
-		b.DecodeTile(tile, r0, r1)
-		for qi, q := range queries {
-			h := hs[qi]
-			off := 0
-			for r := r0; r < r1; r++ {
-				s := b.Dot(tile[off:off+dim], q)
+		r1 := min(r0+scanTileRows, rows)
+		n := r1 - r0
+		b.ScoreTile(scores, r0, r1, qs)
+		for qi, h := range hs {
+			for i, s := range scores[qi*n : (qi+1)*n] {
 				if ids != nil {
-					h.push(ids[r], s)
+					h.push(ids[r0+i], s)
 				} else {
-					h.push(base+r, s)
+					h.push(base+r0+i, s)
 				}
-				off += dim
 			}
 		}
 	}
-	putTile(tp)
+	putTile(sp)
+}
+
+// packQueries copies a query batch into one pooled row-major matrix, the
+// layout scanBatchTopK takes.
+func packQueries(queries [][]float32, dim int) *[]float32 {
+	qp := getTile(len(queries) * dim)
+	for i, q := range queries {
+		copy((*qp)[i*dim:(i+1)*dim], q)
+	}
+	return qp
 }
 
 // scanSegments picks the number of parallel segments for a scan whose total
@@ -262,7 +274,7 @@ func searchBlock[B codeBlock[B]](b B, q []float32, k int, keys []string, dst []R
 	workers := scanSegments(rows, 1)
 	if workers <= 1 {
 		h := getTopK(k)
-		scanTopK(b, q, h, nil, 0)
+		scanBatchTopK(b, q, []*topK{h}, nil, 0)
 		dst = h.appendResults(dst, keys)
 		putTopK(h)
 		return dst
@@ -275,13 +287,12 @@ func searchBlock[B codeBlock[B]](b B, q []float32, k int, keys []string, dst []R
 		if r1 > rows {
 			r1 = rows
 		}
-		h := getTopK(k)
-		heaps = append(heaps, h)
+		heaps = append(heaps, getTopK(k))
 		wg.Add(1)
-		go func(sub B, base int, h *topK) {
+		go func(sub B, base int, hs []*topK) {
 			defer wg.Done()
-			scanTopK(sub, q, h, nil, base)
-		}(b.Slice(r0, r1), r0, h)
+			scanBatchTopK(sub, q, hs, nil, base)
+		}(b.Slice(r0, r1), r0, heaps[len(heaps)-1:])
 	}
 	wg.Wait()
 	return mergeHeaps(heaps, keys, dst)
@@ -289,15 +300,16 @@ func searchBlock[B codeBlock[B]](b B, q []float32, k int, keys []string, dst []R
 
 // searchBlockBatch is the segment-parallel multi-query driver behind
 // SearchBatch: every worker owns a row segment and one heap per query, and
-// each tile it decodes is scored against the whole batch.
+// each tile of its segment is scored against the whole batch.
 func searchBlockBatch[B codeBlock[B]](b B, queries [][]float32, k int, keys []string) [][]Result {
 	res, _ := searchBlockBatchTimed(b, queries, k, keys)
 	return res
 }
 
 // searchBlockBatchTimed is searchBlockBatch reporting where the kernel's
-// time went: Scan covers the segment-parallel tile scans (spawn to
-// wg.Wait), Merge the per-query heap folds into final descending order.
+// time went: Scan covers query packing and the segment-parallel scans
+// (through wg.Wait), Merge the per-query heap folds into final descending
+// order.
 // Results are bit-identical to searchBlockBatch — the split only brackets
 // the two existing phases with clock reads.
 func searchBlockBatchTimed[B codeBlock[B]](b B, queries [][]float32, k int, keys []string) ([][]Result, ScanTiming) {
@@ -308,6 +320,7 @@ func searchBlockBatchTimed[B codeBlock[B]](b B, queries [][]float32, k int, keys
 		return out, tm
 	}
 	scanStart := time.Now()
+	qp := packQueries(queries, b.RowDim())
 	workers := scanSegments(rows, len(queries))
 	seg := segmentSize(rows, workers)
 	nseg := (rows + seg - 1) / seg
@@ -326,10 +339,11 @@ func searchBlockBatchTimed[B codeBlock[B]](b B, queries [][]float32, k int, keys
 		wg.Add(1)
 		go func(sub B, base int, hs []*topK) {
 			defer wg.Done()
-			scanBatchTopK(sub, queries, hs, nil, base)
+			scanBatchTopK(sub, *qp, hs, nil, base)
 		}(b.Slice(r0, r1), r0, hs)
 	}
 	wg.Wait()
+	putTile(qp)
 	tm.Scan = time.Since(scanStart)
 	mergeStart := time.Now()
 	for qi := range queries {
@@ -443,8 +457,8 @@ func searchPQBlockBatch(codes []byte, cb *pqCodebook, luts [][]float32, k int, k
 	return out
 }
 
-// segmentSize rounds rows/workers up to a whole number of tiles so decode
-// tiles never straddle segment boundaries.
+// segmentSize rounds rows/workers up to a whole number of tiles so tiles,
+// and with them FP16 row pairs, never straddle segment boundaries.
 func segmentSize(rows, workers int) int {
 	seg := (rows + workers - 1) / workers
 	seg = (seg + scanTileRows - 1) / scanTileRows * scanTileRows

@@ -125,9 +125,10 @@ func BenchmarkFlatSearchJagged(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchN), "ns/vector")
 }
 
-// BenchmarkFlatSearchSerial pins the single-threaded kernel (tile decode +
-// blocked dot, no segment parallelism) by staying under the parallel
-// threshold; ns/vector here isolates the layout win from the parallel win.
+// BenchmarkFlatSearchSerial pins the single-threaded kernel (row pairs
+// scored straight from the codes by f16.Dot2, no segment parallelism) by
+// staying under the parallel threshold; ns/vector here isolates the kernel
+// from the parallel win.
 func BenchmarkFlatSearchSerial(b *testing.B) {
 	n := segmentMinRows
 	ix, queries := buildBenchFlat(b, n, benchDim)
@@ -152,9 +153,27 @@ func BenchmarkFlatSearchBatch(b *testing.B) {
 		"ns/vector")
 }
 
+// BenchmarkFlatSearchBatch2 is the serving shape: a 7.5k-row Flat (the
+// ragbench corpus) answering batches of 2, what the coalescer dispatches
+// when two closed-loop clients miss the cache. ns/vector is per
+// vector-query; compare with BenchmarkFlatSearchSerial for what a second
+// query in the batch costs.
+func BenchmarkFlatSearchBatch2(b *testing.B) {
+	const n = 7500
+	ix, queries := buildBenchFlat(b, n, benchDim)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := 2 * i % len(queries)
+		_ = ix.SearchBatch(queries[j:j+2], 10)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n/2, "ns/vector")
+}
+
 // BenchmarkFlatBatchFanout is the query-level fan-out BatchSearch used
 // before the multi-query kernel existed; compare with
-// BenchmarkFlatSearchBatch for the tile-amortisation win.
+// BenchmarkFlatSearchBatch for what scoring each row pair against the whole
+// batch buys.
 func BenchmarkFlatBatchFanout(b *testing.B) {
 	ix, queries := buildBenchFlat(b, benchN, benchDim)
 	b.ReportAllocs()

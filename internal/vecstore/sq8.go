@@ -12,7 +12,7 @@ import (
 // per-dimension min/max learned from the data, quartering memory relative
 // to FP16 at a small recall cost. Codes live in one contiguous []int8
 // block (row i at codes[i*dim:(i+1)*dim]) and searches run through the
-// same blocked scan kernel as Flat, reconstructing a tile of rows into
+// same blocked scan loop as Flat, reconstructing a tile of rows into
 // FP32 scratch before the dot products. Train must be called after the
 // final Add and before Search (codes are derived from the training
 // statistics).
@@ -131,8 +131,8 @@ func (ix *SQ8) Search(query []float32, k int) []Result {
 	return searchBlock(ix.block(), query, k, ix.keys, nil)
 }
 
-// SearchBatch implements BatchSearcher with the tile-amortised multi-query
-// kernel (each reconstructed tile is scored against the whole batch).
+// SearchBatch implements BatchSearcher with the multi-query kernel (each
+// reconstructed tile is scored against the whole batch).
 func (ix *SQ8) SearchBatch(queries [][]float32, k int) [][]Result {
 	if !ix.trained {
 		panic("vecstore: SQ8 Search before Train")

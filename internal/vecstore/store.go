@@ -29,8 +29,8 @@ type Index interface {
 }
 
 // BatchSearcher is implemented by indexes with a native multi-query scan
-// kernel that amortises code decoding across a whole batch of queries
-// (Flat, IVF, SQ8). BatchSearch delegates to it when available.
+// kernel that streams their codes once for a whole batch of queries
+// (Flat, IVF, SQ8, PQ, the memtable). BatchSearch delegates to it when available.
 type BatchSearcher interface {
 	Index
 	// SearchBatch answers all queries at once, returning per-query results
@@ -109,8 +109,8 @@ func (ix *Flat) SearchInto(query []float32, k int, dst []Result) []Result {
 	return searchBlock(halfBlock{codes: ix.codes, dim: ix.dim}, query, k, ix.keys, dst[:0])
 }
 
-// SearchBatch implements BatchSearcher with the tile-amortised multi-query
-// kernel.
+// SearchBatch implements BatchSearcher with the multi-query kernel: each
+// row pair is scored against the whole batch while it is in cache.
 func (ix *Flat) SearchBatch(queries [][]float32, k int) [][]Result {
 	for _, q := range queries {
 		if len(q) != ix.dim {
@@ -302,7 +302,7 @@ func StatsOf(ix Index) IndexStats {
 
 // BatchSearch runs many queries against an index, preserving query order.
 // Indexes with a native multi-query kernel (BatchSearcher) answer the
-// whole batch through it, amortising tile decoding across queries; other
+// whole batch through it, streaming the codes once for all queries; other
 // indexes fall back to a query-level fan-out over an atomic work counter.
 // workers <= 0 selects GOMAXPROCS (the fan-out path only; the kernel
 // manages its own parallelism). This is the retrieval fan-out used by the

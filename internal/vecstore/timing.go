@@ -3,10 +3,10 @@ package vecstore
 import "time"
 
 // ScanTiming splits one batch search into the kernel's two phases: Scan is
-// the segment-parallel tile scan (plus any per-index pre-work folded into
+// the segment-parallel row scan (plus any per-index pre-work folded into
 // it), Merge the heap folds that produce final descending order. It feeds
-// the serving layer's per-stage latency histograms and span timelines —
-// the decomposition the SIMD-kernel work will be measured against.
+// the serving layer's per-stage latency histograms and span timelines, and
+// through them ragbench's serve.scan_us_* and serve.merge_us_* metrics.
 type ScanTiming struct {
 	Scan  time.Duration
 	Merge time.Duration
@@ -36,8 +36,8 @@ func BatchSearchTimed(ix Index, queries [][]float32, k, workers int) ([][]Result
 	return res, ScanTiming{Scan: time.Since(start)}
 }
 
-// SearchBatchTimed implements TimedBatchSearcher with the tile-amortised
-// multi-query kernel's native phase split.
+// SearchBatchTimed implements TimedBatchSearcher with the multi-query
+// kernel's native phase split.
 func (ix *Flat) SearchBatchTimed(queries [][]float32, k int) ([][]Result, ScanTiming) {
 	for _, q := range queries {
 		if len(q) != ix.dim {
@@ -51,7 +51,7 @@ func (ix *Flat) SearchBatchTimed(queries [][]float32, k int) ([][]Result, ScanTi
 }
 
 // SearchBatchTimed implements TimedBatchSearcher for the graph index.
-// Beam traversals have no tile-amortised merge phase, so the whole
+// Beam traversals have no per-segment merge phase, so the whole
 // query-per-worker fan-out is booked under Scan (the honest split: the
 // per-query beam already returns descending order, there is nothing to
 // fold).
