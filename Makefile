@@ -82,7 +82,7 @@ lint:
 
 # Kernel benchmarks: f16.Dot vs f16.Dot2 (one row vs a pair per call);
 # ns/vector and bytes/vector for the contiguous blocked scan vs the frozen
-# jagged baseline, the SQ8/PQ quantized scans, and the multi-query batch
+# jagged baseline, the PQ/IVF-PQ LUT scans, and the multi-query batch
 # kernels at the serving shape (batch of 2) and at 64; then the
 # build/evaluate hot path:
 # BenchmarkCountTokens (must report 0 allocs/op), BenchmarkPromptPlanFit

@@ -71,7 +71,7 @@ func main() {
 	// Reject bad flags before the corpus build: a typo'd index kind or
 	// shard spec should fail in milliseconds, not after minutes of
 	// embedding.
-	if err := validateConfig(*indexKind, *shard, *scale); err != nil {
+	if err := validateConfig(*indexKind, *shard, *saveIndex, *scale); err != nil {
 		logger.Error("invalid configuration", "err", err)
 		os.Exit(2)
 	}
@@ -84,11 +84,14 @@ func main() {
 
 // validateConfig checks flag values that would otherwise only fail deep
 // inside the build or serve path.
-func validateConfig(indexKind, shard string, scale float64) error {
+func validateConfig(indexKind, shard, saveIndex string, scale float64) error {
 	switch indexKind {
 	case "flat", "ivf", "pq", "ivfpq", "hnsw":
 	default:
 		return fmt.Errorf("unknown -index %q (flat | ivf | pq | ivfpq | hnsw)", indexKind)
+	}
+	if indexKind == "ivf" && saveIndex != "" {
+		return fmt.Errorf("-save-index with -index ivf: an IVF index has no on-disk format (save flat | pq | ivfpq | hnsw)")
 	}
 	if shard != "" {
 		if _, _, err := parseShard(shard); err != nil {
@@ -192,18 +195,23 @@ func buildArtifacts(artifactDir, shard string, scale float64, seed uint64, index
 			return nil, err
 		}
 	}
+	var build func(*vecstore.Flat) vecstore.Index
 	switch indexKind {
 	case "flat":
+		return a, nil
 	case "ivf":
-		a.ChunkStore.UseIVF(vecstore.IVFConfig{Seed: seed})
+		build = func(f *vecstore.Flat) vecstore.Index { return f.ToIVF(vecstore.IVFConfig{Seed: seed}) }
 	case "pq":
-		a.ChunkStore.UsePQ(vecstore.PQConfig{Seed: seed})
+		build = func(f *vecstore.Flat) vecstore.Index { return f.ToPQ(vecstore.PQConfig{Seed: seed}) }
 	case "ivfpq":
-		a.ChunkStore.UseIVFPQ(vecstore.IVFPQConfig{Seed: seed})
+		build = func(f *vecstore.Flat) vecstore.Index { return f.ToIVFPQ(vecstore.IVFPQConfig{Seed: seed}) }
 	case "hnsw":
-		a.ChunkStore.UseHNSW(vecstore.HNSWConfig{Seed: seed})
+		build = func(f *vecstore.Flat) vecstore.Index { return f.ToHNSW(vecstore.HNSWConfig{Seed: seed}) }
 	default:
 		return nil, fmt.Errorf("unknown -index %q (flat | ivf | pq | ivfpq | hnsw)", indexKind)
+	}
+	if err := a.ChunkStore.UseIndex(build); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

@@ -6,9 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"time"
+
+	"repro/internal/httpkit"
 )
 
 // HTTP transport: the same gateway semantics over a socket, so a generation
@@ -29,46 +30,45 @@ type responseEnvelope struct {
 
 // Server exposes a BatchHandler over HTTP.
 type Server struct {
-	handler  BatchHandler
-	httpSrv  *http.Server
-	listener net.Listener
+	handler BatchHandler
+	httpSrv *http.Server
+	addr    string
 }
 
 // NewServer creates a server on addr ("127.0.0.1:0" for an ephemeral port).
 func NewServer(addr string, handler BatchHandler) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &Server{handler: handler}
+	var err error
+	s.httpSrv, s.addr, err = httpkit.Start(addr, s.routes)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{handler: handler, listener: ln}
+	return s, nil
+}
+
+func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/batch", s.serveBatch)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	s.httpSrv = &http.Server{Handler: mux, ReadTimeout: 30 * time.Second}
-	go s.httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Close
-	return s, nil
+	return mux
 }
 
 // Addr returns the bound address.
-func (s *Server) Addr() string { return s.listener.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // Shutdown drains the server gracefully: the listener stops accepting new
 // connections immediately, but requests already being handled run to
 // completion (or until ctx expires, whichever is first). This is the
 // SIGTERM drain pattern the serve layer's ragserve binary reuses.
 func (s *Server) Shutdown(ctx context.Context) error {
-	return s.httpSrv.Shutdown(ctx)
+	return httpkit.Shutdown(ctx, s.httpSrv)
 }
 
 // Close shuts the server down, giving in-flight requests a bounded drain
 // window rather than dropping them.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return s.Shutdown(ctx)
-}
+func (s *Server) Close() error { return httpkit.Close(s.Shutdown) }
 
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -85,9 +85,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad envelope: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	responses := s.handler(r.Context(), env.Requests)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(responseEnvelope{Responses: responses}) //nolint:errcheck
+	httpkit.WriteJSON(w, responseEnvelope{Responses: s.handler(r.Context(), env.Requests)})
 }
 
 // HTTPHandler returns a BatchHandler that forwards batches to a remote

@@ -1,6 +1,7 @@
-// Package httpkit is the HTTP scaffolding the two serving tiers share —
+// Package httpkit is the HTTP scaffolding the serving tiers share —
 // internal/serve (one backend) and internal/router (the scatter/gather
-// front-end): bounded JSON request decoding, JSON and traced response
+// front-end), plus internal/argo's gateway server for the lifecycle and
+// JSON encoding: bounded JSON request decoding, JSON and traced response
 // encoding, the /metrics, /debug/slowlog and /debug/pprof handlers, and
 // the listen/serve/drain lifecycle. Plain functions over the tiers' own
 // state; nothing here knows about routes, shards or indexes.

@@ -6,17 +6,18 @@
 //
 // ChunkStore and TraceStore wrap a vecstore index (Flat by default) with
 // the domain records behind each key. Both expose the same scaling knobs:
-// UseIVF, UsePQ and UseIVFPQ swap the exact index for an approximate or
-// quantized one (recall vs memory vs QPS — see docs/ARCHITECTURE.md),
+// UseIndex swaps the exact index for one built from it — IVF, PQ, IVF-PQ
+// or HNSW (recall vs memory vs QPS — see docs/ARCHITECTURE.md),
 // RetrieveBatch answers whole question sets through the index's
 // multi-query scan kernel (the query-embedding pool is built once per
 // store and capped at the batch size — the serving hot path calls this
 // per micro-batch), SaveIndex/vecstore.Load persist the store's vectors
-// (VSF2 for Flat, VSF3 for PQ, VSF4 for IVF-PQ), and IndexStats feeds the eval report's
+// in the index's own VSF format, and IndexStats feeds the eval report's
 // retrieval-configuration table.
 //
 // For the online layer, Facade (with the NewChunkFacade/NewTraceFacade
 // adapters) presents both store kinds behind one store-agnostic
-// interface — flattened Hit results, the WithIndex hot-swap hook, and
-// per-query question exclusion — which internal/serve mounts as routes.
+// interface — flattened Hit results with the batch's embed/scan/merge
+// timings, the WithIndex hot-swap hook, and per-query question
+// exclusion — which internal/serve mounts as routes.
 package rag

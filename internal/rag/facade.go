@@ -32,10 +32,10 @@ type Hit struct {
 // stores they wrap.
 type Facade interface {
 	// RetrieveBatch answers queries at depth k through the store's
-	// multi-query kernel. exclude is nil or one group id per query whose
-	// hits must be suppressed (the trace stores' question self-exclusion;
-	// chunk stores ignore it).
-	RetrieveBatch(queries []string, k int, exclude []string) [][]Hit
+	// multi-query kernel and reports where the batch's time went. exclude
+	// is nil or one group id per query whose hits must be suppressed (the
+	// trace stores' question self-exclusion; chunk stores ignore it).
+	RetrieveBatch(queries []string, k int, exclude []string) ([][]Hit, StageTimings)
 	// WithIndex derives an immutable snapshot of the store serving index
 	// instead of the current one (see ChunkStore.WithIndex).
 	WithIndex(index vecstore.Index) (Facade, error)
@@ -56,17 +56,6 @@ type StageTimings struct {
 	Merge time.Duration
 }
 
-// StagedRetriever is the optional facade extension behind the per-stage
-// latency breakdown: a store that can report where a batch's time went.
-// Both built-in facades implement it; the serving layer falls back to
-// booking a plain RetrieveBatch entirely under Scan when a custom store
-// doesn't.
-type StagedRetriever interface {
-	// RetrieveBatchStaged is RetrieveBatch plus stage timing; results are
-	// identical to RetrieveBatch for the same inputs.
-	RetrieveBatchStaged(queries []string, k int, exclude []string) ([][]Hit, StageTimings)
-}
-
 // NewChunkFacade adapts a ChunkStore to the serving facade.
 func NewChunkFacade(s *ChunkStore) Facade { return chunkFacade{s} }
 
@@ -75,12 +64,7 @@ func NewTraceFacade(s *TraceStore) Facade { return traceFacade{s} }
 
 type chunkFacade struct{ s *ChunkStore }
 
-func (f chunkFacade) RetrieveBatch(queries []string, k int, _ []string) [][]Hit {
-	out, _ := f.RetrieveBatchStaged(queries, k, nil)
-	return out
-}
-
-func (f chunkFacade) RetrieveBatchStaged(queries []string, k int, _ []string) ([][]Hit, StageTimings) {
+func (f chunkFacade) RetrieveBatch(queries []string, k int, _ []string) ([][]Hit, StageTimings) {
 	res, st := f.s.RetrieveBatchStaged(queries, k)
 	out := make([][]Hit, len(res))
 	for i, rcs := range res {
@@ -106,12 +90,7 @@ func (f chunkFacade) Len() int              { return f.s.Len() }
 
 type traceFacade struct{ s *TraceStore }
 
-func (f traceFacade) RetrieveBatch(queries []string, k int, exclude []string) [][]Hit {
-	out, _ := f.RetrieveBatchStaged(queries, k, exclude)
-	return out
-}
-
-func (f traceFacade) RetrieveBatchStaged(queries []string, k int, exclude []string) ([][]Hit, StageTimings) {
+func (f traceFacade) RetrieveBatch(queries []string, k int, exclude []string) ([][]Hit, StageTimings) {
 	res, st := f.s.RetrieveBatchStaged(queries, k, exclude)
 	out := make([][]Hit, len(res))
 	for i, rts := range res {

@@ -15,7 +15,7 @@ func TestChunkFacadeMatchesStore(t *testing.T) {
 		t.Fatal("facade disagrees with store on Len/Index")
 	}
 	queries := []string{fx.chunks[0].Text, fx.chunks[3].Text}
-	hits := f.RetrieveBatch(queries, 3, []string{"ignored", "ignored"}) // chunk facades ignore exclude
+	hits, _ := f.RetrieveBatch(queries, 3, []string{"ignored", "ignored"}) // chunk facades ignore exclude
 	direct := store.RetrieveBatch(queries, 3)
 	if len(hits) != len(direct) {
 		t.Fatalf("%d hit groups for %d queries", len(hits), len(queries))
@@ -45,7 +45,7 @@ func TestTraceFacadeMatchesStoreAndExcludes(t *testing.T) {
 			break
 		}
 	}
-	hits := f.RetrieveBatch([]string{tr.Reasoning}, 3, nil)
+	hits, _ := f.RetrieveBatch([]string{tr.Reasoning}, 3, nil)
 	if len(hits) != 1 || len(hits[0]) == 0 || hits[0][0].ID != tr.ID || hits[0][0].Group != tr.QuestionID {
 		t.Fatalf("hits %+v", hits)
 	}
@@ -53,7 +53,7 @@ func TestTraceFacadeMatchesStoreAndExcludes(t *testing.T) {
 		t.Fatal("trace text not carried")
 	}
 	// Per-query exclusion forwards to the store's self-exclusion rule.
-	excluded := f.RetrieveBatch([]string{tr.Reasoning}, 3, []string{tr.QuestionID})
+	excluded, _ := f.RetrieveBatch([]string{tr.Reasoning}, 3, []string{tr.QuestionID})
 	for _, h := range excluded[0] {
 		if h.Group == tr.QuestionID {
 			t.Fatalf("excluded question %s leaked through the facade", tr.QuestionID)
@@ -72,7 +72,7 @@ func TestFacadeWithIndexSharesMetadata(t *testing.T) {
 	if snap.Len() != f.Len() {
 		t.Fatalf("snapshot len %d, want %d", snap.Len(), f.Len())
 	}
-	got := snap.RetrieveBatch([]string{fx.chunks[1].Text}, 2, nil)
+	got, _ := snap.RetrieveBatch([]string{fx.chunks[1].Text}, 2, nil)
 	if len(got) != 1 || len(got[0]) == 0 || got[0][0].ID != fx.chunks[1].ID {
 		t.Fatalf("snapshot retrieval %+v", got)
 	}

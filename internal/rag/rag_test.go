@@ -91,11 +91,55 @@ func TestChunkRetrievalFindsSourceFact(t *testing.T) {
 	}
 }
 
+func mustUseIndex(t *testing.T, store *ChunkStore, build func(*vecstore.Flat) vecstore.Index) {
+	t.Helper()
+	if err := store.UseIndex(build); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUseIndexRejectsNonFlat: swapping in an approximate index needs the
+// exact Flat to build it from, so a live store, an already-swapped store
+// and a WithIndex snapshot serving a graph must refuse with an error and
+// keep serving their index, not silently ignore the request.
+func TestUseIndexRejectsNonFlat(t *testing.T) {
+	fx := buildFixture(t, 2)
+	toHNSW := func(f *vecstore.Flat) vecstore.Index { return f.ToHNSW(vecstore.HNSWConfig{Seed: 1}) }
+	toIVF := func(f *vecstore.Flat) vecstore.Index { return f.ToIVF(vecstore.IVFConfig{NList: 4, Seed: 1}) }
+
+	live := BuildChunkStore(nil, fx.chunks, 0)
+	live.EnableLive()
+	graph := BuildChunkStore(nil, fx.chunks, 0)
+	mustUseIndex(t, graph, toHNSW)
+	snap, err := BuildChunkStore(nil, fx.chunks, 0).WithIndex(graph.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*ChunkStore{"live": live, "hnsw": graph, "snapshot": snap} {
+		before := s.IndexStats().Kind
+		if err := s.UseIndex(toIVF); err == nil {
+			t.Errorf("%s: UseIndex on a %s store succeeded", name, before)
+		}
+		if after := s.IndexStats().Kind; after != before {
+			t.Errorf("%s: failed UseIndex changed the index %s → %s", name, before, after)
+		}
+	}
+	traces := TraceStores(nil, fx.traces, QuestionFactMap(fx.questions), 0)[mcq.ModeDetailed]
+	if err := traces.UseIndex(toHNSW); err != nil {
+		t.Fatal(err)
+	}
+	if err := traces.UseIndex(toIVF); err == nil {
+		t.Error("TraceStore.UseIndex on an HNSW store succeeded")
+	}
+}
+
 func TestChunkStoreIVFSwap(t *testing.T) {
 	fx := buildFixture(t, 4)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	n := store.Len()
-	store.UseIVF(vecstore.IVFConfig{NList: 8, NProbe: 8, Seed: 1})
+	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
+		return f.ToIVF(vecstore.IVFConfig{NList: 8, NProbe: 8, Seed: 1})
+	})
 	if store.Len() != n {
 		t.Fatal("IVF swap lost vectors")
 	}
@@ -109,7 +153,9 @@ func TestChunkStorePQSwap(t *testing.T) {
 	fx := buildFixture(t, 4)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	n := store.Len()
-	store.UsePQ(vecstore.PQConfig{M: embed.DefaultDim / 4, Seed: 1})
+	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
+		return f.ToPQ(vecstore.PQConfig{M: embed.DefaultDim / 4, Seed: 1})
+	})
 	if store.Len() != n {
 		t.Fatal("PQ swap lost vectors")
 	}
@@ -135,7 +181,9 @@ func TestChunkStoreIVFPQSwap(t *testing.T) {
 	fx := buildFixture(t, 4)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	n := store.Len()
-	store.UseIVFPQ(vecstore.IVFPQConfig{NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1})
+	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
+		return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1})
+	})
 	if store.Len() != n {
 		t.Fatal("IVF-PQ swap lost vectors")
 	}
@@ -148,7 +196,9 @@ func TestChunkStoreIVFPQSwap(t *testing.T) {
 func TestChunkStorePQSaveReload(t *testing.T) {
 	fx := buildFixture(t, 3)
 	store := BuildChunkStore(nil, fx.chunks, 0)
-	store.UsePQ(vecstore.PQConfig{M: embed.DefaultDim / 4, Seed: 1})
+	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
+		return f.ToPQ(vecstore.PQConfig{M: embed.DefaultDim / 4, Seed: 1})
+	})
 	path := t.TempDir() + "/chunks.vsf3"
 	if err := store.SaveIndex(path); err != nil {
 		t.Fatal(err)
@@ -177,9 +227,11 @@ func TestChunkStorePQSaveReload(t *testing.T) {
 func TestChunkStoreIVFPQSaveReload(t *testing.T) {
 	fx := buildFixture(t, 3)
 	store := BuildChunkStore(nil, fx.chunks, 0)
-	store.UseIVFPQ(vecstore.IVFPQConfig{
-		NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1,
-		Residual: true, OPQ: true, OPQIters: 2,
+	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
+		return f.ToIVFPQ(vecstore.IVFPQConfig{
+			NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1,
+			Residual: true, OPQ: true, OPQIters: 2,
+		})
 	})
 	if kind := store.IndexStats().Kind; !strings.Contains(kind, "res+opq") {
 		t.Fatalf("IndexStats kind %q missing variant after IVF-PQ swap", kind)

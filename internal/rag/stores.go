@@ -67,42 +67,23 @@ func WrapChunkStore(enc *embed.Encoder, index vecstore.Index, chunks []chunk.Chu
 	return &ChunkStore{enc: enc, index: index, byKey: byKey, pool: embed.NewPool(enc, 0)}
 }
 
-// UseIVF swaps the exact index for a trained IVF index (recall/latency
-// trade-off used at full scale and swept by the ablation bench).
-func (s *ChunkStore) UseIVF(cfg vecstore.IVFConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToIVF(cfg)
-	}
+// UseIndex replaces the store's exact Flat index with build(flat) — for
+// example flat.ToIVF, ToPQ, ToIVFPQ or ToHNSW, trading recall for latency
+// or memory. It fails, leaving the store unchanged, when the current index
+// is not a *vecstore.Flat (already swapped, or wrapped by EnableLive).
+func (s *ChunkStore) UseIndex(build func(*vecstore.Flat) vecstore.Index) error {
+	return useIndex(&s.index, build)
 }
 
-// UsePQ swaps the exact index for a trained product-quantized index: M
-// bytes per vector instead of 2 per dimension, scanned through the
-// LUT-based asymmetric-distance kernel (recall/memory trade-off for
-// serving million-chunk corpora from RAM).
-func (s *ChunkStore) UsePQ(cfg vecstore.PQConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToPQ(cfg)
+// useIndex is both stores' UseIndex: *index becomes build(*index), which
+// must be the store's exact Flat index.
+func useIndex(index *vecstore.Index, build func(*vecstore.Flat) vecstore.Index) error {
+	flat, ok := (*index).(*vecstore.Flat)
+	if !ok {
+		return fmt.Errorf("rag: UseIndex needs a Flat-backed store, have %s", vecstore.StatsOf(*index).Kind)
 	}
-}
-
-// UseIVFPQ swaps the exact index for a trained IVF-PQ index, compounding
-// the coarse-probe latency win with PQ's memory win. cfg.Residual encodes
-// per-cell residuals (higher recall at the same M) and cfg.OPQ layers a
-// learned rotation on top; see vecstore.IVFPQConfig.
-func (s *ChunkStore) UseIVFPQ(cfg vecstore.IVFPQConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToIVFPQ(cfg)
-	}
-}
-
-// UseHNSW swaps the exact index for an HNSW graph built over the same
-// FP16 code block (latency trade-off with no training pass; the only
-// swap target that keeps supporting incremental Add, so an EnableLive
-// store can later compact its memtable into the graph).
-func (s *ChunkStore) UseHNSW(cfg vecstore.HNSWConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToHNSW(cfg)
-	}
+	*index = build(flat)
+	return nil
 }
 
 // IndexStats reports the underlying index's storage profile (kind,
@@ -114,34 +95,24 @@ func (s *ChunkStore) IndexStats() vecstore.IndexStats {
 // Len reports the number of stored chunks.
 func (s *ChunkStore) Len() int { return s.index.Len() }
 
-// MemoryBytes reports FP16 vector storage size (the paper quotes 747 MB at
-// full scale).
-func (s *ChunkStore) MemoryBytes() int64 {
-	type sized interface{ MemoryBytes() int64 }
-	if m, ok := s.index.(sized); ok {
-		return m.MemoryBytes()
-	}
-	return 0
-}
+// MemoryBytes reports vector storage size (the paper quotes 747 MB of FP16
+// at full scale).
+func (s *ChunkStore) MemoryBytes() int64 { return vecstore.StatsOf(s.index).Bytes }
 
-// SaveIndex persists the underlying vector index (VSF2 for Flat-backed
-// stores, VSF3 for PQ-backed ones, VSF4 for IVF-PQ — including residual
-// and OPQ trained state — and VSF5 for HNSW, including the whole graph).
-// Plain-IVF-backed stores are saved as their flat data and can be
-// re-trained after load.
-func (s *ChunkStore) SaveIndex(path string) error {
-	switch ix := s.index.(type) {
-	case *vecstore.Flat:
-		return ix.Save(path)
-	case *vecstore.PQ:
-		return ix.Save(path)
-	case *vecstore.IVFPQ:
-		return ix.Save(path)
-	case *vecstore.HNSW:
-		return ix.Save(path)
-	default:
-		return fmt.Errorf("rag: SaveIndex supports Flat-, PQ-, IVF-PQ- or HNSW-backed stores only (have %T)", ix)
+// SaveIndex persists the underlying vector index in its family's format
+// (VSF2 for Flat, VSF3 for PQ, VSF4 for IVF-PQ including residual and OPQ
+// trained state, VSF5 for HNSW including the whole graph). Plain-IVF and
+// live stores have no on-disk format and return an error.
+func (s *ChunkStore) SaveIndex(path string) error { return saveIndex(s.index, path) }
+
+// saveIndex is both stores' SaveIndex: every family with an on-disk format
+// saves itself.
+func saveIndex(ix vecstore.Index, path string) error {
+	saver, ok := ix.(interface{ Save(path string) error })
+	if !ok {
+		return fmt.Errorf("rag: SaveIndex: a %s index has no on-disk format", vecstore.StatsOf(ix).Kind)
 	}
+	return saver.Save(path)
 }
 
 // Retrieve returns the top-k chunks for a query text.
@@ -151,9 +122,8 @@ func (s *ChunkStore) Retrieve(query string, k int) []RetrievedChunk {
 
 // RetrieveBatch answers many query texts at once: queries are embedded in
 // parallel and searched through the index's multi-query scan kernel
-// (vecstore.BatchSearch delegates to SearchBatch when the index has one),
-// which amortises code decoding across the whole batch. Results are in
-// query order and identical to per-query Retrieve calls.
+// (Index.SearchBatch), which streams the codes once for the whole batch.
+// Results are in query order and identical to per-query Retrieve calls.
 func (s *ChunkStore) RetrieveBatch(queries []string, k int) [][]RetrievedChunk {
 	out, _ := s.RetrieveBatchStaged(queries, k)
 	return out
@@ -169,7 +139,7 @@ func (s *ChunkStore) RetrieveBatchStaged(queries []string, k int) ([][]Retrieved
 	embedStart := time.Now()
 	vecs := s.pool.EncodeAll(queries)
 	st.Embed = time.Since(embedStart)
-	res, sc := vecstore.BatchSearchTimed(s.index, vecs, k, 0)
+	res, sc := vecstore.BatchSearchTimed(s.index, vecs, k)
 	st.Scan, st.Merge = sc.Scan, sc.Merge
 	collectStart := time.Now()
 	out := make([][]RetrievedChunk, len(queries))
@@ -294,7 +264,7 @@ func (s *TraceStore) RetrieveBatchStaged(queries []string, k int, excludeQuestio
 	vecs := s.pool.EncodeAll(queries)
 	st.Embed = time.Since(embedStart)
 	// Over-fetch to survive the self-exclusion filter, as in Retrieve.
-	res, sc := vecstore.BatchSearchTimed(s.index, vecs, k+2, 0)
+	res, sc := vecstore.BatchSearchTimed(s.index, vecs, k+2)
 	st.Scan, st.Merge = sc.Scan, sc.Merge
 	collectStart := time.Now()
 	out := make([][]RetrievedTrace, len(queries))
@@ -324,36 +294,10 @@ func (s *TraceStore) collect(res []vecstore.Result, k int, excludeQuestionID str
 	return out
 }
 
-// UseIVF swaps the exact index for a trained IVF index (see
-// ChunkStore.UseIVF).
-func (s *TraceStore) UseIVF(cfg vecstore.IVFConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToIVF(cfg)
-	}
-}
-
-// UsePQ swaps the exact index for a trained product-quantized index (see
-// ChunkStore.UsePQ).
-func (s *TraceStore) UsePQ(cfg vecstore.PQConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToPQ(cfg)
-	}
-}
-
-// UseIVFPQ swaps the exact index for a trained IVF-PQ index (see
-// ChunkStore.UseIVFPQ).
-func (s *TraceStore) UseIVFPQ(cfg vecstore.IVFPQConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToIVFPQ(cfg)
-	}
-}
-
-// UseHNSW swaps the exact index for an HNSW graph (see
-// ChunkStore.UseHNSW).
-func (s *TraceStore) UseHNSW(cfg vecstore.HNSWConfig) {
-	if flat, ok := s.index.(*vecstore.Flat); ok {
-		s.index = flat.ToHNSW(cfg)
-	}
+// UseIndex replaces the store's exact Flat index with build(flat) (see
+// ChunkStore.UseIndex).
+func (s *TraceStore) UseIndex(build func(*vecstore.Flat) vecstore.Index) error {
+	return useIndex(&s.index, build)
 }
 
 // IndexStats reports the underlying index's storage profile.
@@ -361,22 +305,9 @@ func (s *TraceStore) IndexStats() vecstore.IndexStats {
 	return vecstore.StatsOf(s.index)
 }
 
-// SaveIndex persists the trace store's vector index (VSF2 for Flat, VSF3
-// for PQ, VSF4 for IVF-PQ, VSF5 for HNSW).
-func (s *TraceStore) SaveIndex(path string) error {
-	switch ix := s.index.(type) {
-	case *vecstore.Flat:
-		return ix.Save(path)
-	case *vecstore.PQ:
-		return ix.Save(path)
-	case *vecstore.IVFPQ:
-		return ix.Save(path)
-	case *vecstore.HNSW:
-		return ix.Save(path)
-	default:
-		return fmt.Errorf("rag: SaveIndex supports Flat-, PQ-, IVF-PQ- or HNSW-backed stores only (have %T)", ix)
-	}
-}
+// SaveIndex persists the trace store's vector index (see
+// ChunkStore.SaveIndex).
+func (s *TraceStore) SaveIndex(path string) error { return saveIndex(s.index, path) }
 
 // WrapTraceStore rebuilds a TraceStore around a persisted index and the
 // matching trace records (index keys must be trace ids). questionFact is

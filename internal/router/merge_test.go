@@ -45,7 +45,7 @@ func partition(chunks []chunk.Chunk, nShards int) [][]chunk.Chunk {
 // unsharded backend would give.
 func storeSearch(chunks []chunk.Chunk, queries []string, k int) [][]serve.SearchResult {
 	f := rag.NewChunkFacade(rag.BuildChunkStore(nil, chunks, 0))
-	res := f.RetrieveBatch(queries, k, nil)
+	res, _ := f.RetrieveBatch(queries, k, nil)
 	out := make([][]serve.SearchResult, len(res))
 	for i, hits := range res {
 		out[i] = make([]serve.SearchResult, len(hits))

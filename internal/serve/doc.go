@@ -4,7 +4,8 @@
 // serving-time machinery a production deployment needs.
 //
 // The server is a front-end over a small store interface (Store, an alias
-// of rag.Facade: RetrieveBatch, the WithIndex snapshot hook, Index/Len).
+// of rag.Facade: RetrieveBatch with its stage timings, the WithIndex
+// snapshot hook, Index/Len).
 // Each store is mounted as a named route ("chunks", "traces/detailed", …)
 // served at /v1/<route>/search (+ /batch) and /admin/<route>/swap, and
 // every route gets its own copy of the serving machinery, so a hot swap

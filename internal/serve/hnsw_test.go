@@ -44,9 +44,13 @@ func TestHNSWRouteEndToEnd(t *testing.T) {
 	}
 	flat := rag.BuildChunkStore(nil, chunks, 0)
 	graph := rag.WrapChunkStore(nil, flat.Index(), chunks)
-	graph.UseHNSW(vecstore.HNSWConfig{Seed: 17})
+	if err := graph.UseIndex(func(f *vecstore.Flat) vecstore.Index {
+		return f.ToHNSW(vecstore.HNSWConfig{Seed: 17})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := graph.Index().(*vecstore.HNSW); !ok {
-		t.Fatalf("UseHNSW left a %T", graph.Index())
+		t.Fatalf("UseIndex left a %T", graph.Index())
 	}
 	cfg := DefaultConfig()
 	cfg.CacheCap = 0 // every request, before and after the swap, reaches the graph

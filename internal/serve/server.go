@@ -389,18 +389,10 @@ func attachStages(tr *obs.Trace, t0 time.Time, st rag.StageTimings) {
 // retrieve runs one timed, metered RetrieveBatch against a snapshot — the
 // shared core of the coalesced path and the explicit batch endpoint, so
 // both report identical batch accounting. The returned stage timings feed
-// the per-stage histograms here and the caller's trace spans; a store
-// without RetrieveBatchStaged books the whole call under Scan.
+// the per-stage histograms here and the caller's trace spans.
 func (rt *route) retrieve(snap *Snapshot, queries []string, k int, exclude []string) ([][]rag.Hit, rag.StageTimings) {
 	start := time.Now()
-	var res [][]rag.Hit
-	var st rag.StageTimings
-	if sr, ok := snap.Store.(rag.StagedRetriever); ok {
-		res, st = sr.RetrieveBatchStaged(queries, k, exclude)
-	} else {
-		res = snap.Store.RetrieveBatch(queries, k, exclude)
-		st.Scan = time.Since(start)
-	}
+	res, st := snap.Store.RetrieveBatch(queries, k, exclude)
 	rt.hSearch.Observe(time.Since(start))
 	rt.hStageEmbed.Observe(st.Embed)
 	rt.hStageScan.Observe(st.Scan)

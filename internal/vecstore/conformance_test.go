@@ -43,14 +43,6 @@ func factories() []indexFactory {
 			}
 			return ix
 		}},
-		{"SQ8", func(dim int, vecs [][]float32, keys []string) Index {
-			ix := NewSQ8(dim)
-			for i, v := range vecs {
-				ix.Add(v, keys[i])
-			}
-			ix.Train()
-			return ix
-		}},
 		{"PQ", func(dim int, vecs [][]float32, keys []string) Index {
 			// Fine subspaces (≤4 dims each) keep quantization near-lossless
 			// so the exact-contract checks hold.
@@ -214,11 +206,11 @@ func TestConformanceSelfRetrieval(t *testing.T) {
 					miss++
 				}
 			}
-			// Quantized indexes (SQ8, PQ) can flip a handful of near-ties
+			// Quantized indexes (PQ, IVF-PQ) can flip a handful of near-ties
 			// and HNSW is approximate; exact indexes must not miss at all.
 			limit := 0
 			switch f.name {
-			case "SQ8", "HNSW-wide", "HNSW-loaded", "Live-HNSW-split",
+			case "HNSW-wide", "HNSW-loaded", "Live-HNSW-split",
 				"PQ", "IVFPQ-fullprobe", "IVFPQ-residual", "IVFPQ-opq":
 				limit = 2
 			}
@@ -263,9 +255,7 @@ func TestConformanceDimMismatchPanics(t *testing.T) {
 // TestConformanceBatchEdgeCases pins the batch path to the single-query
 // contract for every index type: k <= 0 yields one nil slice per query
 // (Search returns nil), an empty query slice yields an empty result
-// slice, and k > n clamps to exactly what Search returns. Indexes with a
-// native SearchBatch are exercised directly so the kernel path — not the
-// BatchSearch fallback — is what's pinned.
+// slice, and k > n clamps to exactly what Search returns.
 func TestConformanceBatchEdgeCases(t *testing.T) {
 	vecs, keys := conformanceData(120, 12)
 	r := rng.New(781)
@@ -273,12 +263,7 @@ func TestConformanceBatchEdgeCases(t *testing.T) {
 	for _, f := range factories() {
 		t.Run(f.name, func(t *testing.T) {
 			ix := f.make(12, vecs, keys)
-			batch := func(qs [][]float32, k int) [][]Result {
-				if bs, ok := ix.(BatchSearcher); ok {
-					return bs.SearchBatch(qs, k)
-				}
-				return BatchSearch(ix, qs, k, 2)
-			}
+			batch := ix.SearchBatch
 			for _, k := range []int{0, -3} {
 				res := batch(queries, k)
 				if len(res) != len(queries) {
@@ -320,7 +305,7 @@ func TestConformanceBatchSearch(t *testing.T) {
 	for _, f := range factories() {
 		t.Run(f.name, func(t *testing.T) {
 			ix := f.make(12, vecs, keys)
-			batch := BatchSearch(ix, queries, 3, 4)
+			batch := ix.SearchBatch(queries, 3)
 			for i, q := range queries {
 				seq := ix.Search(q, 3)
 				if len(batch[i]) != len(seq) {

@@ -8,7 +8,6 @@
 //   - IVF: inverted-file index with a k-means coarse quantizer and nprobe
 //     search (FAISS IndexIVFFlat), trading recall for throughput,
 //   - HNSW: graph-based approximate search (FAISS IndexHNSWFlat),
-//   - SQ8: 8-bit scalar quantization (FAISS IndexScalarQuantizer),
 //   - PQ: product quantization with LUT-based asymmetric distance (FAISS
 //     IndexPQ) — M bytes per vector instead of 2 per dimension,
 //   - IVFPQ: the coarse probe composed with PQ cells (FAISS IndexIVFPQ),
@@ -25,19 +24,18 @@
 //
 // All code-based indexes use FAISS's contiguous-block layout: one flat
 // array holds every row, with row i at codes[i*stride:(i+1)*stride] (Flat,
-// SQ8 and PQ globally; IVF and IVFPQ as one contiguous block per inverted
-// list). There are no per-vector slice headers and no pointer dereferences
-// on the scan path. FP16 and int8 searches run through one blocked scan loop
-// (scan.go) that walks a block in tiles of scanTileRows (64) rows and lets
-// the block type score each tile against the query batch. FP16 rows are
-// scored in pairs straight from the codes by f16.Dot2 — two interleaved
-// rows give the core eight independent add chains, and a lone 384-dim dot
-// is bound by add latency, not decode — while SQ8 rows are reconstructed
-// into a pooled FP32 tile first. Blocks with at least segmentMinRows
-// (4096) rows of work per core are split into GOMAXPROCS segments scanned
-// concurrently with per-segment top-k heaps merged exactly at the end — a
-// single query saturates the machine, not just the query-level fan-out of
-// BatchSearch.
+// the memtable, HNSW and PQ globally; IVF and IVFPQ as one contiguous
+// block per inverted list). There are no per-vector slice headers and no
+// pointer dereferences on the scan path. FP16 searches run through one
+// blocked scan loop over one block type, halfBlock (scan.go), that walks
+// the codes in tiles of scanTileRows (64) rows and scores each tile against
+// the query batch. Rows are scored in pairs straight from the codes by
+// f16.Dot2 — two interleaved rows give the core eight independent add
+// chains, and a lone 384-dim dot is bound by add latency, not decode.
+// Blocks with at least segmentMinRows (4096) rows of work per core are
+// split into GOMAXPROCS segments scanned concurrently with per-segment
+// top-k heaps merged exactly at the end, so a single query saturates the
+// machine.
 //
 // PQ searches skip decoding entirely: a per-query M×256 look-up table of
 // sub-query·centroid dot products is built once, after which scoring a
@@ -45,12 +43,12 @@
 // computation). The LUT kernels share the segment-parallel plumbing and
 // pooled scratch of the blocked scan loop.
 //
-// SearchBatch is the multi-query kernel: each FP16 row pair (or SQ8
-// tile; or, for PQ, each per-query LUT and cache-resident code segment)
-// is scored against the whole query batch while it is in cache, so the
-// codes are streamed once per batch. A single-query search is the same
-// loop over a one-query batch. BatchSearch delegates to it whenever the
-// index implements BatchSearcher.
+// Index.SearchBatch is the multi-query entry point every family
+// implements: each FP16 row pair (or, for PQ, each per-query LUT and
+// cache-resident code segment) is scored against the whole query batch
+// while it is in cache, so the codes are streamed once per batch. A
+// single-query search is the same loop over a one-query batch.
+// BatchSearchTimed is the same call reporting its scan/merge split.
 //
 // Scores are bit-for-bit identical to the reference scalar scans (one row,
 // one f16.Dot at a time; for PQ, one LUT row-sum at a time):

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/f16"
 	"repro/internal/rng"
@@ -463,12 +464,26 @@ func (h *HNSW) Search(query []float32, k int) []Result {
 	return out
 }
 
-// SearchBatch implements BatchSearcher. Graph traversals visit different
-// rows per query, so there is no row to score against the whole batch the
-// way flat scans do; the batch fans out query-per-worker (each worker
-// drawing its own pooled scratch).
+// SearchBatch implements Index. Graph traversals visit different rows per
+// query, so there is no row to score against the whole batch the way flat
+// scans do; the batch fans out query-per-worker (each worker drawing its
+// own pooled scratch).
 func (h *HNSW) SearchBatch(queries [][]float32, k int) [][]Result {
-	out, _ := h.SearchBatchTimed(queries, k)
+	return h.searchBatch(queries, k, nil)
+}
+
+// searchBatch books the whole fan-out under Scan: each beam already
+// returns descending order, so there is no merge phase to report.
+func (h *HNSW) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
+	checkBatchDims(queries, h.dim)
+	out := make([][]Result, len(queries))
+	if k <= 0 || len(queries) == 0 || h.entry < 0 {
+		return out
+	}
+	defer tm.bookScan(time.Now())
+	parallelFor(len(queries), 0, func(i int) {
+		out[i] = h.Search(queries[i], k)
+	})
 	return out
 }
 
@@ -483,23 +498,7 @@ func (h *HNSW) flatView() *Flat {
 // same corpus; sweep-style callers pay for the reference answers once per
 // call instead of rebuilding the index itself.
 func (h *HNSW) RecallAgainst(exact *Flat, queries [][]float32, k int) float64 {
-	if len(queries) == 0 {
-		return 0
-	}
-	var hits, total int
-	for _, q := range queries {
-		got := map[int]bool{}
-		for _, r := range h.Search(q, k) {
-			got[r.ID] = true
-		}
-		for _, r := range exact.Search(q, k) {
-			total++
-			if got[r.ID] {
-				hits++
-			}
-		}
-	}
-	return float64(hits) / float64(total)
+	return recallAgainst(exact, h, queries, k)
 }
 
 // Recall measures HNSW recall against an exact scan of the same data,

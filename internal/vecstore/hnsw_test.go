@@ -109,101 +109,6 @@ func TestHNSWDimMismatchPanics(t *testing.T) {
 	NewHNSW(HNSWConfig{Dim: 8}).Add(make([]float32, 4), "")
 }
 
-// --- SQ8 ---
-
-func buildSQ8(t testing.TB, n, dim int) (*SQ8, [][]float32) {
-	t.Helper()
-	r := rng.New(201)
-	vecs := randomUnit(r, n, dim)
-	ix := NewSQ8(dim)
-	for _, v := range vecs {
-		ix.Add(v, "")
-	}
-	ix.Train()
-	return ix, vecs
-}
-
-func TestSQ8SelfRetrieval(t *testing.T) {
-	ix, vecs := buildSQ8(t, 400, 32)
-	hits := 0
-	for i := 0; i < len(vecs); i += 7 {
-		res := ix.Search(vecs[i], 1)
-		if len(res) == 1 && res[0].ID == i {
-			hits++
-		}
-	}
-	total := (len(vecs) + 6) / 7
-	if float64(hits)/float64(total) < 0.9 {
-		t.Fatalf("self-retrieval %d/%d", hits, total)
-	}
-}
-
-func TestSQ8RecallVsExact(t *testing.T) {
-	ix, vecs := buildSQ8(t, 500, 32)
-	r := rng.New(203)
-	queries := randomUnit(r, 30, 32)
-	if rec := ix.Recall(vecs, queries, 5); rec < 0.8 {
-		t.Fatalf("SQ8 recall@5 = %.3f", rec)
-	}
-}
-
-func TestSQ8MemoryQuarterOfFP16(t *testing.T) {
-	ix, _ := buildSQ8(t, 100, 64)
-	fp16 := int64(100 * 64 * 2)
-	if ix.MemoryBytes() >= fp16 {
-		t.Fatalf("SQ8 %d bytes not below FP16 %d", ix.MemoryBytes(), fp16)
-	}
-}
-
-func TestSQ8Lifecycle(t *testing.T) {
-	ix := NewSQ8(8)
-	ix.Add(make([]float32, 8), "a")
-	if ix.Trained() {
-		t.Fatal("trained before Train")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Search before Train did not panic")
-			}
-		}()
-		ix.Search(make([]float32, 8), 1)
-	}()
-	ix.Train()
-	if !ix.Trained() || ix.Len() != 1 {
-		t.Fatal("train bookkeeping")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Add after Train did not panic")
-			}
-		}()
-		ix.Add(make([]float32, 8), "b")
-	}()
-}
-
-func TestSQ8TrainEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewSQ8(4).Train()
-}
-
-func TestSQ8ConstantDimension(t *testing.T) {
-	// A dimension with zero range must not divide by zero.
-	ix := NewSQ8(2)
-	ix.Add([]float32{1, 0.5}, "a")
-	ix.Add([]float32{1, -0.5}, "b")
-	ix.Train()
-	res := ix.Search([]float32{1, 1}, 2)
-	if len(res) != 2 || res[0].Key != "a" {
-		t.Fatalf("results %v", res)
-	}
-}
-
 func BenchmarkHNSWSearch10k(b *testing.B) {
 	h, _ := buildHNSW(b, 10000, 128, HNSWConfig{Seed: 1})
 	r := rng.New(1)
@@ -211,15 +116,5 @@ func BenchmarkHNSWSearch10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.Search(q, 5)
-	}
-}
-
-func BenchmarkSQ8Search10k(b *testing.B) {
-	ix, _ := buildSQ8(b, 10000, 128)
-	r := rng.New(1)
-	q := randomUnit(r, 1, 128)[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Search(q, 5)
 	}
 }

@@ -14,25 +14,24 @@ import (
 
 // Binary persistence for vector indexes (the chunk and trace stores are
 // saved once by the generation pipeline and loaded by every evaluation
-// run). Five on-disk versions exist — VSF1 (legacy jagged FP16), VSF2
-// (contiguous FP16, the current Flat format), VSF3 (PQ: codebooks +
-// contiguous M-byte code block), VSF4 (IVF-PQ: coarse centroids, PQ
-// codebook, optional OPQ rotation, residual flag, and per-cell postings +
-// code blocks), and VSF5 (HNSW: construction parameters, per-node levels,
-// entry point, compact adjacency lists, and the contiguous FP16 code
-// block). The byte-level specification and the read/write compatibility
-// matrix live in docs/VSF_FORMAT.md; Load dispatches on the magic,
-// LoadFlat/LoadPQ/LoadIVFPQ/LoadHNSW insist on their own family.
+// run). Four on-disk formats are read and written — VSF2 (contiguous FP16,
+// the Flat format), VSF3 (PQ: codebooks + contiguous M-byte code block),
+// VSF4 (IVF-PQ: coarse centroids, PQ codebook, optional OPQ rotation,
+// residual flag, and per-cell postings + code blocks), and VSF5 (HNSW:
+// construction parameters, per-node levels, entry point, compact adjacency
+// lists, and the contiguous FP16 code block). The byte-level specification
+// and the read/write compatibility matrix live in docs/VSF_FORMAT.md; Load
+// dispatches on the magic, LoadFlat/LoadPQ/LoadIVFPQ/LoadHNSW insist on
+// their own family, and any other magic (the retired VSF1 included) fails
+// with ErrBadFormat.
 //
-// Plain IVF indexes are still persisted as their underlying flat data
-// plus quantizer parameters and rebuilt (retrained deterministically) at
-// load. IVF-PQ gained its own format (VSF4) because its trained state —
-// learned rotation, residual codebook, cell assignment — is what the
-// recall acceptance pins; retraining at load would re-run OPQ alternation
-// on every server swap.
+// Plain IVF indexes have no format of their own: the Flat they are
+// trained from is what gets saved, and retraining is deterministic.
+// IVF-PQ has one (VSF4) because its trained state — learned rotation,
+// residual codebook, cell assignment — is what the recall acceptance pins;
+// retraining at load would re-run OPQ alternation on every server swap.
 
 var (
-	magicV1 = [4]byte{'V', 'S', 'F', '1'}
 	magicV2 = [4]byte{'V', 'S', 'F', '2'}
 	magicV3 = [4]byte{'V', 'S', 'F', '3'}
 	magicV4 = [4]byte{'V', 'S', 'F', '4'}
@@ -162,9 +161,8 @@ func readCodes(r io.Reader, dst []uint16) error {
 	return nil
 }
 
-// LoadFlat reads a Flat index previously written by Save, accepting both
-// the current contiguous VSF2 format and the legacy jagged VSF1 format.
-// VSF3 (PQ) files are rejected; use Load or LoadPQ for those.
+// LoadFlat reads a Flat index previously written by Save (VSF2). Files of
+// the other families are rejected; use Load or their own loader for those.
 func LoadFlat(path string) (*Flat, error) {
 	f, remain, err := openSized(path)
 	if err != nil {
@@ -178,9 +176,7 @@ func LoadFlat(path string) (*Flat, error) {
 	}
 	switch m {
 	case magicV2:
-		return readFlat(r, remain, false)
-	case magicV1:
-		return readFlat(r, remain, true)
+		return readFlat(r, remain)
 	case magicV3:
 		return nil, fmt.Errorf("%w: %s is a PQ (VSF3) index; use Load or LoadPQ", ErrBadFormat, path)
 	case magicV4:
@@ -191,8 +187,8 @@ func LoadFlat(path string) (*Flat, error) {
 	return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
 }
 
-// Load reads any persisted index, dispatching on the format magic: VSF1
-// and VSF2 load as *Flat, VSF3 as *PQ, VSF4 as *IVFPQ, VSF5 as *HNSW.
+// Load reads any persisted index, dispatching on the format magic: VSF2
+// loads as *Flat, VSF3 as *PQ, VSF4 as *IVFPQ, VSF5 as *HNSW.
 func Load(path string) (Index, error) {
 	f, remain, err := openSized(path)
 	if err != nil {
@@ -206,9 +202,7 @@ func Load(path string) (Index, error) {
 	}
 	switch m {
 	case magicV2:
-		return readFlat(r, remain, false)
-	case magicV1:
-		return readFlat(r, remain, true)
+		return readFlat(r, remain)
 	case magicV3:
 		return readPQ(r, remain)
 	case magicV4:
@@ -244,9 +238,9 @@ func readMagic(r io.Reader) ([4]byte, error) {
 	return m, nil
 }
 
-// readFlat consumes a VSF1 (legacy=true) or VSF2 stream after the magic.
-// remain is the payload byte budget (file size minus magic).
-func readFlat(r io.Reader, remain int64, legacy bool) (*Flat, error) {
+// readFlat consumes a VSF2 stream after the magic. remain is the payload
+// byte budget (file size minus magic).
+func readFlat(r io.Reader, remain int64) (*Flat, error) {
 	var dim uint32
 	if err := binary.Read(r, binary.LittleEndian, &dim); err != nil {
 		return nil, fmt.Errorf("%w: dim: %w", ErrBadFormat, err)
@@ -261,17 +255,14 @@ func readFlat(r io.Reader, remain int64, legacy bool) (*Flat, error) {
 	if count > (1<<31)/uint64(dim) {
 		return nil, fmt.Errorf("%w: implausible count %d", ErrBadFormat, count)
 	}
-	// Every record costs at least a 4-byte key length plus dim FP16 codes
-	// (both formats), so a count the file cannot physically back fails
-	// here instead of sizing allocations from 12 corrupt header bytes.
+	// Every record costs at least a 4-byte key length plus dim FP16 codes,
+	// so a count the file cannot physically back fails here instead of
+	// sizing allocations from 12 corrupt header bytes.
 	remain -= 12
 	if need := int64(count) * int64(4+2*dim); need > remain {
 		return nil, fmt.Errorf("%w: count %d needs >= %d payload bytes, file has %d", ErrBadFormat, count, need, remain)
 	}
 	ix := NewFlat(int(dim))
-	if legacy {
-		return readFlatV1(r, ix, count)
-	}
 	ix.keys = make([]string, 0, count)
 	for i := uint64(0); i < count; i++ {
 		key, err := readKey(r, i)
@@ -283,26 +274,6 @@ func readFlat(r io.Reader, remain int64, legacy bool) (*Flat, error) {
 	ix.codes = make([]uint16, count*uint64(dim))
 	if err := readCodes(r, ix.codes); err != nil {
 		return nil, fmt.Errorf("%w: code block: %w", ErrBadFormat, err)
-	}
-	return ix, nil
-}
-
-// readFlatV1 consumes the legacy jagged stream, packing the per-record
-// vectors into the contiguous block.
-func readFlatV1(r io.Reader, ix *Flat, count uint64) (*Flat, error) {
-	dim := uint64(ix.dim)
-	ix.keys = make([]string, 0, count)
-	ix.codes = make([]uint16, 0, count*dim)
-	for i := uint64(0); i < count; i++ {
-		key, err := readKey(r, i)
-		if err != nil {
-			return nil, err
-		}
-		ix.codes = ix.codes[:uint64(len(ix.codes))+dim]
-		if err := readCodes(r, ix.codes[uint64(len(ix.codes))-dim:]); err != nil {
-			return nil, fmt.Errorf("%w: vector at %d: %w", ErrBadFormat, i, err)
-		}
-		ix.keys = append(ix.keys, key)
 	}
 	return ix, nil
 }
@@ -356,7 +327,7 @@ func writePQ(w io.Writer, ix *PQ) error {
 }
 
 // LoadPQ reads a PQ index previously written by PQ.Save (VSF3). Flat files
-// (VSF1/VSF2) are rejected; use Load or LoadFlat for those.
+// (VSF2) are rejected; use Load or LoadFlat for those.
 func LoadPQ(path string) (*PQ, error) {
 	f, remain, err := openSized(path)
 	if err != nil {

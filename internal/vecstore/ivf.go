@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/f16"
 )
@@ -192,18 +193,20 @@ func (ix *IVF) Search(query []float32, k int) []Result {
 	return res
 }
 
-// SearchBatch implements BatchSearcher: queries are grouped by probed cell
-// so each cell's block is streamed once for every query probing it, and
-// cells are scanned in parallel.
+// SearchBatch implements Index: queries are grouped by probed cell so each
+// cell's block is streamed once for every query probing it, and cells are
+// scanned in parallel.
 func (ix *IVF) SearchBatch(queries [][]float32, k int) [][]Result {
+	return ix.searchBatch(queries, k, nil)
+}
+
+// searchBatch books the whole batch under Scan.
+func (ix *IVF) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
+	defer tm.bookScan(time.Now())
 	if !ix.trained {
 		panic("vecstore: Search on untrained IVF")
 	}
-	for _, q := range queries {
-		if len(q) != ix.dim {
-			panic("vecstore: Search dim mismatch")
-		}
-	}
+	checkBatchDims(queries, ix.dim)
 	out := make([][]Result, len(queries))
 	if k <= 0 || len(queries) == 0 {
 		return out
@@ -296,7 +299,7 @@ func (ix *IVF) searchReference(query []float32, k int) []Result {
 
 // parallelFor runs fn(i) for i in [0,n) across workers goroutines with an
 // atomic work counter; workers <= 0 selects GOMAXPROCS. It is the shared
-// query/cell fan-out used by SearchBatch and the BatchSearch fallback.
+// query/cell fan-out of the SearchBatch kernels and of training.
 func parallelFor(n, workers int, fn func(i int)) {
 	if n == 0 {
 		return
@@ -344,23 +347,5 @@ func (ix *IVF) Recall(queries [][]float32, k int) float64 {
 		f16.DecodeInto(buf, ix.rowCodes(id))
 		flat.Add(buf, ix.keys[id])
 	}
-	var hits, total int
-	for _, q := range queries {
-		exact := flat.Search(q, k)
-		approx := ix.Search(q, k)
-		got := make(map[int]bool, len(approx))
-		for _, r := range approx {
-			got[r.ID] = true
-		}
-		for _, r := range exact {
-			total++
-			if got[r.ID] {
-				hits++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
+	return recallAgainst(flat, ix, queries, k)
 }

@@ -3,6 +3,7 @@ package vecstore
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/f16"
 )
@@ -364,19 +365,21 @@ func (ix *IVFPQ) Search(query []float32, k int) []Result {
 	return res
 }
 
-// SearchBatch implements BatchSearcher: base LUTs are built once per query
-// (the batch amortisation), queries are grouped by probed cell, and cells
-// are scanned in parallel. Residual cells shift each interested query's
-// base LUT by the cell bias before scanning, exactly as Search does.
+// SearchBatch implements Index: base LUTs are built once per query (the
+// batch amortisation), queries are grouped by probed cell, and cells are
+// scanned in parallel. Residual cells shift each interested query's base
+// LUT by the cell bias before scanning, exactly as Search does.
 func (ix *IVFPQ) SearchBatch(queries [][]float32, k int) [][]Result {
+	return ix.searchBatch(queries, k, nil)
+}
+
+// searchBatch books the whole batch under Scan.
+func (ix *IVFPQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
+	defer tm.bookScan(time.Now())
 	if !ix.trained {
 		panic("vecstore: Search on untrained IVFPQ")
 	}
-	for _, q := range queries {
-		if len(q) != ix.dim {
-			panic("vecstore: Search dim mismatch")
-		}
-	}
+	checkBatchDims(queries, ix.dim)
 	out := make([][]Result, len(queries))
 	if k <= 0 || len(queries) == 0 {
 		return out

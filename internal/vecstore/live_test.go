@@ -225,10 +225,11 @@ func TestLiveCompactBaseRejects(t *testing.T) {
 	if _, err := live.CompactBase(-1); err == nil {
 		t.Fatal("CompactBase(-1) succeeded")
 	}
-	sq := NewSQ8(4)
-	sq.Add([]float32{1, 0, 0, 0}, "a")
-	liveSQ := NewLive(sq, nil)
-	if _, err := liveSQ.CompactBase(0); err == nil {
+	pq := NewPQ(PQConfig{Dim: 4})
+	pq.Add([]float32{1, 0, 0, 0}, "a")
+	pq.Train()
+	livePQ := NewLive(pq, nil)
+	if _, err := livePQ.CompactBase(0); err == nil {
 		t.Fatal("CompactBase on a non-cloneable base succeeded")
 	}
 }

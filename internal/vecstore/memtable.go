@@ -3,6 +3,7 @@ package vecstore
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/f16"
 )
@@ -100,19 +101,16 @@ func (mt *Memtable) Search(query []float32, k int) []Result {
 	return searchBlock(halfBlock{codes: codes, dim: mt.dim}, query, k, keys, nil)
 }
 
-// SearchBatch implements BatchSearcher; the whole batch is answered from
-// one row snapshot.
+// SearchBatch implements Index; the whole batch is answered from one row
+// snapshot through the FP16 multi-query kernel.
 func (mt *Memtable) SearchBatch(queries [][]float32, k int) [][]Result {
-	for _, q := range queries {
-		if len(q) != mt.dim {
-			panic("vecstore: Search dim mismatch")
-		}
-	}
+	return mt.searchBatch(queries, k, nil)
+}
+
+func (mt *Memtable) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
+	checkBatchDims(queries, mt.dim)
 	codes, keys := mt.snapshot(0, mt.Len())
-	if k <= 0 || len(keys) == 0 {
-		return make([][]Result, len(queries))
-	}
-	return searchBlockBatch(halfBlock{codes: codes, dim: mt.dim}, queries, k, keys)
+	return searchBlockBatch(halfBlock{codes: codes, dim: mt.dim}, queries, k, keys, tm)
 }
 
 // MemoryBytes reports FP16 row storage, for StatsOf.
@@ -260,23 +258,42 @@ func (lv *Live) Search(query []float32, k int) []Result {
 	return mergeLive(base, mem, lv.nb, k)
 }
 
-// SearchBatch implements BatchSearcher: the base answers through its own
+// SearchBatch implements Index: the base answers through its own
 // multi-query kernel, the memtable through its snapshot batch scan, and
-// each query's two sets merge as in Search (see SearchBatchTimed in
-// timing.go, which this delegates to).
+// each query's two sets merge as in Search.
 func (lv *Live) SearchBatch(queries [][]float32, k int) [][]Result {
-	res, _ := lv.SearchBatchTimed(queries, k)
-	return res
+	return lv.searchBatch(queries, k, nil)
+}
+
+// searchBatch books the base kernel plus the memtable snapshot scan under
+// Scan, and the per-query fold of the two result sets under Merge.
+func (lv *Live) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
+	checkBatchDims(queries, lv.dim)
+	out := make([][]Result, len(queries))
+	if k <= 0 || len(queries) == 0 {
+		return out
+	}
+	scanStart := time.Now()
+	var base [][]Result
+	if lv.nb > 0 {
+		base = lv.base.SearchBatch(queries, k)
+	}
+	mem := lv.mem.SearchBatch(queries, k)
+	mergeStart := time.Now()
+	for qi := range queries {
+		var b []Result
+		if base != nil {
+			b = base[qi]
+		}
+		out[qi] = mergeLive(b, mem[qi], lv.nb, k)
+	}
+	tm.book(scanStart, mergeStart)
+	return out
 }
 
 // MemoryBytes reports base plus memtable storage, for StatsOf.
 func (lv *Live) MemoryBytes() int64 {
-	var b int64
-	type sized interface{ MemoryBytes() int64 }
-	if m, ok := lv.base.(sized); ok {
-		b = m.MemoryBytes()
-	}
-	return b + lv.mem.MemoryBytes()
+	return StatsOf(lv.base).Bytes + lv.mem.MemoryBytes()
 }
 
 // CompactBase is the slow half of a compaction: it clones the base and

@@ -11,7 +11,7 @@ import (
 // reproduce the retained reference scalar scan bit-for-bit — identical ids,
 // bit-identical float32 scores, identical order — across dimensions
 // (including tile remainders and dim=1), k regimes (k=1, k=10, k>n), and
-// index kinds (Flat, IVF, SQ8). This is the acceptance gate for the
+// index kinds (Flat, IVF, the memtable). This is the acceptance gate for the
 // contiguous-layout rewrite: any kernel change that reorders accumulation
 // or breaks the total order of the top-k heap fails here.
 
@@ -267,34 +267,6 @@ func TestMemtableOddRowsParity(t *testing.T) {
 	}
 }
 
-func TestSQ8KernelParity(t *testing.T) {
-	for _, dim := range parityDims {
-		n := 1500
-		if dim < 64 {
-			n = segmentMinRows + 21
-		}
-		vecs, keys := parityVectors(t, dim, n)
-		ix := NewSQ8(dim)
-		for i, v := range vecs {
-			ix.Add(v, keys[i])
-		}
-		ix.Train()
-		r := rng.New(131)
-		for _, k := range parityKs {
-			for trial := 0; trial < 5; trial++ {
-				q := randomUnit(r, 1, dim)[0]
-				checkSameResults(t, "sq8 dim="+itoaTest(dim)+" k="+itoaTest(k),
-					ix.Search(q, k), ix.searchReference(q, k))
-			}
-		}
-		queries := randomUnit(r, 9, dim)
-		batch := ix.SearchBatch(queries, 10)
-		for qi, q := range queries {
-			checkSameResults(t, "sq8 batch dim="+itoaTest(dim), batch[qi], ix.searchReference(q, 10))
-		}
-	}
-}
-
 // TestIVFNProbeRecallRegression pins the recall/latency trade-off: with the
 // training fixed by seed, recall@10 at nprobe=4/32 must stay above the
 // floor measured at the time the contiguous kernel landed, and full probing
@@ -319,63 +291,6 @@ func TestIVFNProbeRecallRegression(t *testing.T) {
 	if got := ix.Recall(queries, 10); got < 0.999 {
 		t.Fatalf("recall@10 nprobe=nlist: %.3f, want ~1", got)
 	}
-}
-
-// TestLoadLegacyV1Format proves old jagged-format files still load into the
-// contiguous layout byte-for-byte.
-func TestLoadLegacyV1Format(t *testing.T) {
-	r := rng.New(151)
-	const dim, n = 20, 30
-	vecs := randomUnit(r, n, dim)
-	ix := NewFlat(dim)
-	for i, v := range vecs {
-		ix.Add(v, "legacy-"+itoaTest(i))
-	}
-	// Hand-write the VSF1 stream the old writer produced.
-	var buf []byte
-	buf = append(buf, magicV1[:]...)
-	buf = appendU32(buf, uint32(dim))
-	buf = appendU64(buf, uint64(n))
-	for i := 0; i < n; i++ {
-		key := ix.Key(i)
-		buf = appendU32(buf, uint32(len(key)))
-		buf = append(buf, key...)
-		for _, c := range ix.row(i) {
-			buf = append(buf, byte(c), byte(c>>8))
-		}
-	}
-	path := t.TempDir() + "/legacy.vsf"
-	if err := writeFile(path, buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFlat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != n || loaded.Dim() != dim {
-		t.Fatalf("legacy load shape %d/%d", loaded.Len(), loaded.Dim())
-	}
-	for i := 0; i < n; i++ {
-		if loaded.Key(i) != ix.Key(i) {
-			t.Fatalf("legacy key %d mismatch", i)
-		}
-	}
-	for i, c := range ix.codes {
-		if loaded.codes[i] != c {
-			t.Fatalf("legacy code %d mismatch", i)
-		}
-	}
-	q := randomUnit(r, 1, dim)[0]
-	checkSameResults(t, "legacy search", loaded.Search(q, 5), ix.Search(q, 5))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 // TestVectorInto checks the allocation-free decode path against Vector.

@@ -2,6 +2,7 @@ package vecstore
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/f16"
 	"repro/internal/rng"
@@ -243,8 +244,9 @@ func (cb *pqCodebook) decodeInto(dst []float32, code []byte) {
 // lutInto fills lut (length m×ksub) with the asymmetric-distance table for
 // query q: lut[s*ksub+c] = q[subspace s] · centroid(s,c), accumulated
 // sequentially over the subspace's dimensions. Every PQ scoring path
-// (lutScore, pqBlock.Dot, the reference scan) reproduces exactly this
-// per-subspace accumulation, so all of them agree bit-for-bit.
+// (lutScore, the reference scans, the reconstruction reference in
+// pq_test.go) reproduces exactly this per-subspace accumulation, so all of
+// them agree bit-for-bit.
 func (cb *pqCodebook) lutInto(lut, q []float32) {
 	for s := 0; s < cb.m; s++ {
 		qs := q[cb.bounds[s]:cb.bounds[s+1]]
@@ -280,20 +282,10 @@ func (cb *pqCodebook) shiftLUT(dst, base, q, cent []float32) {
 	}
 }
 
-// subDot scores one decoded subspace of a row against the query with the
-// same sequential accumulation lutInto uses (multiplication is commutative,
-// so q[d]*row[d] here equals q[d]*cent[d] there bit-for-bit).
-func (cb *pqCodebook) subDot(row, q []float32, s int) float32 {
-	var sum float32
-	for d := cb.bounds[s]; d < cb.bounds[s+1]; d++ {
-		sum += q[d] * row[d]
-	}
-	return sum
-}
-
 // lutScore sums a row's LUT entries with the canonical 4-lane tree: lane j
 // accumulates subspaces j, j+4, …, the remainder folds into lane 0, and
-// the lanes are added left to right. pqBlock.Dot mirrors this exactly.
+// the lanes are added left to right. The reconstruction reference in
+// pq_test.go mirrors this exactly.
 func lutScore(code []byte, lut []float32, ksub int) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0
@@ -309,59 +301,10 @@ func lutScore(code []byte, lut []float32, ksub int) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// pqBlock is a contiguous block of M-byte PQ codes (row i at
-// codes[i*m:(i+1)*m]) sharing one codebook. It implements codeBlock so PQ
-// rows can flow through the generic scan kernels (reconstruction scans,
-// parity checks); the production search path bypasses the decode entirely
-// via the LUT kernels below.
-type pqBlock struct {
-	codes []byte
-	cb    *pqCodebook
-}
-
-func (b pqBlock) Rows() int   { return len(b.codes) / b.cb.m }
-func (b pqBlock) RowDim() int { return b.cb.dim }
-
-func (b pqBlock) ScoreTile(scores []float32, r0, r1 int, qs []float32) {
-	scoreDecoded(scores, r0, r1, b.cb.dim, qs, b.DecodeTile, b.Dot)
-}
-
-// DecodeTile reconstructs rows [r0,r1) into dst[0:(r1-r0)*dim].
-func (b pqBlock) DecodeTile(dst []float32, r0, r1 int) {
-	m, dim := b.cb.m, b.cb.dim
-	for r := r0; r < r1; r++ {
-		b.cb.decodeInto(dst[(r-r0)*dim:(r-r0+1)*dim], b.codes[r*m:(r+1)*m])
-	}
-}
-
-// Dot reproduces lutScore's accumulation on a decoded row: per-subspace
-// sequential partial dots combined by the 4-lane tree, so generic-kernel
-// scans over pqBlock are bit-identical to the LUT scan.
-func (b pqBlock) Dot(row, q []float32) float32 {
-	cb := b.cb
-	var s0, s1, s2, s3 float32
-	s := 0
-	for ; s+4 <= cb.m; s += 4 {
-		s0 += cb.subDot(row, q, s)
-		s1 += cb.subDot(row, q, s+1)
-		s2 += cb.subDot(row, q, s+2)
-		s3 += cb.subDot(row, q, s+3)
-	}
-	for ; s < cb.m; s++ {
-		s0 += cb.subDot(row, q, s)
-	}
-	return s0 + s1 + s2 + s3
-}
-
-func (b pqBlock) Slice(r0, r1 int) pqBlock {
-	return pqBlock{codes: b.codes[r0*b.cb.m : r1*b.cb.m], cb: b.cb}
-}
-
 // PQ is a product-quantized exact-scan index (FAISS IndexPQ): every row is
 // scanned, but rows are M-byte codes scored through the per-query LUT.
-// Vectors are staged as FP16 until Train (the same discipline as SQ8);
-// Train fits the codebooks and encodes all staged rows. Add after Train
-// panics.
+// Vectors are staged as FP16 until Train, which fits the codebooks and
+// encodes all staged rows. Add after Train panics.
 type PQ struct {
 	dim     int
 	cfg     PQConfig
@@ -432,9 +375,6 @@ func (ix *PQ) M() int { return ix.cfg.M }
 // Key returns the metadata key for id.
 func (ix *PQ) Key(id int) string { return ix.keys[id] }
 
-// block wraps the contiguous codes for the generic scan kernels.
-func (ix *PQ) block() pqBlock { return pqBlock{codes: ix.codes, cb: ix.cb} }
-
 // Reconstruct returns the quantized approximation stored for id (the
 // concatenation of its selected centroids) — PQ cannot recover the
 // original vector.
@@ -467,18 +407,21 @@ func (ix *PQ) Search(query []float32, k int) []Result {
 	return res
 }
 
-// SearchBatch implements BatchSearcher: all LUTs are built up front (in
-// parallel), amortising table construction across the batch, and every
-// code segment a worker streams is scored against the whole batch.
+// SearchBatch implements Index: all LUTs are built up front (in parallel),
+// amortising table construction across the batch, and every code segment
+// a worker streams is scored against the whole batch.
 func (ix *PQ) SearchBatch(queries [][]float32, k int) [][]Result {
+	return ix.searchBatch(queries, k, nil)
+}
+
+// searchBatch books the whole batch, LUT construction included, under
+// Scan.
+func (ix *PQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
+	defer tm.bookScan(time.Now())
 	if !ix.trained {
 		panic("vecstore: PQ Search before Train")
 	}
-	for _, q := range queries {
-		if len(q) != ix.dim {
-			panic("vecstore: Search dim mismatch")
-		}
-	}
+	checkBatchDims(queries, ix.dim)
 	if k <= 0 || len(ix.keys) == 0 {
 		return make([][]Result, len(queries))
 	}

@@ -12,9 +12,43 @@ import (
 // PQ parity suite, in the style of parity_test.go: the LUT-based
 // asymmetric-distance scan (pooled, segment-parallel) must reproduce the
 // retained reference scalar scan bit-for-bit on the quantized
-// representation, and the generic tile-decode kernel running over pqBlock
-// (DecodeTile + Dot) must produce the very same scores — the three scoring
-// paths share one accumulation order by construction.
+// representation, and scoring each reconstructed row directly
+// (reconstructionSearch) must produce the very same scores — the three
+// scoring paths share one accumulation order by construction.
+
+// reconstructionSearch scores every row by decoding it to the centroid
+// concatenation its codes select and taking the inner product with q
+// subspace by subspace, each partial dot accumulated sequentially (the
+// lutInto order) and the partials combined by lutScore's 4-lane tree. It
+// is the check that LUT scoring equals scoring the reconstructed vector.
+func reconstructionSearch(ix *PQ, q []float32, k int) []Result {
+	cb := ix.cb
+	subDot := func(row []float32, s int) float32 {
+		var sum float32
+		for d := cb.bounds[s]; d < cb.bounds[s+1]; d++ {
+			sum += q[d] * row[d]
+		}
+		return sum
+	}
+	row := make([]float32, cb.dim)
+	h := newTopK(min(k, ix.Len()))
+	for id := 0; id < ix.Len(); id++ {
+		cb.decodeInto(row, ix.codes[id*cb.m:(id+1)*cb.m])
+		var s0, s1, s2, s3 float32
+		s := 0
+		for ; s+4 <= cb.m; s += 4 {
+			s0 += subDot(row, s)
+			s1 += subDot(row, s+1)
+			s2 += subDot(row, s+2)
+			s3 += subDot(row, s+3)
+		}
+		for ; s < cb.m; s++ {
+			s0 += subDot(row, s)
+		}
+		h.push(id, s0+s1+s2+s3)
+	}
+	return h.results(ix.keys)
+}
 
 // pqParityM picks an M that exercises ragged subspace bounds where the
 // dimension allows it (dim=7, M=3 → subspace widths 3/2/2).
@@ -56,16 +90,10 @@ func TestPQKernelParity(t *testing.T) {
 				want := ix.searchReference(q, k)
 				checkSameResults(t, "pq dim="+itoaTest(dim)+" k="+itoaTest(k),
 					ix.Search(q, k), want)
-				// The generic tile-decode kernel over pqBlock must agree
-				// too: DecodeTile+Dot pin the same accumulation order as
-				// the LUT path.
-				kk := k
-				if kk > ix.Len() {
-					kk = ix.Len()
-				}
-				got := searchBlock(ix.block(), q, kk, ix.keys, nil)
-				checkSameResults(t, "pq generic kernel dim="+itoaTest(dim)+" k="+itoaTest(k),
-					got, want)
+				// Scoring the reconstructed rows must agree too: it pins
+				// the same accumulation order as the LUT path.
+				checkSameResults(t, "pq reconstruction dim="+itoaTest(dim)+" k="+itoaTest(k),
+					reconstructionSearch(ix, q, k), want)
 			}
 		}
 	}
@@ -197,27 +225,26 @@ func TestIVFPQRecallRegression(t *testing.T) {
 }
 
 // TestPQBytesPerVector pins the acceptance memory claim at the benchmark
-// dimension: PQ at M=48 stores ≤ 1/4 the bytes-per-vector of SQ8
+// dimension: PQ at M=48 stores ≤ 1/8 the bytes-per-vector of Flat's FP16
 // (codebook amortised over the benchmark row count).
 func TestPQBytesPerVector(t *testing.T) {
 	const dim, n = 384, 2000
 	vecs, keys := parityVectors(t, dim, n)
 	pq := NewPQ(PQConfig{Dim: dim, M: 48, Seed: 1})
-	sq := NewSQ8(dim)
+	flat := NewFlat(dim)
 	for i, v := range vecs {
 		pq.Add(v, keys[i])
-		sq.Add(v, keys[i])
+		flat.Add(v, keys[i])
 	}
 	pq.Train()
-	sq.Train()
-	pqStats, sqStats := StatsOf(pq), StatsOf(sq)
+	pqStats, flatStats := StatsOf(pq), StatsOf(flat)
 	// Amortise at the benchmark scale (100k rows), not the test's 2k.
 	pqPer := float64(48) + float64(pqStats.Bytes-int64(n*48))/float64(benchN)
-	if sqPer := sqStats.BytesPerVector(); pqPer > sqPer/4 {
-		t.Fatalf("PQ %.1f bytes/vector at n=%d, want ≤ %.1f (SQ8/4)", pqPer, benchN, sqPer/4)
+	if flatPer := flatStats.BytesPerVector(); pqPer > flatPer/8 {
+		t.Fatalf("PQ %.1f bytes/vector at n=%d, want ≤ %.1f (Flat/8)", pqPer, benchN, flatPer/8)
 	}
-	if !strings.HasPrefix(pqStats.Kind, "PQ(") || !strings.HasPrefix(sqStats.Kind, "SQ8") {
-		t.Fatalf("StatsOf kinds: %q %q", pqStats.Kind, sqStats.Kind)
+	if !strings.HasPrefix(pqStats.Kind, "PQ(") || flatStats.Kind != "Flat(FP16)" {
+		t.Fatalf("StatsOf kinds: %q %q", pqStats.Kind, flatStats.Kind)
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 	"repro/internal/f16"
 )
 
-// This file implements the blocked scan kernel shared by the contiguous
-// indexes (Flat, IVF cells, the memtable, SQ8, and HNSW's gathers). The
-// layout discipline is FAISS's: codes live in one flat array with row i at
-// codes[i*dim:(i+1)*dim], so a scan is a pure forward stream with no
-// pointer chasing. The scan loop walks a block in tiles of scanTileRows rows;
-// the block type scores each tile against the whole query batch into a
-// pooled score buffer (codeBlock.ScoreTile), and the loop pushes the
+// This file implements the blocked scan kernel shared by the FP16 code
+// blocks (Flat, IVF cells, the memtable, and HNSW's gathers) and the PQ
+// LUT scans. The layout discipline is FAISS's: codes live in one flat
+// array with row i at codes[i*dim:(i+1)*dim], so a scan is a pure forward
+// stream with no pointer chasing. The scan loop walks a halfBlock in
+// tiles of scanTileRows rows, scores each tile against the whole query
+// batch into a pooled score buffer (halfBlock.scoreTile), and pushes the
 // scores into per-query top-k heaps. Large blocks are split into
 // GOMAXPROCS segments searched concurrently with per-segment heaps merged
 // at the end, so a single query saturates the machine. A single-query
@@ -24,47 +24,24 @@ import (
 // odd last row by f16.Dot): a 384-dim dot is bound by the latency of its
 // four add chains, not by decode or bandwidth, and two interleaved rows
 // give the core eight independent chains. Each pair is scored against
-// every query of the batch while it sits in L1. SQ8 and PQ rows still
-// decode a tile to FP32 first and score it with their own pinned dot.
+// every query of the batch while it sits in L1.
 //
 // Exactness: f16.Dot2 returns f16.Dot's result for each row bit for bit,
-// every block keeps the accumulation order of its reference scan, and the
-// top-k heap orders by the total order (score desc, id asc), so push order
-// and segment merging cannot change results: the kernel reproduces the
-// reference scalar scan bit-for-bit. The parity tests in parity_test.go
-// enforce this.
+// and the top-k heap orders by the total order (score desc, id asc), so
+// push order and segment merging cannot change results: the kernel
+// reproduces the reference scalar scan bit-for-bit. The parity tests in
+// parity_test.go enforce this.
 
 const (
 	// scanTileRows is the number of rows scored per kernel step, the
-	// granularity of the score buffer (and, for SQ8/PQ, of the FP32 decode
-	// tile). It is even, so FP16 row pairs never straddle a tile or a
-	// segment, and the only unpaired row is a block's last.
+	// granularity of the score buffer. It is even, so FP16 row pairs never
+	// straddle a tile or a segment, and the only unpaired row is a block's
+	// last.
 	scanTileRows = 64
 	// segmentMinRows is the minimum per-segment work that justifies
 	// spawning a parallel scan goroutine for a single query.
 	segmentMinRows = 4096
 )
-
-// codeBlock is a contiguous block of encoded rows that scores row ranges
-// against a query batch. The Slice method returns the same concrete type so
-// the generic kernels stay monomorphised per block type.
-//
-// A batch travels as one packed row-major matrix qs: query qi is
-// qs[qi*dim:(qi+1)*dim], so a single query is its own batch and the
-// one-query scan allocates nothing.
-type codeBlock[B any] interface {
-	Rows() int
-	RowDim() int
-	// ScoreTile writes the inner product of row r0+i with query qi of qs
-	// to scores[qi*(r1-r0)+i] for every row of [r0,r1) and every query.
-	// Each block type pins the accumulation order of its reference scan,
-	// so kernel scores stay bit-identical to it (FP16 rows: the 4-way tree
-	// of f16.Dot; SQ8 rows: the single-accumulator loop; PQ rows:
-	// lutScore's tree over subspace partial dots).
-	ScoreTile(scores []float32, r0, r1 int, qs []float32)
-	// Slice returns the sub-block of rows [r0,r1).
-	Slice(r0, r1 int) B
-}
 
 // halfBlock is a contiguous FP16 code block (Flat storage, IVF cells, the
 // memtable, HNSW vectors).
@@ -73,15 +50,21 @@ type halfBlock struct {
 	dim   int
 }
 
-func (b halfBlock) Rows() int   { return len(b.codes) / b.dim }
-func (b halfBlock) RowDim() int { return b.dim }
+func (b halfBlock) rows() int { return len(b.codes) / b.dim }
 
 func (b halfBlock) row(r int) []uint16 { return b.codes[r*b.dim : (r+1)*b.dim] }
 
-// ScoreTile scores the rows in pairs through f16.Dot2, each pair against
-// every query before the next pair is loaded; an odd last row goes
-// through f16.Dot.
-func (b halfBlock) ScoreTile(scores []float32, r0, r1 int, qs []float32) {
+// slice returns the sub-block of rows [r0,r1).
+func (b halfBlock) slice(r0, r1 int) halfBlock {
+	return halfBlock{codes: b.codes[r0*b.dim : r1*b.dim], dim: b.dim}
+}
+
+// scoreTile writes the inner product of row r0+i with query qi of the
+// packed batch qs (query qi is qs[qi*dim:(qi+1)*dim]) to
+// scores[qi*(r1-r0)+i]. Rows are scored in pairs through f16.Dot2, each
+// pair against every query before the next pair is loaded; an odd last row
+// goes through f16.Dot.
+func (b halfBlock) scoreTile(scores []float32, r0, r1 int, qs []float32) {
 	n, dim := r1-r0, b.dim
 	i := 0
 	for ; i+2 <= n; i += 2 {
@@ -98,73 +81,8 @@ func (b halfBlock) ScoreTile(scores []float32, r0, r1 int, qs []float32) {
 	}
 }
 
-func (b halfBlock) Slice(r0, r1 int) halfBlock {
-	return halfBlock{codes: b.codes[r0*b.dim : r1*b.dim], dim: b.dim}
-}
-
-// scoreDecoded is ScoreTile for blocks that decode a tile of rows to FP32
-// in pooled scratch and score each decoded row with their own dot (SQ8,
-// PQ).
-func scoreDecoded(scores []float32, r0, r1, dim int, qs []float32,
-	decode func(dst []float32, r0, r1 int), dot func(row, q []float32) float32) {
-	n := r1 - r0
-	tp := getTile(n * dim)
-	tile := *tp
-	decode(tile, r0, r1)
-	for qi := 0; qi*dim < len(qs); qi++ {
-		q, out := qs[qi*dim:(qi+1)*dim], scores[qi*n:(qi+1)*n]
-		for i := range out {
-			out[i] = dot(tile[i*dim:(i+1)*dim], q)
-		}
-	}
-	putTile(tp)
-}
-
-// sq8Block is a contiguous int8 code block with per-dimension affine
-// reconstruction (SQ8 storage).
-type sq8Block struct {
-	codes     []int8
-	lo, scale []float32
-	dim       int
-}
-
-func (b sq8Block) Rows() int   { return len(b.codes) / b.dim }
-func (b sq8Block) RowDim() int { return b.dim }
-
-func (b sq8Block) ScoreTile(scores []float32, r0, r1 int, qs []float32) {
-	scoreDecoded(scores, r0, r1, b.dim, qs, b.DecodeTile, b.Dot)
-}
-
-// DecodeTile reconstructs rows [r0,r1) into dst[0:(r1-r0)*dim].
-func (b sq8Block) DecodeTile(dst []float32, r0, r1 int) {
-	k := 0
-	for r := r0; r < r1; r++ {
-		row := b.codes[r*b.dim : (r+1)*b.dim]
-		for d, c := range row {
-			dst[k] = b.lo[d] + (float32(int(c)+128)+0.5)*b.scale[d]
-			k++
-		}
-	}
-}
-
-// Dot uses a single accumulator: the seed's SQ8 scan summed
-// reconstructed-value products sequentially, and preserving that exact
-// rounding order keeps quantized scores bit-identical across the rewrite.
-func (b sq8Block) Dot(row, q []float32) float32 {
-	var s float32
-	for d, r := range row {
-		s += r * q[d]
-	}
-	return s
-}
-
-func (b sq8Block) Slice(r0, r1 int) sq8Block {
-	return sq8Block{codes: b.codes[r0*b.dim : r1*b.dim], lo: b.lo, scale: b.scale, dim: b.dim}
-}
-
-// tilePool recycles FP32 scratch (score buffers, packed query batches,
-// SQ8/PQ decode tiles, PQ LUTs) across searches: zero steady-state
-// allocation in the scan itself.
+// tilePool recycles FP32 scratch (score buffers, packed query batches, PQ
+// LUTs) across searches: zero steady-state allocation in the scan itself.
 var tilePool = sync.Pool{New: func() any { return new([]float32) }}
 
 func getTile(n int) *[]float32 {
@@ -216,8 +134,8 @@ func gatherScores(b halfBlock, rows []int32, q []float32, scores []float32) {
 // each score into hs[qi], the heap of query qi. Row r is reported as id
 // ids[r] when ids is non-nil (IVF cell postings), base+r otherwise. A
 // single-query scan is a one-query batch: qs is the query itself.
-func scanBatchTopK[B codeBlock[B]](b B, qs []float32, hs []*topK, ids []int, base int) {
-	rows := b.Rows()
+func scanBatchTopK(b halfBlock, qs []float32, hs []*topK, ids []int, base int) {
+	rows := b.rows()
 	if rows == 0 || len(hs) == 0 {
 		return
 	}
@@ -226,7 +144,7 @@ func scanBatchTopK[B codeBlock[B]](b B, qs []float32, hs []*topK, ids []int, bas
 	for r0 := 0; r0 < rows; r0 += scanTileRows {
 		r1 := min(r0+scanTileRows, rows)
 		n := r1 - r0
-		b.ScoreTile(scores, r0, r1, qs)
+		b.scoreTile(scores, r0, r1, qs)
 		for qi, h := range hs {
 			for i, s := range scores[qi*n : (qi+1)*n] {
 				if ids != nil {
@@ -269,8 +187,8 @@ func scanSegments(rows, queries int) int {
 // searchBlock runs the top-k scan over one block, splitting it into
 // parallel segments when the block is large enough, and appends the
 // descending-ordered results to dst.
-func searchBlock[B codeBlock[B]](b B, q []float32, k int, keys []string, dst []Result) []Result {
-	rows := b.Rows()
+func searchBlock(b halfBlock, q []float32, k int, keys []string, dst []Result) []Result {
+	rows := b.rows()
 	workers := scanSegments(rows, 1)
 	if workers <= 1 {
 		h := getTopK(k)
@@ -289,38 +207,30 @@ func searchBlock[B codeBlock[B]](b B, q []float32, k int, keys []string, dst []R
 		}
 		heaps = append(heaps, getTopK(k))
 		wg.Add(1)
-		go func(sub B, base int, hs []*topK) {
+		go func(sub halfBlock, base int, hs []*topK) {
 			defer wg.Done()
 			scanBatchTopK(sub, q, hs, nil, base)
-		}(b.Slice(r0, r1), r0, heaps[len(heaps)-1:])
+		}(b.slice(r0, r1), r0, heaps[len(heaps)-1:])
 	}
 	wg.Wait()
 	return mergeHeaps(heaps, keys, dst)
 }
 
-// searchBlockBatch is the segment-parallel multi-query driver behind
-// SearchBatch: every worker owns a row segment and one heap per query, and
-// each tile of its segment is scored against the whole batch.
-func searchBlockBatch[B codeBlock[B]](b B, queries [][]float32, k int, keys []string) [][]Result {
-	res, _ := searchBlockBatchTimed(b, queries, k, keys)
-	return res
-}
-
-// searchBlockBatchTimed is searchBlockBatch reporting where the kernel's
-// time went: Scan covers query packing and the segment-parallel scans
-// (through wg.Wait), Merge the per-query heap folds into final descending
-// order.
-// Results are bit-identical to searchBlockBatch — the split only brackets
-// the two existing phases with clock reads.
-func searchBlockBatchTimed[B codeBlock[B]](b B, queries [][]float32, k int, keys []string) ([][]Result, ScanTiming) {
+// searchBlockBatch is the segment-parallel multi-query driver behind the
+// FP16 SearchBatch: every worker owns a row segment and one heap per
+// query, and each tile of its segment is scored against the whole batch.
+// A non-nil tm receives where the time went: Scan covers query packing
+// and the segment-parallel scans (through wg.Wait), Merge the per-query
+// heap folds into final descending order. Timing only brackets the two
+// phases with clock reads; results do not depend on it.
+func searchBlockBatch(b halfBlock, queries [][]float32, k int, keys []string, tm *ScanTiming) [][]Result {
 	out := make([][]Result, len(queries))
-	var tm ScanTiming
-	rows := b.Rows()
-	if rows == 0 || k <= 0 {
-		return out, tm
+	rows := b.rows()
+	if rows == 0 || k <= 0 || len(queries) == 0 {
+		return out
 	}
 	scanStart := time.Now()
-	qp := packQueries(queries, b.RowDim())
+	qp := packQueries(queries, b.dim)
 	workers := scanSegments(rows, len(queries))
 	seg := segmentSize(rows, workers)
 	nseg := (rows + seg - 1) / seg
@@ -337,14 +247,13 @@ func searchBlockBatchTimed[B codeBlock[B]](b B, queries [][]float32, k int, keys
 		}
 		heaps = append(heaps, hs)
 		wg.Add(1)
-		go func(sub B, base int, hs []*topK) {
+		go func(sub halfBlock, base int, hs []*topK) {
 			defer wg.Done()
 			scanBatchTopK(sub, *qp, hs, nil, base)
-		}(b.Slice(r0, r1), r0, hs)
+		}(b.slice(r0, r1), r0, hs)
 	}
 	wg.Wait()
 	putTile(qp)
-	tm.Scan = time.Since(scanStart)
 	mergeStart := time.Now()
 	for qi := range queries {
 		perSeg := make([]*topK, len(heaps))
@@ -353,8 +262,8 @@ func searchBlockBatchTimed[B codeBlock[B]](b B, queries [][]float32, k int, keys
 		}
 		out[qi] = mergeHeaps(perSeg, keys, nil)
 	}
-	tm.Merge = time.Since(mergeStart)
-	return out, tm
+	tm.book(scanStart, mergeStart)
+	return out
 }
 
 // scanPQTopK streams a block of M-byte PQ codes against a precomputed

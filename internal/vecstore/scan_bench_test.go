@@ -170,8 +170,8 @@ func BenchmarkFlatSearchBatch2(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n/2, "ns/vector")
 }
 
-// BenchmarkFlatBatchFanout is the query-level fan-out BatchSearch used
-// before the multi-query kernel existed; compare with
+// BenchmarkFlatBatchFanout is the query-level fan-out batches used before
+// the multi-query kernel existed; compare with
 // BenchmarkFlatSearchBatch for what scoring each row pair against the whole
 // batch buys.
 func BenchmarkFlatBatchFanout(b *testing.B) {
@@ -190,8 +190,7 @@ func BenchmarkFlatBatchFanout(b *testing.B) {
 }
 
 // benchPQM is the PQ operating point of the acceptance config: 48
-// subspaces of 8 dims → 48 bytes/vector, 1/8 of SQ8's 384 and 1/16 of
-// FP16's 768.
+// subspaces of 8 dims → 48 bytes/vector, 1/16 of FP16's 768.
 const benchPQM = 48
 
 // reportBytesPerVector adds the storage figure of merit next to ns/vector
@@ -200,26 +199,6 @@ const benchPQM = 48
 func reportBytesPerVector(b *testing.B, ix Index) {
 	b.Helper()
 	b.ReportMetric(StatsOf(ix).BytesPerVector(), "bytes/vector")
-}
-
-// BenchmarkSQ8Search is the int8 contiguous-scan baseline the PQ
-// asymmetric-LUT scan must beat (compare ns/vector with
-// BenchmarkPQSearch).
-func BenchmarkSQ8Search(b *testing.B) {
-	r := rng.New(1)
-	ix := NewSQ8(benchDim)
-	for _, v := range randomUnit(r, benchN, benchDim) {
-		ix.Add(v, "")
-	}
-	ix.Train()
-	queries := randomUnit(r, 64, benchDim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Search(queries[i%len(queries)], 10)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchN), "ns/vector")
-	reportBytesPerVector(b, ix)
 }
 
 func buildBenchPQ(b *testing.B, n int) (*PQ, [][]float32) {

@@ -22,21 +22,18 @@ type Index interface {
 	// Search returns the top-k vectors by inner product with the query,
 	// in descending score order.
 	Search(query []float32, k int) []Result
+	// SearchBatch answers all queries at once through the family's own
+	// batch kernel, returning per-query results in query order. Each
+	// result slice is identical to what Search would return for that
+	// query.
+	SearchBatch(queries [][]float32, k int) [][]Result
 	// Len reports the number of stored vectors.
 	Len() int
 	// Dim reports the vector dimensionality.
 	Dim() int
-}
-
-// BatchSearcher is implemented by indexes with a native multi-query scan
-// kernel that streams their codes once for a whole batch of queries
-// (Flat, IVF, SQ8, PQ, the memtable). BatchSearch delegates to it when available.
-type BatchSearcher interface {
-	Index
-	// SearchBatch answers all queries at once, returning per-query results
-	// in query order. Each result slice is identical to what Search would
-	// return for that query.
-	SearchBatch(queries [][]float32, k int) [][]Result
+	// searchBatch is SearchBatch booking its phases into tm when tm is
+	// non-nil (see BatchSearchTimed).
+	searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result
 }
 
 // Flat is an exact exhaustive-scan index over one contiguous FP16 code
@@ -77,6 +74,8 @@ func (ix *Flat) Key(id int) string { return ix.keys[id] }
 // row returns the FP16 codes of row id.
 func (ix *Flat) row(id int) []uint16 { return ix.codes[id*ix.dim : (id+1)*ix.dim] }
 
+func (ix *Flat) block() halfBlock { return halfBlock{codes: ix.codes, dim: ix.dim} }
+
 // Vector decodes and returns the stored vector for id. Hot readers should
 // prefer VectorInto, which reuses a caller-supplied buffer.
 func (ix *Flat) Vector(id int) []float32 {
@@ -106,21 +105,18 @@ func (ix *Flat) SearchInto(query []float32, k int, dst []Result) []Result {
 	if k <= 0 || len(ix.keys) == 0 {
 		return dst[:0]
 	}
-	return searchBlock(halfBlock{codes: ix.codes, dim: ix.dim}, query, k, ix.keys, dst[:0])
+	return searchBlock(ix.block(), query, k, ix.keys, dst[:0])
 }
 
-// SearchBatch implements BatchSearcher with the multi-query kernel: each
-// row pair is scored against the whole batch while it is in cache.
+// SearchBatch implements Index with the multi-query kernel: each row pair
+// is scored against the whole batch while it is in cache.
 func (ix *Flat) SearchBatch(queries [][]float32, k int) [][]Result {
-	for _, q := range queries {
-		if len(q) != ix.dim {
-			panic("vecstore: Search dim mismatch")
-		}
-	}
-	if k <= 0 || len(ix.keys) == 0 {
-		return make([][]Result, len(queries))
-	}
-	return searchBlockBatch(halfBlock{codes: ix.codes, dim: ix.dim}, queries, k, ix.keys)
+	return ix.searchBatch(queries, k, nil)
+}
+
+func (ix *Flat) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
+	checkBatchDims(queries, ix.dim)
+	return searchBlockBatch(ix.block(), queries, k, ix.keys, tm)
 }
 
 // searchReference is the retained reference scalar scan: one row decoded
@@ -278,8 +274,6 @@ func StatsOf(ix Index) IndexStats {
 	switch v := ix.(type) {
 	case *Flat:
 		st.Kind = "Flat(FP16)"
-	case *SQ8:
-		st.Kind = "SQ8"
 	case *IVF:
 		st.Kind = fmt.Sprintf("IVF(nlist=%d,nprobe=%d)", v.NList(), v.NProbe())
 	case *PQ:
@@ -298,22 +292,4 @@ func StatsOf(ix Index) IndexStats {
 		st.Kind = fmt.Sprintf("Live(%s, mem=%d)", StatsOf(v.Base()).Kind, v.MemLen())
 	}
 	return st
-}
-
-// BatchSearch runs many queries against an index, preserving query order.
-// Indexes with a native multi-query kernel (BatchSearcher) answer the
-// whole batch through it, streaming the codes once for all queries; other
-// indexes fall back to a query-level fan-out over an atomic work counter.
-// workers <= 0 selects GOMAXPROCS (the fan-out path only; the kernel
-// manages its own parallelism). This is the retrieval fan-out used by the
-// evaluation harness (16,680 questions × 5 conditions).
-func BatchSearch(ix Index, queries [][]float32, k, workers int) [][]Result {
-	if bs, ok := ix.(BatchSearcher); ok && len(queries) > 0 {
-		return bs.SearchBatch(queries, k)
-	}
-	out := make([][]Result, len(queries))
-	parallelFor(len(queries), workers, func(i int) {
-		out[i] = ix.Search(queries[i], k)
-	})
-	return out
 }

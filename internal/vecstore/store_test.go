@@ -158,7 +158,7 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 		ix.Add(v, "")
 	}
 	queries := randomUnit(r, 40, dim)
-	batch := BatchSearch(ix, queries, 3, 4)
+	batch := ix.SearchBatch(queries, 3)
 	for i, q := range queries {
 		seq := ix.Search(q, 3)
 		if len(batch[i]) != len(seq) {
@@ -175,7 +175,7 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 func TestBatchSearchEmpty(t *testing.T) {
 	ix := NewFlat(4)
 	ix.Add([]float32{1, 0, 0, 0}, "")
-	if out := BatchSearch(ix, nil, 3, 2); len(out) != 0 {
+	if out := ix.SearchBatch(nil, 3); len(out) != 0 {
 		t.Fatal("nil queries gave output")
 	}
 }
@@ -263,6 +263,32 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadFlat(path); err == nil {
 		t.Fatal("garbage file loaded without error")
+	}
+}
+
+// TestLoadRejectsRetiredVSF1 pins that the retired jagged format is no
+// longer read: a well-formed VSF2 payload behind the VSF1 magic fails
+// with ErrBadFormat through both loaders.
+func TestLoadRejectsRetiredVSF1(t *testing.T) {
+	ix := NewFlat(4)
+	ix.Add([]float32{1, 0, 0, 0}, "a")
+	path := filepath.Join(t.TempDir(), "v1.vsf")
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := readFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "VSF1")
+	if err := writeFile(path, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFlat(path); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("LoadFlat(VSF1): %v, want ErrBadFormat", err)
+	}
+	if _, err := Load(path); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("Load(VSF1): %v, want ErrBadFormat", err)
 	}
 }
 
@@ -358,6 +384,6 @@ func BenchmarkBatchSearch(b *testing.B) {
 	queries := randomUnit(r, 64, dim)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = BatchSearch(ix, queries, 5, 0)
+		_ = ix.SearchBatch(queries, 5)
 	}
 }

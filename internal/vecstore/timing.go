@@ -12,97 +12,38 @@ type ScanTiming struct {
 	Merge time.Duration
 }
 
-// TimedBatchSearcher is implemented by indexes whose batch kernel can
-// report the scan/merge split natively (Flat, Live). Indexes without it
-// still time out-of-line through BatchSearchTimed's fallback, which books
-// the whole call as Scan.
-type TimedBatchSearcher interface {
-	BatchSearcher
-	// SearchBatchTimed is SearchBatch plus phase timing; results are
-	// bit-identical to SearchBatch for the same inputs.
-	SearchBatchTimed(queries [][]float32, k int) ([][]Result, ScanTiming)
-}
-
-// BatchSearchTimed is BatchSearch plus phase timing: indexes with a timed
-// kernel report their real scan/merge split, every other index books its
-// whole batch under Scan — honest in the sense that the serving layer
-// never invents a merge phase the index didn't report.
-func BatchSearchTimed(ix Index, queries [][]float32, k, workers int) ([][]Result, ScanTiming) {
-	if ts, ok := ix.(TimedBatchSearcher); ok && len(queries) > 0 {
-		return ts.SearchBatchTimed(queries, k)
-	}
-	start := time.Now()
-	res := BatchSearch(ix, queries, k, workers)
-	return res, ScanTiming{Scan: time.Since(start)}
-}
-
-// SearchBatchTimed implements TimedBatchSearcher with the multi-query
-// kernel's native phase split.
-func (ix *Flat) SearchBatchTimed(queries [][]float32, k int) ([][]Result, ScanTiming) {
-	for _, q := range queries {
-		if len(q) != ix.dim {
-			panic("vecstore: Search dim mismatch")
-		}
-	}
-	if k <= 0 || len(ix.keys) == 0 {
-		return make([][]Result, len(queries)), ScanTiming{}
-	}
-	return searchBlockBatchTimed(halfBlock{codes: ix.codes, dim: ix.dim}, queries, k, ix.keys)
-}
-
-// SearchBatchTimed implements TimedBatchSearcher for the graph index.
-// Beam traversals have no per-segment merge phase, so the whole
-// query-per-worker fan-out is booked under Scan (the honest split: the
-// per-query beam already returns descending order, there is nothing to
-// fold).
-func (h *HNSW) SearchBatchTimed(queries [][]float32, k int) ([][]Result, ScanTiming) {
-	for _, q := range queries {
-		if len(q) != h.dim {
-			panic("vecstore: Search dim mismatch")
-		}
-	}
-	out := make([][]Result, len(queries))
+// BatchSearchTimed is ix.SearchBatch plus where the batch's time went.
+// Flat, the memtable and Live report their real scan/merge split; HNSW,
+// whose beams have nothing to fold, and IVF, PQ and IVF-PQ book the whole
+// batch under Scan — the serving layer never sees a merge phase the index
+// did not report. Results are bit-identical to SearchBatch.
+func BatchSearchTimed(ix Index, queries [][]float32, k int) ([][]Result, ScanTiming) {
 	var tm ScanTiming
-	if k <= 0 || len(queries) == 0 || h.entry < 0 {
-		return out, tm
-	}
-	start := time.Now()
-	parallelFor(len(queries), 0, func(i int) {
-		out[i] = h.Search(queries[i], k)
-	})
-	tm.Scan = time.Since(start)
-	return out, tm
+	res := ix.searchBatch(queries, k, &tm)
+	return res, tm
 }
 
-// SearchBatchTimed implements TimedBatchSearcher for the mutable layer:
-// Scan covers the base kernel plus the memtable snapshot scan, Merge the
-// per-query fold of the two result sets under the stores' total order.
-func (lv *Live) SearchBatchTimed(queries [][]float32, k int) ([][]Result, ScanTiming) {
+// book records a batch that scanned from scanStart to mergeStart and
+// merged from mergeStart until now. A nil tm is an untimed call.
+func (tm *ScanTiming) book(scanStart, mergeStart time.Time) {
+	if tm != nil {
+		tm.Scan, tm.Merge = mergeStart.Sub(scanStart), time.Since(mergeStart)
+	}
+}
+
+// bookScan records a whole batch, started at start, under Scan. A nil tm
+// is an untimed call.
+func (tm *ScanTiming) bookScan(start time.Time) {
+	if tm != nil {
+		tm.Scan = time.Since(start)
+	}
+}
+
+// checkBatchDims panics unless every query has the index's dimension.
+func checkBatchDims(queries [][]float32, dim int) {
 	for _, q := range queries {
-		if len(q) != lv.dim {
+		if len(q) != dim {
 			panic("vecstore: Search dim mismatch")
 		}
 	}
-	out := make([][]Result, len(queries))
-	var tm ScanTiming
-	if k <= 0 || len(queries) == 0 {
-		return out, tm
-	}
-	scanStart := time.Now()
-	var base [][]Result
-	if lv.nb > 0 {
-		base = BatchSearch(lv.base, queries, k, 0)
-	}
-	mem := lv.mem.SearchBatch(queries, k)
-	tm.Scan = time.Since(scanStart)
-	mergeStart := time.Now()
-	for qi := range queries {
-		var b []Result
-		if base != nil {
-			b = base[qi]
-		}
-		out[qi] = mergeLive(b, mem[qi], lv.nb, k)
-	}
-	tm.Merge = time.Since(mergeStart)
-	return out, tm
 }

@@ -29,37 +29,33 @@ func timingFixture(t *testing.T, dim, n int) (*Flat, [][]float32) {
 
 func keyOf(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i%10)) }
 
-// TestBatchSearchTimedParity pins the timed kernel to the untimed one:
-// identical results on Flat (native split), on Live (base+memtable split)
-// and through the generic fallback, with non-negative phase durations.
+// TestBatchSearchTimedParity pins the timed entry point to the untimed
+// one: identical results on Flat (native scan/merge split), on Live
+// (base+memtable split) and on HNSW (whole batch under Scan), with
+// non-negative phase durations and no merge phase HNSW did not report.
 func TestBatchSearchTimedParity(t *testing.T) {
 	ix, queries := timingFixture(t, 16, 500)
-	want := ix.SearchBatch(queries, 10)
-
-	got, tm := ix.SearchBatchTimed(queries, 10)
-	if tm.Scan < 0 || tm.Merge < 0 {
-		t.Fatalf("negative timing: %+v", tm)
-	}
-	assertSameResults(t, "Flat.SearchBatchTimed", want, got)
-
-	got, tm = BatchSearchTimed(ix, queries, 10, 0)
-	if tm.Scan < 0 || tm.Merge < 0 {
-		t.Fatalf("negative timing: %+v", tm)
-	}
-	assertSameResults(t, "BatchSearchTimed(Flat)", want, got)
-
 	lv := NewLive(ix, NewMemtable(16))
-	q0 := queries[0]
-	lv.Add(q0, "live-row")
-	wantLive := make([][]Result, len(queries))
-	for qi, q := range queries {
-		wantLive[qi] = lv.Search(q, 10)
+	lv.Add(queries[0], "live-row")
+	graph := ix.ToHNSW(HNSWConfig{Seed: 3})
+	for _, c := range []struct {
+		name string
+		ix   Index
+	}{{"Flat", ix}, {"Live", lv}, {"HNSW", graph}} {
+		want := make([][]Result, len(queries))
+		for qi, q := range queries {
+			want[qi] = c.ix.Search(q, 10)
+		}
+		assertSameResults(t, c.name+".SearchBatch", want, c.ix.SearchBatch(queries, 10))
+		got, tm := BatchSearchTimed(c.ix, queries, 10)
+		if tm.Scan < 0 || tm.Merge < 0 {
+			t.Fatalf("%s: negative timing: %+v", c.name, tm)
+		}
+		if c.name == "HNSW" && tm.Merge != 0 {
+			t.Fatalf("HNSW booked a merge phase: %+v", tm)
+		}
+		assertSameResults(t, "BatchSearchTimed("+c.name+")", want, got)
 	}
-	gotLive, tmLive := lv.SearchBatchTimed(queries, 10)
-	if tmLive.Scan < 0 || tmLive.Merge < 0 {
-		t.Fatalf("negative live timing: %+v", tmLive)
-	}
-	assertSameResults(t, "Live.SearchBatchTimed", wantLive, gotLive)
 }
 
 func assertSameResults(t *testing.T, label string, want, got [][]Result) {
