@@ -1,16 +1,20 @@
-// Command benchreport regenerates every table and figure of the paper in
-// one run — the artifact behind EXPERIMENTS.md. Sections:
+// Command benchreport regenerates the paper's tables and figures in one
+// run and prints them as one Markdown report. Sections:
 //
-//	stats    dataset statistics of §2 (documents → chunks → questions)
-//	models   Table 1 (model roster)
-//	table2   synthetic benchmark + Figure 4
-//	table3   Astro all questions + Figure 5 + GPT-4 crossover
-//	table4   Astro no-math subset + Figure 6
-//	ablation retrieval-depth and index ablations (design-choice benches)
+//	stats      dataset statistics of §2 (documents → chunks → questions)
+//	models     Table 1 (model roster)
+//	table2     synthetic benchmark + Figure 4
+//	table3     Astro all questions + Figure 5 + GPT-4 crossover
+//	table4     Astro no-math subset + Figure 6
+//	ablation   retrieval-depth and index ablations (design-choice benches)
+//	extensions sub-domain breakdown and trace distillation (paper §5)
+//
+// The header carries no timestamp, so the sections without wall-clock
+// figures (models, table2–4) diff cleanly across runs of one seed.
 //
 // Usage:
 //
-//	benchreport -scale 0.1 [-section all] [-out EXPERIMENTS-run.md]
+//	benchreport -scale 0.1 [-section all] [-out report.md]
 package main
 
 import (
@@ -19,6 +23,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -31,7 +37,7 @@ import (
 func main() {
 	scale := flag.Float64("scale", 0.1, "fraction of the paper's corpus")
 	seed := flag.Uint64("seed", 42, "experiment seed")
-	section := flag.String("section", "all", "stats|models|table2|table3|table4|ablation|all")
+	section := flag.String("section", "all", strings.Join(sections, "|")+"|all")
 	out := flag.String("out", "", "also write the report to a file")
 	flag.Parse()
 
@@ -49,11 +55,16 @@ func main() {
 	}
 }
 
+// sections is the closed list of -section values besides "all".
+var sections = []string{"stats", "models", "table2", "table3", "table4", "ablation", "extensions"}
+
 func run(w io.Writer, scale float64, seed uint64, section string) error {
+	if section != "all" && !slices.Contains(sections, section) {
+		return fmt.Errorf("unknown -section %q (want %s|all)", section, strings.Join(sections, "|"))
+	}
 	want := func(s string) bool { return section == "all" || section == s }
 
-	fmt.Fprintf(w, "# Reproduction report (scale %.3f, seed %d, %s)\n\n",
-		scale, seed, time.Now().UTC().Format(time.RFC3339))
+	fmt.Fprintf(w, "# Reproduction report (scale %.3f, seed %d)\n\n", scale, seed)
 
 	if want("models") {
 		fmt.Fprintln(w, "## Table 1: evaluated models")
@@ -141,7 +152,7 @@ func run(w io.Writer, scale float64, seed uint64, section string) error {
 			return err
 		}
 	}
-	if want("extensions") || section == "all" {
+	if want("extensions") {
 		if err := extensions(w, a); err != nil {
 			return err
 		}
@@ -225,8 +236,9 @@ func crossover(w io.Writer, m *eval.Matrix) {
 	fmt.Fprintln(w)
 }
 
-// ablations sweeps the design choices DESIGN.md calls out: retrieval depth
-// k and the Flat→IVF index trade-off.
+// ablations sweeps the retrieval design choices: retrieval depth k, trace
+// self-exclusion, and the index trade-offs (IVF probes, IVF-PQ encoding,
+// HNSW against Flat and IVF-PQ).
 func ablations(w io.Writer, a *core.Artifacts) error {
 	fmt.Fprintln(w, "## Ablations")
 	fmt.Fprintln(w)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/f16"
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/tokenizer"
 )
 
@@ -169,11 +170,8 @@ func join(sentences []string) string {
 	return string(buf)
 }
 
-// quantile returns the q-quantile of xs by sorting a copy.
+// quantile returns the q-quantile of xs (stats.Quantile) by sorting a copy.
 func quantile(xs []float32, q float64) float32 {
-	if len(xs) == 0 {
-		return 0
-	}
 	sorted := make([]float32, len(xs))
 	copy(sorted, xs)
 	// Insertion sort: similarity arrays are short (sentences per doc).
@@ -182,8 +180,7 @@ func quantile(xs []float32, q float64) float32 {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	return stats.Quantile(sorted, q)
 }
 
 // Doc pairs a document id with its text, the input unit of SplitAll.

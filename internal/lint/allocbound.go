@@ -17,8 +17,8 @@ import (
 // (or a value derived from it, e.g. a running total) and exits via
 // return or panic. The analysis is per-function: values passed onward as
 // parameters are the caller's responsibility, which matches the repo's
-// openSized byte-budget discipline where each reader validates what it
-// decodes.
+// byte-budget discipline (loadVSF hands each reader the file's payload
+// size) where each reader validates what it decodes.
 var analyzerAllocBound = &Analyzer{
 	Name: "allocbound",
 	Doc:  "make() sizes derived from decoded header integers must be validated first",

@@ -33,10 +33,6 @@ func (s *ChunkStore) WithIndex(index vecstore.Index) (*ChunkStore, error) {
 	return &ChunkStore{enc: s.enc, index: index, byKey: s.byKey, live: s.live, pool: s.pool}, nil
 }
 
-// keyed is implemented by every vecstore index; it lets WithIndex probe
-// stored keys without widening the Index interface.
-type keyed interface{ Key(id int) string }
-
 // validateIndex rejects the swaps that would otherwise fail silently: a
 // dimension mismatch, and — by sampling stored keys against the store's
 // metadata — a same-dimension index built from a different corpus (whose
@@ -55,16 +51,12 @@ func validateIndex(index vecstore.Index, dim int, known func(string) bool) error
 		// same failure mode the key sampling below exists to reject.
 		return fmt.Errorf("rag: WithIndex: refusing to swap to an empty index")
 	}
-	kx, ok := index.(keyed)
-	if !ok {
-		return nil
-	}
 	samples := 16
 	if n < samples {
 		samples = n
 	}
 	for i := 0; i < samples; i++ {
-		if key := kx.Key(i * n / samples); !known(key) {
+		if key := index.Key(i * n / samples); !known(key) {
 			return fmt.Errorf("rag: WithIndex: index key %q not in store metadata (index from a different corpus?)", key)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/retry"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // LoadConfig parameterises the load harness.
@@ -257,12 +258,7 @@ func summarize(mode, dist string, concurrency int, idx []int, lat []time.Duratio
 		}
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	q := func(p float64) float64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		return ms(sorted[int(p*float64(len(sorted)-1))])
-	}
+	q := func(p float64) float64 { return ms(stats.Quantile(sorted, p)) }
 	rep := &LoadReport{
 		Mode:        mode,
 		Dist:        dist,

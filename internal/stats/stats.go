@@ -1,9 +1,10 @@
 // Package stats provides the small statistical toolkit the evaluation
-// harness uses: summary moments, Wilson binomial confidence intervals, and
-// bootstrap resampling for accuracy deltas.
+// harness uses: summary moments, sorted-sample quantiles, Wilson binomial
+// confidence intervals, and bootstrap resampling for accuracy deltas.
 package stats
 
 import (
+	"cmp"
 	"math"
 	"sort"
 
@@ -39,6 +40,17 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
+
+// Quantile returns the q-quantile (q in [0,1]) of an ascending-sorted
+// slice without interpolation: sorted[int(q*(n-1))], the sample at or
+// just below rank q·(n−1). An empty slice yields the zero value.
+func Quantile[T cmp.Ordered](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
+	}
+	return sorted[int(q*float64(len(sorted)-1))]
+}
 
 // Interval is a two-sided confidence interval.
 type Interval struct {

@@ -127,6 +127,26 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+func TestQuantile(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, c := range []struct {
+		q    float64
+		want float64
+	}{
+		{0, 1}, {0.5, 5}, {0.95, 9}, {0.99, 9}, {1, 10},
+	} {
+		if got := Quantile(xs, c.q); got != c.want {
+			t.Fatalf("Quantile(1..10, %v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := Quantile([]float32{0.25}, 0.9); got != 0.25 {
+		t.Fatalf("single sample: %v", got)
+	}
+	if got := Quantile([]int64(nil), 0.5); got != 0 {
+		t.Fatalf("empty input: %v", got)
+	}
+}
+
 func TestRelImprovement(t *testing.T) {
 	if got := RelImprovement(0.5, 0.75); math.Abs(got-50) > 1e-12 {
 		t.Fatalf("RelImprovement %v", got)

@@ -41,14 +41,23 @@
 // sub-query·centroid dot products is built once, after which scoring a
 // row is one table lookup and add per subspace (asymmetric distance
 // computation). The LUT kernels share the segment-parallel plumbing and
-// pooled scratch of the blocked scan loop.
+// pooled scratch of the blocked scan loop: Flat, the memtable and PQ run
+// through one driver, searchSegments, and differ only in the kernel that
+// scores one segment.
+//
+// IVF and IVFPQ share one inverted-file layer (invFile, ivf.go): the
+// coarse quantizer and its sizing, the probe count, the cell postings, and
+// the probe-grouped batch scan that scans every probed cell once for all
+// the queries probing it. Each family supplies only its cell scorer — the
+// FP16 kernel, or the PQ LUT kernel with the residual shiftLUT.
 //
 // Index.SearchBatch is the multi-query entry point every family
 // implements: each FP16 row pair (or, for PQ, each per-query LUT and
 // cache-resident code segment) is scored against the whole query batch
 // while it is in cache, so the codes are streamed once per batch. A
-// single-query search is the same loop over a one-query batch.
-// BatchSearchTimed is the same call reporting its scan/merge split.
+// single-query search is the same loop over a one-query batch; IVF, PQ
+// and IVFPQ answer Search through SearchBatch itself. BatchSearchTimed is
+// the same call reporting its scan/merge split.
 //
 // Scores are bit-for-bit identical to the reference scalar scans (one row,
 // one f16.Dot at a time; for PQ, one LUT row-sum at a time):

@@ -164,78 +164,62 @@ func readCodes(r io.Reader, dst []uint16) error {
 // LoadFlat reads a Flat index previously written by Save (VSF2). Files of
 // the other families are rejected; use Load or their own loader for those.
 func LoadFlat(path string) (*Flat, error) {
-	f, remain, err := openSized(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	m, err := readMagic(r)
-	if err != nil {
-		return nil, err
-	}
-	switch m {
-	case magicV2:
-		return readFlat(r, remain)
-	case magicV3:
-		return nil, fmt.Errorf("%w: %s is a PQ (VSF3) index; use Load or LoadPQ", ErrBadFormat, path)
-	case magicV4:
-		return nil, fmt.Errorf("%w: %s is an IVF-PQ (VSF4) index; use Load or LoadIVFPQ", ErrBadFormat, path)
-	case magicV5:
-		return nil, fmt.Errorf("%w: %s is an HNSW (VSF5) index; use Load or LoadHNSW", ErrBadFormat, path)
-	}
-	return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
+	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (*Flat, error) {
+		switch m {
+		case magicV2:
+			return readFlat(r, remain)
+		case magicV3:
+			return nil, fmt.Errorf("%w: %s is a PQ (VSF3) index; use Load or LoadPQ", ErrBadFormat, path)
+		case magicV4:
+			return nil, fmt.Errorf("%w: %s is an IVF-PQ (VSF4) index; use Load or LoadIVFPQ", ErrBadFormat, path)
+		case magicV5:
+			return nil, fmt.Errorf("%w: %s is an HNSW (VSF5) index; use Load or LoadHNSW", ErrBadFormat, path)
+		}
+		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
+	})
 }
 
 // Load reads any persisted index, dispatching on the format magic: VSF2
 // loads as *Flat, VSF3 as *PQ, VSF4 as *IVFPQ, VSF5 as *HNSW.
 func Load(path string) (Index, error) {
-	f, remain, err := openSized(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	m, err := readMagic(r)
-	if err != nil {
-		return nil, err
-	}
-	switch m {
-	case magicV2:
-		return readFlat(r, remain)
-	case magicV3:
-		return readPQ(r, remain)
-	case magicV4:
-		return readIVFPQ(r, remain)
-	case magicV5:
-		return readHNSW(r, remain)
-	}
-	return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
+	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (Index, error) {
+		switch m {
+		case magicV2:
+			return readFlat(r, remain)
+		case magicV3:
+			return readPQ(r, remain)
+		case magicV4:
+			return readIVFPQ(r, remain)
+		case magicV5:
+			return readHNSW(r, remain)
+		}
+		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
+	})
 }
 
-// openSized opens path and reports how many payload bytes follow the
-// 4-byte magic. The readers bound every header-driven allocation by this
-// budget, so a corrupt count or dim in a small file fails validation
-// instead of driving a multi-gigabyte make (the fuzz-found failure mode).
-func openSized(path string) (*os.File, int64, error) {
+// loadVSF opens path, reads its 4-byte format magic, and hands read the
+// buffered stream positioned after it together with the payload byte
+// budget: the file size minus the magic. The readers bound every
+// header-driven allocation by this budget, so a corrupt count or dim in a
+// small file fails validation instead of driving a multi-gigabyte make
+// (the fuzz-found failure mode). The file is closed when read returns.
+func loadVSF[T any](path string, read func(r io.Reader, m [4]byte, remain int64) (T, error)) (T, error) {
+	var zero T
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return zero, err
 	}
+	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, 0, err
+		return zero, err
 	}
-	return f, fi.Size() - 4, nil
-}
-
-func readMagic(r io.Reader) ([4]byte, error) {
+	r := bufio.NewReaderSize(f, 1<<20)
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return m, fmt.Errorf("%w: %w", ErrBadFormat, err)
+		return zero, fmt.Errorf("%w: %w", ErrBadFormat, err)
 	}
-	return m, nil
+	return read(r, m, fi.Size()-4)
 }
 
 // readFlat consumes a VSF2 stream after the magic. remain is the payload
@@ -329,20 +313,12 @@ func writePQ(w io.Writer, ix *PQ) error {
 // LoadPQ reads a PQ index previously written by PQ.Save (VSF3). Flat files
 // (VSF2) are rejected; use Load or LoadFlat for those.
 func LoadPQ(path string) (*PQ, error) {
-	f, remain, err := openSized(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	m, err := readMagic(r)
-	if err != nil {
-		return nil, err
-	}
-	if m != magicV3 {
-		return nil, fmt.Errorf("%w: %s is not a PQ (VSF3) index (magic %q); use Load or LoadFlat", ErrBadFormat, path, m)
-	}
-	return readPQ(r, remain)
+	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (*PQ, error) {
+		if m != magicV3 {
+			return nil, fmt.Errorf("%w: %s is not a PQ (VSF3) index (magic %q); use Load or LoadFlat", ErrBadFormat, path, m)
+		}
+		return readPQ(r, remain)
+	})
 }
 
 // readPQ consumes a VSF3 stream after the magic. The subspace geometry
@@ -585,20 +561,12 @@ func writeIVFPQ(w io.Writer, ix *IVFPQ) error {
 // LoadIVFPQ reads an IVF-PQ index previously written by IVFPQ.Save
 // (VSF4). Other families are rejected; use Load for magic dispatch.
 func LoadIVFPQ(path string) (*IVFPQ, error) {
-	f, remain, err := openSized(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	m, err := readMagic(r)
-	if err != nil {
-		return nil, err
-	}
-	if m != magicV4 {
-		return nil, fmt.Errorf("%w: %s is not an IVF-PQ (VSF4) index (magic %q); use Load", ErrBadFormat, path, m)
-	}
-	return readIVFPQ(r, remain)
+	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (*IVFPQ, error) {
+		if m != magicV4 {
+			return nil, fmt.Errorf("%w: %s is not an IVF-PQ (VSF4) index (magic %q); use Load", ErrBadFormat, path, m)
+		}
+		return readIVFPQ(r, remain)
+	})
 }
 
 // readIVFPQ consumes a VSF4 stream after the magic. As in VSF3, the
@@ -816,20 +784,12 @@ func writeHNSW(w io.Writer, h *HNSW) error {
 // LoadHNSW reads an HNSW index previously written by HNSW.Save (VSF5).
 // Other families are rejected; use Load for magic dispatch.
 func LoadHNSW(path string) (*HNSW, error) {
-	f, remain, err := openSized(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	m, err := readMagic(r)
-	if err != nil {
-		return nil, err
-	}
-	if m != magicV5 {
-		return nil, fmt.Errorf("%w: %s is not an HNSW (VSF5) index (magic %q); use Load", ErrBadFormat, path, m)
-	}
-	return readHNSW(r, remain)
+	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (*HNSW, error) {
+		if m != magicV5 {
+			return nil, fmt.Errorf("%w: %s is not an HNSW (VSF5) index (magic %q); use Load", ErrBadFormat, path, m)
+		}
+		return readHNSW(r, remain)
+	})
 }
 
 // readHNSW consumes a VSF5 stream after the magic. The compact adjacency

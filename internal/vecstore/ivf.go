@@ -11,6 +11,167 @@ import (
 	"repro/internal/f16"
 )
 
+// invFile is the inverted-file layer IVF and IVFPQ share: the spherical
+// coarse quantizer, the probe count, each cell's id postings, and the
+// probe-grouped batch scan over them. The families embed it and keep only
+// their per-cell code blocks (row j of cell block c belongs to insertion
+// id cellIDs[c][j]) and the scorer for one cell.
+type invFile struct {
+	km      *KMeans
+	nprobe  int
+	cellIDs [][]int
+	trained bool
+}
+
+func newInvFile(nlist, nprobe int, seed uint64) invFile {
+	return invFile{km: &KMeans{K: nlist, Seed: seed}, nprobe: nprobe}
+}
+
+// train sizes the coarse quantizer for n = len(vecs) rows — NList 0
+// becomes sqrt(n), NList is clamped to n, NProbe 0 becomes max(1,
+// NList/16) and a larger NProbe is clamped to NList — fits it on vecs, and
+// buckets every row into its nearest cell's postings in insertion order.
+// It returns each row's cell.
+func (ix *invFile) train(vecs [][]float32) []int {
+	n := len(vecs)
+	if ix.km.K <= 0 {
+		ix.km.K = max(1, int(math.Sqrt(float64(n))))
+	}
+	ix.km.K = min(ix.km.K, n)
+	if ix.nprobe <= 0 {
+		ix.nprobe = max(1, ix.km.K/16)
+	} else if ix.nprobe > ix.km.K {
+		// A SetNProbe before Train may exceed an auto-sized or shrunk K.
+		ix.nprobe = ix.km.K
+	}
+	ix.km.Train(vecs)
+	assign := make([]int, n)
+	parallelFor(n, 0, func(id int) {
+		assign[id] = ix.km.Nearest(vecs[id])
+	})
+	counts := make([]int, ix.km.K)
+	for _, c := range assign {
+		counts[c]++
+	}
+	ix.cellIDs = make([][]int, ix.km.K)
+	for c, cnt := range counts {
+		ix.cellIDs[c] = make([]int, 0, cnt)
+	}
+	for id, c := range assign {
+		ix.cellIDs[c] = append(ix.cellIDs[c], id)
+	}
+	return assign
+}
+
+// route appends post-train insertion id, whose code-space vector is v, to
+// its nearest cell's postings and returns the cell.
+func (ix *invFile) route(v []float32, id int) int {
+	c := ix.km.Nearest(v)
+	ix.cellIDs[c] = append(ix.cellIDs[c], id)
+	return c
+}
+
+// cellBlocks packs each cell's rows, in posting order, into one contiguous
+// block: block c is the stride-wide rows codes[id*stride:(id+1)*stride]
+// of the ids in cellIDs[c].
+func cellBlocks[C uint16 | byte](cellIDs [][]int, codes []C, stride int) [][]C {
+	blocks := make([][]C, len(cellIDs))
+	for c, ids := range cellIDs {
+		b := make([]C, 0, len(ids)*stride)
+		for _, id := range ids {
+			b = append(b, codes[id*stride:(id+1)*stride]...)
+		}
+		blocks[c] = b
+	}
+	return blocks
+}
+
+// Trained reports whether the quantizers have been fitted.
+func (ix *invFile) Trained() bool { return ix.trained }
+
+// SetNProbe adjusts the number of cells scanned per query (recall knob).
+// Values set before Train are re-clamped when Train sizes the cell count.
+func (ix *invFile) SetNProbe(n int) {
+	if n < 1 {
+		n = 1
+	}
+	if ix.trained && n > ix.km.K {
+		n = ix.km.K
+	}
+	ix.nprobe = n
+}
+
+// NProbe returns the current probe count.
+func (ix *invFile) NProbe() int { return ix.nprobe }
+
+// NList returns the number of cells (0 before training when auto-sized).
+func (ix *invFile) NList() int { return ix.km.K }
+
+// searchCells is the probe-grouped batch scan: each query's nprobe nearest
+// cells are found (qs are the queries in code space), queries are grouped
+// by probed cell so every non-empty cell is scanned once, in parallel, for
+// all the queries probing it, and each query's partial heaps are folded
+// into its results. scanCell scores cell c for queries qis into hs (hs[i]
+// for query qis[i]). A query whose probed cells are all empty gets a
+// non-nil empty slice, as Search always returned. A non-nil tm receives
+// Scan from start — the caller's per-batch pre-work — through the cell
+// scans, and Merge for the per-query folds.
+func (ix *invFile) searchCells(qs [][]float32, k int, keys []string, start time.Time, tm *ScanTiming, scanCell func(c int, qis []int32, hs []*topK)) [][]Result {
+	probes := make([][]int, len(qs))
+	parallelFor(len(qs), 0, func(qi int) {
+		probes[qi] = ix.km.NearestN(qs[qi], ix.nprobe)
+	})
+	// Invert: cell → indices of the queries probing it.
+	perCell := make([][]int32, ix.km.K)
+	for qi, ps := range probes {
+		for _, c := range ps {
+			perCell[c] = append(perCell[c], int32(qi))
+		}
+	}
+	work := make([]int, 0, ix.km.K)
+	for c, qis := range perCell {
+		if len(qis) > 0 && len(ix.cellIDs[c]) > 0 {
+			work = append(work, c)
+		}
+	}
+	partial := make([][]*topK, len(work))
+	parallelFor(len(work), 0, func(wi int) {
+		c := work[wi]
+		hs := make([]*topK, len(perCell[c]))
+		for i := range hs {
+			hs[i] = getTopK(k)
+		}
+		scanCell(c, perCell[c], hs)
+		partial[wi] = hs
+	})
+	mergeStart := time.Now()
+	final := make([]*topK, len(qs))
+	for wi, c := range work {
+		for i, qi := range perCell[c] {
+			h := partial[wi][i]
+			if final[qi] == nil {
+				final[qi] = h
+				continue
+			}
+			for j, id := range h.ids {
+				final[qi].push(id, h.scores[j])
+			}
+			putTopK(h)
+		}
+	}
+	out := make([][]Result, len(qs))
+	for qi, h := range final {
+		if h == nil {
+			out[qi] = []Result{}
+			continue
+		}
+		out[qi] = h.results(keys)
+		putTopK(h)
+	}
+	tm.book(start, mergeStart)
+	return out
+}
+
 // IVF is an inverted-file index (FAISS IndexIVFFlat equivalent): vectors are
 // partitioned into NList cells by a spherical k-means quantizer; a query
 // scans only the NProbe nearest cells. Each cell's codes live in their own
@@ -18,23 +179,13 @@ import (
 // a pure streaming scan through the blocked kernel. Recall/latency trade-off
 // is tested in ivf_test.go and swept by the ablation benchmarks.
 type IVF struct {
-	dim    int
-	nprobe int
-	km     *KMeans
-	keys   []string
+	invFile
+	dim  int
+	keys []string
 	// staged buffers codes contiguously in insertion order until Train.
 	staged []uint16
-	// After Train: per-cell contiguous code blocks and id postings. Row j
-	// of cellCodes[c] belongs to insertion id cellIDs[c][j].
-	cellIDs   [][]int
+	// After Train: per-cell contiguous FP16 code blocks.
 	cellCodes [][]uint16
-	loc       []vecLoc // id → (cell, row), for decoding by id
-	trained   bool
-}
-
-// vecLoc locates one vector inside the per-cell blocks.
-type vecLoc struct {
-	cell, row int32
 }
 
 // IVFConfig parameterises index construction.
@@ -51,11 +202,7 @@ func NewIVF(cfg IVFConfig) *IVF {
 	if cfg.Dim <= 0 {
 		panic("vecstore: non-positive dim")
 	}
-	return &IVF{
-		dim:    cfg.Dim,
-		nprobe: cfg.NProbe,
-		km:     &KMeans{K: cfg.NList, Seed: cfg.Seed},
-	}
+	return &IVF{invFile: newInvFile(cfg.NList, cfg.NProbe, cfg.Seed), dim: cfg.Dim}
 }
 
 // Add implements Index. Vectors added after training are routed to their
@@ -67,23 +214,12 @@ func (ix *IVF) Add(vec []float32, key string) int {
 	id := len(ix.keys)
 	ix.keys = append(ix.keys, key)
 	if ix.trained {
-		c := ix.km.Nearest(vec)
-		ix.loc = append(ix.loc, vecLoc{cell: int32(c), row: int32(len(ix.cellIDs[c]))})
-		ix.cellIDs[c] = append(ix.cellIDs[c], id)
+		c := ix.route(vec, id)
 		ix.cellCodes[c] = f16.AppendEncoded(ix.cellCodes[c], vec)
 	} else {
 		ix.staged = f16.AppendEncoded(ix.staged, vec)
 	}
 	return id
-}
-
-// rowCodes returns the FP16 codes of insertion id.
-func (ix *IVF) rowCodes(id int) []uint16 {
-	if !ix.trained {
-		return ix.staged[id*ix.dim : (id+1)*ix.dim]
-	}
-	l := ix.loc[id]
-	return ix.cellCodes[l.cell][int(l.row)*ix.dim : (int(l.row)+1)*ix.dim]
 }
 
 // Train fits the coarse quantizer on all buffered vectors and assigns them
@@ -93,73 +229,15 @@ func (ix *IVF) Train() {
 	if n == 0 {
 		panic("vecstore: Train on empty IVF")
 	}
-	if ix.km.K <= 0 {
-		ix.km.K = int(math.Sqrt(float64(n)))
-		if ix.km.K < 1 {
-			ix.km.K = 1
-		}
-	}
-	if ix.km.K > n {
-		ix.km.K = n
-	}
-	if ix.nprobe <= 0 {
-		ix.nprobe = ix.km.K / 16
-		if ix.nprobe < 1 {
-			ix.nprobe = 1
-		}
-	} else if ix.nprobe > ix.km.K {
-		// A SetNProbe before Train may exceed an auto-sized or shrunk K.
-		ix.nprobe = ix.km.K
-	}
 	full := make([][]float32, n)
 	for i := range full {
 		full[i] = f16.Decode(ix.staged[i*ix.dim : (i+1)*ix.dim])
 	}
-	ix.km.Train(full)
-	// Assign, then pack each cell's codes into one contiguous block.
-	assign := make([]int, n)
-	counts := make([]int, ix.km.K)
-	for id, v := range full {
-		c := ix.km.Nearest(v)
-		assign[id] = c
-		counts[c]++
-	}
-	ix.cellIDs = make([][]int, ix.km.K)
-	ix.cellCodes = make([][]uint16, ix.km.K)
-	for c, cnt := range counts {
-		ix.cellIDs[c] = make([]int, 0, cnt)
-		ix.cellCodes[c] = make([]uint16, 0, cnt*ix.dim)
-	}
-	ix.loc = make([]vecLoc, n)
-	for id := 0; id < n; id++ {
-		c := assign[id]
-		ix.loc[id] = vecLoc{cell: int32(c), row: int32(len(ix.cellIDs[c]))}
-		ix.cellIDs[c] = append(ix.cellIDs[c], id)
-		ix.cellCodes[c] = append(ix.cellCodes[c], ix.staged[id*ix.dim:(id+1)*ix.dim]...)
-	}
+	ix.train(full)
+	ix.cellCodes = cellBlocks(ix.cellIDs, ix.staged, ix.dim)
 	ix.staged = nil
 	ix.trained = true
 }
-
-// Trained reports whether the quantizer has been fitted.
-func (ix *IVF) Trained() bool { return ix.trained }
-
-// SetNProbe adjusts the number of cells scanned per query (recall knob).
-func (ix *IVF) SetNProbe(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if ix.trained && n > ix.km.K {
-		n = ix.km.K
-	}
-	ix.nprobe = n
-}
-
-// NProbe returns the current probe count.
-func (ix *IVF) NProbe() int { return ix.nprobe }
-
-// NList returns the number of cells (0 before training when auto-sized).
-func (ix *IVF) NList() int { return ix.km.K }
 
 // Len implements Index.
 func (ix *IVF) Len() int { return len(ix.keys) }
@@ -170,27 +248,9 @@ func (ix *IVF) Dim() int { return ix.dim }
 // Key returns the metadata key for id.
 func (ix *IVF) Key(id int) string { return ix.keys[id] }
 
-// Search implements Index by streaming the nprobe nearest cells through the
-// blocked scan kernel.
+// Search implements Index as a one-query SearchBatch.
 func (ix *IVF) Search(query []float32, k int) []Result {
-	if !ix.trained {
-		panic("vecstore: Search on untrained IVF")
-	}
-	if len(query) != ix.dim {
-		panic("vecstore: Search dim mismatch")
-	}
-	if k <= 0 {
-		return nil
-	}
-	probes := ix.km.NearestN(query, ix.nprobe)
-	h := getTopK(k)
-	hs := []*topK{h}
-	for _, c := range probes {
-		scanBatchTopK(halfBlock{codes: ix.cellCodes[c], dim: ix.dim}, query, hs, ix.cellIDs[c], 0)
-	}
-	res := h.results(ix.keys)
-	putTopK(h)
-	return res
+	return ix.searchBatch([][]float32{query}, k, nil)[0]
 }
 
 // SearchBatch implements Index: queries are grouped by probed cell so each
@@ -200,78 +260,24 @@ func (ix *IVF) SearchBatch(queries [][]float32, k int) [][]Result {
 	return ix.searchBatch(queries, k, nil)
 }
 
-// searchBatch books the whole batch under Scan.
+// searchBatch scans each probed cell for its queries, packed row-major
+// into one pooled batch, through the blocked FP16 kernel.
 func (ix *IVF) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
-	defer tm.bookScan(time.Now())
 	if !ix.trained {
 		panic("vecstore: Search on untrained IVF")
 	}
 	checkBatchDims(queries, ix.dim)
-	out := make([][]Result, len(queries))
 	if k <= 0 || len(queries) == 0 {
-		return out
+		return make([][]Result, len(queries))
 	}
-	// Probe assignment, fanned out over queries.
-	probes := make([][]int, len(queries))
-	parallelFor(len(queries), 0, func(qi int) {
-		probes[qi] = ix.km.NearestN(queries[qi], ix.nprobe)
-	})
-	// Invert: cell → indices of the queries probing it.
-	perCell := make([][]int32, ix.km.K)
-	for qi, ps := range probes {
-		for _, c := range ps {
-			perCell[c] = append(perCell[c], int32(qi))
+	return ix.searchCells(queries, k, ix.keys, time.Now(), tm, func(c int, qis []int32, hs []*topK) {
+		qp := getTile(len(qis) * ix.dim)
+		for i, qi := range qis {
+			copy((*qp)[i*ix.dim:], queries[qi])
 		}
-	}
-	work := make([]int, 0, ix.km.K)
-	for c, qs := range perCell {
-		if len(qs) > 0 && len(ix.cellIDs[c]) > 0 {
-			work = append(work, c)
-		}
-	}
-	// Scan cells in parallel; each produces one partial heap per
-	// interested query, merged per query afterwards.
-	partial := make([][]*topK, len(work))
-	parallelFor(len(work), 0, func(wi int) {
-		c := work[wi]
-		qs := perCell[c]
-		qsub := make([][]float32, len(qs))
-		hs := make([]*topK, len(qs))
-		for i, qi := range qs {
-			qsub[i] = queries[qi]
-			hs[i] = getTopK(k)
-		}
-		qp := packQueries(qsub, ix.dim)
 		scanBatchTopK(halfBlock{codes: ix.cellCodes[c], dim: ix.dim}, *qp, hs, ix.cellIDs[c], 0)
 		putTile(qp)
-		partial[wi] = hs
 	})
-	final := make([]*topK, len(queries))
-	for wi, c := range work {
-		for i, qi := range perCell[c] {
-			h := partial[wi][i]
-			if final[qi] == nil {
-				final[qi] = h
-				continue
-			}
-			f := final[qi]
-			for j, id := range h.ids {
-				f.push(id, h.scores[j])
-			}
-			putTopK(h)
-		}
-	}
-	for qi := range out {
-		if final[qi] == nil {
-			// All probed cells were empty; Search returns a non-nil empty
-			// slice in this case, so match it.
-			out[qi] = []Result{}
-			continue
-		}
-		out[qi] = final[qi].results(ix.keys)
-		putTopK(final[qi])
-	}
-	return out
 }
 
 // searchReference is the retained reference scalar scan over the probed
@@ -336,16 +342,16 @@ func (ix *IVF) MemoryBytes() int64 {
 // Recall measures the fraction of exact top-k neighbours (per a Flat scan of
 // the same data) that the IVF search returns, averaged over the queries.
 // Used by tests and the ablation bench to quantify the recall/latency
-// trade-off.
+// trade-off. The Flat holds the cells' FP16 codes back in insertion order.
 func (ix *IVF) Recall(queries [][]float32, k int) float64 {
 	if len(queries) == 0 {
 		return 0
 	}
-	flat := NewFlat(ix.dim)
-	buf := make([]float32, ix.dim)
-	for id := range ix.keys {
-		f16.DecodeInto(buf, ix.rowCodes(id))
-		flat.Add(buf, ix.keys[id])
+	flat := &Flat{dim: ix.dim, codes: make([]uint16, len(ix.keys)*ix.dim), keys: ix.keys}
+	for c, ids := range ix.cellIDs {
+		for row, id := range ids {
+			copy(flat.row(id), ix.cellCodes[c][row*ix.dim:(row+1)*ix.dim])
+		}
 	}
 	return recallAgainst(flat, ix, queries, k)
 }

@@ -2,7 +2,6 @@ package vecstore
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/f16"
@@ -35,10 +34,9 @@ import (
 // recall/latency/memory trade-off is pinned by the IVF-PQ recall
 // regression tests.
 type IVFPQ struct {
+	invFile
 	dim      int
-	nprobe   int
 	pqCfg    PQConfig
-	km       *KMeans // coarse quantizer (spherical, like IVF)
 	cb       *pqCodebook
 	keys     []string
 	residual bool
@@ -50,11 +48,8 @@ type IVFPQ struct {
 	opqIters int
 	// staged buffers codes contiguously in insertion order until Train.
 	staged []uint16
-	// After Train: per-cell contiguous PQ code blocks and id postings. Row
-	// j of cellCodes[c] belongs to insertion id cellIDs[c][j].
-	cellIDs   [][]int
+	// After Train: per-cell contiguous PQ code blocks.
 	cellCodes [][]byte
-	trained   bool
 }
 
 // IVFPQConfig parameterises IVF-PQ construction.
@@ -81,10 +76,9 @@ func NewIVFPQ(cfg IVFPQConfig) *IVFPQ {
 	pqCfg := PQConfig{Dim: cfg.Dim, M: cfg.M, Seed: cfg.Seed}
 	pqCfg.normalize()
 	ix := &IVFPQ{
+		invFile:  newInvFile(cfg.NList, cfg.NProbe, cfg.Seed),
 		dim:      cfg.Dim,
-		nprobe:   cfg.NProbe,
 		pqCfg:    pqCfg,
-		km:       &KMeans{K: cfg.NList, Seed: cfg.Seed},
 		residual: cfg.Residual,
 		opqIters: cfg.OPQIters,
 	}
@@ -115,8 +109,7 @@ func (ix *IVFPQ) Add(vec []float32, key string) int {
 		applyRot(*vp, ix.rot, vec)
 		v = *vp
 	}
-	c := ix.km.Nearest(v)
-	ix.cellIDs[c] = append(ix.cellIDs[c], id)
+	c := ix.route(v, id)
 	enc := v
 	var rp *[]float32
 	if ix.residual {
@@ -152,24 +145,6 @@ func (ix *IVFPQ) Train() {
 	if n == 0 {
 		panic("vecstore: Train on empty IVFPQ")
 	}
-	if ix.km.K <= 0 {
-		ix.km.K = int(math.Sqrt(float64(n)))
-		if ix.km.K < 1 {
-			ix.km.K = 1
-		}
-	}
-	if ix.km.K > n {
-		ix.km.K = n
-	}
-	if ix.nprobe <= 0 {
-		ix.nprobe = ix.km.K / 16
-		if ix.nprobe < 1 {
-			ix.nprobe = 1
-		}
-	} else if ix.nprobe > ix.km.K {
-		// A SetNProbe before Train may exceed an auto-sized or shrunk K.
-		ix.nprobe = ix.km.K
-	}
 	full := make([][]float32, n)
 	for i := range full {
 		full[i] = f16.Decode(ix.staged[i*ix.dim : (i+1)*ix.dim])
@@ -187,37 +162,29 @@ func (ix *IVFPQ) Train() {
 		})
 		full = rotated
 	}
-	ix.km.Train(full)
-	assign := make([]int, n)
-	parallelFor(n, 0, func(id int) {
-		assign[id] = ix.km.Nearest(full[id])
-	})
+	assign := ix.train(full)
 	// The codebook is fit on — and codes quantize — either the (rotated)
 	// vectors or their residuals against the per-cell mean anchor.
 	enc := full
 	if ix.residual {
 		ix.anchors = make([][]float32, ix.km.K)
-		cellN := make([]int, ix.km.K)
-		for c := range ix.anchors {
-			ix.anchors[c] = make([]float32, ix.dim)
-		}
-		for id, c := range assign {
-			cellN[c]++
-			a := ix.anchors[c]
-			for d, x := range full[id] {
-				a[d] += x
-			}
-		}
-		for c, cnt := range cellN {
-			if cnt == 0 {
+		for c, ids := range ix.cellIDs {
+			a := make([]float32, ix.dim)
+			ix.anchors[c] = a
+			if len(ids) == 0 {
 				// No mass to average; anchor at the routing centroid so a
 				// post-train Add landing here still gets a sane residual.
-				copy(ix.anchors[c], ix.km.Centroids[c])
+				copy(a, ix.km.Centroids[c])
 				continue
 			}
-			inv := 1 / float32(cnt)
-			for d := range ix.anchors[c] {
-				ix.anchors[c][d] *= inv
+			for _, id := range ids {
+				for d, x := range full[id] {
+					a[d] += x
+				}
+			}
+			inv := 1 / float32(len(ids))
+			for d := range a {
+				a[d] *= inv
 			}
 		}
 		res := make([][]float32, n)
@@ -233,49 +200,14 @@ func (ix *IVFPQ) Train() {
 	}
 	ix.cb = newPQCodebook(ix.dim, ix.pqCfg.M, ksub)
 	ix.cb.train(enc, ix.pqCfg.TrainIters, ix.pqCfg.Seed)
-	counts := make([]int, ix.km.K)
 	codes := make([]byte, n*ix.cb.m)
 	parallelFor(n, 0, func(id int) {
 		ix.cb.encode(enc[id], codes[id*ix.cb.m:(id+1)*ix.cb.m])
 	})
-	for _, c := range assign {
-		counts[c]++
-	}
-	ix.cellIDs = make([][]int, ix.km.K)
-	ix.cellCodes = make([][]byte, ix.km.K)
-	for c, cnt := range counts {
-		ix.cellIDs[c] = make([]int, 0, cnt)
-		ix.cellCodes[c] = make([]byte, 0, cnt*ix.cb.m)
-	}
-	for id := 0; id < n; id++ {
-		c := assign[id]
-		ix.cellIDs[c] = append(ix.cellIDs[c], id)
-		ix.cellCodes[c] = append(ix.cellCodes[c], codes[id*ix.cb.m:(id+1)*ix.cb.m]...)
-	}
+	ix.cellCodes = cellBlocks(ix.cellIDs, codes, ix.cb.m)
 	ix.staged = nil
 	ix.trained = true
 }
-
-// Trained reports whether the quantizers have been fitted.
-func (ix *IVFPQ) Trained() bool { return ix.trained }
-
-// SetNProbe adjusts the number of cells scanned per query (recall knob).
-// Values set before Train are re-clamped when Train sizes the cell count.
-func (ix *IVFPQ) SetNProbe(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if ix.trained && n > ix.km.K {
-		n = ix.km.K
-	}
-	ix.nprobe = n
-}
-
-// NProbe returns the current probe count.
-func (ix *IVFPQ) NProbe() int { return ix.nprobe }
-
-// NList returns the number of cells (0 before training when auto-sized).
-func (ix *IVFPQ) NList() int { return ix.km.K }
 
 // M returns the number of PQ subspaces (code bytes per vector).
 func (ix *IVFPQ) M() int { return ix.pqCfg.M }
@@ -309,81 +241,32 @@ func (ix *IVFPQ) Dim() int { return ix.dim }
 // Key returns the metadata key for id.
 func (ix *IVFPQ) Key(id int) string { return ix.keys[id] }
 
-// rotateQuery returns the query in code space (rotated when OPQ is
-// active), along with the pooled buffer to release, or nil.
-func (ix *IVFPQ) rotateQuery(query []float32) ([]float32, *[]float32) {
-	if ix.rot == nil {
-		return query, nil
-	}
-	qp := getTile(ix.dim)
-	applyRot(*qp, ix.rot, query)
-	return *qp, qp
-}
-
-// Search implements Index: one base LUT is built for the query, then the
-// nprobe nearest cells are streamed through the PQ LUT kernel. Under
-// residual encoding the base LUT is shifted by each probed cell's
-// centroid bias first (shiftLUT); the scan kernel itself is unchanged.
+// Search implements Index as a one-query SearchBatch.
 func (ix *IVFPQ) Search(query []float32, k int) []Result {
-	if !ix.trained {
-		panic("vecstore: Search on untrained IVFPQ")
-	}
-	if len(query) != ix.dim {
-		panic("vecstore: Search dim mismatch")
-	}
-	if k <= 0 {
-		return nil
-	}
-	q, qp := ix.rotateQuery(query)
-	probes := ix.km.NearestN(q, ix.nprobe)
-	lp := getTile(ix.cb.m * ix.cb.ksub)
-	lut := *lp
-	ix.cb.lutInto(lut, q)
-	h := getTopK(k)
-	if ix.residual {
-		cp := getTile(ix.cb.m * ix.cb.ksub)
-		cellLUT := *cp
-		for _, c := range probes {
-			if len(ix.cellIDs[c]) == 0 {
-				continue
-			}
-			ix.cb.shiftLUT(cellLUT, lut, q, ix.anchors[c])
-			scanPQTopK(ix.cellCodes[c], ix.cb, cellLUT, h, ix.cellIDs[c], 0)
-		}
-		putTile(cp)
-	} else {
-		for _, c := range probes {
-			scanPQTopK(ix.cellCodes[c], ix.cb, lut, h, ix.cellIDs[c], 0)
-		}
-	}
-	putTile(lp)
-	if qp != nil {
-		putTile(qp)
-	}
-	res := h.results(ix.keys)
-	putTopK(h)
-	return res
+	return ix.searchBatch([][]float32{query}, k, nil)[0]
 }
 
 // SearchBatch implements Index: base LUTs are built once per query (the
 // batch amortisation), queries are grouped by probed cell, and cells are
-// scanned in parallel. Residual cells shift each interested query's base
-// LUT by the cell bias before scanning, exactly as Search does.
+// scanned in parallel. Under residual encoding each query's base LUT is
+// shifted by the probed cell's bias first (shiftLUT); the scan kernel
+// itself is unchanged.
 func (ix *IVFPQ) SearchBatch(queries [][]float32, k int) [][]Result {
 	return ix.searchBatch(queries, k, nil)
 }
 
-// searchBatch books the whole batch under Scan.
+// searchBatch rotates the queries into code space (OPQ), builds their base
+// LUTs, and scans each probed cell's codes for its queries through the PQ
+// LUT kernel; both preludes are booked under Scan.
 func (ix *IVFPQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
-	defer tm.bookScan(time.Now())
 	if !ix.trained {
 		panic("vecstore: Search on untrained IVFPQ")
 	}
 	checkBatchDims(queries, ix.dim)
-	out := make([][]Result, len(queries))
 	if k <= 0 || len(queries) == 0 {
-		return out
+		return make([][]Result, len(queries))
 	}
+	start := time.Now()
 	qs := queries
 	if ix.rot != nil {
 		qs = make([][]float32, len(queries))
@@ -392,80 +275,23 @@ func (ix *IVFPQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Res
 			applyRot(qs[qi], ix.rot, queries[qi])
 		})
 	}
-	// Probe assignment and LUT construction, fanned out over queries.
-	probes := make([][]int, len(qs))
 	luts, pooled := buildLUTs(ix.cb, qs)
-	parallelFor(len(qs), 0, func(qi int) {
-		probes[qi] = ix.km.NearestN(qs[qi], ix.nprobe)
-	})
-	// Invert: cell → indices of the queries probing it.
-	perCell := make([][]int32, ix.km.K)
-	for qi, ps := range probes {
-		for _, c := range ps {
-			perCell[c] = append(perCell[c], int32(qi))
-		}
-	}
-	work := make([]int, 0, ix.km.K)
-	for c, cells := range perCell {
-		if len(cells) > 0 && len(ix.cellIDs[c]) > 0 {
-			work = append(work, c)
-		}
-	}
-	// Scan cells in parallel; each produces one partial heap per
-	// interested query, merged per query afterwards.
-	partial := make([][]*topK, len(work))
-	parallelFor(len(work), 0, func(wi int) {
-		c := work[wi]
-		interested := perCell[c]
-		hs := make([]*topK, len(interested))
-		for i := range hs {
-			hs[i] = getTopK(k)
-		}
+	defer releaseLUTs(pooled)
+	return ix.searchCells(qs, k, ix.keys, start, tm, func(c int, qis []int32, hs []*topK) {
+		var cp *[]float32
 		if ix.residual {
-			cp := getTile(ix.cb.m * ix.cb.ksub)
-			cellLUT := *cp
-			anchor := ix.anchors[c]
-			for i, qi := range interested {
-				ix.cb.shiftLUT(cellLUT, luts[qi], qs[qi], anchor)
-				scanPQTopK(ix.cellCodes[c], ix.cb, cellLUT, hs[i], ix.cellIDs[c], 0)
-			}
-			putTile(cp)
-		} else {
-			qluts := make([][]float32, len(interested))
-			for i, qi := range interested {
-				qluts[i] = luts[qi]
-			}
-			scanPQBatchTopK(ix.cellCodes[c], ix.cb, qluts, hs, ix.cellIDs[c], 0)
+			cp = getTile(ix.cb.m * ix.cb.ksub)
+			defer putTile(cp)
 		}
-		partial[wi] = hs
+		for i, qi := range qis {
+			lut := luts[qi]
+			if cp != nil {
+				ix.cb.shiftLUT(*cp, lut, qs[qi], ix.anchors[c])
+				lut = *cp
+			}
+			scanPQTopK(ix.cellCodes[c], ix.cb, lut, hs[i], ix.cellIDs[c], 0)
+		}
 	})
-	releaseLUTs(pooled)
-	final := make([]*topK, len(queries))
-	for wi, c := range work {
-		for i, qi := range perCell[c] {
-			h := partial[wi][i]
-			if final[qi] == nil {
-				final[qi] = h
-				continue
-			}
-			f := final[qi]
-			for j, id := range h.ids {
-				f.push(id, h.scores[j])
-			}
-			putTopK(h)
-		}
-	}
-	for qi := range out {
-		if final[qi] == nil {
-			// All probed cells were empty; Search returns a non-nil empty
-			// slice in this case, so match it.
-			out[qi] = []Result{}
-			continue
-		}
-		out[qi] = final[qi].results(ix.keys)
-		putTopK(final[qi])
-	}
-	return out
 }
 
 // searchReference is the retained reference scalar scan over the probed
@@ -532,12 +358,5 @@ func (ix *IVFPQ) MemoryBytes() int64 {
 // trade-off. Rotation is an internal detail (it preserves inner
 // products), so originals are compared unrotated.
 func (ix *IVFPQ) Recall(originals [][]float32, queries [][]float32, k int) float64 {
-	if len(queries) == 0 || len(originals) != ix.Len() {
-		return 0
-	}
-	flat := NewFlat(ix.dim)
-	for i, v := range originals {
-		flat.Add(v, ix.keys[i])
-	}
-	return recallAgainst(flat, ix, queries, k)
+	return recallAgainstOriginals(ix, originals, queries, k)
 }

@@ -208,16 +208,10 @@ func (lv *Live) Base() Index { return lv.base }
 // Key returns the metadata key for id, from the base or the memtable.
 func (lv *Live) Key(id int) string {
 	if id < lv.nb {
-		if kx, ok := lv.base.(keyedIndex); ok {
-			return kx.Key(id)
-		}
-		return ""
+		return lv.base.Key(id)
 	}
 	return lv.mem.Key(id - lv.nb)
 }
-
-// keyedIndex mirrors rag's keyed probe without importing it.
-type keyedIndex interface{ Key(id int) string }
 
 // mergeLive folds the base and memtable top-k candidate sets under the
 // package total order (score desc, id asc) — the same order mergeHeaps
@@ -293,7 +287,7 @@ func (lv *Live) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Resu
 
 // MemoryBytes reports base plus memtable storage, for StatsOf.
 func (lv *Live) MemoryBytes() int64 {
-	return StatsOf(lv.base).Bytes + lv.mem.MemoryBytes()
+	return lv.base.MemoryBytes() + lv.mem.MemoryBytes()
 }
 
 // CompactBase is the slow half of a compaction: it clones the base and

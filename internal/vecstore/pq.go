@@ -387,24 +387,9 @@ func (ix *PQ) Reconstruct(id int) []float32 {
 	return out
 }
 
-// Search implements Index: it builds the query's M×ksub LUT once, then
-// runs the segment-parallel LUT scan over the code block.
+// Search implements Index as a one-query SearchBatch.
 func (ix *PQ) Search(query []float32, k int) []Result {
-	if !ix.trained {
-		panic("vecstore: PQ Search before Train")
-	}
-	if len(query) != ix.dim {
-		panic("vecstore: Search dim mismatch")
-	}
-	if k <= 0 || len(ix.keys) == 0 {
-		return nil
-	}
-	lp := getTile(ix.cb.m * ix.cb.ksub)
-	lut := *lp
-	ix.cb.lutInto(lut, query)
-	res := searchPQBlock(ix.codes, ix.cb, lut, k, ix.keys, nil)
-	putTile(lp)
-	return res
+	return ix.searchBatch([][]float32{query}, k, nil)[0]
 }
 
 // SearchBatch implements Index: all LUTs are built up front (in parallel),
@@ -414,21 +399,23 @@ func (ix *PQ) SearchBatch(queries [][]float32, k int) [][]Result {
 	return ix.searchBatch(queries, k, nil)
 }
 
-// searchBatch books the whole batch, LUT construction included, under
-// Scan.
+// searchBatch runs the segment-parallel LUT scan over the code block; LUT
+// construction is booked under Scan.
 func (ix *PQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
-	defer tm.bookScan(time.Now())
 	if !ix.trained {
 		panic("vecstore: PQ Search before Train")
 	}
 	checkBatchDims(queries, ix.dim)
-	if k <= 0 || len(ix.keys) == 0 {
+	if k <= 0 || len(ix.keys) == 0 || len(queries) == 0 {
 		return make([][]Result, len(queries))
 	}
+	start := time.Now()
 	luts, pooled := buildLUTs(ix.cb, queries)
-	out := searchPQBlockBatch(ix.codes, ix.cb, luts, k, ix.keys)
-	releaseLUTs(pooled)
-	return out
+	defer releaseLUTs(pooled)
+	m := ix.cb.m
+	return searchSegments(len(ix.keys), len(queries), k, ix.keys, start, tm, func(r0, r1 int, hs []*topK) {
+		scanPQBatchTopK(ix.codes[r0*m:r1*m], ix.cb, luts, hs, nil, r0)
+	})
 }
 
 // buildLUTs computes one pooled LUT per query in parallel. The returned
@@ -485,14 +472,22 @@ func (ix *PQ) MemoryBytes() int64 {
 // Recall measures PQ ranking fidelity against an exact FP16 scan of the
 // original full-precision vectors, when those are provided.
 func (ix *PQ) Recall(originals [][]float32, queries [][]float32, k int) float64 {
-	if len(queries) == 0 || len(originals) != ix.Len() {
+	return recallAgainstOriginals(ix, originals, queries, k)
+}
+
+// recallAgainstOriginals is recallAgainst with the exact side an FP16
+// Flat scan of originals, the full-precision vectors a quantized index
+// was built from (row i of originals is id i). It returns 0 for no
+// queries or when originals does not cover every id.
+func recallAgainstOriginals(approx Index, originals [][]float32, queries [][]float32, k int) float64 {
+	if len(queries) == 0 || len(originals) != approx.Len() {
 		return 0
 	}
-	flat := NewFlat(ix.dim)
+	flat := NewFlat(approx.Dim())
 	for i, v := range originals {
-		flat.Add(v, ix.keys[i])
+		flat.Add(v, approx.Key(i))
 	}
-	return recallAgainst(flat, ix, queries, k)
+	return recallAgainst(flat, approx, queries, k)
 }
 
 // recallAgainst returns the average fraction of exact's top-k ids that

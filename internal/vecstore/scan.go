@@ -216,53 +216,58 @@ func searchBlock(b halfBlock, q []float32, k int, keys []string, dst []Result) [
 	return mergeHeaps(heaps, keys, dst)
 }
 
-// searchBlockBatch is the segment-parallel multi-query driver behind the
-// FP16 SearchBatch: every worker owns a row segment and one heap per
-// query, and each tile of its segment is scored against the whole batch.
-// A non-nil tm receives where the time went: Scan covers query packing
-// and the segment-parallel scans (through wg.Wait), Merge the per-query
-// heap folds into final descending order. Timing only brackets the two
-// phases with clock reads; results do not depend on it.
+// searchBlockBatch is the FP16 SearchBatch: the batch is packed once and
+// every segment's tiles are scored against all of it by scanBatchTopK.
 func searchBlockBatch(b halfBlock, queries [][]float32, k int, keys []string, tm *ScanTiming) [][]Result {
-	out := make([][]Result, len(queries))
-	rows := b.rows()
-	if rows == 0 || k <= 0 || len(queries) == 0 {
-		return out
+	if b.rows() == 0 || k <= 0 || len(queries) == 0 {
+		return make([][]Result, len(queries))
 	}
-	scanStart := time.Now()
+	start := time.Now()
 	qp := packQueries(queries, b.dim)
-	workers := scanSegments(rows, len(queries))
-	seg := segmentSize(rows, workers)
-	nseg := (rows + seg - 1) / seg
-	heaps := make([][]*topK, 0, nseg)
+	defer putTile(qp)
+	return searchSegments(b.rows(), len(queries), k, keys, start, tm, func(r0, r1 int, hs []*topK) {
+		scanBatchTopK(b.slice(r0, r1), *qp, hs, nil, r0)
+	})
+}
+
+// searchSegments is the segment-parallel multi-query driver behind every
+// contiguous code block (FP16 and PQ): the rows are split into
+// scanSegments segments of segmentSize rows, each segment gets one heap
+// per query and its own goroutine, and each query's segment heaps are
+// folded by mergeHeaps. scanSeg scores rows [r0,r1) into hs (hs[qi] for
+// query qi) and is called once per segment, so the tile and row loops stay
+// in the family's kernel. A non-nil tm receives where the time went: Scan
+// runs from start — the caller's per-batch pre-work (query packing, LUT
+// construction) — through the segment scans, Merge covers the heap folds
+// into final descending order. Timing only brackets the two phases with
+// clock reads; results do not depend on it.
+func searchSegments(rows, nq, k int, keys []string, start time.Time, tm *ScanTiming, scanSeg func(r0, r1 int, hs []*topK)) [][]Result {
+	seg := segmentSize(rows, scanSegments(rows, nq))
+	heaps := make([][]*topK, 0, (rows+seg-1)/seg)
 	var wg sync.WaitGroup
 	for r0 := 0; r0 < rows; r0 += seg {
-		r1 := r0 + seg
-		if r1 > rows {
-			r1 = rows
-		}
-		hs := make([]*topK, len(queries))
+		hs := make([]*topK, nq)
 		for i := range hs {
 			hs[i] = getTopK(k)
 		}
 		heaps = append(heaps, hs)
 		wg.Add(1)
-		go func(sub halfBlock, base int, hs []*topK) {
+		go func(r0, r1 int) {
 			defer wg.Done()
-			scanBatchTopK(sub, *qp, hs, nil, base)
-		}(b.slice(r0, r1), r0, hs)
+			scanSeg(r0, r1, hs)
+		}(r0, min(r0+seg, rows))
 	}
 	wg.Wait()
-	putTile(qp)
 	mergeStart := time.Now()
-	for qi := range queries {
+	out := make([][]Result, nq)
+	for qi := range out {
 		perSeg := make([]*topK, len(heaps))
 		for si := range heaps {
 			perSeg[si] = heaps[si][qi]
 		}
 		out[qi] = mergeHeaps(perSeg, keys, nil)
 	}
-	tm.book(scanStart, mergeStart)
+	tm.book(start, mergeStart)
 	return out
 }
 
@@ -290,80 +295,6 @@ func scanPQBatchTopK(codes []byte, cb *pqCodebook, luts [][]float32, hs []*topK,
 	for qi, lut := range luts {
 		scanPQTopK(codes, cb, lut, hs[qi], ids, base)
 	}
-}
-
-// searchPQBlock runs the top-k LUT scan over one PQ code block, splitting
-// it into parallel segments when large enough, and appends the
-// descending-ordered results to dst.
-func searchPQBlock(codes []byte, cb *pqCodebook, lut []float32, k int, keys []string, dst []Result) []Result {
-	rows := len(codes) / cb.m
-	workers := scanSegments(rows, 1)
-	if workers <= 1 {
-		h := getTopK(k)
-		scanPQTopK(codes, cb, lut, h, nil, 0)
-		dst = h.appendResults(dst, keys)
-		putTopK(h)
-		return dst
-	}
-	seg := segmentSize(rows, workers)
-	heaps := make([]*topK, 0, workers)
-	var wg sync.WaitGroup
-	for r0 := 0; r0 < rows; r0 += seg {
-		r1 := r0 + seg
-		if r1 > rows {
-			r1 = rows
-		}
-		h := getTopK(k)
-		heaps = append(heaps, h)
-		wg.Add(1)
-		go func(sub []byte, base int, h *topK) {
-			defer wg.Done()
-			scanPQTopK(sub, cb, lut, h, nil, base)
-		}(codes[r0*cb.m:r1*cb.m], r0, h)
-	}
-	wg.Wait()
-	return mergeHeaps(heaps, keys, dst)
-}
-
-// searchPQBlockBatch is the segment-parallel multi-query PQ driver behind
-// PQ.SearchBatch: LUT construction is already amortised by the caller, and
-// every worker scores its code segment against the whole batch.
-func searchPQBlockBatch(codes []byte, cb *pqCodebook, luts [][]float32, k int, keys []string) [][]Result {
-	out := make([][]Result, len(luts))
-	rows := len(codes) / cb.m
-	if rows == 0 || k <= 0 {
-		return out
-	}
-	workers := scanSegments(rows, len(luts))
-	seg := segmentSize(rows, workers)
-	nseg := (rows + seg - 1) / seg
-	heaps := make([][]*topK, 0, nseg)
-	var wg sync.WaitGroup
-	for r0 := 0; r0 < rows; r0 += seg {
-		r1 := r0 + seg
-		if r1 > rows {
-			r1 = rows
-		}
-		hs := make([]*topK, len(luts))
-		for i := range hs {
-			hs[i] = getTopK(k)
-		}
-		heaps = append(heaps, hs)
-		wg.Add(1)
-		go func(sub []byte, base int, hs []*topK) {
-			defer wg.Done()
-			scanPQBatchTopK(sub, cb, luts, hs, nil, base)
-		}(codes[r0*cb.m:r1*cb.m], r0, hs)
-	}
-	wg.Wait()
-	for qi := range luts {
-		perSeg := make([]*topK, len(heaps))
-		for si := range heaps {
-			perSeg[si] = heaps[si][qi]
-		}
-		out[qi] = mergeHeaps(perSeg, keys, nil)
-	}
-	return out
 }
 
 // segmentSize rounds rows/workers up to a whole number of tiles so tiles,

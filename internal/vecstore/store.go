@@ -31,6 +31,11 @@ type Index interface {
 	Len() int
 	// Dim reports the vector dimensionality.
 	Dim() int
+	// Key returns the metadata key attached to id at Add time.
+	Key(id int) string
+	// MemoryBytes reports vector/code storage, codebooks included, keys
+	// excluded (see StatsOf).
+	MemoryBytes() int64
 	// searchBatch is SearchBatch booking its phases into tm when tm is
 	// non-nil (see BatchSearchTimed).
 	searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result
@@ -264,13 +269,9 @@ func (s IndexStats) BytesPerVector() float64 {
 }
 
 // StatsOf inspects an index's concrete type and reports its storage
-// profile. Unknown index types report Kind "?" and zero bytes.
+// profile.
 func StatsOf(ix Index) IndexStats {
-	st := IndexStats{Kind: "?", Vectors: ix.Len(), Dim: ix.Dim()}
-	type sized interface{ MemoryBytes() int64 }
-	if m, ok := ix.(sized); ok {
-		st.Bytes = m.MemoryBytes()
-	}
+	st := IndexStats{Kind: "?", Vectors: ix.Len(), Dim: ix.Dim(), Bytes: ix.MemoryBytes()}
 	switch v := ix.(type) {
 	case *Flat:
 		st.Kind = "Flat(FP16)"

@@ -13,10 +13,13 @@ type ScanTiming struct {
 }
 
 // BatchSearchTimed is ix.SearchBatch plus where the batch's time went.
-// Flat, the memtable and Live report their real scan/merge split; HNSW,
-// whose beams have nothing to fold, and IVF, PQ and IVF-PQ book the whole
-// batch under Scan — the serving layer never sees a merge phase the index
-// did not report. Results are bit-identical to SearchBatch.
+// Flat, PQ, the memtable, IVF and IVF-PQ report their real scan/merge
+// split — Scan covers query packing or LUT construction and the segment or
+// cell scans, Merge the per-query heap folds — and Live books its tiers'
+// scans under Scan and their fold under Merge. HNSW, whose beams have
+// nothing to fold, books the whole batch under Scan, so the serving layer
+// never sees a merge phase the index did not report. Results are
+// bit-identical to SearchBatch.
 func BatchSearchTimed(ix Index, queries [][]float32, k int) ([][]Result, ScanTiming) {
 	var tm ScanTiming
 	res := ix.searchBatch(queries, k, &tm)
@@ -31,8 +34,8 @@ func (tm *ScanTiming) book(scanStart, mergeStart time.Time) {
 	}
 }
 
-// bookScan records a whole batch, started at start, under Scan. A nil tm
-// is an untimed call.
+// bookScan records a whole batch, started at start, under Scan (HNSW). A
+// nil tm is an untimed call.
 func (tm *ScanTiming) bookScan(start time.Time) {
 	if tm != nil {
 		tm.Scan = time.Since(start)

@@ -30,29 +30,40 @@ func timingFixture(t *testing.T, dim, n int) (*Flat, [][]float32) {
 func keyOf(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i%10)) }
 
 // TestBatchSearchTimedParity pins the timed entry point to the untimed
-// one: identical results on Flat (native scan/merge split), on Live
-// (base+memtable split) and on HNSW (whole batch under Scan), with
-// non-negative phase durations and no merge phase HNSW did not report.
+// one and to per-query Search on every family: identical results, a real
+// scan/merge split on Flat, PQ, IVF, IVF-PQ (segment or cell scans, then
+// heap folds) and Live (tier scans, then the tier fold), and the whole
+// batch under Scan with no merge phase on HNSW.
 func TestBatchSearchTimedParity(t *testing.T) {
 	ix, queries := timingFixture(t, 16, 500)
 	lv := NewLive(ix, NewMemtable(16))
 	lv.Add(queries[0], "live-row")
-	graph := ix.ToHNSW(HNSWConfig{Seed: 3})
 	for _, c := range []struct {
-		name string
-		ix   Index
-	}{{"Flat", ix}, {"Live", lv}, {"HNSW", graph}} {
+		name  string
+		ix    Index
+		merge bool
+	}{
+		{"Flat", ix, true},
+		{"Live", lv, true},
+		{"PQ", ix.ToPQ(PQConfig{M: 4, Seed: 1}), true},
+		{"IVF", ix.ToIVF(IVFConfig{NList: 8, NProbe: 3, Seed: 1}), true},
+		{"IVFPQ-residual", ix.ToIVFPQ(IVFPQConfig{NList: 8, NProbe: 3, M: 4, Seed: 1, Residual: true}), true},
+		{"HNSW", ix.ToHNSW(HNSWConfig{Seed: 3}), false},
+	} {
 		want := make([][]Result, len(queries))
 		for qi, q := range queries {
 			want[qi] = c.ix.Search(q, 10)
 		}
 		assertSameResults(t, c.name+".SearchBatch", want, c.ix.SearchBatch(queries, 10))
 		got, tm := BatchSearchTimed(c.ix, queries, 10)
-		if tm.Scan < 0 || tm.Merge < 0 {
-			t.Fatalf("%s: negative timing: %+v", c.name, tm)
+		if tm.Scan <= 0 || tm.Merge < 0 {
+			t.Fatalf("%s: implausible timing: %+v", c.name, tm)
 		}
-		if c.name == "HNSW" && tm.Merge != 0 {
-			t.Fatalf("HNSW booked a merge phase: %+v", tm)
+		if c.merge && tm.Merge == 0 {
+			t.Fatalf("%s booked no merge phase: %+v", c.name, tm)
+		}
+		if !c.merge && tm.Merge != 0 {
+			t.Fatalf("%s booked a merge phase: %+v", c.name, tm)
 		}
 		assertSameResults(t, "BatchSearchTimed("+c.name+")", want, got)
 	}
