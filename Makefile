@@ -32,10 +32,12 @@ verify:
 # Close-vs-enqueue hammer), the parallel pipeline, the observability layer
 # (metrics registry snapshots under writer load, trace/slowlog concurrent
 # appends), and the evaluation path's cross-goroutine state: prompt plans
-# shared by every model's workers (eval, core) and the process-wide
-# ability-calibration memo (llmsim).
+# shared by every model's workers (eval, core), the process-wide
+# ability-calibration memo (llmsim), and the encoder's process-wide
+# projection-pattern table, filled lock-free by every goroutine that embeds
+# (embed's Pool, and chunk's parallel SplitAll).
 race:
-	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim
+	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim ./internal/embed ./internal/chunk
 
 # Short native-fuzz pass over the VSF loader's magic dispatch and header
 # parsing (FuzzLoad); the checked-in corpus under testdata/fuzz pins the
@@ -85,13 +87,14 @@ lint:
 # jagged baseline, the PQ/IVF-PQ LUT scans, and the multi-query batch
 # kernels at the serving shape (batch of 2) and at 64; then the
 # build/evaluate hot path:
-# BenchmarkCountTokens (must report 0 allocs/op), BenchmarkPromptPlanFit
-# vs BenchmarkAssemblePrompt, BenchmarkDoFastFunc and
+# BenchmarkCountTokens (must report 0 allocs/op), BenchmarkEncode (ns and
+# allocs per text through the memoised projection), BenchmarkSplit,
+# BenchmarkPromptPlanFit vs BenchmarkAssemblePrompt, BenchmarkDoFastFunc and
 # BenchmarkGatewayCallFastHandler (two closed-loop callers, ns per call),
 # BenchmarkEvaluateSynthetic.
 bench:
 	$(GO) test ./internal/f16 ./internal/vecstore -run '^$$' -bench . -benchmem
-	$(GO) test ./internal/tokenizer ./internal/rag ./internal/batch ./internal/argo ./internal/eval -run '^$$' -bench . -benchmem
+	$(GO) test ./internal/tokenizer ./internal/embed ./internal/chunk ./internal/rag ./internal/batch ./internal/argo ./internal/eval -run '^$$' -bench . -benchmem
 
 # Full paper-artifact bench suite (Tables 2-4, Figures 4-6, ablations).
 bench-all:

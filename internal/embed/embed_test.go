@@ -2,11 +2,18 @@ package embed
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"repro/internal/f16"
+	"repro/internal/rng"
+	"repro/internal/tokenizer"
 )
 
 func TestDeterministic(t *testing.T) {
@@ -211,10 +218,169 @@ func TestQuickSelfSimilarity(t *testing.T) {
 	}
 }
 
+// encodeReference is the encoder as it was before projection patterns were
+// memoised and features hashed in place, kept verbatim as the bit-parity
+// oracle: words from Tokenize, a counts map with sorted keys, n-gram and
+// bigram strings hashed through hash/fnv, and a PRNG re-seeded for every
+// feature occurrence.
+func encodeReference(dim int, seed uint64, idf *IDF, text string) []float32 {
+	dst := make([]float32, dim)
+	var words []string
+	for _, t := range tokenizer.Tokenize(text) {
+		if len(t.Norm) > 0 && (unicode.IsLetter(rune(t.Norm[0])) || unicode.IsDigit(rune(t.Norm[0]))) {
+			words = append(words, t.Norm)
+		}
+	}
+	if len(words) == 0 {
+		return dst
+	}
+	addFeature := func(feat string, weight float32) {
+		fh := fnv.New64a()
+		fh.Write([]byte(feat))
+		h := fh.Sum64() ^ seed
+		f := h % hashSpace
+		g := rng.New(seed ^ (f * 0x9E3779B97F4A7C15))
+		for k := 0; k < projPerFeat; k++ {
+			idx := g.Intn(dim)
+			sign := float32(1)
+			if g.Bool(0.5) {
+				sign = -1
+			}
+			dst[idx] += sign * weight
+		}
+	}
+	counts := make(map[string]int, len(words))
+	for _, w := range words {
+		counts[w]++
+	}
+	distinct := make([]string, 0, len(counts))
+	for w := range counts {
+		distinct = append(distinct, w)
+	}
+	sort.Strings(distinct)
+	for _, w := range distinct {
+		c := counts[w]
+		weight := float32(1)
+		for k := 1; k < c && k < 4; k++ {
+			weight += 1 / float32(k+1)
+		}
+		if idf != nil {
+			weight *= idf.Weight(w)
+		}
+		addFeature(w, 2*weight)
+		for _, g := range tokenizer.NGrams(w, ngramSize) {
+			addFeature(g, weight*0.5)
+		}
+	}
+	for i := 0; i+1 < len(words); i++ {
+		addFeature(words[i]+"\x1f"+words[i+1], 1)
+	}
+	f16.Normalize(dst)
+	return dst
+}
+
+// parityTexts is the table the parity test runs and FuzzEncodeParity
+// starts from: empty and punctuation-only text, one-rune words, words over
+// 64 runes, non-ASCII words, uppercase, the intra-word joiners, repeated
+// words and invalid UTF-8.
+var parityTexts = []string{
+	"",
+	"... ,;: ()!? -- ''",
+	"a b c x y z 7",
+	strings.Repeat("supercalifragilistic", 4) + " " + strings.Repeat("ж", 70),
+	"naïve café é ΑΒΓ γ-H2AX 细胞凋亡 放射治疗",
+	"IONIZING Radiation INDUCES DNA Double-Strand BREAKS",
+	"non-small cell dose of 1.8 Gy in p53's pathway",
+	"apoptosis apoptosis apoptosis apoptosis apoptosis regulation",
+	"Ionizing radiation induces double-strand breaks that activate the ATM kinase pathway and p53-mediated apoptosis in tumor cells.",
+	"dose — 2 Gy © 2024, bad\xffutf8 and שלום",
+}
+
+// parityIDF is trained on a corpus that leaves some parity words unseen, so
+// both the trained and the fallback weight are exercised.
+func parityIDF() *IDF { return TrainIDF(append(idfCorpus(), parityTexts[5:8]...)) }
+
+func checkParity(t *testing.T, e *Encoder, idf *IDF, text string) {
+	t.Helper()
+	got := e.Encode(text)
+	want := encodeReference(e.dim, e.seed, idf, text)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("dim %d seed %d idf %v text %q: component %d = %v, reference %v",
+				e.dim, e.seed, idf != nil, text, i, got[i], want[i])
+		}
+	}
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	idf := parityIDF()
+	for _, dim := range []int{64, 384} {
+		for _, seed := range []uint64{0, 1} {
+			plain := New(dim, seed)
+			for _, text := range parityTexts {
+				checkParity(t, plain, nil, text)
+				checkParity(t, plain.WithIDF(idf), idf, text)
+			}
+		}
+	}
+	// The production encoder, on its own seed.
+	for _, text := range parityTexts {
+		checkParity(t, NewDefault(), nil, text)
+	}
+}
+
+func FuzzEncodeParity(f *testing.F) {
+	for _, text := range parityTexts {
+		f.Add(text)
+	}
+	idf := parityIDF()
+	encoders := []*Encoder{New(64, 0), New(64, 1), New(384, 0), New(384, 1)}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, e := range encoders {
+			checkParity(t, e, nil, text)
+			checkParity(t, e.WithIDF(idf), idf, text)
+		}
+	})
+}
+
+// Eight goroutines race to fill a fresh (dim, seed) table; every vector
+// must still equal the reference bit for bit.
+func TestEncodeConcurrentFill(t *testing.T) {
+	const dim, seed = 96, 0xfeed
+	texts := make([]string, 0, 40)
+	for i := 0; i < 40; i++ {
+		texts = append(texts, fmt.Sprintf("%s %d", parityTexts[8+i%2], i))
+	}
+	var wg sync.WaitGroup
+	got := make([][][]float32, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := New(dim, seed)
+			for _, text := range texts {
+				got[g] = append(got[g], e.Encode(text))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, text := range texts {
+		want := encodeReference(dim, seed, nil, text)
+		for g := range got {
+			for j := range want {
+				if math.Float32bits(got[g][i][j]) != math.Float32bits(want[j]) {
+					t.Fatalf("goroutine %d text %d component %d = %v, reference %v", g, i, j, got[g][i][j], want[j])
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	e := NewDefault()
 	text := "Ionizing radiation induces double-strand breaks that activate the ATM kinase pathway and p53-mediated apoptosis in tumor cells."
 	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = e.Encode(text)
 	}

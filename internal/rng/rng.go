@@ -9,11 +9,7 @@
 // scheduling order.
 package rng
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Source is a deterministic PRNG based on xoshiro256** seeded via SplitMix64.
 // It is NOT safe for concurrent use; derive per-goroutine children with
@@ -66,30 +62,33 @@ func (r *Source) Uint64() uint64 {
 // independent, and the derivation does not advance the parent, so sibling
 // stages may be created in any order.
 func (r *Source) Split(name string) *Source {
-	h := fnv.New64a()
-	var buf [32]byte
-	binary.LittleEndian.PutUint64(buf[0:], r.s[0])
-	binary.LittleEndian.PutUint64(buf[8:], r.s[1])
-	binary.LittleEndian.PutUint64(buf[16:], r.s[2])
-	binary.LittleEndian.PutUint64(buf[24:], r.s[3])
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	return New(h.Sum64())
+	return New(HashAdd(r.hashState(), name))
 }
 
 // SplitN derives an index-keyed child stream, for per-item determinism in
 // data-parallel loops.
 func (r *Source) SplitN(name string, n int) *Source {
-	h := fnv.New64a()
-	var buf [40]byte
-	binary.LittleEndian.PutUint64(buf[0:], r.s[0])
-	binary.LittleEndian.PutUint64(buf[8:], r.s[1])
-	binary.LittleEndian.PutUint64(buf[16:], r.s[2])
-	binary.LittleEndian.PutUint64(buf[24:], r.s[3])
-	binary.LittleEndian.PutUint64(buf[32:], uint64(n))
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	return New(h.Sum64())
+	return New(HashAdd(hashUint64(r.hashState(), uint64(n)), name))
+}
+
+// hashState folds the generator state into an FNV-1a hash as 32
+// little-endian bytes, the key Split and SplitN derive children from.
+func (r *Source) hashState() uint64 {
+	h := HashOffset
+	for _, x := range r.s {
+		h = hashUint64(h, x)
+	}
+	return h
+}
+
+// hashUint64 folds the 8 little-endian bytes of x into the FNV-1a state h.
+func hashUint64(h, x uint64) uint64 {
+	for k := 0; k < 8; k++ {
+		h ^= x & 0xff
+		h *= fnvPrime
+		x >>= 8
+	}
+	return h
 }
 
 // Float64 returns a uniform float in [0, 1).
@@ -303,22 +302,34 @@ func (z *Zipf) Sample(r *Source) int {
 	return lo
 }
 
-// HashString returns a stable 64-bit hash of s, independent of any Source
-// state. It is used wherever stable content-addressed identifiers are needed
-// (chunk ids, provenance keys).
-func HashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// HashOffset is the FNV-1a offset basis: the hash of the empty string and
+// the state an incremental HashAdd chain starts from.
+const HashOffset uint64 = 14695981039346656037
+
+const fnvPrime = 1099511628211
+
+// HashAdd folds the bytes of s into the running FNV-1a state h, so
+// HashAdd(HashAdd(HashOffset, a), b) == HashString(a+b) without building
+// a+b. It allocates nothing.
+func HashAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
+// HashString returns a stable 64-bit hash of s (64-bit FNV-1a), independent
+// of any Source state. It is used wherever stable content-addressed
+// identifiers are needed (chunk ids, provenance keys).
+func HashString(s string) uint64 { return HashAdd(HashOffset, s) }
+
 // HashStrings hashes the concatenation of the parts with separators, giving
-// a stable composite key.
+// a stable composite key: each part is followed by a 0x1f byte.
 func HashStrings(parts ...string) uint64 {
-	h := fnv.New64a()
+	h := HashOffset
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0x1f})
+		h = HashAdd(HashAdd(h, p), "\x1f")
 	}
-	return h.Sum64()
+	return h
 }

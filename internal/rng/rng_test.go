@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -298,6 +300,59 @@ func TestHashStringStable(t *testing.T) {
 func TestHashStringsSeparatorMatters(t *testing.T) {
 	if HashStrings("ab", "c") == HashStrings("a", "bc") {
 		t.Fatal("HashStrings concatenation ambiguity")
+	}
+}
+
+// hashCases cover the empty string, ASCII, multi-byte UTF-8, invalid UTF-8
+// and the 0x1f separator byte HashStrings appends.
+var hashCases = []string{"", "a", "chunk-0001", "naïve β-decay 细胞", "bad\xffutf8", "a\x1fb", "\x1f", "difficulty|q-0123456789abcdef"}
+
+func TestHashStringMatchesStdlibFNV(t *testing.T) {
+	for _, s := range hashCases {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := HashString(s), h.Sum64(); got != want {
+			t.Errorf("HashString(%q) = %x, hash/fnv gives %x", s, got, want)
+		}
+	}
+	for i := range hashCases {
+		parts := hashCases[:i]
+		h := fnv.New64a()
+		for _, p := range parts {
+			h.Write([]byte(p))
+			h.Write([]byte{0x1f})
+		}
+		if got, want := HashStrings(parts...), h.Sum64(); got != want {
+			t.Errorf("HashStrings(%q) = %x, hash/fnv gives %x", parts, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = HashStrings("doc", "3", "text") }); n != 0 {
+		t.Errorf("HashStrings allocates %v times per call", n)
+	}
+}
+
+// Split and SplitN key a child on FNV-1a over the parent state as
+// little-endian bytes (plus the index for SplitN), then the name.
+func TestSplitMatchesStdlibFNV(t *testing.T) {
+	for _, name := range hashCases {
+		r := New(77)
+		var buf [40]byte
+		for i, x := range r.s {
+			binary.LittleEndian.PutUint64(buf[8*i:], x)
+		}
+		binary.LittleEndian.PutUint64(buf[32:], 5)
+		h := fnv.New64a()
+		h.Write(buf[:32])
+		h.Write([]byte(name))
+		if got, want := r.Split(name).Uint64(), New(h.Sum64()).Uint64(); got != want {
+			t.Errorf("Split(%q) stream moved", name)
+		}
+		h = fnv.New64a()
+		h.Write(buf[:])
+		h.Write([]byte(name))
+		if got, want := r.SplitN(name, 5).Uint64(), New(h.Sum64()).Uint64(); got != want {
+			t.Errorf("SplitN(%q, 5) stream moved", name)
+		}
 	}
 }
 

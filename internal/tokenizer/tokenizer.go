@@ -59,14 +59,47 @@ func Tokenize(text string) []Token {
 }
 
 // Words returns just the normalized word forms (no punctuation tokens).
+//
+// It is Tokenize's state machine run over the string in place, keeping the
+// Norm of every token whose first byte, read as a Latin-1 code point, is a
+// letter or digit. A word token is a contiguous run of text, so its form is
+// a lowercased substring of text (no copy unless lowercasing changes it).
+// The byte test also keeps most non-ASCII punctuation tokens ("—", "©" and
+// U+FFFD, which stands in for an invalid byte) and drops words whose
+// lowercased lead byte is 0xD7 (most of Hebrew); callers' vectors depend
+// on exactly this output, so it is kept.
 func Words(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if len(t.Norm) > 0 && (unicode.IsLetter(rune(t.Norm[0])) || unicode.IsDigit(rune(t.Norm[0]))) {
-			out = append(out, t.Norm)
+	out := make([]string, 0, len(text)/6+1)
+	keep := func(norm string) {
+		if c := rune(norm[0]); unicode.IsLetter(c) || unicode.IsDigit(c) {
+			out = append(out, norm)
 		}
 	}
+	start := -1
+	flush := func(end int) {
+		if start >= 0 {
+			keep(strings.ToLower(text[start:end]))
+			start = -1
+		}
+	}
+	for i, r := range text {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			if start < 0 {
+				start = i
+			}
+		case (r == '-' || r == '\'' || r == '.') && start >= 0 && wordRuneAt(text, i+1):
+			// Intra-word joiner, as in NumTokens.
+		case unicode.IsSpace(r):
+			flush(i)
+		default:
+			flush(i)
+			if r >= utf8.RuneSelf { // ASCII punctuation never passes keep
+				keep(string(r))
+			}
+		}
+	}
+	flush(len(text))
 	return out
 }
 

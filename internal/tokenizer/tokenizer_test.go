@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -115,6 +116,58 @@ func FuzzCountTokens(f *testing.F) {
 		n := len(Tokenize(s))
 		if got := CountTokens(s); got != n+n/3 {
 			t.Fatalf("CountTokens(%q) = %d, Tokenize gives %d tokens, want %d", s, got, n, n+n/3)
+		}
+	})
+}
+
+// wordsReference is Words as it was built on Tokenize, kept verbatim as the
+// oracle for the in-place Words.
+func wordsReference(text string) []string {
+	toks := Tokenize(text)
+	out := make([]string, 0, len(toks))
+	for _, t := range toks {
+		if len(t.Norm) > 0 && (unicode.IsLetter(rune(t.Norm[0])) || unicode.IsDigit(rune(t.Norm[0]))) {
+			out = append(out, t.Norm)
+		}
+	}
+	return out
+}
+
+// wordsCases add to countCases the inputs where the reference's first-byte
+// test and lowercasing matter: uppercase non-ASCII, Hebrew (lead byte 0xD7),
+// non-ASCII punctuation, a literal U+FFFD, and runes whose lowercase form
+// starts with a different byte (İ, the Kelvin sign).
+var wordsCases = append([]string{
+	"ÉCOLE Über ΑΒΓ Straße",
+	"שלום עולם and ׀ punct",
+	"dose — 2 Gy © 2024 ± 0.1 °C µm",
+	"literal � replacement",
+	"İstanbul Kelvin",
+	"NON-SMALL P53'S 1.8",
+}, countCases...)
+
+func TestWordsMatchesTokenize(t *testing.T) {
+	for _, s := range wordsCases {
+		got, want := Words(s), wordsReference(s)
+		if strings.Join(got, "|") != strings.Join(want, "|") || len(got) != len(want) {
+			t.Errorf("Words(%q) = %q, Tokenize gives %q", s, got, want)
+		}
+	}
+}
+
+func FuzzWords(f *testing.F) {
+	for _, s := range wordsCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Words(s), wordsReference(s)
+		if len(got) != len(want) {
+			t.Fatalf("Words(%q) = %q, Tokenize gives %q", s, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Words(%q) = %q, Tokenize gives %q", s, got, want)
+			}
 		}
 	})
 }
