@@ -1,10 +1,14 @@
 // Command ragrouter is the fault-tolerant scatter/gather front-end over a
-// fleet of ragserve shards: it coalesces incoming searches, fans each
-// micro-batch out to every shard concurrently, and merges the per-shard
-// top-k into the exact global answer. A shard that is down, tripped or
-// past its deadline is cut out of the merge: clients get the exact top-k
-// over the surviving shards with degraded:true — never a 5xx while at
-// least one shard answers.
+// fleet of ragserve shards. It is ragserve's serving layer (the same
+// search routes, reply schema, coalescer, /metrics and slowlog) with each
+// route backed by the whole fleet instead of a local index: it fans each
+// coalesced micro-batch out to every shard concurrently and merges the
+// per-shard top-k into the exact global answer. A shard that is down,
+// tripped or past its deadline is cut out of the merge: clients get the
+// exact top-k over the surviving shards with degraded:true — never a 5xx
+// while at least one shard answers. It has no add, swap or compact
+// endpoint and no query cache: each shard swaps its own index, and the
+// router cannot see a shard's epoch. /healthz is the router's own.
 //
 // Start a 3-shard fleet (disjoint modulo partition of the same corpus):
 //

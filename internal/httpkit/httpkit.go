@@ -1,9 +1,10 @@
-// Package httpkit is the HTTP scaffolding the serving tiers share —
-// internal/serve (one backend) and internal/router (the scatter/gather
-// front-end), plus internal/argo's gateway server for the lifecycle and
-// JSON encoding: bounded JSON request decoding, JSON and traced response
-// encoding, the /metrics, /debug/slowlog and /debug/pprof handlers, and
-// the listen/serve/drain lifecycle. Plain functions over the tiers' own
+// Package httpkit is the HTTP scaffolding under internal/serve's handler
+// set, which both serving tiers run (a backend, and the router as a
+// serve.Server over its shards): bounded JSON request decoding, JSON and
+// traced response encoding, the /metrics, /debug/slowlog and /debug/pprof
+// handlers, and the listen/serve/drain lifecycle. The router's own
+// listener and /healthz, and internal/argo's gateway server, use the
+// lifecycle and JSON encoding too. Plain functions over the callers' own
 // state; nothing here knows about routes, shards or indexes.
 package httpkit
 

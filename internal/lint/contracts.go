@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -108,16 +109,30 @@ var pipelineStageTaxonomy = map[string]bool{
 // stagenames: a span recorded under a name outside the taxonomy, or a
 // stage histogram registered under one, drifts silently away from every
 // reader of the stage names (slowlog consumers, ragbench's per-stage
-// metrics). Catch the literal at analysis time. Matching is by receiver
-// type name (Trace.AddSpan/StartSpan, Registry histogram/counter names
-// containing "stage."), so the obs and metrics packages don't need
-// importing here.
+// metrics). Catch the literal at analysis time. Matching is by type name
+// (Trace.AddSpan/StartSpan, Registry histogram/counter names containing
+// "stage.", and the Name of a Stage literal — rag.Stage, in which a store
+// hands its stages to the serving layer as data), so the obs, metrics and
+// rag packages don't need importing here. A metric name whose literal
+// ends at "stage." takes its stage from such a Stage, checked where the
+// Stage is built.
 var analyzerStageTaxonomy = &Analyzer{
 	Name: "stagenames",
 	Doc:  "stage/metric name literals must belong to the approved stage taxonomy",
 	Run: func(p *Package, report func(pos token.Pos, msg string)) {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if name := stageLitName(p, lit); name != nil {
+						for _, s := range stringLits(name) {
+							if !stageTaxonomy[s] {
+								report(name.Pos(), "stage name "+quoted(s)+
+									" is outside the approved stage taxonomy (see stageTaxonomy in internal/lint/contracts.go)")
+							}
+						}
+					}
+					return true
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok || len(call.Args) == 0 {
 					return true
@@ -144,7 +159,7 @@ var analyzerStageTaxonomy = &Analyzer{
 							continue
 						}
 						stage := s[idx+len("stage."):]
-						if !stageTaxonomy[stage] && !pipelineStageTaxonomy[stage] {
+						if stage != "" && !stageTaxonomy[stage] && !pipelineStageTaxonomy[stage] {
 							report(call.Args[0].Pos(), "stage metric suffix "+quoted(stage)+
 								" is outside the approved stage taxonomy (see stageTaxonomy in internal/lint/contracts.go)")
 						}
@@ -154,6 +169,26 @@ var analyzerStageTaxonomy = &Analyzer{
 			})
 		}
 	},
+}
+
+// stageLitName returns the Name element of a composite literal of a type
+// named Stage, keyed or positional (the type may be elided, as inside a
+// []Stage literal), or nil for any other literal.
+func stageLitName(p *Package, lit *ast.CompositeLit) ast.Expr {
+	named, ok := p.Info.TypeOf(lit).(*types.Named)
+	if !ok || named.Obj().Name() != "Stage" {
+		return nil
+	}
+	for i, elt := range lit.Elts {
+		kv, keyed := elt.(*ast.KeyValueExpr)
+		switch {
+		case keyed && isIdent(kv.Key, "Name"):
+			return kv.Value
+		case !keyed && i == 0:
+			return elt
+		}
+	}
+	return nil
 }
 
 func quoted(s string) string { return "\"" + s + "\"" }

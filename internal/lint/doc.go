@@ -22,8 +22,10 @@
 //	           allocation — the VSF header-bomb class FuzzLoad hunts
 //	           dynamically.
 //	stagenames stage/metric name literals passed to obs traces and
-//	           metrics histograms must belong to the closed stage
-//	           taxonomy (stageTaxonomy in contracts.go, its one owner).
+//	           metrics histograms, and the names in Stage literals (the
+//	           rag.Stage a store reports its stages in), must belong to
+//	           the closed stage taxonomy (stageTaxonomy in contracts.go,
+//	           its one owner).
 //	errwrap    fmt.Errorf with an error operand must use %w so callers
 //	           can errors.Is/As through the wrap.
 //

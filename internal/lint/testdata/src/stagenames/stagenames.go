@@ -33,6 +33,25 @@ func metrics(reg *Registry) {
 	reg.Histogram(prefix + "stage.scan") // fine for the literal part; prefix is opaque
 }
 
+// Stage mirrors rag.Stage, the carrier in which a store reports its
+// stages to the serving layer.
+type Stage struct {
+	Name string
+	Dur  time.Duration
+}
+
+func stages(reg *Registry, d time.Duration) []Stage {
+	out := []Stage{
+		{Name: "scatter", Dur: d}, // fine
+		{Name: "gather", Dur: d},  // want: not a known stage
+		{"scann", d},              // want: positional, a typo
+	}
+	for _, st := range out {
+		reg.Histogram("serve.stage." + st.Name) // fine: the name is a Stage, checked where it is built
+	}
+	return append(out, Stage{Dur: d, Name: "merge"}) // fine
+}
+
 func suppressed(tr *Trace) {
 	//lint:ignore stagenames experimental stage behind a flag, not yet in the schema
 	tr.AddSpan("prefetch", time.Millisecond)

@@ -18,6 +18,7 @@
 // For the online layer, Facade (with the NewChunkFacade/NewTraceFacade
 // adapters) presents both store kinds behind one store-agnostic
 // interface — flattened Hit results with the batch's embed/scan/merge
-// timings, the WithIndex hot-swap hook, and per-query question
-// exclusion — which internal/serve mounts as routes.
+// stages and per-query question exclusion — which internal/serve mounts
+// as routes; the optional Swapper half adds the WithIndex hot-swap hook.
+// The router's remote shard set implements Facade too.
 package rag

@@ -11,11 +11,12 @@ func TestChunkFacadeMatchesStore(t *testing.T) {
 	fx := buildFixture(t, 4)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	f := NewChunkFacade(store)
-	if f.Len() != store.Len() || f.Index() != store.Index() {
+	if f.Len() != store.Len() || f.(Swapper).Index() != store.Index() {
 		t.Fatal("facade disagrees with store on Len/Index")
 	}
 	queries := []string{fx.chunks[0].Text, fx.chunks[3].Text}
-	hits, _ := f.RetrieveBatch(queries, 3, []string{"ignored", "ignored"}) // chunk facades ignore exclude
+	b, _ := f.RetrieveBatch(t.Context(), queries, 3, []string{"ignored", "ignored"}) // chunk facades ignore exclude
+	hits := b.Hits
 	direct := store.RetrieveBatch(queries, 3)
 	if len(hits) != len(direct) {
 		t.Fatalf("%d hit groups for %d queries", len(hits), len(queries))
@@ -45,7 +46,8 @@ func TestTraceFacadeMatchesStoreAndExcludes(t *testing.T) {
 			break
 		}
 	}
-	hits, _ := f.RetrieveBatch([]string{tr.Reasoning}, 3, nil)
+	b, _ := f.RetrieveBatch(t.Context(), []string{tr.Reasoning}, 3, nil)
+	hits := b.Hits
 	if len(hits) != 1 || len(hits[0]) == 0 || hits[0][0].ID != tr.ID || hits[0][0].Group != tr.QuestionID {
 		t.Fatalf("hits %+v", hits)
 	}
@@ -53,8 +55,8 @@ func TestTraceFacadeMatchesStoreAndExcludes(t *testing.T) {
 		t.Fatal("trace text not carried")
 	}
 	// Per-query exclusion forwards to the store's self-exclusion rule.
-	excluded, _ := f.RetrieveBatch([]string{tr.Reasoning}, 3, []string{tr.QuestionID})
-	for _, h := range excluded[0] {
+	excluded, _ := f.RetrieveBatch(t.Context(), []string{tr.Reasoning}, 3, []string{tr.QuestionID})
+	for _, h := range excluded.Hits[0] {
 		if h.Group == tr.QuestionID {
 			t.Fatalf("excluded question %s leaked through the facade", tr.QuestionID)
 		}
@@ -65,18 +67,19 @@ func TestFacadeWithIndexSharesMetadata(t *testing.T) {
 	fx := buildFixture(t, 3)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	f := NewChunkFacade(store)
-	snap, err := f.WithIndex(store.Index())
+	snap, err := f.(Swapper).WithIndex(store.Index())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Len() != f.Len() {
 		t.Fatalf("snapshot len %d, want %d", snap.Len(), f.Len())
 	}
-	got, _ := snap.RetrieveBatch([]string{fx.chunks[1].Text}, 2, nil)
+	b, _ := snap.RetrieveBatch(t.Context(), []string{fx.chunks[1].Text}, 2, nil)
+	got := b.Hits
 	if len(got) != 1 || len(got[0]) == 0 || got[0][0].ID != fx.chunks[1].ID {
 		t.Fatalf("snapshot retrieval %+v", got)
 	}
-	if _, err := f.WithIndex(nil); err == nil {
+	if _, err := f.(Swapper).WithIndex(nil); err == nil {
 		t.Fatal("nil index accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -45,9 +46,9 @@ func partition(chunks []chunk.Chunk, nShards int) [][]chunk.Chunk {
 // unsharded backend would give.
 func storeSearch(chunks []chunk.Chunk, queries []string, k int) [][]serve.SearchResult {
 	f := rag.NewChunkFacade(rag.BuildChunkStore(nil, chunks, 0))
-	res, _ := f.RetrieveBatch(queries, k, nil)
-	out := make([][]serve.SearchResult, len(res))
-	for i, hits := range res {
+	b, _ := f.RetrieveBatch(context.Background(), queries, k, nil)
+	out := make([][]serve.SearchResult, len(b.Hits))
+	for i, hits := range b.Hits {
 		out[i] = make([]serve.SearchResult, len(hits))
 		for j, h := range hits {
 			out[i][j] = serve.SearchResult{ID: h.ID, Group: h.Group, Text: h.Text, Score: h.Score}

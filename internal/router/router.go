@@ -1,11 +1,19 @@
 // Package router is the fault-tolerant shard-scatter/gather tier in front
 // of a fleet of ragserve backends: the corpus is partitioned across N
-// shards (corpusgen-style modulo split), every incoming search is
-// coalesced into a micro-batch, scattered to all shards concurrently and
-// merged back into the exact global top-k — the scan.go segment-merge
-// discipline lifted across the network.
+// shards (corpusgen-style modulo split), and the router serves the same
+// routes as one backend would, with the exact global top-k — the scan.go
+// segment-merge discipline lifted across the network.
 //
-// The headline is the robustness layer wrapped around every shard call:
+// The router is a serve.Server whose routes are mounted over a remote
+// store: each route's store sends every micro-batch to all shards as one
+// batch RPC in parallel and merges the replies with MergeTopK. Coalescing,
+// the handlers, the response schema, stage histograms, slowlog and
+// /metrics are serve's, under the router.<route>. namespace. The routes
+// keep no query cache: the router cannot see a shard's index epoch, so a
+// cached top-k could outlive a shard's hot swap.
+//
+// What the router adds is the robustness layer wrapped around every shard
+// call:
 //
 //   - a per-shard deadline, context-propagated end to end (router attempt
 //     ctx → HTTP request → backend handler → backend coalescer);
@@ -16,7 +24,8 @@
 //   - graceful degradation: when a shard is down, tripped or timing out,
 //     clients get the exact merged top-k over the surviving shards with
 //     degraded:true and shards_ok/shards_total on the wire — never a 5xx
-//     while at least one shard answers.
+//     while at least one shard answers;
+//   - a /healthz of its own, reporting every shard's breaker and probe.
 package router
 
 import (
@@ -24,22 +33,22 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/batch"
 	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/rag"
 	"repro/internal/retry"
 	"repro/internal/serve"
 )
 
-// Config parameterises a Router.
+// Config parameterises a Router. Request depth and batch limits, the
+// slowlog size and the metrics registry are serve's defaults.
 type Config struct {
 	// Shards are the backend base URLs ("http://host:port"), one per
 	// corpus partition. Order defines the shard names (shard0, shard1, …).
@@ -54,11 +63,6 @@ type Config struct {
 	// router.<route>.coalesce_window_us gauge on /metrics.
 	MaxBatch int
 	MaxDelay time.Duration
-	// DefaultK / MaxK bound the retrieval depth as on the backends.
-	DefaultK int
-	MaxK     int
-	// MaxBatchQueries bounds one explicit batch request (default 1024).
-	MaxBatchQueries int
 	// ShardTimeout is the per-attempt deadline of one shard call
 	// (default 2s). It propagates to the backend as the request context.
 	ShardTimeout time.Duration
@@ -71,36 +75,13 @@ type Config struct {
 	// prober polls every shard's /healthz and is what closes a tripped
 	// breaker again once the shard reports "ok".
 	ProbeInterval time.Duration
-	// SlowLog is the per-route retention of slowest traces served at
-	// GET /debug/slowlog/<route> (0 selects obs.DefaultSlowLogSize).
-	SlowLog int
 	// Debug mounts net/http/pprof under /debug/pprof/ (opt-in).
 	Debug bool
-	// Registry receives the router's metrics; nil creates a private one.
-	Registry *metrics.Registry
-	// HTTPClient is shared by all shard clients; nil gets the serve
-	// client default (30s timeout, pooled transport).
-	HTTPClient *http.Client
 }
 
 func (c *Config) fill() {
 	if len(c.Routes) == 0 {
 		c.Routes = []string{serve.RouteChunks}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Millisecond
-	}
-	if c.DefaultK <= 0 {
-		c.DefaultK = 5
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 100
-	}
-	if c.MaxBatchQueries <= 0 {
-		c.MaxBatchQueries = 1024
 	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 2 * time.Second
@@ -161,49 +142,11 @@ func (sh *shard) setLastErr(err error) {
 	sh.lastErr.Store(lastError{msg: msg, at: time.Now()})
 }
 
-// route is the per-route serving state: its own coalescer and metrics,
-// mirroring the backend design so one route's traffic cannot stall
-// another's.
-type route struct {
-	name string
-	co   *batch.Coalescer[job, result]
-	slow *obs.SlowLog
-
-	mRequests, mDegraded, mErrors           *metrics.Counter
-	mBatches, mBatchedQueries               *metrics.Counter
-	hLatency                                *metrics.Histogram
-	hBatch                                  *metrics.Histogram
-	hStageQueue, hStageScatter, hStageMerge *metrics.Histogram
-	hStageEncode                            *metrics.Histogram
-	gWindow                                 *metrics.Gauge
-}
-
-type job struct {
-	query   string
-	k       int
-	exclude string
-
-	// Tracing mirrors the serve tier: enq starts the queue span, tr lets
-	// the batch function attribute the shared scatter/merge stages back to
-	// every member request (nil for untraced programmatic callers).
-	enq time.Time
-	tr  *obs.Trace
-}
-
-type result struct {
-	results     []serve.SearchResult
-	degraded    bool
-	shardsOK    int
-	shardsTotal int
-	err         error
-}
-
 // Router is the scatter/gather front-end over a static shard map.
 type Router struct {
 	cfg    Config
-	reg    *metrics.Registry
+	srv    *serve.Server
 	shards []*shard
-	routes map[string]*route
 
 	ctx        context.Context
 	cancel     context.CancelFunc
@@ -215,7 +158,8 @@ type Router struct {
 }
 
 // MetricPrefix returns a route's metrics namespace ("router.<name>." with
-// path separators mapped to dots), mirroring serve.MetricPrefix.
+// path separators mapped to dots): the router's serve tier registers every
+// per-route counter, gauge and histogram under it.
 func MetricPrefix(routeName string) string {
 	return "router." + strings.ReplaceAll(routeName, "/", ".") + "."
 }
@@ -234,19 +178,19 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("router: no shards configured")
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	// CacheCap stays 0: the router cannot see shard epochs (see the
+	// package comment).
+	srv := serve.NewTier("router", serve.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay, Debug: cfg.Debug})
+	reg := srv.Registry()
 	ctx, cancel := context.WithCancel(context.Background())
-	r := &Router{cfg: cfg, reg: reg, routes: make(map[string]*route, len(cfg.Routes)), ctx: ctx, cancel: cancel}
+	r := &Router{cfg: cfg, srv: srv, ctx: ctx, cancel: cancel}
 	for i, url := range cfg.Shards {
 		name := fmt.Sprintf("shard%d", i)
 		p := ShardMetricPrefix(name)
 		sh := &shard{
 			name:      name,
 			url:       url,
-			client:    serve.NewClient(url, cfg.HTTPClient),
+			client:    serve.NewClient(url, nil),
 			br:        newBreaker(cfg.Breaker),
 			mRequests: reg.Counter(p + "requests"),
 			mFailures: reg.Counter(p + "failures"),
@@ -260,43 +204,19 @@ func New(cfg Config) (*Router, error) {
 		r.shards = append(r.shards, sh)
 	}
 	for _, name := range cfg.Routes {
-		p := MetricPrefix(name)
-		rt := &route{
-			name:            name,
-			slow:            obs.NewSlowLog(cfg.SlowLog),
-			mRequests:       reg.Counter(p + "requests"),
-			mDegraded:       reg.Counter(p + "degraded"),
-			mErrors:         reg.Counter(p + "errors"),
-			mBatches:        reg.Counter(p + "batches"),
-			mBatchedQueries: reg.Counter(p + "batch.queries"),
-			hLatency:        reg.Histogram(p + "latency"),
-			hBatch:          reg.SizeHistogram(p + "batch.size"),
-			hStageQueue:     reg.Histogram(p + "stage.queue"),
-			hStageScatter:   reg.Histogram(p + "stage.scatter"),
-			hStageMerge:     reg.Histogram(p + "stage.merge"),
-			hStageEncode:    reg.Histogram(p + "stage.encode"),
-			gWindow:         reg.Gauge(p + "coalesce_window_us"),
+		if err := srv.Mount(name, shardSet{r: r, route: name}); err != nil {
+			cancel()
+			return nil, err
 		}
-		rt.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, func(jobs []job) []result {
-			return r.runBatch(rt, jobs)
-		})
-		r.routes[name] = rt
 	}
 	return r, nil
 }
 
 // Registry exposes the router's metrics registry.
-func (r *Router) Registry() *metrics.Registry { return r.reg }
+func (r *Router) Registry() *metrics.Registry { return r.srv.Registry() }
 
 // Routes lists the served route names, sorted.
-func (r *Router) Routes() []string {
-	out := make([]string, 0, len(r.routes))
-	for name := range r.routes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *Router) Routes() []string { return r.srv.Routes() }
 
 // Shards reports the shard map (name → URL) in shard order.
 func (r *Router) Shards() []string {
@@ -307,124 +227,70 @@ func (r *Router) Shards() []string {
 	return out
 }
 
-// runBatch is a route's coalescer batch function: scatter the whole
-// micro-batch to every shard concurrently, then merge per query.
-func (r *Router) runBatch(rt *route, jobs []job) []result {
-	t0 := time.Now()
-	queries := make([]string, len(jobs))
-	var excludes []string
-	maxK := 0
-	// The fan-out leader is the first traced member: its id rides the
-	// X-Trace-Id header to every shard, and the shards' span timelines are
-	// grafted back onto its trace. The other members still get the shared
-	// queue/scatter/merge spans — they did wait for the same fan-out.
-	var lead *obs.Trace
-	for i, j := range jobs {
-		queries[i] = j.query
-		if j.k > maxK {
-			maxK = j.k
-		}
-		if j.exclude != "" && excludes == nil {
-			excludes = make([]string, len(jobs))
-		}
-		if !j.enq.IsZero() {
-			wait := t0.Sub(j.enq)
-			rt.hStageQueue.Observe(wait)
-			j.tr.AddSpan("queue", j.enq, wait)
-		}
-		if lead == nil && j.tr != nil {
-			lead = j.tr
-		}
-	}
-	if excludes != nil {
-		for i, j := range jobs {
-			excludes[i] = j.exclude
-		}
-	}
-	scatterStart := time.Now()
-	perShard, okFlags, timings := r.scatter(rt, queries, maxK, excludes, lead)
-	scatterDur := time.Since(scatterStart)
-	rt.hStageScatter.Observe(scatterDur)
-	for _, j := range jobs {
-		j.tr.AddSpan("scatter", scatterStart, scatterDur)
-	}
-	r.attachShardTimings(lead, scatterStart, timings)
-	ok := 0
-	for _, f := range okFlags {
-		if f {
-			ok++
-		}
-	}
-	outs := make([]result, len(jobs))
-	if ok == 0 {
-		for i := range outs {
-			outs[i] = result{err: errAllShardsFailed, shardsTotal: len(r.shards)}
-		}
-		return outs
-	}
-	degraded := ok < len(r.shards)
-	mergeStart := time.Now()
-	lists := make([][]serve.SearchResult, 0, ok)
-	for qi := range jobs {
-		lists = lists[:0]
-		for si := range r.shards {
-			if okFlags[si] {
-				lists = append(lists, perShard[si][qi])
-			}
-		}
-		outs[qi] = result{
-			results:     MergeTopK(lists, jobs[qi].k),
-			degraded:    degraded,
-			shardsOK:    ok,
-			shardsTotal: len(r.shards),
-		}
-	}
-	mergeDur := time.Since(mergeStart)
-	rt.hStageMerge.Observe(mergeDur)
-	for _, j := range jobs {
-		j.tr.AddSpan("merge", mergeStart, mergeDur)
-	}
-	return outs
+// shardSet is one route over the whole fleet, mounted as that route's
+// serve.Store. It has no swap half: a shard swaps its own index.
+type shardSet struct {
+	r     *Router
+	route string
 }
 
-// attachShardTimings grafts the ok shards' remote span timelines onto the
-// fan-out leader's trace, anchored at the instant the scatter began —
-// clock skew between router and shard cannot reorder the merged timeline.
-func (r *Router) attachShardTimings(lead *obs.Trace, at time.Time, timings []*serve.TimingInfo) {
-	if lead == nil {
-		return
-	}
-	for si, ti := range timings {
-		if ti != nil {
-			lead.AttachAt(r.shards[si].name+".", at, ti.Spans)
-		}
-	}
-}
+// Len is 0: the router does not know the shards' sizes (each shard's
+// /healthz reports its own).
+func (s shardSet) Len() int { return 0 }
 
-// scatter issues one batch-search per shard concurrently and returns each
-// shard's per-query result lists, a per-shard success flag, and each ok
-// shard's span timeline (nil when the shard failed). tr is the fan-out
-// leader's trace; its id propagates to every shard call.
-func (r *Router) scatter(rt *route, queries []string, k int, excludes []string, tr *obs.Trace) ([][][]serve.SearchResult, []bool, []*serve.TimingInfo) {
-	rt.mBatches.Inc()
-	rt.mBatchedQueries.Add(int64(len(queries)))
-	rt.hBatch.ObserveN(int64(len(queries)))
-	perShard := make([][][]serve.SearchResult, len(r.shards))
-	okFlags := make([]bool, len(r.shards))
-	timings := make([]*serve.TimingInfo, len(r.shards))
+// RetrieveBatch sends the batch to every shard as one batch RPC, all in
+// parallel, then merges each query's per-shard lists into the exact
+// top-k over the shards that answered. The trace in ctx (the batch
+// leader's) names every shard call, and the shards' span timelines are
+// grafted onto it as shardN.<stage>, anchored at the instant the scatter
+// began — clock skew between router and shard cannot reorder the merged
+// timeline. Only when no shard answers is the batch an error.
+func (s shardSet) RetrieveBatch(ctx context.Context, queries []string, k int, exclude []string) (rag.Batch, error) {
+	lead := obs.FromContext(ctx)
+	replies := make([]*serve.BatchSearchResponse, len(s.r.shards))
+	start := time.Now()
 	var wg sync.WaitGroup
-	for i, sh := range r.shards {
+	for i, sh := range s.r.shards {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func() {
 			defer wg.Done()
-			resp, err := r.callShard(sh, rt.name, queries, k, excludes, tr)
-			if err == nil {
-				perShard[i], okFlags[i], timings[i] = resp.Results, true, resp.Timing
+			if resp, err := s.r.callShard(sh, s.route, queries, k, exclude, lead); err == nil {
+				replies[i] = &resp
 			}
-		}(i, sh)
+		}()
 	}
 	wg.Wait()
-	return perShard, okFlags, timings
+	stages := []rag.Stage{{Name: "scatter", Dur: time.Since(start)}, {Name: "merge"}}
+	ok := 0
+	for i, resp := range replies {
+		if resp != nil {
+			ok++
+			if resp.Timing != nil {
+				lead.AttachAt(s.r.shards[i].name+".", start, resp.Timing.Spans)
+			}
+		}
+	}
+	if ok == 0 {
+		return rag.Batch{Stages: stages[:1]}, errAllShardsFailed
+	}
+	mergeStart := time.Now()
+	hits := make([][]rag.Hit, len(queries))
+	lists := make([][]serve.SearchResult, 0, ok)
+	for qi := range queries {
+		lists = lists[:0]
+		for _, resp := range replies {
+			if resp != nil {
+				lists = append(lists, resp.Results[qi])
+			}
+		}
+		merged := MergeTopK(lists, k)
+		hits[qi] = make([]rag.Hit, len(merged))
+		for j, m := range merged {
+			hits[qi][j] = rag.Hit{ID: m.ID, Group: m.Group, Text: m.Text, Score: m.Score}
+		}
+	}
+	stages[1].Dur = time.Since(mergeStart)
+	return rag.Batch{Hits: hits, Stages: stages, Parts: rag.Parts{OK: ok, Total: len(replies)}}, nil
 }
 
 // callShard runs one shard call under the robustness stack: breaker
@@ -529,58 +395,17 @@ func (r *Router) probeShard(sh *shard) {
 	r.publishShardGauges(sh)
 }
 
-// search answers one query through the route's coalescer.
-func (r *Router) search(ctx context.Context, rt *route, query string, k int, exclude string) (result, error) {
-	if k <= 0 {
-		k = r.cfg.DefaultK
-	}
-	if k > r.cfg.MaxK {
-		k = r.cfg.MaxK
-	}
-	rt.mRequests.Inc()
-	start := time.Now()
-	defer func() { rt.hLatency.Observe(time.Since(start)) }()
-	out, err := rt.co.Do(ctx, job{query: query, k: k, exclude: exclude, enq: time.Now(), tr: obs.FromContext(ctx)})
-	if err != nil {
-		return result{}, err
-	}
-	if out.err != nil {
-		return result{}, out.err
-	}
-	if out.degraded {
-		rt.mDegraded.Inc()
-	}
-	return out, nil
-}
-
-// Handler returns the HTTP API. Per configured route <name>:
-//
-//	POST /v1/<name>/search        → {"results","degraded","shards_ok","shards_total","route"}
-//	POST /v1/<name>/search/batch  → {"results":[[…],…],"degraded",…}
-//
-// plus the shared endpoints:
-//
-//	GET /healthz   per-shard breaker state, probe status, trip counts
-//	GET /metrics   text exposition of the registry
-//
-// and the debug surface:
-//
-//	GET /debug/slowlog/<route>   {"route","slowest":[trace records]}
-//	GET /debug/pprof/...         net/http/pprof (only with Config.Debug)
-//
-// Calling Handler (or Start) also starts the background health prober.
+// Handler returns the HTTP API: serve's handler set over the shard
+// routes (POST /v1/<name>/search and /search/batch per route, /metrics,
+// /debug/slowlog/<name>, and /debug/pprof/ with Config.Debug), with the
+// router's own GET /healthz mounted over serve's — per-shard breaker
+// state, probe status and trip counts. Calling Handler (or Start) also
+// starts the background health prober.
 func (r *Router) Handler() http.Handler {
 	r.startProber()
 	mux := http.NewServeMux()
-	slow := make(map[string]*obs.SlowLog, len(r.routes))
-	for name, rt := range r.routes {
-		mux.HandleFunc("POST /v1/"+name+"/search", r.searchHandler(rt))
-		mux.HandleFunc("POST /v1/"+name+"/search/batch", r.batchHandler(rt))
-		slow[name] = rt.slow
-	}
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
-	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	httpkit.MountDebug(mux, slow, r.cfg.Debug)
+	mux.Handle("/", r.srv.Handler())
 	return mux
 }
 
@@ -609,9 +434,7 @@ func (r *Router) Addr() string { return r.addr }
 func (r *Router) Shutdown(ctx context.Context) error {
 	err := httpkit.Shutdown(ctx, r.httpSrv)
 	r.cancel()
-	for _, rt := range r.routes {
-		rt.co.Close()
-	}
+	r.srv.Shutdown(ctx) //nolint:errcheck // never listened: this only stops its coalescers
 	r.wg.Wait()
 	return err
 }
@@ -620,30 +443,6 @@ func (r *Router) Shutdown(ctx context.Context) error {
 func (r *Router) Close() error { return httpkit.Close(r.Shutdown) }
 
 // Wire types.
-
-// SearchResponse is the router's single-query reply: the backend reply
-// shape plus the degradation contract — degraded is set when any shard
-// did not contribute, and shards_ok/shards_total say how partial the
-// top-k is.
-type SearchResponse struct {
-	Results     []serve.SearchResult `json:"results"`
-	Degraded    bool                 `json:"degraded,omitempty"`
-	ShardsOK    int                  `json:"shards_ok"`
-	ShardsTotal int                  `json:"shards_total"`
-	Route       string               `json:"route,omitempty"`
-	Timing      *serve.TimingInfo    `json:"timing,omitempty"`
-}
-
-// BatchSearchResponse is the router's batch reply, per-query results in
-// request order, with the same degradation contract for the whole batch.
-type BatchSearchResponse struct {
-	Results     [][]serve.SearchResult `json:"results"`
-	Degraded    bool                   `json:"degraded,omitempty"`
-	ShardsOK    int                    `json:"shards_ok"`
-	ShardsTotal int                    `json:"shards_total"`
-	Route       string                 `json:"route,omitempty"`
-	Timing      *serve.TimingInfo      `json:"timing,omitempty"`
-}
 
 // ShardHealth is one shard's entry in the router's /healthz reply.
 type ShardHealth struct {
@@ -669,125 +468,6 @@ type Healthz struct {
 	ShardsTotal int                    `json:"shards_total"`
 	Routes      []string               `json:"routes"`
 	Shards      map[string]ShardHealth `json:"shards"`
-}
-
-func (r *Router) searchHandler(rt *route) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		var sr serve.SearchRequest
-		if !httpkit.Decode(w, req, rt.mErrors, &sr) {
-			return
-		}
-		if sr.Query == "" {
-			rt.mErrors.Inc()
-			http.Error(w, "empty query", http.StatusBadRequest)
-			return
-		}
-		// Adopt the caller's trace id or mint one; either way it propagates
-		// to the shards when this request leads its micro-batch's fan-out.
-		tr := obs.NewTrace(req.Header.Get(obs.TraceHeader))
-		out, err := r.search(obs.WithTrace(req.Context(), tr), rt, sr.Query, sr.K, sr.Exclude)
-		if err != nil {
-			rt.mErrors.Inc()
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		resp := SearchResponse{
-			Results:     out.results,
-			Degraded:    out.degraded,
-			ShardsOK:    out.shardsOK,
-			ShardsTotal: out.shardsTotal,
-			Route:       rt.name,
-		}
-		if sr.Timing {
-			resp.Timing = &serve.TimingInfo{TraceID: tr.ID(), TotalUS: tr.Since().Microseconds(), Spans: tr.Spans()}
-		}
-		httpkit.EncodeTraced(w, tr, rt.hStageEncode, resp)
-		rt.slow.Record(tr, "search", sr.Query)
-	}
-}
-
-// batchHandler serves an explicit batch as its own micro-batch: it
-// bypasses the coalescer and scatters directly, exactly like the
-// backends' batch endpoints bypass theirs.
-func (r *Router) batchHandler(rt *route) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		var br serve.BatchSearchRequest
-		if !httpkit.Decode(w, req, rt.mErrors, &br) {
-			return
-		}
-		if len(br.Queries) == 0 {
-			rt.mErrors.Inc()
-			http.Error(w, "empty queries", http.StatusBadRequest)
-			return
-		}
-		if len(br.Queries) > r.cfg.MaxBatchQueries {
-			rt.mErrors.Inc()
-			http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(br.Queries), r.cfg.MaxBatchQueries),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		if len(br.Exclude) != 0 && len(br.Exclude) != len(br.Queries) {
-			rt.mErrors.Inc()
-			http.Error(w, fmt.Sprintf("exclude has %d entries for %d queries", len(br.Exclude), len(br.Queries)),
-				http.StatusBadRequest)
-			return
-		}
-		k := br.K
-		if k <= 0 {
-			k = r.cfg.DefaultK
-		}
-		if k > r.cfg.MaxK {
-			k = r.cfg.MaxK
-		}
-		rt.mRequests.Add(int64(len(br.Queries)))
-		tr := obs.NewTrace(req.Header.Get(obs.TraceHeader))
-		scatterStart := time.Now()
-		perShard, okFlags, timings := r.scatter(rt, br.Queries, k, br.Exclude, tr)
-		scatterDur := time.Since(scatterStart)
-		rt.hStageScatter.Observe(scatterDur)
-		tr.AddSpan("scatter", scatterStart, scatterDur)
-		r.attachShardTimings(tr, scatterStart, timings)
-		ok := 0
-		for _, f := range okFlags {
-			if f {
-				ok++
-			}
-		}
-		if ok == 0 {
-			rt.mErrors.Inc()
-			http.Error(w, errAllShardsFailed.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		resp := BatchSearchResponse{
-			Results:     make([][]serve.SearchResult, len(br.Queries)),
-			Degraded:    ok < len(r.shards),
-			ShardsOK:    ok,
-			ShardsTotal: len(r.shards),
-			Route:       rt.name,
-		}
-		mergeStart := time.Now()
-		lists := make([][]serve.SearchResult, 0, ok)
-		for qi := range br.Queries {
-			lists = lists[:0]
-			for si := range r.shards {
-				if okFlags[si] {
-					lists = append(lists, perShard[si][qi])
-				}
-			}
-			resp.Results[qi] = MergeTopK(lists, k)
-		}
-		mergeDur := time.Since(mergeStart)
-		rt.hStageMerge.Observe(mergeDur)
-		tr.AddSpan("merge", mergeStart, mergeDur)
-		if resp.Degraded {
-			rt.mDegraded.Add(int64(len(br.Queries)))
-		}
-		if br.Timing {
-			resp.Timing = &serve.TimingInfo{TraceID: tr.ID(), TotalUS: tr.Since().Microseconds(), Spans: tr.Spans()}
-		}
-		httpkit.EncodeTraced(w, tr, rt.hStageEncode, resp)
-		rt.slow.Record(tr, "search/batch", br.Queries[0])
-	}
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -818,12 +498,4 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		hz.Shards[sh.name] = entry
 	}
 	httpkit.WriteJSON(w, hz)
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// The coalescing windows are read when asked for, not pushed per batch.
-	for _, rt := range r.routes {
-		rt.gWindow.Set(rt.co.Stats().Window.Microseconds())
-	}
-	httpkit.WriteMetrics(w, r.reg)
 }

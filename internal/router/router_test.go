@@ -193,6 +193,53 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRouterDegradedBatch: the explicit batch endpoint degrades like the
+// single one. With one shard of three down it answers 200, degraded, with
+// each query's exact merge over the two survivors, and counts every query
+// of the batch as degraded.
+func TestRouterDegradedBatch(t *testing.T) {
+	f := testFleet(t, 3, 48)
+	c := testRouter(t, f)
+	degraded := func() int64 {
+		mtext, err := c.MetricsCtx(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(mtext, "\n") {
+			if rest, ok := strings.CutPrefix(line, "counter router.chunks.degraded "); ok {
+				n, err := strconv.ParseInt(rest, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no router.chunks.degraded counter in:\n%s", mtext)
+		return 0
+	}
+	before := degraded()
+
+	f.gates[1].Set(serve.FaultDown)
+	queries := []string{f.corpus[1].Text, f.corpus[30].Text, "supernova decay calibration", f.corpus[44].Text}
+	survivors := append(append([]chunk.Chunk(nil), f.parts[0]...), f.parts[2]...)
+	want := storeSearch(survivors, queries, 5)
+	resp, err := c.SearchRouteBatchCtx(t.Context(), serve.RouteChunks, queries, 5, nil)
+	if err != nil {
+		t.Fatalf("outage must degrade, not error: %v", err)
+	}
+	if !resp.Degraded || resp.ShardsOK != 2 || resp.ShardsTotal != 3 {
+		t.Fatalf("batch during outage: degraded=%v shards %d/%d", resp.Degraded, resp.ShardsOK, resp.ShardsTotal)
+	}
+	for qi := range queries {
+		if !reflect.DeepEqual(resp.Results[qi], want[qi]) {
+			t.Fatalf("query %d not exact over survivors:\ngot:  %+v\nwant: %+v", qi, resp.Results[qi], want[qi])
+		}
+	}
+	if got := degraded() - before; got != int64(len(queries)) {
+		t.Fatalf("router.chunks.degraded grew by %d, want %d", got, len(queries))
+	}
+}
+
 func TestRouterAllShardsFailed(t *testing.T) {
 	f := testFleet(t, 2, 16)
 	c := testRouter(t, f)

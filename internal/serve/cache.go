@@ -56,10 +56,13 @@ type lruShard struct {
 
 // CachedResult is a retrieval result tagged with the epoch of the
 // snapshot that produced it, so responses can report the true generation
-// of the data they carry even across a concurrent swap.
+// of the data they carry even across a concurrent swap, and with how many
+// of the store's parts answered (a partial result is shared with its
+// flight's joiners but never cached).
 type CachedResult struct {
 	Results []rag.Hit
 	Epoch   uint64
+	Parts   rag.Parts
 }
 
 type cacheEntry struct {

@@ -4,8 +4,12 @@
 // serving-time machinery a production deployment needs.
 //
 // The server is a front-end over a small store interface (Store, an alias
-// of rag.Facade: RetrieveBatch with its stage timings, the WithIndex
-// snapshot hook, Index/Len).
+// of rag.Facade, the search half: RetrieveBatch, which takes the batch
+// leader's trace in its context and returns hits, the batch's named
+// stages and how many of the store's parts answered, or an error; and
+// Len). The swap half, rag.Swapper (the WithIndex snapshot hook and
+// Index), is optional: local stores have it, the router's remote shard
+// set does not, and a route without it serves searches only.
 // Each store is mounted as a named route ("chunks", "traces/detailed", …)
 // served at /v1/<route>/search (+ /batch) and /admin/<route>/swap, and
 // every route gets its own copy of the serving machinery, so a hot swap
@@ -34,6 +38,12 @@
 //     its epoch incremented — other routes keep serving warm. In-flight
 //     batches finish on the old snapshot — zero downtime, no torn reads.
 //
+//   - Stores split into parts. A batch some parts did not answer is
+//     served with degraded, shards_ok and shards_total on the reply,
+//     counted per query under <route>.degraded, and never cached; a
+//     store error answers 503. internal/router is this server over a
+//     remote shard set (NewTier("router", …)), with the cache off.
+//
 //   - Observability and load. /healthz reports every route; /metrics is
 //     the text exposition of an internal/metrics Registry with one
 //     namespace per route (serve.chunks.…, serve.traces.detailed.…:
@@ -42,7 +52,7 @@
 //     uniform/zipf and mixed-route load for cmd/ragload and the tests.
 //
 // The HTTP scaffolding (request decoding, response encoding, the debug
-// surface, listen/drain) is internal/httpkit, shared with internal/router.
+// surface, listen/drain) is internal/httpkit, shared with argo's gateway.
 // cmd/ragserve wires the stores to a corpus and a SIGTERM drain;
 // cmd/ragload is the matching load generator; measured performance is
 // ragbench's (benchmarks/README.md).

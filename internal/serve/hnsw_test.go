@@ -137,8 +137,8 @@ func TestHNSWRouteEndToEnd(t *testing.T) {
 		t.Fatalf("swap response %+v", swap)
 	}
 	snap, _ := s.RouteSnapshot(route)
-	if _, ok := snap.Store.Index().(*vecstore.HNSW); !ok || snap.Epoch != 1 {
-		t.Fatalf("after the swap the %s route serves a %T at epoch %d", route, snap.Store.Index(), snap.Epoch)
+	if _, ok := snap.Store.(rag.Swapper).Index().(*vecstore.HNSW); !ok || snap.Epoch != 1 {
+		t.Fatalf("after the swap the %s route serves a %T at epoch %d", route, snap.Store.(rag.Swapper).Index(), snap.Epoch)
 	}
 	if flatSnap := s.Snapshot(); flatSnap.Epoch != 0 {
 		t.Fatalf("swapping the %s route moved the chunks epoch to %d", route, flatSnap.Epoch)

@@ -178,9 +178,9 @@ func TestCompactEndpoint(t *testing.T) {
 	}
 	// The published index is still a Live layer over the grown base.
 	snap := s.Snapshot()
-	lv, ok := snap.Store.Index().(*vecstore.Live)
+	lv, ok := snap.Store.(rag.Swapper).Index().(*vecstore.Live)
 	if !ok {
-		t.Fatalf("post-compaction index is %T, want *vecstore.Live", snap.Store.Index())
+		t.Fatalf("post-compaction index is %T, want *vecstore.Live", snap.Store.(rag.Swapper).Index())
 	}
 	if lv.Base().Len() != 29 || lv.MemLen() != 0 {
 		t.Fatalf("post-compaction base=%d mem=%d", lv.Base().Len(), lv.MemLen())
@@ -207,7 +207,7 @@ func TestAutoCompaction(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		snap := s.Snapshot()
-		lv := snap.Store.Index().(*vecstore.Live)
+		lv := snap.Store.(rag.Swapper).Index().(*vecstore.Live)
 		if snap.Epoch >= 1 && lv.MemLen() == 0 && snap.Source == "compaction" {
 			break
 		}
@@ -314,7 +314,7 @@ func TestIngestConcurrentAddSearchCompact(t *testing.T) {
 	if n := s.Registry().Snapshot().Counter(MetricPrefix(RouteChunks) + "compactions"); n < 1 {
 		t.Fatalf("%d compactions published while %d inserts landed", n, writers*perWriter)
 	}
-	if lv := snap.Store.Index().(*vecstore.Live); lv.MemLen() != 0 {
+	if lv := snap.Store.(rag.Swapper).Index().(*vecstore.Live); lv.MemLen() != 0 {
 		t.Fatalf("%d memtable rows left after the final drain", lv.MemLen())
 	}
 	for w, texts := range ackedTexts {

@@ -255,7 +255,7 @@ func TestSwapRejectsBadInput(t *testing.T) {
 	}
 	// Same dimension, different corpus: keys don't resolve in the store's
 	// metadata, which would silently serve empty results.
-	foreign := vecstore.NewFlat(s.Snapshot().Store.Index().Dim())
+	foreign := vecstore.NewFlat(s.Snapshot().Store.(rag.Swapper).Index().Dim())
 	foreign.Add(make([]float32, foreign.Dim()), "alien-0001")
 	if _, err := s.SwapIndex(foreign, "foreign"); err == nil {
 		t.Fatal("foreign-corpus index accepted")

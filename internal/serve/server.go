@@ -20,10 +20,12 @@ import (
 	"repro/internal/vecstore"
 )
 
-// Store is the retrieval backend behind one route: the rag serving facade
-// (RetrieveBatch over store-agnostic hits, the WithIndex snapshot hook,
-// Index/Len). rag.NewChunkFacade and rag.NewTraceFacade adapt the two
-// concrete store kinds.
+// Store is the retrieval backend behind one route: the search half of the
+// rag serving facade (RetrieveBatch over store-agnostic hits, Len). A store
+// that also implements rag.Swapper (WithIndex, Index) can be hot-swapped,
+// inserted into and compacted; rag.NewChunkFacade and rag.NewTraceFacade
+// adapt the two local store kinds, and the router mounts a remote shard
+// set that implements the search half only.
 type Store = rag.Facade
 
 // RouteChunks is the name of the default chunk-store route, served at
@@ -117,6 +119,7 @@ type Snapshot struct {
 // store cannot evict entries or stall requests on another.
 type Server struct {
 	cfg     Config
+	tier    string // metric namespace: "serve", or "router" on the router
 	reg     *metrics.Registry
 	routes  map[string]*route
 	chunks  *route // the RouteChunks route, target of Search/SwapIndex/Snapshot
@@ -131,6 +134,8 @@ type Server struct {
 type route struct {
 	name    string
 	cfg     Config
+	prefix  string // the route's metric namespace
+	reg     *metrics.Registry
 	snap    atomic.Pointer[Snapshot]
 	co      *batch.Coalescer[searchJob, searchOut]
 	cache   *Cache
@@ -152,14 +157,16 @@ type route struct {
 	// surface (GET /debug/slowlog/<route>).
 	slow *obs.SlowLog
 
-	// metric handles resolved once so the hot path skips registry lookups
+	// metric handles resolved once so the hot path skips registry lookups;
+	// the store's own stages (rag.Stage names) resolve on first use in
+	// stageHists, so a store books only the stages it has.
 	mRequests, mHits, mMisses, mShared     *metrics.Counter
-	mBatches, mBatchedQueries              *metrics.Counter
+	mBatches, mBatchedQueries, mDegraded   *metrics.Counter
 	mErrors, mSwaps                        *metrics.Counter
 	mInserts, mInsertBatches, mCompactions *metrics.Counter
 	hLatency, hSearch, hBatch              *metrics.Histogram
-	hStageQueue, hStageCache, hStageEmbed  *metrics.Histogram
-	hStageScan, hStageMerge, hStageEncode  *metrics.Histogram
+	hStageQueue, hStageCache, hStageEncode *metrics.Histogram
+	stageHists                             sync.Map // stage name → *metrics.Histogram
 	gVectors, gEpoch, gCacheLen, gMemRows  *metrics.Gauge
 	gWindow                                *metrics.Gauge
 }
@@ -178,10 +185,13 @@ type searchJob struct {
 }
 
 // searchOut carries one job's results plus the epoch of the snapshot the
-// batch actually ran against (which can trail a concurrent swap).
+// batch actually ran against (which can trail a concurrent swap), how
+// many of the store's parts answered, and the store's error, if any.
 type searchOut struct {
 	results []rag.Hit
 	epoch   uint64
+	parts   rag.Parts
+	err     error
 }
 
 // New builds a server with store mounted as the "chunks" route — the PR 3
@@ -196,19 +206,25 @@ func New(store *rag.ChunkStore, cfg Config) *Server {
 }
 
 // NewMulti builds a server with no routes. Mount stores, then Start.
-func NewMulti(cfg Config) *Server {
+func NewMulti(cfg Config) *Server { return NewTier("serve", cfg) }
+
+// NewTier is NewMulti for a serving tier whose metrics live under its own
+// namespace: tier "router" registers router.<route>.… where a backend
+// registers serve.<route>.….
+func NewTier(tier string, cfg Config) *Server {
 	cfg.fill()
 	reg := cfg.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Server{cfg: cfg, reg: reg, routes: make(map[string]*route)}
+	return &Server{cfg: cfg, tier: tier, reg: reg, routes: make(map[string]*route)}
 }
 
 // Mount registers st under name ("chunks", "traces/detailed", …) before
-// the server starts. The route serves POST /v1/<name>/search, its /batch
-// variant, and POST /admin/<name>/swap, with metrics under
-// serve.<name>.… (path separators become dots).
+// the server starts. The route serves POST /v1/<name>/search and its
+// /batch variant, plus the add, swap and compact endpoints when st
+// implements rag.Swapper, with metrics under <tier>.<name>.… (path
+// separators become dots).
 func (s *Server) Mount(name string, st Store) error {
 	if s.started.Load() {
 		return fmt.Errorf("serve: Mount(%q) after Start", name)
@@ -222,7 +238,7 @@ func (s *Server) Mount(name string, st Store) error {
 	if _, ok := s.routes[name]; ok {
 		return fmt.Errorf("serve: route %q already mounted", name)
 	}
-	rt := newRoute(name, st, s.cfg, s.reg)
+	rt := newRoute(name, st, s.cfg, s.reg, tierPrefix(s.tier, name))
 	s.routes[name] = rt
 	if name == RouteChunks {
 		s.chunks = rt
@@ -283,21 +299,25 @@ func validRouteName(name string) bool {
 // per-route counter, gauge and histogram is registered. External readers
 // (ragbench's per-route accounting) must build names through this instead
 // of re-deriving the scheme.
-func MetricPrefix(route string) string {
-	return "serve." + strings.ReplaceAll(route, "/", ".") + "."
+func MetricPrefix(route string) string { return tierPrefix("serve", route) }
+
+func tierPrefix(tier, route string) string {
+	return tier + "." + strings.ReplaceAll(route, "/", ".") + "."
 }
 
-func newRoute(name string, st Store, cfg Config, reg *metrics.Registry) *route {
-	p := MetricPrefix(name)
+func newRoute(name string, st Store, cfg Config, reg *metrics.Registry, p string) *route {
 	rt := &route{
 		name:            name,
 		cfg:             cfg,
+		prefix:          p,
+		reg:             reg,
 		mRequests:       reg.Counter(p + "requests"),
 		mHits:           reg.Counter(p + "cache.hits"),
 		mMisses:         reg.Counter(p + "cache.misses"),
 		mShared:         reg.Counter(p + "flight.shared"),
 		mBatches:        reg.Counter(p + "batches"),
 		mBatchedQueries: reg.Counter(p + "batch.queries"),
+		mDegraded:       reg.Counter(p + "degraded"),
 		mErrors:         reg.Counter(p + "errors"),
 		mSwaps:          reg.Counter(p + "swaps"),
 		mInserts:        reg.Counter(p + "inserts"),
@@ -307,10 +327,6 @@ func newRoute(name string, st Store, cfg Config, reg *metrics.Registry) *route {
 		hSearch:         reg.Histogram(p + "search.latency"),
 		hBatch:          reg.SizeHistogram(p + "batch.size"),
 		hStageQueue:     reg.Histogram(p + "stage.queue"),
-		hStageCache:     reg.Histogram(p + "stage.cache"),
-		hStageEmbed:     reg.Histogram(p + "stage.embed"),
-		hStageScan:      reg.Histogram(p + "stage.scan"),
-		hStageMerge:     reg.Histogram(p + "stage.merge"),
 		hStageEncode:    reg.Histogram(p + "stage.encode"),
 		slow:            obs.NewSlowLog(cfg.SlowLog),
 		gVectors:        reg.Gauge(p + "index.vectors"),
@@ -321,6 +337,7 @@ func newRoute(name string, st Store, cfg Config, reg *metrics.Registry) *route {
 	}
 	if cfg.CacheCap > 0 {
 		rt.cache = NewCache(cfg.CacheCap, cfg.CacheShards)
+		rt.hStageCache = reg.Histogram(p + "stage.cache")
 	}
 	rt.snap.Store(&Snapshot{Store: st, Epoch: 0, Source: "initial"})
 	rt.gVectors.Set(int64(st.Len()))
@@ -331,11 +348,14 @@ func newRoute(name string, st Store, cfg Config, reg *metrics.Registry) *route {
 // runBatch is a route's coalescer batch function: the whole batch is
 // answered from one snapshot through the multi-query scan kernel, so a
 // hot swap mid-batch cannot tear an individual batch across two indexes.
+// The store sees the first traced member's trace: a remote store sends
+// its id on and grafts the remote timelines onto it.
 func (rt *route) runBatch(jobs []searchJob) []searchOut {
 	snap := rt.snap.Load()
 	t0 := time.Now()
 	queries := make([]string, len(jobs))
 	var excludes []string
+	var lead *obs.Trace
 	maxK := 0
 	for i, j := range jobs {
 		queries[i] = j.query
@@ -350,75 +370,95 @@ func (rt *route) runBatch(jobs []searchJob) []searchOut {
 			rt.hStageQueue.Observe(wait)
 			j.tr.AddSpan("queue", j.enq, wait)
 		}
+		if lead == nil {
+			lead = j.tr
+		}
 	}
 	if excludes != nil {
 		for i, j := range jobs {
 			excludes[i] = j.exclude
 		}
 	}
-	res, st := rt.retrieve(snap, queries, maxK, excludes)
+	b, err := rt.retrieve(obs.WithTrace(context.Background(), lead), snap, queries, maxK, excludes)
 	// The batch's stage decomposition is shared by every member request:
-	// embed/scan/merge ran once for the whole batch, so each traced job gets
-	// the same three spans, laid end to end from the batch's start.
+	// the stages ran once for the whole batch, so each traced job gets the
+	// same spans, laid end to end from the batch's start.
 	for _, j := range jobs {
-		attachStages(j.tr, t0, st)
+		attachStages(j.tr, t0, b.Stages)
 	}
 	// Each request gets the top-k prefix of the shared maxK retrieval —
 	// identical to what its own k would have returned.
 	out := make([]searchOut, len(jobs))
-	for i := range res {
-		if len(res[i]) > jobs[i].k {
-			res[i] = res[i][:jobs[i].k]
+	for i := range out {
+		if err != nil {
+			out[i].err = err
+			continue
 		}
-		out[i] = searchOut{results: res[i], epoch: snap.Epoch}
+		res := b.Hits[i]
+		if len(res) > jobs[i].k {
+			res = res[:jobs[i].k]
+		}
+		out[i] = searchOut{results: res, epoch: snap.Epoch, parts: b.Parts}
 	}
 	return out
 }
 
-// attachStages records a retrieve's embed/scan/merge decomposition as
-// consecutive spans starting at t0, the instant the retrieve began.
-func attachStages(tr *obs.Trace, t0 time.Time, st rag.StageTimings) {
+// attachStages records a retrieve's stages as consecutive spans starting
+// at t0, the instant the retrieve began.
+func attachStages(tr *obs.Trace, t0 time.Time, stages []rag.Stage) {
 	if tr == nil {
 		return
 	}
-	tr.AddSpan("embed", t0, st.Embed)
-	tr.AddSpan("scan", t0.Add(st.Embed), st.Scan)
-	tr.AddSpan("merge", t0.Add(st.Embed+st.Scan), st.Merge)
+	for _, st := range stages {
+		tr.AddSpan(st.Name, t0, st.Dur)
+		t0 = t0.Add(st.Dur)
+	}
 }
 
 // retrieve runs one timed, metered RetrieveBatch against a snapshot — the
 // shared core of the coalesced path and the explicit batch endpoint, so
-// both report identical batch accounting. The returned stage timings feed
-// the per-stage histograms here and the caller's trace spans.
-func (rt *route) retrieve(snap *Snapshot, queries []string, k int, exclude []string) ([][]rag.Hit, rag.StageTimings) {
+// both report identical batch accounting. The returned stages feed the
+// per-stage histograms here and the caller's trace spans.
+func (rt *route) retrieve(ctx context.Context, snap *Snapshot, queries []string, k int, exclude []string) (rag.Batch, error) {
 	start := time.Now()
-	res, st := snap.Store.RetrieveBatch(queries, k, exclude)
+	b, err := snap.Store.RetrieveBatch(ctx, queries, k, exclude)
 	rt.hSearch.Observe(time.Since(start))
-	rt.hStageEmbed.Observe(st.Embed)
-	rt.hStageScan.Observe(st.Scan)
-	rt.hStageMerge.Observe(st.Merge)
+	for _, st := range b.Stages {
+		rt.stageHist(st.Name).Observe(st.Dur)
+	}
 	rt.mBatches.Inc()
 	rt.mBatchedQueries.Add(int64(len(queries)))
 	rt.hBatch.ObserveN(int64(len(queries)))
-	return res, st
+	return b, err
 }
 
-// search answers one query through the route's cache and coalescer.
-func (rt *route) search(ctx context.Context, query string, k int, exclude string) (results []rag.Hit, cached bool, epoch uint64, err error) {
-	if k <= 0 {
-		k = rt.cfg.DefaultK
+// stageHist returns the histogram of one of the store's stages,
+// registering it the first time the store reports that stage.
+func (rt *route) stageHist(name string) *metrics.Histogram {
+	if h, ok := rt.stageHists.Load(name); ok {
+		return h.(*metrics.Histogram)
 	}
-	if k > rt.cfg.MaxK {
-		k = rt.cfg.MaxK
-	}
-	rt.mRequests.Inc()
-	tr := obs.FromContext(ctx)
-	start := time.Now()
-	defer func() { rt.hLatency.Observe(time.Since(start)) }()
+	h, _ := rt.stageHists.LoadOrStore(name, rt.reg.Histogram(rt.prefix+"stage."+name))
+	return h.(*metrics.Histogram)
+}
 
+// search answers one query through the route's cache and coalescer. A
+// result that some part of the store did not answer counts as degraded.
+func (rt *route) search(ctx context.Context, query string, k int, exclude string) (out searchOut, cached bool, err error) {
+	rt.mRequests.Inc()
+	start := time.Now()
+	defer func() {
+		rt.hLatency.Observe(time.Since(start))
+		if err == nil && out.parts.Partial() {
+			rt.mDegraded.Inc()
+		}
+	}()
+	k = rt.depth(k)
+	tr := obs.FromContext(ctx)
+	job := searchJob{query: query, k: k, exclude: exclude, tr: tr}
 	if rt.cache == nil {
-		out, err := rt.co.Do(ctx, searchJob{query: query, k: k, exclude: exclude, enq: time.Now(), tr: tr})
-		return out.results, false, out.epoch, err
+		out, err = rt.dispatch(ctx, job)
+		return out, false, err
 	}
 	// The epoch in the key makes entries generation-scoped: after a swap,
 	// fresh lookups miss even if a stale fill lands post-Purge. The write
@@ -442,7 +482,7 @@ func (rt *route) search(ctx context.Context, query string, k int, exclude string
 	tr.AddSpan("cache", cacheStart, cacheDur)
 	if ok {
 		rt.mHits.Inc()
-		return val.Results, true, val.Epoch, nil
+		return searchOut{results: val.Results, epoch: val.Epoch, parts: val.Parts}, true, nil
 	}
 	rt.mMisses.Inc()
 	val, shared, err := rt.flights.do(ctx, key, func() (CachedResult, error) {
@@ -453,11 +493,11 @@ func (rt *route) search(ctx context.Context, query string, k int, exclude string
 		// Only the flight leader's job reaches the batch, so only its trace
 		// sees the queue/embed/scan/merge spans; joiners share the result and
 		// keep just their cache span — an honest timeline, they did no work.
-		out, err := rt.co.Do(context.WithoutCancel(ctx), searchJob{query: query, k: k, exclude: exclude, enq: time.Now(), tr: tr})
+		out, err := rt.dispatch(context.WithoutCancel(ctx), job)
 		if err != nil {
 			return CachedResult{}, err
 		}
-		res := CachedResult{Results: out.results, Epoch: out.epoch}
+		res := CachedResult{Results: out.results, Epoch: out.epoch, Parts: out.parts}
 		// Insert only fills that still belong to the key's generation, and
 		// back the insert out if a swap purged the cache while it landed:
 		// either way an entry keyed under a dead epoch is never read again
@@ -465,7 +505,9 @@ func (rt *route) search(ctx context.Context, query string, k int, exclude string
 		// re-check closes the Purge/Put race — if the swap's purge ran
 		// first, the published epoch has already moved on and we delete
 		// our own orphan; if it runs after, it removes the entry itself.
-		if out.epoch == keyEpoch {
+		// A partial result is never cached: the parts that did not answer
+		// may answer the next time.
+		if out.epoch == keyEpoch && !out.parts.Partial() {
 			rt.cache.Put(key, res)
 			if rt.snap.Load().Epoch != keyEpoch || rt.writeGen.Load() != keyGen {
 				rt.cache.Delete(key)
@@ -476,7 +518,26 @@ func (rt *route) search(ctx context.Context, query string, k int, exclude string
 	if shared {
 		rt.mShared.Inc()
 	}
-	return val.Results, false, val.Epoch, err
+	return searchOut{results: val.Results, epoch: val.Epoch, parts: val.Parts}, false, err
+}
+
+// dispatch sends one job through the coalescer; a store error is the
+// job's error.
+func (rt *route) dispatch(ctx context.Context, job searchJob) (searchOut, error) {
+	job.enq = time.Now()
+	out, err := rt.co.Do(ctx, job)
+	if err == nil {
+		err = out.err
+	}
+	return out, err
+}
+
+// depth applies the route's default and bound to a requested k.
+func (rt *route) depth(k int) int {
+	if k <= 0 {
+		k = rt.cfg.DefaultK
+	}
+	return min(k, rt.cfg.MaxK)
 }
 
 // swapIndex atomically publishes a snapshot serving index on this route.
@@ -487,7 +548,11 @@ func (rt *route) swapIndex(index vecstore.Index, source string) (*Snapshot, erro
 	rt.swapMu.Lock()
 	defer rt.swapMu.Unlock()
 	cur := rt.snap.Load()
-	st, err := cur.Store.WithIndex(index)
+	sw, ok := cur.Store.(rag.Swapper)
+	if !ok {
+		return nil, fmt.Errorf("serve: route %q cannot swap its index", rt.name)
+	}
+	st, err := sw.WithIndex(index)
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +591,8 @@ func (s *Server) SearchRoute(ctx context.Context, routeName, query string, k int
 	if err != nil {
 		return nil, false, 0, err
 	}
-	return rt.search(ctx, query, k, exclude)
+	out, cached, err := rt.search(ctx, query, k, exclude)
+	return out.results, cached, out.epoch, err
 }
 
 // SwapIndex hot-swaps the chunks route (see SwapRouteIndex).
@@ -591,10 +657,7 @@ func (rt *route) addChunks(chunks []chunk.Chunk) (AddResponse, error) {
 	}
 	gen := rt.writeGen.Add(1)
 	vectors := snap.Store.Len()
-	memRows := 0
-	if lv, ok := snap.Store.Index().(*vecstore.Live); ok {
-		memRows = lv.MemLen()
-	}
+	memRows := memRows(snap)
 	rt.writeMu.Unlock()
 
 	rt.mInserts.Add(int64(added))
@@ -619,8 +682,8 @@ func (rt *route) compact() (bool, error) {
 	}
 	defer rt.compacting.Store(false)
 	snap := rt.snap.Load()
-	lv, ok := snap.Store.Index().(*vecstore.Live)
-	if !ok {
+	lv := liveIndex(snap)
+	if lv == nil {
 		return false, fmt.Errorf("serve: route %q has no live index to compact", rt.name)
 	}
 	n := lv.MemLen()
@@ -643,6 +706,25 @@ func (rt *route) compact() (bool, error) {
 	rt.mCompactions.Inc()
 	rt.gMemRows.Set(int64(next.MemLen()))
 	return true, nil
+}
+
+// liveIndex returns the snapshot's mutable index, or nil when the store
+// has no index or a read-only one.
+func liveIndex(snap *Snapshot) *vecstore.Live {
+	sw, ok := snap.Store.(rag.Swapper)
+	if !ok {
+		return nil
+	}
+	lv, _ := sw.Index().(*vecstore.Live)
+	return lv
+}
+
+// memRows is the snapshot's memtable size (0 without a live index).
+func memRows(snap *Snapshot) int {
+	if lv := liveIndex(snap); lv != nil {
+		return lv.MemLen()
+	}
+	return 0
 }
 
 // AddChunks inserts chunks on a live-mounted route (programmatic
@@ -698,8 +780,12 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 //	POST /admin/<name>/swap       {"path"} → {"epoch","vectors","source","route"}
 //	POST /admin/<name>/compact    (no body) → {"compacted","epoch","vectors","mem_rows","route"}
 //
-// The add endpoint works only on routes mounted over a live (mutable)
-// store and rejects others with 400; compact is a no-op on them.
+// A search over a store split into parts also carries "degraded",
+// "shards_ok" and "shards_total"; a store error answers 503. The add,
+// swap and compact endpoints exist only on routes whose store implements
+// rag.Swapper (elsewhere they answer 404). The add endpoint works only on
+// routes mounted over a live (mutable) store and rejects others with 400;
+// compact is a no-op on them.
 //
 // plus the shared endpoints:
 //
@@ -717,9 +803,11 @@ func (s *Server) Handler() http.Handler {
 	for name, rt := range s.routes {
 		mux.HandleFunc("POST /v1/"+name+"/search", rt.handleSearch)
 		mux.HandleFunc("POST /v1/"+name+"/search/batch", rt.handleSearchBatch)
-		mux.HandleFunc("POST /v1/"+name+"/add", rt.handleAdd)
-		mux.HandleFunc("POST /admin/"+name+"/swap", rt.handleSwap)
-		mux.HandleFunc("POST /admin/"+name+"/compact", rt.handleCompact)
+		if _, ok := rt.snap.Load().Store.(rag.Swapper); ok {
+			mux.HandleFunc("POST /v1/"+name+"/add", rt.handleAdd)
+			mux.HandleFunc("POST /admin/"+name+"/swap", rt.handleSwap)
+			mux.HandleFunc("POST /admin/"+name+"/compact", rt.handleCompact)
+		}
 		slow[name] = rt.slow
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -788,13 +876,18 @@ type SearchResult struct {
 	Score float32 `json:"score"`
 }
 
-// SearchResponse is the single-query search reply.
+// SearchResponse is the single-query search reply. Over a store split
+// into shards, ShardsOK of ShardsTotal answered, and Degraded says the
+// results are the exact top-k over the shards that did.
 type SearchResponse struct {
-	Results []SearchResult `json:"results"`
-	Cached  bool           `json:"cached,omitempty"`
-	Epoch   uint64         `json:"epoch"`
-	Route   string         `json:"route,omitempty"`
-	Timing  *TimingInfo    `json:"timing,omitempty"`
+	Results     []SearchResult `json:"results"`
+	Cached      bool           `json:"cached,omitempty"`
+	Epoch       uint64         `json:"epoch"`
+	Degraded    bool           `json:"degraded,omitempty"`
+	ShardsOK    int            `json:"shards_ok,omitempty"`
+	ShardsTotal int            `json:"shards_total,omitempty"`
+	Route       string         `json:"route,omitempty"`
+	Timing      *TimingInfo    `json:"timing,omitempty"`
 }
 
 // BatchSearchRequest is the batch search body. Exclude is empty or one
@@ -808,12 +901,15 @@ type BatchSearchRequest struct {
 }
 
 // BatchSearchResponse is the batch search reply, per-query results in
-// request order.
+// request order, with SearchResponse's shard fields for the whole batch.
 type BatchSearchResponse struct {
-	Results [][]SearchResult `json:"results"`
-	Epoch   uint64           `json:"epoch"`
-	Route   string           `json:"route,omitempty"`
-	Timing  *TimingInfo      `json:"timing,omitempty"`
+	Results     [][]SearchResult `json:"results"`
+	Epoch       uint64           `json:"epoch"`
+	Degraded    bool             `json:"degraded,omitempty"`
+	ShardsOK    int              `json:"shards_ok,omitempty"`
+	ShardsTotal int              `json:"shards_total,omitempty"`
+	Route       string           `json:"route,omitempty"`
+	Timing      *TimingInfo      `json:"timing,omitempty"`
 }
 
 // SwapRequest is the swap body.
@@ -906,13 +1002,14 @@ func (rt *route) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Adopt the caller's trace id (router → shard propagation) or mint one.
 	tr := obs.NewTrace(r.Header.Get(obs.TraceHeader))
-	res, cached, epoch, err := rt.search(obs.WithTrace(r.Context(), tr), req.Query, req.K, req.Exclude)
+	out, cached, err := rt.search(obs.WithTrace(r.Context(), tr), req.Query, req.K, req.Exclude)
 	if err != nil {
 		rt.mErrors.Inc()
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	resp := SearchResponse{Results: rt.results(res), Cached: cached, Epoch: epoch, Route: rt.name}
+	resp := SearchResponse{Results: rt.results(out.results), Cached: cached, Epoch: out.epoch,
+		Degraded: out.parts.Partial(), ShardsOK: out.parts.OK, ShardsTotal: out.parts.Total, Route: rt.name}
 	if req.Timing {
 		// Snapshot before encoding: the response timing necessarily excludes
 		// its own encode span (it still lands in the slowlog and histogram).
@@ -947,21 +1044,23 @@ func (rt *route) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	k := req.K
-	if k <= 0 {
-		k = rt.cfg.DefaultK
-	}
-	if k > rt.cfg.MaxK {
-		k = rt.cfg.MaxK
-	}
 	rt.mRequests.Add(int64(len(req.Queries)))
 	tr := obs.NewTrace(r.Header.Get(obs.TraceHeader))
 	snap := rt.snap.Load()
 	t0 := time.Now()
-	res, st := rt.retrieve(snap, req.Queries, k, req.Exclude)
-	attachStages(tr, t0, st)
-	out := BatchSearchResponse{Results: make([][]SearchResult, len(res)), Epoch: snap.Epoch, Route: rt.name}
-	for i, hits := range res {
+	b, err := rt.retrieve(obs.WithTrace(r.Context(), tr), snap, req.Queries, rt.depth(req.K), req.Exclude)
+	attachStages(tr, t0, b.Stages)
+	if err != nil {
+		rt.mErrors.Inc()
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	if b.Parts.Partial() {
+		rt.mDegraded.Add(int64(len(req.Queries)))
+	}
+	out := BatchSearchResponse{Results: make([][]SearchResult, len(b.Hits)), Epoch: snap.Epoch,
+		Degraded: b.Parts.Partial(), ShardsOK: b.Parts.OK, ShardsTotal: b.Parts.Total, Route: rt.name}
+	for i, hits := range b.Hits {
 		out.Results[i] = rt.results(hits)
 	}
 	if req.Timing {
@@ -1028,11 +1127,7 @@ func (rt *route) handleCompact(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	snap := rt.snap.Load()
-	memRows := 0
-	if lv, ok := snap.Store.Index().(*vecstore.Live); ok {
-		memRows = lv.MemLen()
-	}
-	httpkit.WriteJSON(w, CompactResponse{Compacted: compacted, Epoch: snap.Epoch, Vectors: snap.Store.Len(), MemRows: memRows, Route: rt.name})
+	httpkit.WriteJSON(w, CompactResponse{Compacted: compacted, Epoch: snap.Epoch, Vectors: snap.Store.Len(), MemRows: memRows(snap), Route: rt.name})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
