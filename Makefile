@@ -1,7 +1,7 @@
 # Repro build/verify entry points. `make verify` is the tier-1 gate
 # (format, build, vet, lint, docs checks, tests); `make bench` runs the
 # FP16 dot kernels and the vecstore scan benchmarks that track the
-# contiguous-scan, paired-row and PQ-LUT speedups, plus the build/evaluate
+# contiguous-scan, paired-row and IVF-PQ LUT speedups, plus the build/evaluate
 # hot-path benchmarks (token counting, prompt plan fit, coalescer and
 # gateway call cost, the Table 2 matrix).
 # End-to-end performance numbers come from ragbench, not from here:
@@ -84,9 +84,9 @@ lint:
 
 # Kernel benchmarks: f16.Dot vs f16.Dot2 (one row vs a pair per call);
 # ns/vector and bytes/vector for the contiguous blocked scan vs the frozen
-# jagged baseline, the PQ/IVF-PQ LUT scans, and the multi-query batch
-# kernels at the serving shape (batch of 2) and at 64; then the
-# build/evaluate hot path:
+# jagged baseline, the IVF-PQ LUT scans (raw and residual), and the
+# multi-query batch kernels at the serving shape (batch of 2) and at 64;
+# then the build/evaluate hot path:
 # BenchmarkCountTokens (must report 0 allocs/op), BenchmarkEncode (ns and
 # allocs per text through the memoised projection), BenchmarkSplit,
 # BenchmarkPromptPlanFit vs BenchmarkAssemblePrompt, BenchmarkDoFastFunc and

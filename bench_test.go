@@ -29,7 +29,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/llmsim"
 	"repro/internal/rag"
-	"repro/internal/vecstore"
 )
 
 var (
@@ -273,25 +272,6 @@ func BenchmarkAblationModeSpread(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIVFnprobe sweeps the IVF probe count on the chunk store
-// — the FAISS-style recall/latency trade-off.
-func BenchmarkAblationIVFnprobe(b *testing.B) {
-	a := artifacts(b)
-	// Build IVF once over the chunk embeddings.
-	ivf := buildIVFFromArtifacts(b, a)
-	queries := questionEmbeddings(a, 64)
-	for _, np := range []int{1, 4, 16} {
-		b.Run(benchName("nprobe", np), func(b *testing.B) {
-			ivf.SetNProbe(np)
-			b.ReportMetric(ivf.Recall(queries, 5), "recall@5")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = ivf.Search(queries[i%len(queries)], 5)
-			}
-		})
-	}
-}
-
 // BenchmarkRetrievalFanout measures the evaluation harness's retrieval
 // fan-out path: every benchmark question against the chunk store in one
 // RetrieveBatch call, which runs through the vecstore multi-query scan
@@ -439,29 +419,6 @@ func BenchmarkExtensionTopicBreakdown(b *testing.B) {
 		}
 		b.ReportMetric(1000*(hi-lo), "topic_spread_x1000")
 	}
-}
-
-func buildIVFFromArtifacts(b *testing.B, a *core.Artifacts) *vecstore.IVF {
-	b.Helper()
-	enc := newEncoder()
-	ivf := vecstore.NewIVF(vecstore.IVFConfig{Dim: enc.Dim(), NList: 48, Seed: 1})
-	for _, c := range a.Chunks {
-		ivf.Add(enc.Encode(c.Text), c.ID)
-	}
-	ivf.Train()
-	return ivf
-}
-
-func questionEmbeddings(a *core.Artifacts, n int) [][]float32 {
-	enc := newEncoder()
-	var out [][]float32
-	for i, q := range a.Questions {
-		if i >= n {
-			break
-		}
-		out = append(out, enc.Encode(q.Question))
-	}
-	return out
 }
 
 func benchName(prefix string, v int) string {

@@ -6,7 +6,8 @@
 //	table2     synthetic benchmark + Figure 4
 //	table3     Astro all questions + Figure 5 + GPT-4 crossover
 //	table4     Astro no-math subset + Figure 6
-//	ablation   retrieval-depth and index ablations (design-choice benches)
+//	ablation   retrieval-depth, self-exclusion and index ablations
+//	           (IVF-PQ encoding; HNSW vs Flat vs IVF-PQ)
 //	extensions sub-domain breakdown and trace distillation (paper §5)
 //
 // The header carries no timestamp, so the sections without wall-clock
@@ -237,8 +238,8 @@ func crossover(w io.Writer, m *eval.Matrix) {
 }
 
 // ablations sweeps the retrieval design choices: retrieval depth k, trace
-// self-exclusion, and the index trade-offs (IVF probes, IVF-PQ encoding,
-// HNSW against Flat and IVF-PQ).
+// self-exclusion, and the index trade-offs (IVF-PQ encoding, HNSW against
+// Flat and IVF-PQ).
 func ablations(w io.Writer, a *core.Artifacts) error {
 	fmt.Fprintln(w, "## Ablations")
 	fmt.Fprintln(w)
@@ -287,13 +288,6 @@ func ablations(w io.Writer, a *core.Artifacts) error {
 	}
 	fmt.Fprintln(w)
 
-	// Flat vs IVF recall/latency.
-	fmt.Fprintln(w, "### Index ablation: IVF recall vs probes (chunk store)")
-	fmt.Fprintln(w)
-	if err := ivfAblation(w, a); err != nil {
-		return err
-	}
-
 	// IVF-PQ encoding variants at identical code budget.
 	fmt.Fprintln(w, "### Index ablation: IVF-PQ encoding variant (chunk store, same M)")
 	fmt.Fprintln(w)
@@ -307,31 +301,6 @@ func ablations(w io.Writer, a *core.Artifacts) error {
 	if err := hnswTradeoffAblation(w, a); err != nil {
 		return err
 	}
-	return nil
-}
-
-func ivfAblation(w io.Writer, a *core.Artifacts) error {
-	// Rebuild a small IVF over the chunk embeddings and sweep nprobe.
-	ix := vecstore.NewIVF(vecstore.IVFConfig{Dim: 384, NList: 64, Seed: 1})
-	queries := make([][]float32, 0, 50)
-	encDefault := embed.NewDefault()
-	for i, q := range a.Questions {
-		if i >= 50 {
-			break
-		}
-		queries = append(queries, encDefault.Encode(q.Question))
-	}
-	for _, c := range a.Chunks {
-		ix.Add(encDefault.Encode(c.Text), c.ID)
-	}
-	ix.Train()
-	fmt.Fprintln(w, "| nprobe | recall@5 |")
-	fmt.Fprintln(w, "|---|---|")
-	for _, np := range []int{1, 2, 4, 8, 16, 64} {
-		ix.SetNProbe(np)
-		fmt.Fprintf(w, "| %d | %.3f |\n", np, ix.Recall(queries, 5))
-	}
-	fmt.Fprintln(w)
 	return nil
 }
 
@@ -390,11 +359,10 @@ func hnswTradeoffAblation(w io.Writer, a *core.Artifacts) error {
 	return nil
 }
 
-// ivfpqVariantAblation sweeps the IVF-PQ encoding variants — raw codes,
-// per-cell residual codes, residual + learned OPQ rotation — over the
-// chunk embeddings at one fixed code budget (M bytes/vector), the
-// recall-at-same-memory comparison behind the residual/OPQ rows of
-// docs/ARCHITECTURE.md.
+// ivfpqVariantAblation sweeps the IVF-PQ encodings — raw codes and
+// per-cell residual codes — over the chunk embeddings at one fixed code
+// budget (M bytes/vector), the recall-at-same-memory comparison behind the
+// residual row of docs/ARCHITECTURE.md.
 func ivfpqVariantAblation(w io.Writer, a *core.Artifacts) error {
 	encDefault := embed.NewDefault()
 	vecs := make([][]float32, 0, len(a.Chunks))
@@ -414,7 +382,6 @@ func ivfpqVariantAblation(w io.Writer, a *core.Artifacts) error {
 	}{
 		{"raw", vecstore.IVFPQConfig{}},
 		{"residual", vecstore.IVFPQConfig{Residual: true}},
-		{"residual+OPQ", vecstore.IVFPQConfig{Residual: true, OPQ: true, OPQIters: 4}},
 	}
 	fmt.Fprintln(w, "| variant | index | bytes/vec | recall@5 |")
 	fmt.Fprintln(w, "|---|---|---|---|")

@@ -28,3 +28,32 @@ func TestRunHeaderHasNoTimestamp(t *testing.T) {
 		t.Fatalf("report starts %q, want %q", strings.SplitN(b.String(), "\n", 2)[0], want)
 	}
 }
+
+// TestRunAblationSection drives the ablation path end to end at a small
+// scale: the IVF-PQ encoding rows (raw and residual) and the HNSW / Flat /
+// IVF-PQ trade-off rows are present, and no IVF probe table is.
+func TestRunAblationSection(t *testing.T) {
+	var b strings.Builder
+	if err := run(&b, 0.005, 1, "ablation"); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"### Index ablation: IVF-PQ encoding variant",
+		"| raw | IVF-PQ(",
+		"| residual | IVF-PQ(",
+		"### Index ablation: HNSW vs Flat vs IVF-PQ trade-off",
+		"| Flat(FP16) |",
+		"| HNSW(",
+		"\n| IVF-PQ(",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("ablation report lacks %q", want)
+		}
+	}
+	for _, gone := range []string{"IVF recall vs probes", "OPQ"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("ablation report still has %q", gone)
+		}
+	}
+}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ragserve -addr :8080 -scale 0.02              # synthetic corpus
-//	ragserve -artifacts out/ -index pq            # reuse saved artifacts
+//	ragserve -artifacts out/ -index hnsw          # reuse saved artifacts
 //	ragserve -save-index /tmp/idx.vsf             # keep a chunk swap target
 //	ragserve -save-traces /tmp/tr                 # keep trace swap targets
 //	ragserve -traces=false                        # chunk route only
@@ -53,7 +53,7 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "fraction of the paper's corpus to build")
 	seed := flag.Uint64("seed", 42, "corpus seed")
 	artifacts := flag.String("artifacts", "", "load a saved artifact directory (from mcqgen) instead of regenerating")
-	indexKind := flag.String("index", "flat", "chunk index kind: flat | ivf | pq | ivfpq | hnsw (trace stores stay flat)")
+	indexKind := flag.String("index", "flat", "chunk index kind: "+indexKindNames()+" (trace stores stay flat)")
 	maxBatch := flag.Int("max-batch", 32, "coalescer batch size")
 	maxDelay := flag.Duration("max-delay", time.Millisecond, "cap on the coalescer admission wait (the wait applied is one batch service time when that is shorter)")
 	cacheCap := flag.Int("cache", 4096, "per-route query cache entries (0 disables)")
@@ -71,7 +71,7 @@ func main() {
 	// Reject bad flags before the corpus build: a typo'd index kind or
 	// shard spec should fail in milliseconds, not after minutes of
 	// embedding.
-	if err := validateConfig(*indexKind, *shard, *saveIndex, *scale); err != nil {
+	if err := validateConfig(*indexKind, *shard, *scale); err != nil {
 		logger.Error("invalid configuration", "err", err)
 		os.Exit(2)
 	}
@@ -82,16 +82,46 @@ func main() {
 	}
 }
 
+// indexKinds is the one list of -index values: each names how the chunk
+// store's exact Flat becomes the served index (a nil build serves the Flat
+// itself). Every kind has an on-disk format, so each can be -save-index'd.
+var indexKinds = []struct {
+	name  string
+	build func(f *vecstore.Flat, seed uint64) vecstore.Index
+}{
+	{"flat", nil},
+	{"ivfpq", func(f *vecstore.Flat, seed uint64) vecstore.Index {
+		return f.ToIVFPQ(vecstore.IVFPQConfig{Seed: seed})
+	}},
+	{"hnsw", func(f *vecstore.Flat, seed uint64) vecstore.Index {
+		return f.ToHNSW(vecstore.HNSWConfig{Seed: seed})
+	}},
+}
+
+// indexKindNames renders the -index values for help and error text.
+func indexKindNames() string {
+	names := make([]string, len(indexKinds))
+	for i, k := range indexKinds {
+		names[i] = k.name
+	}
+	return strings.Join(names, " | ")
+}
+
+// indexBuilder returns the build of the named -index kind.
+func indexBuilder(kind string) (func(*vecstore.Flat, uint64) vecstore.Index, error) {
+	for _, k := range indexKinds {
+		if k.name == kind {
+			return k.build, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown -index %q (%s)", kind, indexKindNames())
+}
+
 // validateConfig checks flag values that would otherwise only fail deep
 // inside the build or serve path.
-func validateConfig(indexKind, shard, saveIndex string, scale float64) error {
-	switch indexKind {
-	case "flat", "ivf", "pq", "ivfpq", "hnsw":
-	default:
-		return fmt.Errorf("unknown -index %q (flat | ivf | pq | ivfpq | hnsw)", indexKind)
-	}
-	if indexKind == "ivf" && saveIndex != "" {
-		return fmt.Errorf("-save-index with -index ivf: an IVF index has no on-disk format (save flat | pq | ivfpq | hnsw)")
+func validateConfig(indexKind, shard string, scale float64) error {
+	if _, err := indexBuilder(indexKind); err != nil {
+		return err
 	}
 	if shard != "" {
 		if _, _, err := parseShard(shard); err != nil {
@@ -195,22 +225,11 @@ func buildArtifacts(artifactDir, shard string, scale float64, seed uint64, index
 			return nil, err
 		}
 	}
-	var build func(*vecstore.Flat) vecstore.Index
-	switch indexKind {
-	case "flat":
-		return a, nil
-	case "ivf":
-		build = func(f *vecstore.Flat) vecstore.Index { return f.ToIVF(vecstore.IVFConfig{Seed: seed}) }
-	case "pq":
-		build = func(f *vecstore.Flat) vecstore.Index { return f.ToPQ(vecstore.PQConfig{Seed: seed}) }
-	case "ivfpq":
-		build = func(f *vecstore.Flat) vecstore.Index { return f.ToIVFPQ(vecstore.IVFPQConfig{Seed: seed}) }
-	case "hnsw":
-		build = func(f *vecstore.Flat) vecstore.Index { return f.ToHNSW(vecstore.HNSWConfig{Seed: seed}) }
-	default:
-		return nil, fmt.Errorf("unknown -index %q (flat | ivf | pq | ivfpq | hnsw)", indexKind)
+	build, err := indexBuilder(indexKind)
+	if err != nil || build == nil {
+		return a, err
 	}
-	if err := a.ChunkStore.UseIndex(build); err != nil {
+	if err := a.ChunkStore.UseIndex(func(f *vecstore.Flat) vecstore.Index { return build(f, seed) }); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -5,8 +5,8 @@
 //
 // A Setup bundles one benchmark's questions with its retrieval stores;
 // Run sweeps the (model, condition) matrix, batching all retrieval
-// through the stores' multi-query path so each vecstore code tile (or PQ
-// LUT) is amortised across the whole question set. Rendering helpers
+// through the stores' multi-query path so each vecstore code tile (or
+// IVF-PQ LUT) is amortised across the whole question set. Rendering helpers
 // produce the paper's tables (RenderTable1/2, RenderAstroTable), the
 // percent-improvement figures (RenderFigure), per-topic breakdowns
 // (RenderTopicBreakdown), CSV export (RenderCSV), and the

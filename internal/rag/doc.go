@@ -6,8 +6,8 @@
 //
 // ChunkStore and TraceStore wrap a vecstore index (Flat by default) with
 // the domain records behind each key. Both expose the same scaling knobs:
-// UseIndex swaps the exact index for one built from it — IVF, PQ, IVF-PQ
-// or HNSW (recall vs memory vs QPS — see docs/ARCHITECTURE.md),
+// UseIndex swaps the exact index for one built from it — IVF-PQ or HNSW
+// (recall vs memory vs QPS — see docs/ARCHITECTURE.md),
 // RetrieveBatch answers whole question sets through the index's
 // multi-query scan kernel (the query-embedding pool is built once per
 // store and capped at the batch size — the serving hot path calls this

@@ -105,7 +105,7 @@ func mustUseIndex(t *testing.T, store *ChunkStore, build func(*vecstore.Flat) ve
 func TestUseIndexRejectsNonFlat(t *testing.T) {
 	fx := buildFixture(t, 2)
 	toHNSW := func(f *vecstore.Flat) vecstore.Index { return f.ToHNSW(vecstore.HNSWConfig{Seed: 1}) }
-	toIVF := func(f *vecstore.Flat) vecstore.Index { return f.ToIVF(vecstore.IVFConfig{NList: 4, Seed: 1}) }
+	toIVFPQ := func(f *vecstore.Flat) vecstore.Index { return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 4, Seed: 1}) }
 
 	live := BuildChunkStore(nil, fx.chunks, 0)
 	live.EnableLive()
@@ -117,7 +117,7 @@ func TestUseIndexRejectsNonFlat(t *testing.T) {
 	}
 	for name, s := range map[string]*ChunkStore{"live": live, "hnsw": graph, "snapshot": snap} {
 		before := s.IndexStats().Kind
-		if err := s.UseIndex(toIVF); err == nil {
+		if err := s.UseIndex(toIVFPQ); err == nil {
 			t.Errorf("%s: UseIndex on a %s store succeeded", name, before)
 		}
 		if after := s.IndexStats().Kind; after != before {
@@ -128,38 +128,25 @@ func TestUseIndexRejectsNonFlat(t *testing.T) {
 	if err := traces.UseIndex(toHNSW); err != nil {
 		t.Fatal(err)
 	}
-	if err := traces.UseIndex(toIVF); err == nil {
+	if err := traces.UseIndex(toIVFPQ); err == nil {
 		t.Error("TraceStore.UseIndex on an HNSW store succeeded")
 	}
 }
 
-func TestChunkStoreIVFSwap(t *testing.T) {
-	fx := buildFixture(t, 4)
-	store := BuildChunkStore(nil, fx.chunks, 0)
-	n := store.Len()
-	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
-		return f.ToIVF(vecstore.IVFConfig{NList: 8, NProbe: 8, Seed: 1})
-	})
-	if store.Len() != n {
-		t.Fatal("IVF swap lost vectors")
-	}
-	res := store.Retrieve(fx.chunks[0].Text, 1)
-	if len(res) != 1 || res[0].Chunk.ID != fx.chunks[0].ID {
-		t.Fatal("retrieval broken after IVF swap")
-	}
-}
-
+// TestChunkStorePQSwap swaps in the exhaustive PQ scan (a one-cell raw
+// IVF-PQ): quantized retrieval must keep every chunk and bring nearly
+// every chunk's own text back on top.
 func TestChunkStorePQSwap(t *testing.T) {
 	fx := buildFixture(t, 4)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	n := store.Len()
 	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
-		return f.ToPQ(vecstore.PQConfig{M: embed.DefaultDim / 4, Seed: 1})
+		return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 1, M: embed.DefaultDim / 4, Seed: 1})
 	})
 	if store.Len() != n {
 		t.Fatal("PQ swap lost vectors")
 	}
-	if kind := store.IndexStats().Kind; !strings.HasPrefix(kind, "PQ(") {
+	if kind := store.IndexStats().Kind; !strings.HasPrefix(kind, "IVF-PQ(nlist=1,") {
 		t.Fatalf("IndexStats kind %q after PQ swap", kind)
 	}
 	// Quantized self-retrieval: the chunk's own text should still come
@@ -193,13 +180,15 @@ func TestChunkStoreIVFPQSwap(t *testing.T) {
 	}
 }
 
+// TestChunkStorePQSaveReload persists a raw-encoded (one-cell) IVF-PQ
+// store and checks the reloaded store retrieves identically.
 func TestChunkStorePQSaveReload(t *testing.T) {
 	fx := buildFixture(t, 3)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
-		return f.ToPQ(vecstore.PQConfig{M: embed.DefaultDim / 4, Seed: 1})
+		return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 1, M: embed.DefaultDim / 4, Seed: 1})
 	})
-	path := t.TempDir() + "/chunks.vsf3"
+	path := t.TempDir() + "/chunks.vsf"
 	if err := store.SaveIndex(path); err != nil {
 		t.Fatal(err)
 	}
@@ -221,19 +210,18 @@ func TestChunkStorePQSaveReload(t *testing.T) {
 	}
 }
 
-// TestChunkStoreIVFPQSaveReload persists a residual+OPQ IVF-PQ-backed
-// store as VSF4 and checks the reloaded store retrieves bit-identically —
+// TestChunkStoreIVFPQSaveReload persists a residual IVF-PQ-backed store
+// as VSF4 and checks the reloaded store retrieves bit-identically —
 // the hot-swap path ragserve uses (vecstore.Load dispatches on magic).
 func TestChunkStoreIVFPQSaveReload(t *testing.T) {
 	fx := buildFixture(t, 3)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
 		return f.ToIVFPQ(vecstore.IVFPQConfig{
-			NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1,
-			Residual: true, OPQ: true, OPQIters: 2,
+			NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1, Residual: true,
 		})
 	})
-	if kind := store.IndexStats().Kind; !strings.Contains(kind, "res+opq") {
+	if kind := store.IndexStats().Kind; !strings.HasSuffix(kind, ",res)") {
 		t.Fatalf("IndexStats kind %q missing variant after IVF-PQ swap", kind)
 	}
 	path := t.TempDir() + "/chunks.vsf4"

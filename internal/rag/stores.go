@@ -68,8 +68,7 @@ func WrapChunkStore(enc *embed.Encoder, index vecstore.Index, chunks []chunk.Chu
 }
 
 // UseIndex replaces the store's exact Flat index with build(flat) — for
-// example flat.ToIVF, ToPQ, ToIVFPQ or ToHNSW, trading recall for latency
-// or memory. It fails, leaving the store unchanged, when the current index
+// example flat.ToIVFPQ or ToHNSW, trading recall for latency or memory. It fails, leaving the store unchanged, when the current index
 // is not a *vecstore.Flat (already swapped, or wrapped by EnableLive).
 func (s *ChunkStore) UseIndex(build func(*vecstore.Flat) vecstore.Index) error {
 	return useIndex(&s.index, build)
@@ -100,9 +99,9 @@ func (s *ChunkStore) Len() int { return s.index.Len() }
 func (s *ChunkStore) MemoryBytes() int64 { return vecstore.StatsOf(s.index).Bytes }
 
 // SaveIndex persists the underlying vector index in its family's format
-// (VSF2 for Flat, VSF3 for PQ, VSF4 for IVF-PQ including residual and OPQ
-// trained state, VSF5 for HNSW including the whole graph). Plain-IVF and
-// live stores have no on-disk format and return an error.
+// (VSF2 for Flat, VSF4 for IVF-PQ including residual trained state, VSF5
+// for HNSW including the whole graph). Live stores have no on-disk format
+// and return an error.
 func (s *ChunkStore) SaveIndex(path string) error { return saveIndex(s.index, path) }
 
 // saveIndex is both stores' SaveIndex: every family with an on-disk format

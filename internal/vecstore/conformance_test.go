@@ -11,8 +11,8 @@ import (
 
 // Conformance suite: every Index implementation must satisfy the same
 // behavioural contract the retrieval layer relies on. Approximate indexes
-// (IVF, HNSW) are configured for exhaustive/high-recall operation here so
-// the contract checks are exact.
+// (IVF-PQ, HNSW) are configured for exhaustive/high-recall operation here
+// so the contract checks are exact.
 
 type indexFactory struct {
 	name string
@@ -28,14 +28,6 @@ func factories() []indexFactory {
 			}
 			return ix
 		}},
-		{"IVF-fullprobe", func(dim int, vecs [][]float32, keys []string) Index {
-			ix := NewIVF(IVFConfig{Dim: dim, NList: 8, NProbe: 8, Seed: 1})
-			for i, v := range vecs {
-				ix.Add(v, keys[i])
-			}
-			ix.Train()
-			return ix
-		}},
 		{"HNSW-wide", func(dim int, vecs [][]float32, keys []string) Index {
 			ix := NewHNSW(HNSWConfig{Dim: dim, EfSearch: 256, EfConstruction: 128, Seed: 1})
 			for i, v := range vecs {
@@ -44,9 +36,10 @@ func factories() []indexFactory {
 			return ix
 		}},
 		{"PQ", func(dim int, vecs [][]float32, keys []string) Index {
-			// Fine subspaces (≤4 dims each) keep quantization near-lossless
-			// so the exact-contract checks hold.
-			ix := NewPQ(PQConfig{Dim: dim, M: (dim + 3) / 4, Seed: 1})
+			// A one-cell raw IVF-PQ is the exhaustive PQ scan. Fine
+			// subspaces (≤4 dims each) keep quantization near-lossless so
+			// the exact-contract checks hold.
+			ix := NewIVFPQ(IVFPQConfig{Dim: dim, NList: 1, M: (dim + 3) / 4, Seed: 1})
 			for i, v := range vecs {
 				ix.Add(v, keys[i])
 			}
@@ -63,14 +56,6 @@ func factories() []indexFactory {
 		}},
 		{"IVFPQ-residual", func(dim int, vecs [][]float32, keys []string) Index {
 			ix := NewIVFPQ(IVFPQConfig{Dim: dim, NList: 8, NProbe: 8, M: (dim + 3) / 4, Seed: 1, Residual: true})
-			for i, v := range vecs {
-				ix.Add(v, keys[i])
-			}
-			ix.Train()
-			return ix
-		}},
-		{"IVFPQ-opq", func(dim int, vecs [][]float32, keys []string) Index {
-			ix := NewIVFPQ(IVFPQConfig{Dim: dim, NList: 8, NProbe: 8, M: (dim + 3) / 4, Seed: 1, Residual: true, OPQ: true})
 			for i, v := range vecs {
 				ix.Add(v, keys[i])
 			}

@@ -5,15 +5,13 @@
 // provides the same capabilities in pure Go:
 //
 //   - Flat: exact inner-product / cosine search (FAISS IndexFlatIP),
-//   - IVF: inverted-file index with a k-means coarse quantizer and nprobe
-//     search (FAISS IndexIVFFlat), trading recall for throughput,
 //   - HNSW: graph-based approximate search (FAISS IndexHNSWFlat),
-//   - PQ: product quantization with LUT-based asymmetric distance (FAISS
-//     IndexPQ) — M bytes per vector instead of 2 per dimension,
-//   - IVFPQ: the coarse probe composed with PQ cells (FAISS IndexIVFPQ),
+//   - IVFPQ: a k-means coarse quantizer with nprobe search composed with
+//     product-quantized cells scored by LUT-based asymmetric distance
+//     (FAISS IndexIVFPQ) — M bytes per vector instead of 2 per dimension —
 //     with optional residual encoding (codes quantize x − anchor(cell),
-//     scored through per-cell shifted LUTs) and an optional learned OPQ
-//     rotation (FAISS OPQMatrix) ahead of the subspace split,
+//     scored through per-cell shifted LUTs),
+//   - Memtable and Live: the mutable tier over any of them,
 //   - attached per-vector metadata payloads (ids, provenance),
 //   - binary persistence, and parallel single- and multi-query batch search.
 //
@@ -24,8 +22,8 @@
 //
 // All code-based indexes use FAISS's contiguous-block layout: one flat
 // array holds every row, with row i at codes[i*stride:(i+1)*stride] (Flat,
-// the memtable, HNSW and PQ globally; IVF and IVFPQ as one contiguous
-// block per inverted list). There are no per-vector slice headers and no
+// the memtable and HNSW globally; IVFPQ as one contiguous block per
+// inverted list). There are no per-vector slice headers and no
 // pointer dereferences on the scan path. FP16 searches run through one
 // blocked scan loop over one block type, halfBlock (scan.go), that walks
 // the codes in tiles of scanTileRows (64) rows and scores each tile against
@@ -37,34 +35,31 @@
 // top-k heaps merged exactly at the end, so a single query saturates the
 // machine.
 //
-// PQ searches skip decoding entirely: a per-query M×256 look-up table of
-// sub-query·centroid dot products is built once, after which scoring a
-// row is one table lookup and add per subspace (asymmetric distance
-// computation). The LUT kernels share the segment-parallel plumbing and
-// pooled scratch of the blocked scan loop: Flat, the memtable and PQ run
-// through one driver, searchSegments, and differ only in the kernel that
-// scores one segment.
+// Flat and the memtable share one segment-parallel batch scan,
+// searchSegments.
 //
-// IVF and IVFPQ share one inverted-file layer (invFile, ivf.go): the
+// IVF-PQ searches skip decoding entirely: a per-query M×256 look-up table
+// of sub-query·centroid dot products is built once, after which scoring a
+// row is one table lookup and add per subspace (asymmetric distance
+// computation). Its inverted-file layer (invFile, ivfpq.go) holds the
 // coarse quantizer and its sizing, the probe count, the cell postings, and
 // the probe-grouped batch scan that scans every probed cell once for all
-// the queries probing it. Each family supplies only its cell scorer — the
-// FP16 kernel, or the PQ LUT kernel with the residual shiftLUT.
+// the queries probing it; the cell scorer is the PQ LUT kernel, with the
+// residual shiftLUT under residual encoding.
 //
 // Index.SearchBatch is the multi-query entry point every family
-// implements: each FP16 row pair (or, for PQ, each per-query LUT and
-// cache-resident code segment) is scored against the whole query batch
-// while it is in cache, so the codes are streamed once per batch. A
-// single-query search is the same loop over a one-query batch; IVF, PQ
-// and IVFPQ answer Search through SearchBatch itself. BatchSearchTimed is
-// the same call reporting its scan/merge split.
+// implements: each FP16 row pair (or, for IVF-PQ, each probed cell) is
+// scored against the whole query batch while it is in cache, so the codes
+// are streamed once per batch. A single-query search is the same loop over
+// a one-query batch; IVFPQ answers Search through SearchBatch itself.
+// BatchSearchTimed is the same call reporting its scan/merge split.
 //
 // Scores are bit-for-bit identical to the reference scalar scans (one row,
-// one f16.Dot at a time; for PQ, one LUT row-sum at a time):
+// one f16.Dot at a time; for IVF-PQ, one LUT row-sum at a time):
 // binary16→float32 conversion is exact, the accumulation trees match, and
 // top-k selection uses the total order (score descending, id ascending),
 // making push order and segment merges irrelevant. parity_test.go and
-// pq_test.go pin this down.
+// ivfpq_test.go pin this down.
 //
 // All indexes are safe for concurrent Search after construction; Add is not
 // concurrent with Search.

@@ -14,8 +14,9 @@ import (
 // HNSW is a hierarchical navigable small-world graph index (the FAISS
 // IndexHNSWFlat equivalent): greedy search descends random-level layers of
 // a proximity graph, giving sub-linear query time without training. Unlike
-// IVF it needs no k-means pass and supports pure incremental construction,
-// which suits the pipeline's streaming ingestion of trace embeddings.
+// IVF-PQ it needs no k-means pass and supports pure incremental
+// construction, which suits the pipeline's streaming ingestion of trace
+// embeddings.
 //
 // Storage is flat. Vectors live in one contiguous FP16 code block — the
 // same layout the scan kernels stream over — and adjacency is a CSR-style

@@ -14,26 +14,22 @@ import (
 
 // Binary persistence for vector indexes (the chunk and trace stores are
 // saved once by the generation pipeline and loaded by every evaluation
-// run). Four on-disk formats are read and written — VSF2 (contiguous FP16,
-// the Flat format), VSF3 (PQ: codebooks + contiguous M-byte code block),
-// VSF4 (IVF-PQ: coarse centroids, PQ codebook, optional OPQ rotation,
+// run). Three on-disk formats are read and written — VSF2 (contiguous
+// FP16, the Flat format), VSF4 (IVF-PQ: coarse centroids, PQ codebook,
 // residual flag, and per-cell postings + code blocks), and VSF5 (HNSW:
 // construction parameters, per-node levels, entry point, compact adjacency
 // lists, and the contiguous FP16 code block). The byte-level specification
 // and the read/write compatibility matrix live in docs/VSF_FORMAT.md; Load
-// dispatches on the magic, LoadFlat/LoadPQ/LoadIVFPQ/LoadHNSW insist on
-// their own family, and any other magic (the retired VSF1 included) fails
+// dispatches on the magic, LoadFlat/LoadIVFPQ/LoadHNSW insist on their own
+// family, and any other magic (the retired VSF1 and VSF3 included) fails
 // with ErrBadFormat.
 //
-// Plain IVF indexes have no format of their own: the Flat they are
-// trained from is what gets saved, and retraining is deterministic.
-// IVF-PQ has one (VSF4) because its trained state — learned rotation,
-// residual codebook, cell assignment — is what the recall acceptance pins;
-// retraining at load would re-run OPQ alternation on every server swap.
+// IVF-PQ has a format of its own because its trained state — codebook,
+// residual anchors, cell assignment — is what the recall acceptance pins;
+// retraining at load would re-run k-means on every server swap.
 
 var (
 	magicV2 = [4]byte{'V', 'S', 'F', '2'}
-	magicV3 = [4]byte{'V', 'S', 'F', '3'}
 	magicV4 = [4]byte{'V', 'S', 'F', '4'}
 	magicV5 = [4]byte{'V', 'S', 'F', '5'}
 )
@@ -47,11 +43,11 @@ const (
 	hnswMaxLevel = 64
 )
 
-// VSF4 header flag bits.
+// VSF4 header flag bits; a file with any other bit set (such as bit 1,
+// the retired OPQ rotation) fails to load.
 const (
 	vsf4FlagResidual = 1 << 0
-	vsf4FlagRotation = 1 << 1
-	vsf4FlagsKnown   = vsf4FlagResidual | vsf4FlagRotation
+	vsf4FlagsKnown   = vsf4FlagResidual
 )
 
 // ErrBadFormat is returned when a persisted index fails validation.
@@ -168,8 +164,6 @@ func LoadFlat(path string) (*Flat, error) {
 		switch m {
 		case magicV2:
 			return readFlat(r, remain)
-		case magicV3:
-			return nil, fmt.Errorf("%w: %s is a PQ (VSF3) index; use Load or LoadPQ", ErrBadFormat, path)
 		case magicV4:
 			return nil, fmt.Errorf("%w: %s is an IVF-PQ (VSF4) index; use Load or LoadIVFPQ", ErrBadFormat, path)
 		case magicV5:
@@ -180,14 +174,12 @@ func LoadFlat(path string) (*Flat, error) {
 }
 
 // Load reads any persisted index, dispatching on the format magic: VSF2
-// loads as *Flat, VSF3 as *PQ, VSF4 as *IVFPQ, VSF5 as *HNSW.
+// loads as *Flat, VSF4 as *IVFPQ, VSF5 as *HNSW.
 func Load(path string) (Index, error) {
 	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (Index, error) {
 		switch m {
 		case magicV2:
 			return readFlat(r, remain)
-		case magicV3:
-			return readPQ(r, remain)
 		case magicV4:
 			return readIVFPQ(r, remain)
 		case magicV5:
@@ -277,114 +269,6 @@ func readKey(r io.Reader, i uint64) (string, error) {
 	return string(key), nil
 }
 
-// Save writes the PQ index to path atomically in the VSF3 format
-// (codebooks plus the contiguous code block; see docs/VSF_FORMAT.md).
-// Save panics if the index is untrained.
-func (ix *PQ) Save(path string) error {
-	if !ix.trained {
-		panic("vecstore: PQ Save before Train")
-	}
-	return saveAtomic(path, func(w io.Writer) error { return writePQ(w, ix) })
-}
-
-func writePQ(w io.Writer, ix *PQ) error {
-	if _, err := w.Write(magicV3[:]); err != nil {
-		return err
-	}
-	hdr := []uint32{uint32(ix.dim), uint32(ix.cb.m), uint32(ix.cb.ksub)}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(ix.keys))); err != nil {
-		return err
-	}
-	if err := writeKeys(w, ix.keys); err != nil {
-		return err
-	}
-	if err := writeF32s(w, ix.cb.cents); err != nil {
-		return err
-	}
-	_, err := w.Write(ix.codes)
-	return err
-}
-
-// LoadPQ reads a PQ index previously written by PQ.Save (VSF3). Flat files
-// (VSF2) are rejected; use Load or LoadFlat for those.
-func LoadPQ(path string) (*PQ, error) {
-	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (*PQ, error) {
-		if m != magicV3 {
-			return nil, fmt.Errorf("%w: %s is not a PQ (VSF3) index (magic %q); use Load or LoadFlat", ErrBadFormat, path, m)
-		}
-		return readPQ(r, remain)
-	})
-}
-
-// readPQ consumes a VSF3 stream after the magic. The subspace geometry
-// (bounds, centroid block offsets) is not stored — it is a pure function
-// of dim and m, recomputed by newPQCodebook. remain is the payload byte
-// budget (file size minus magic).
-func readPQ(r io.Reader, remain int64) (*PQ, error) {
-	var dim, m, ksub uint32
-	for _, p := range []*uint32{&dim, &m, &ksub} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("%w: PQ header: %w", ErrBadFormat, err)
-		}
-	}
-	if dim == 0 || dim > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible dim %d", ErrBadFormat, dim)
-	}
-	if m == 0 || m > dim {
-		return nil, fmt.Errorf("%w: implausible PQ m %d for dim %d", ErrBadFormat, m, dim)
-	}
-	if ksub == 0 || ksub > pqKSubMax {
-		return nil, fmt.Errorf("%w: implausible PQ ksub %d", ErrBadFormat, ksub)
-	}
-	var count uint64
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("%w: count: %w", ErrBadFormat, err)
-	}
-	if count > (1<<31)/uint64(m) {
-		return nil, fmt.Errorf("%w: implausible count %d", ErrBadFormat, count)
-	}
-	// Records cost at least 4+m bytes each (key length + codes) and the
-	// codebook exactly 4*ksub*dim; reject headers the file cannot back.
-	remain -= 20
-	if need := int64(count)*int64(4+m) + 4*int64(ksub)*int64(dim); need > remain {
-		return nil, fmt.Errorf("%w: count %d needs >= %d payload bytes, file has %d", ErrBadFormat, count, need, remain)
-	}
-	ix := NewPQ(PQConfig{Dim: int(dim), M: int(m)})
-	ix.keys = make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		key, err := readKey(r, i)
-		if err != nil {
-			return nil, err
-		}
-		ix.keys = append(ix.keys, key)
-	}
-	ix.cb = newPQCodebook(int(dim), int(m), int(ksub))
-	if err := readF32s(r, ix.cb.cents); err != nil {
-		return nil, fmt.Errorf("%w: PQ codebook: %w", ErrBadFormat, err)
-	}
-	ix.codes = make([]byte, count*uint64(m))
-	if _, err := io.ReadFull(r, ix.codes); err != nil {
-		return nil, fmt.Errorf("%w: PQ code block: %w", ErrBadFormat, err)
-	}
-	// Bad files must fail here, not at query time: a code byte ≥ ksub
-	// (possible whenever ksub < 256) would index past its subspace's LUT
-	// and codebook regions during search.
-	if int(ksub) < pqKSubMax {
-		for i, c := range ix.codes {
-			if uint32(c) >= ksub {
-				return nil, fmt.Errorf("%w: PQ code %d at offset %d exceeds ksub %d", ErrBadFormat, c, i, ksub)
-			}
-		}
-	}
-	ix.trained = true
-	return ix, nil
-}
-
 // writeF32s streams float32s as little-endian through a fixed scratch
 // buffer (same discipline as writeCodes).
 func writeF32s(w io.Writer, vals []float32) error {
@@ -426,31 +310,6 @@ func readF32s(r io.Reader, dst []float32) error {
 	return nil
 }
 
-// ToIVF converts a Flat index into a trained IVF index with the given
-// configuration (Dim is taken from the source index). The FP16 payloads are
-// transferred without re-encoding.
-func (ix *Flat) ToIVF(cfg IVFConfig) *IVF {
-	cfg.Dim = ix.dim
-	ivf := NewIVF(cfg)
-	ivf.staged = append(ivf.staged, ix.codes...)
-	ivf.keys = append(ivf.keys, ix.keys...)
-	ivf.Train()
-	return ivf
-}
-
-// ToPQ converts a Flat index into a trained PQ index with the given
-// configuration (Dim is taken from the source index). The FP16 payloads
-// seed the staging buffer without re-encoding; Train then fits codebooks
-// and produces the M-byte codes.
-func (ix *Flat) ToPQ(cfg PQConfig) *PQ {
-	cfg.Dim = ix.dim
-	pq := NewPQ(cfg)
-	pq.staged = append(pq.staged, ix.codes...)
-	pq.keys = append(pq.keys, ix.keys...)
-	pq.Train()
-	return pq
-}
-
 // ToIVFPQ converts a Flat index into a trained IVF-PQ index with the given
 // configuration (Dim is taken from the source index).
 func (ix *Flat) ToIVFPQ(cfg IVFPQConfig) *IVFPQ {
@@ -480,7 +339,7 @@ func (ix *Flat) ToHNSW(cfg HNSWConfig) *HNSW {
 }
 
 // Save writes the IVF-PQ index to path atomically in the VSF4 format
-// (coarse centroids, PQ codebook, optional OPQ rotation, per-cell
+// (coarse centroids, optional residual anchors, PQ codebook, per-cell
 // postings and code blocks; see docs/VSF_FORMAT.md). Save panics if the
 // index is untrained.
 func (ix *IVFPQ) Save(path string) error {
@@ -497,9 +356,6 @@ func writeIVFPQ(w io.Writer, ix *IVFPQ) error {
 	var flags uint32
 	if ix.residual {
 		flags |= vsf4FlagResidual
-	}
-	if ix.rot != nil {
-		flags |= vsf4FlagRotation
 	}
 	hdr := []uint32{
 		uint32(ix.dim), uint32(ix.cb.m), uint32(ix.cb.ksub),
@@ -530,11 +386,6 @@ func writeIVFPQ(w io.Writer, ix *IVFPQ) error {
 	}
 	if err := writeF32s(w, ix.cb.cents); err != nil {
 		return err
-	}
-	if ix.rot != nil {
-		if err := writeF32s(w, ix.rot); err != nil {
-			return err
-		}
 	}
 	var idbuf []byte
 	for c := 0; c < ix.km.K; c++ {
@@ -569,9 +420,10 @@ func LoadIVFPQ(path string) (*IVFPQ, error) {
 	})
 }
 
-// readIVFPQ consumes a VSF4 stream after the magic. As in VSF3, the
-// subspace geometry is recomputed from (dim, m); everything else — coarse
-// centroids, codebook, rotation, cell assignment — is restored exactly,
+// readIVFPQ consumes a VSF4 stream after the magic. The subspace geometry
+// is not stored — it is a pure function of (dim, m), recomputed by
+// newPQCodebook; everything else — coarse centroids, residual anchors,
+// codebook, cell assignment — is restored exactly,
 // so a loaded index searches bit-identically to the one saved and accepts
 // further Add calls without retraining. remain is the payload byte budget
 // (file size minus magic).
@@ -609,16 +461,12 @@ func readIVFPQ(r io.Reader, remain int64) (*IVFPQ, error) {
 	}
 	// Bound every header-driven section by the bytes the file actually
 	// has: records (key length + codes), coarse centroids, optional
-	// residual anchors, the codebook, the optional dim² rotation, and the
-	// per-cell size prefixes. A corrupt header in a tiny file fails here
+	// residual anchors, the codebook, and the per-cell size prefixes. A corrupt header in a tiny file fails here
 	// rather than make()-ing gigabytes.
 	remain -= 32
 	need := int64(count)*int64(4+m) + 4*int64(nlist)*int64(dim) + 4*int64(ksub)*int64(dim) + 4*int64(nlist)
 	if flags&vsf4FlagResidual != 0 {
 		need += 4 * int64(nlist) * int64(dim)
-	}
-	if flags&vsf4FlagRotation != 0 {
-		need += 4 * int64(dim) * int64(dim)
 	}
 	if need > remain {
 		return nil, fmt.Errorf("%w: header needs >= %d payload bytes, file has %d", ErrBadFormat, need, remain)
@@ -657,14 +505,6 @@ func readIVFPQ(r io.Reader, remain int64) (*IVFPQ, error) {
 	if err := readF32s(r, ix.cb.cents); err != nil {
 		return nil, fmt.Errorf("%w: IVF-PQ codebook: %w", ErrBadFormat, err)
 	}
-	if flags&vsf4FlagRotation != 0 {
-		ix.rot = make([]float32, int(dim)*int(dim))
-		if err := readF32s(r, ix.rot); err != nil {
-			return nil, fmt.Errorf("%w: OPQ rotation: %w", ErrBadFormat, err)
-		}
-	} else {
-		ix.rot = nil
-	}
 	ix.cellIDs = make([][]int, nlist)
 	ix.cellCodes = make([][]byte, nlist)
 	var total uint64
@@ -693,8 +533,8 @@ func readIVFPQ(r io.Reader, remain int64) (*IVFPQ, error) {
 		if _, err := io.ReadFull(r, codes); err != nil {
 			return nil, fmt.Errorf("%w: cell %d code block: %w", ErrBadFormat, c, err)
 		}
-		// Same discipline as VSF3: a code byte ≥ ksub must fail at load
-		// time, not index past the LUT at query time.
+		// A code byte ≥ ksub (possible whenever ksub < 256) must fail at
+		// load time, not index past its subspace's LUT at query time.
 		if int(ksub) < pqKSubMax {
 			for i, cc := range codes {
 				if uint32(cc) >= ksub {

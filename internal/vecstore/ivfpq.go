@@ -2,10 +2,205 @@ package vecstore
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/f16"
 )
+
+// invFile is IVFPQ's inverted-file layer: the spherical coarse quantizer,
+// the probe count, each cell's id postings, and the probe-grouped batch
+// scan over them. IVFPQ embeds it and keeps only its per-cell code blocks
+// (row j of cell block c belongs to insertion id cellIDs[c][j]) and the
+// scorer for one cell.
+type invFile struct {
+	km      *KMeans
+	nprobe  int
+	cellIDs [][]int
+	trained bool
+}
+
+func newInvFile(nlist, nprobe int, seed uint64) invFile {
+	return invFile{km: &KMeans{K: nlist, Seed: seed}, nprobe: nprobe}
+}
+
+// train sizes the coarse quantizer for n = len(vecs) rows — NList 0
+// becomes sqrt(n), NList is clamped to n, NProbe 0 becomes max(1,
+// NList/16) and a larger NProbe is clamped to NList — fits it on vecs, and
+// buckets every row into its nearest cell's postings in insertion order.
+// It returns each row's cell.
+func (ix *invFile) train(vecs [][]float32) []int {
+	n := len(vecs)
+	if ix.km.K <= 0 {
+		ix.km.K = max(1, int(math.Sqrt(float64(n))))
+	}
+	ix.km.K = min(ix.km.K, n)
+	if ix.nprobe <= 0 {
+		ix.nprobe = max(1, ix.km.K/16)
+	} else if ix.nprobe > ix.km.K {
+		// A SetNProbe before Train may exceed an auto-sized or shrunk K.
+		ix.nprobe = ix.km.K
+	}
+	ix.km.Train(vecs)
+	assign := make([]int, n)
+	parallelFor(n, 0, func(id int) {
+		assign[id] = ix.km.Nearest(vecs[id])
+	})
+	counts := make([]int, ix.km.K)
+	for _, c := range assign {
+		counts[c]++
+	}
+	ix.cellIDs = make([][]int, ix.km.K)
+	for c, cnt := range counts {
+		ix.cellIDs[c] = make([]int, 0, cnt)
+	}
+	for id, c := range assign {
+		ix.cellIDs[c] = append(ix.cellIDs[c], id)
+	}
+	return assign
+}
+
+// route appends post-train insertion id, whose vector is v, to its
+// nearest cell's postings and returns the cell.
+func (ix *invFile) route(v []float32, id int) int {
+	c := ix.km.Nearest(v)
+	ix.cellIDs[c] = append(ix.cellIDs[c], id)
+	return c
+}
+
+// cellBlocks packs each cell's rows, in posting order, into one contiguous
+// block: block c is the stride-wide rows codes[id*stride:(id+1)*stride]
+// of the ids in cellIDs[c].
+func cellBlocks(cellIDs [][]int, codes []byte, stride int) [][]byte {
+	blocks := make([][]byte, len(cellIDs))
+	for c, ids := range cellIDs {
+		b := make([]byte, 0, len(ids)*stride)
+		for _, id := range ids {
+			b = append(b, codes[id*stride:(id+1)*stride]...)
+		}
+		blocks[c] = b
+	}
+	return blocks
+}
+
+// Trained reports whether the quantizers have been fitted.
+func (ix *invFile) Trained() bool { return ix.trained }
+
+// SetNProbe adjusts the number of cells scanned per query (recall knob).
+// Values set before Train are re-clamped when Train sizes the cell count.
+func (ix *invFile) SetNProbe(n int) {
+	if n < 1 {
+		n = 1
+	}
+	if ix.trained && n > ix.km.K {
+		n = ix.km.K
+	}
+	ix.nprobe = n
+}
+
+// NProbe returns the current probe count.
+func (ix *invFile) NProbe() int { return ix.nprobe }
+
+// NList returns the number of cells (0 before training when auto-sized).
+func (ix *invFile) NList() int { return ix.km.K }
+
+// searchCells is the probe-grouped batch scan: each query's nprobe nearest
+// cells are found, queries are grouped by probed cell so every non-empty
+// cell is scanned once, in parallel, for all the queries probing it, and
+// each query's partial heaps are folded into its results. scanCell scores
+// cell c for queries qis into hs (hs[i] for query qis[i]). A query whose
+// probed cells are all empty gets a non-nil empty slice, as Search always
+// returned. A non-nil tm receives Scan from start — the caller's per-batch
+// pre-work — through the cell scans, and Merge for the per-query folds.
+func (ix *invFile) searchCells(qs [][]float32, k int, keys []string, start time.Time, tm *ScanTiming, scanCell func(c int, qis []int32, hs []*topK)) [][]Result {
+	probes := make([][]int, len(qs))
+	parallelFor(len(qs), 0, func(qi int) {
+		probes[qi] = ix.km.NearestN(qs[qi], ix.nprobe)
+	})
+	// Invert: cell → indices of the queries probing it.
+	perCell := make([][]int32, ix.km.K)
+	for qi, ps := range probes {
+		for _, c := range ps {
+			perCell[c] = append(perCell[c], int32(qi))
+		}
+	}
+	work := make([]int, 0, ix.km.K)
+	for c, qis := range perCell {
+		if len(qis) > 0 && len(ix.cellIDs[c]) > 0 {
+			work = append(work, c)
+		}
+	}
+	partial := make([][]*topK, len(work))
+	parallelFor(len(work), 0, func(wi int) {
+		c := work[wi]
+		hs := make([]*topK, len(perCell[c]))
+		for i := range hs {
+			hs[i] = getTopK(k)
+		}
+		scanCell(c, perCell[c], hs)
+		partial[wi] = hs
+	})
+	mergeStart := time.Now()
+	final := make([]*topK, len(qs))
+	for wi, c := range work {
+		for i, qi := range perCell[c] {
+			h := partial[wi][i]
+			if final[qi] == nil {
+				final[qi] = h
+				continue
+			}
+			for j, id := range h.ids {
+				final[qi].push(id, h.scores[j])
+			}
+			putTopK(h)
+		}
+	}
+	out := make([][]Result, len(qs))
+	for qi, h := range final {
+		if h == nil {
+			out[qi] = []Result{}
+			continue
+		}
+		out[qi] = h.results(keys)
+		putTopK(h)
+	}
+	tm.book(start, mergeStart)
+	return out
+}
+
+// parallelFor runs fn(i) for i in [0,n) across workers goroutines with an
+// atomic work counter; workers <= 0 selects GOMAXPROCS. It is the shared
+// query/cell fan-out of the batch searches (IVF-PQ, HNSW) and of training.
+func parallelFor(n, workers int, fn func(i int)) {
+	if n == 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
 
 // IVFPQ composes the inverted-file coarse quantizer with product-quantized
 // cell storage (FAISS IndexIVFPQ). Two encodings are supported:
@@ -24,28 +219,21 @@ import (
 //     per-probed-cell LUT shift (O(dim + M·ksub) per cell, see
 //     pqCodebook.shiftLUT) before the unchanged scan kernel runs.
 //
-// An optional OPQ rotation (OPQ: true) — a learned orthonormal matrix
-// applied to vectors at encode time and to queries before LUT
-// construction — decorrelates the subspace split first (see learnOPQ).
-// Rotation preserves inner products, so scores remain comparable with the
-// exact scan. A query scans only the NProbe nearest cells, and each
-// probed cell is an M-byte-per-row LUT scan, so both the scanned-row
-// count and the bytes-per-row shrink relative to Flat. The
-// recall/latency/memory trade-off is pinned by the IVF-PQ recall
-// regression tests.
+// A query scans only the NProbe nearest cells, and each probed cell is an
+// M-byte-per-row LUT scan, so both the scanned-row count and the
+// bytes-per-row shrink relative to Flat. The recall/latency/memory
+// trade-off is pinned by the IVF-PQ recall regression tests.
 type IVFPQ struct {
 	invFile
 	dim      int
-	pqCfg    PQConfig
+	pqCfg    pqConfig
 	cb       *pqCodebook
 	keys     []string
 	residual bool
-	// anchors[c] is the arithmetic mean of cell c's (rotated) vectors,
-	// the point residual codes are relative to. Only set under residual
-	// encoding; routing always uses the spherical km centroids.
-	anchors  [][]float32
-	rot      []float32 // OPQ rotation, row-major dim×dim; nil when unused
-	opqIters int
+	// anchors[c] is the arithmetic mean of cell c's vectors, the point
+	// residual codes are relative to. Only set under residual encoding;
+	// routing always uses the spherical km centroids.
+	anchors [][]float32
 	// staged buffers codes contiguously in insertion order until Train.
 	staged []uint16
 	// After Train: per-cell contiguous PQ code blocks.
@@ -62,30 +250,19 @@ type IVFPQConfig struct {
 	// Residual encodes vec − centroid(cell) instead of the raw vector:
 	// higher recall at the same M, at a per-probed-cell LUT-shift cost.
 	Residual bool
-	// OPQ learns an orthonormal rotation (applied to vectors at encode
-	// time and queries at LUT time) before the subspace split. Usually
-	// combined with Residual.
-	OPQ bool
-	// OPQIters caps the PQ-fit/rotation-update alternations; 0 → 8.
-	OPQIters int
 }
 
 // NewIVFPQ returns an untrained IVF-PQ index. Vectors may be added before
 // training; Train must be called before Search.
 func NewIVFPQ(cfg IVFPQConfig) *IVFPQ {
-	pqCfg := PQConfig{Dim: cfg.Dim, M: cfg.M, Seed: cfg.Seed}
+	pqCfg := pqConfig{Dim: cfg.Dim, M: cfg.M, Seed: cfg.Seed}
 	pqCfg.normalize()
-	ix := &IVFPQ{
+	return &IVFPQ{
 		invFile:  newInvFile(cfg.NList, cfg.NProbe, cfg.Seed),
 		dim:      cfg.Dim,
 		pqCfg:    pqCfg,
 		residual: cfg.Residual,
-		opqIters: cfg.OPQIters,
 	}
-	if cfg.OPQ {
-		ix.rot = identityRot(cfg.Dim) // replaced by the learned rotation at Train
-	}
-	return ix
 }
 
 // Add implements Index. Vectors added after training are encoded and
@@ -102,20 +279,13 @@ func (ix *IVFPQ) Add(vec []float32, key string) int {
 		ix.staged = f16.AppendEncoded(ix.staged, vec)
 		return id
 	}
-	v := vec
-	var vp *[]float32
-	if ix.rot != nil {
-		vp = getTile(ix.dim)
-		applyRot(*vp, ix.rot, vec)
-		v = *vp
-	}
-	c := ix.route(v, id)
-	enc := v
+	c := ix.route(vec, id)
+	enc := vec
 	var rp *[]float32
 	if ix.residual {
 		rp = getTile(ix.dim)
 		anchor := ix.anchors[c]
-		for d, x := range v {
+		for d, x := range vec {
 			(*rp)[d] = x - anchor[d]
 		}
 		enc = *rp
@@ -130,16 +300,12 @@ func (ix *IVFPQ) Add(vec []float32, key string) int {
 	if rp != nil {
 		putTile(rp)
 	}
-	if vp != nil {
-		putTile(vp)
-	}
 	return id
 }
 
 // Train fits the coarse quantizer and the PQ codebook on all buffered
-// vectors (learning the OPQ rotation first when configured), then encodes
-// every vector — or its cell residual — into its cell's contiguous code
-// block. It panics if the index is empty.
+// vectors, then encodes every vector — or its cell residual — into its
+// cell's contiguous code block. It panics if the index is empty.
 func (ix *IVFPQ) Train() {
 	n := len(ix.keys)
 	if n == 0 {
@@ -153,18 +319,9 @@ func (ix *IVFPQ) Train() {
 	if ksub > n {
 		ksub = n
 	}
-	if ix.rot != nil {
-		ix.rot = learnOPQ(full, ix.dim, ix.pqCfg.M, ksub, ix.pqCfg.TrainIters, ix.opqIters, ix.pqCfg.Seed)
-		rotated := make([][]float32, n)
-		parallelFor(n, 0, func(i int) {
-			rotated[i] = make([]float32, ix.dim)
-			applyRot(rotated[i], ix.rot, full[i])
-		})
-		full = rotated
-	}
 	assign := ix.train(full)
-	// The codebook is fit on — and codes quantize — either the (rotated)
-	// vectors or their residuals against the per-cell mean anchor.
+	// The codebook is fit on — and codes quantize — either the vectors or
+	// their residuals against the per-cell mean anchor.
 	enc := full
 	if ix.residual {
 		ix.anchors = make([][]float32, ix.km.K)
@@ -215,19 +372,11 @@ func (ix *IVFPQ) M() int { return ix.pqCfg.M }
 // Residual reports whether codes quantize per-cell residuals.
 func (ix *IVFPQ) Residual() bool { return ix.residual }
 
-// OPQ reports whether a learned rotation is applied before encoding.
-func (ix *IVFPQ) OPQ() bool { return ix.rot != nil }
-
-// Variant names the encoding variant for stats and reports: "" (raw),
-// "res", "opq", or "res+opq".
+// Variant names the encoding variant for stats and reports: "" (raw) or
+// "res".
 func (ix *IVFPQ) Variant() string {
-	switch {
-	case ix.residual && ix.rot != nil:
-		return "res+opq"
-	case ix.residual:
+	if ix.residual {
 		return "res"
-	case ix.rot != nil:
-		return "opq"
 	}
 	return ""
 }
@@ -255,9 +404,9 @@ func (ix *IVFPQ) SearchBatch(queries [][]float32, k int) [][]Result {
 	return ix.searchBatch(queries, k, nil)
 }
 
-// searchBatch rotates the queries into code space (OPQ), builds their base
-// LUTs, and scans each probed cell's codes for its queries through the PQ
-// LUT kernel; both preludes are booked under Scan.
+// searchBatch builds the queries' base LUTs and scans each probed cell's
+// codes for its queries through the PQ LUT kernel; LUT construction is
+// booked under Scan.
 func (ix *IVFPQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
 	if !ix.trained {
 		panic("vecstore: Search on untrained IVFPQ")
@@ -267,17 +416,9 @@ func (ix *IVFPQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Res
 		return make([][]Result, len(queries))
 	}
 	start := time.Now()
-	qs := queries
-	if ix.rot != nil {
-		qs = make([][]float32, len(queries))
-		parallelFor(len(queries), 0, func(qi int) {
-			qs[qi] = make([]float32, ix.dim)
-			applyRot(qs[qi], ix.rot, queries[qi])
-		})
-	}
-	luts, pooled := buildLUTs(ix.cb, qs)
+	luts, pooled := buildLUTs(ix.cb, queries)
 	defer releaseLUTs(pooled)
-	return ix.searchCells(qs, k, ix.keys, start, tm, func(c int, qis []int32, hs []*topK) {
+	return ix.searchCells(queries, k, ix.keys, start, tm, func(c int, qis []int32, hs []*topK) {
 		var cp *[]float32
 		if ix.residual {
 			cp = getTile(ix.cb.m * ix.cb.ksub)
@@ -286,18 +427,18 @@ func (ix *IVFPQ) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Res
 		for i, qi := range qis {
 			lut := luts[qi]
 			if cp != nil {
-				ix.cb.shiftLUT(*cp, lut, qs[qi], ix.anchors[c])
+				ix.cb.shiftLUT(*cp, lut, queries[qi], ix.anchors[c])
 				lut = *cp
 			}
-			scanPQTopK(ix.cellCodes[c], ix.cb, lut, hs[i], ix.cellIDs[c], 0)
+			scanPQTopK(ix.cellCodes[c], ix.cb, lut, hs[i], ix.cellIDs[c])
 		}
 	})
 }
 
 // searchReference is the retained reference scalar scan over the probed
 // cells, one row at a time with no pooling or parallelism (see
-// pq_test.go). It reuses the same rotation / base-LUT / shiftLUT helpers
-// as Search, so the kernel must reproduce it bit-for-bit.
+// ivfpq_test.go). It reuses the same base-LUT / shiftLUT helpers as
+// Search, so the kernel must reproduce it bit-for-bit.
 func (ix *IVFPQ) searchReference(query []float32, k int) []Result {
 	if !ix.trained {
 		panic("vecstore: Search on untrained IVFPQ")
@@ -308,14 +449,9 @@ func (ix *IVFPQ) searchReference(query []float32, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	q := query
-	if ix.rot != nil {
-		q = make([]float32, ix.dim)
-		applyRot(q, ix.rot, query)
-	}
-	probes := ix.km.NearestN(q, ix.nprobe)
+	probes := ix.km.NearestN(query, ix.nprobe)
 	lut := make([]float32, ix.cb.m*ix.cb.ksub)
-	ix.cb.lutInto(lut, q)
+	ix.cb.lutInto(lut, query)
 	cellLUT := lut
 	if ix.residual {
 		cellLUT = make([]float32, len(lut))
@@ -327,7 +463,7 @@ func (ix *IVFPQ) searchReference(query []float32, k int) []Result {
 			if len(ix.cellIDs[c]) == 0 {
 				continue
 			}
-			ix.cb.shiftLUT(cellLUT, lut, q, ix.anchors[c])
+			ix.cb.shiftLUT(cellLUT, lut, query, ix.anchors[c])
 		}
 		block := ix.cellCodes[c]
 		for row, id := range ix.cellIDs[c] {
@@ -338,14 +474,14 @@ func (ix *IVFPQ) searchReference(query []float32, k int) []Result {
 }
 
 // MemoryBytes reports code storage (M bytes/vector) plus the PQ codebook,
-// coarse centroids, residual anchors, and OPQ rotation; before Train it
-// reports the FP16 staging buffer.
+// coarse centroids and residual anchors; before Train it reports the FP16
+// staging buffer.
 func (ix *IVFPQ) MemoryBytes() int64 {
 	if !ix.trained {
 		return int64(2 * len(ix.staged))
 	}
 	b := int64(len(ix.keys)*ix.cb.m) + int64(4*len(ix.cb.cents)) +
-		int64(4*ix.km.K*ix.dim) + int64(4*len(ix.rot))
+		int64(4*ix.km.K*ix.dim)
 	if ix.anchors != nil {
 		b += int64(4 * ix.km.K * ix.dim)
 	}
@@ -355,8 +491,7 @@ func (ix *IVFPQ) MemoryBytes() int64 {
 // Recall measures IVF-PQ ranking fidelity against an exact FP16 scan of
 // the original full-precision vectors, when those are provided. Used by
 // the recall regression test to pin the coarse-probe + quantization
-// trade-off. Rotation is an internal detail (it preserves inner
-// products), so originals are compared unrotated.
+// trade-off.
 func (ix *IVFPQ) Recall(originals [][]float32, queries [][]float32, k int) float64 {
 	return recallAgainstOriginals(ix, originals, queries, k)
 }

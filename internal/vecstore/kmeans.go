@@ -1,7 +1,6 @@
 package vecstore
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,15 +9,16 @@ import (
 	"repro/internal/rng"
 )
 
-// KMeans clusters vectors by k-means, the quantizer training used by the
-// IVF coarse quantizer and the PQ sub-quantizers. The default objective is
-// spherical (cosine: assignment by max inner product, centroids
-// re-normalised each round), which fits the unit-norm embedding vectors;
-// Euclidean selects plain L2 k-means (assignment by min squared distance,
-// centroids are arithmetic means), which is what product-quantization
-// sub-vectors need — they are not unit-norm, and normalising their
-// centroids would corrupt reconstruction. Initialisation is k-means++ from
-// a seeded PRNG, so training is deterministic either way.
+// KMeans clusters vectors by k-means, the quantizer training used by
+// IVF-PQ's coarse quantizer and its PQ sub-quantizers. The default
+// objective is spherical (cosine: assignment by max inner product,
+// centroids re-normalised each round), which fits the unit-norm embedding
+// vectors; Euclidean selects plain L2 k-means (assignment by min squared
+// distance, centroids are arithmetic means), which is what
+// product-quantization sub-vectors need — they are not unit-norm, and
+// normalising their centroids would corrupt reconstruction.
+// Initialisation is k-means++ from a seeded PRNG, so training is
+// deterministic either way.
 type KMeans struct {
 	K         int // number of centroids
 	MaxIter   int // iteration cap (default 15)
@@ -230,127 +230,4 @@ func cloneVec(v []float32) []float32 {
 	c := make([]float32, len(v))
 	copy(c, v)
 	return c
-}
-
-// --- Dense linear algebra for the OPQ rotation update -----------------
-//
-// OPQ training (see learnOPQ in pq.go) alternates PQ codebook fits with a
-// Procrustes-style rotation update: given data X and reconstructions X̂ in
-// the rotated space, the orthonormal R minimising Σ‖R·x − x̂‖² is the polar
-// factor U·Vᵀ of the correlation matrix M = Σ x̂·xᵀ. The helpers below
-// compute that polar factor with a scaled Newton–Schulz iteration in
-// float64 — deterministic, dependency-free, and cubic-convergent for the
-// well-conditioned correlation matrices n ≫ d training produces.
-
-// applyRot writes the matrix-vector product R·v into dst (R row-major
-// d×d). dst must not alias v.
-func applyRot(dst []float32, rot []float32, v []float32) {
-	d := len(v)
-	for i := 0; i < d; i++ {
-		row := rot[i*d : (i+1)*d]
-		var s float32
-		for j, x := range v {
-			s += row[j] * x
-		}
-		dst[i] = s
-	}
-}
-
-// matMul64 computes C = A·B for row-major d×d float64 matrices.
-func matMul64(c, a, b []float64, d int) {
-	for i := 0; i < d; i++ {
-		ci := c[i*d : (i+1)*d]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for l := 0; l < d; l++ {
-			ail := a[i*d+l]
-			if ail == 0 {
-				continue
-			}
-			bl := b[l*d : (l+1)*d]
-			for j, blj := range bl {
-				ci[j] += ail * blj
-			}
-		}
-	}
-}
-
-// polarOrthonormal returns the orthogonal polar factor of the d×d matrix m
-// (row-major float32), i.e. the Procrustes rotation U·Vᵀ of m's SVD, via
-// the Newton–Schulz iteration X ← ½·X·(3I − XᵀX) on m scaled to unit
-// Frobenius norm. It returns nil when the iteration fails to converge to
-// an orthonormal matrix (rank-deficient m), letting the caller keep its
-// previous rotation.
-func polarOrthonormal(m []float32, d int) []float32 {
-	var fro float64
-	for _, v := range m {
-		fro += float64(v) * float64(v)
-	}
-	fro = math.Sqrt(fro)
-	if fro == 0 {
-		return nil
-	}
-	x := make([]float64, d*d)
-	for i, v := range m {
-		x[i] = float64(v) / fro
-	}
-	xtx := make([]float64, d*d)
-	next := make([]float64, d*d)
-	const maxIter, tol = 100, 1e-7
-	for iter := 0; iter < maxIter; iter++ {
-		// xtx = XᵀX, then next = ½·X·(3I − xtx).
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				var s float64
-				for l := 0; l < d; l++ {
-					s += x[l*d+i] * x[l*d+j]
-				}
-				xtx[i*d+j] = s
-			}
-		}
-		var dev float64
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				e := xtx[i*d+j]
-				if i == j {
-					e -= 1
-				}
-				if e < 0 {
-					e = -e
-				}
-				if e > dev {
-					dev = e
-				}
-			}
-		}
-		if dev < tol {
-			out := make([]float32, d*d)
-			for i, v := range x {
-				out[i] = float32(v)
-			}
-			return out
-		}
-		for i := range xtx {
-			xtx[i] = -xtx[i]
-		}
-		for i := 0; i < d; i++ {
-			xtx[i*d+i] += 3
-		}
-		matMul64(next, x, xtx, d)
-		for i := range next {
-			next[i] *= 0.5
-		}
-		x, next = next, x
-	}
-	return nil
-}
-
-// identityRot returns the d×d identity as a row-major rotation matrix.
-func identityRot(d int) []float32 {
-	r := make([]float32, d*d)
-	for i := 0; i < d; i++ {
-		r[i*d+i] = 1
-	}
-	return r
 }

@@ -215,7 +215,7 @@ func TestLiveCompactIntoHNSW(t *testing.T) {
 }
 
 // TestLiveCompactBaseRejects pins the error paths: a cut outside the
-// memtable, and a base family without CloneForAppend.
+// memtable, and a base without CloneForAppend (a bare Memtable).
 func TestLiveCompactBaseRejects(t *testing.T) {
 	live := NewLive(NewFlat(4), nil)
 	live.Add([]float32{1, 0, 0, 0}, "a")
@@ -225,11 +225,10 @@ func TestLiveCompactBaseRejects(t *testing.T) {
 	if _, err := live.CompactBase(-1); err == nil {
 		t.Fatal("CompactBase(-1) succeeded")
 	}
-	pq := NewPQ(PQConfig{Dim: 4})
-	pq.Add([]float32{1, 0, 0, 0}, "a")
-	pq.Train()
-	livePQ := NewLive(pq, nil)
-	if _, err := livePQ.CompactBase(0); err == nil {
+	mt := NewMemtable(4)
+	mt.Add([]float32{1, 0, 0, 0}, "a")
+	liveMT := NewLive(mt, nil)
+	if _, err := liveMT.CompactBase(0); err == nil {
 		t.Fatal("CompactBase on a non-cloneable base succeeded")
 	}
 }

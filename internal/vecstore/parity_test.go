@@ -11,9 +11,10 @@ import (
 // reproduce the retained reference scalar scan bit-for-bit — identical ids,
 // bit-identical float32 scores, identical order — across dimensions
 // (including tile remainders and dim=1), k regimes (k=1, k=10, k>n), and
-// index kinds (Flat, IVF, the memtable). This is the acceptance gate for the
-// contiguous-layout rewrite: any kernel change that reorders accumulation
-// or breaks the total order of the top-k heap fails here.
+// index kinds (Flat, the memtable; IVF-PQ's LUT scan has its own suite in
+// ivfpq_test.go). This is the acceptance gate for the contiguous-layout
+// rewrite: any kernel change that reorders accumulation or breaks the
+// total order of the top-k heap fails here.
 
 var (
 	parityDims = []int{1, 7, 384}
@@ -189,65 +190,6 @@ func TestFlatSearchBatchParity(t *testing.T) {
 	}
 }
 
-func TestIVFKernelParity(t *testing.T) {
-	for _, dim := range parityDims {
-		const n = 1200
-		vecs, keys := parityVectors(t, dim, n)
-		ix := NewIVF(IVFConfig{Dim: dim, NList: 16, NProbe: 4, Seed: 3})
-		for i, v := range vecs {
-			ix.Add(v, keys[i])
-		}
-		ix.Train()
-		r := rng.New(113)
-		for _, k := range parityKs {
-			for trial := 0; trial < 5; trial++ {
-				q := randomUnit(r, 1, dim)[0]
-				checkSameResults(t, "ivf dim="+itoaTest(dim)+" k="+itoaTest(k),
-					ix.Search(q, k), ix.searchReference(q, k))
-			}
-		}
-	}
-}
-
-func TestIVFSearchBatchParity(t *testing.T) {
-	const dim, n = 48, 1500
-	vecs, keys := parityVectors(t, dim, n)
-	ix := NewIVF(IVFConfig{Dim: dim, NList: 20, NProbe: 5, Seed: 5})
-	for i, v := range vecs {
-		ix.Add(v, keys[i])
-	}
-	ix.Train()
-	queries := randomUnit(rng.New(127), 23, dim)
-	for _, k := range []int{1, 10, 1 << 20} {
-		batch := ix.SearchBatch(queries, k)
-		for qi, q := range queries {
-			checkSameResults(t, "ivf batch k="+itoaTest(k), batch[qi], ix.searchReference(q, k))
-		}
-	}
-}
-
-// TestIVFOddCellParity scans one cell with an odd posting count, so its
-// last row is unpaired, single-query and batched.
-func TestIVFOddCellParity(t *testing.T) {
-	const dim, n = 48, 2*scanTileRows + 3
-	vecs, keys := parityVectors(t, dim, n)
-	ix := NewIVF(IVFConfig{Dim: dim, NList: 1, NProbe: 1, Seed: 9})
-	for i, v := range vecs {
-		ix.Add(v, keys[i])
-	}
-	ix.Train()
-	if got := len(ix.cellIDs[0]); got%2 == 0 {
-		t.Fatalf("cell holds %d postings, want an odd count", got)
-	}
-	queries := randomUnit(rng.New(119), 3, dim)
-	batch := ix.SearchBatch(queries, 10)
-	for qi, q := range queries {
-		want := ix.searchReference(q, 10)
-		checkSameResults(t, "ivf odd cell", ix.Search(q, 10), want)
-		checkSameResults(t, "ivf odd cell batch", batch[qi], want)
-	}
-}
-
 // TestMemtableOddRowsParity checks a memtable with an odd row count
 // against the reference scan of a Flat over the same vectors.
 func TestMemtableOddRowsParity(t *testing.T) {
@@ -264,32 +206,6 @@ func TestMemtableOddRowsParity(t *testing.T) {
 		want := ref.searchReference(q, 10)
 		checkSameResults(t, "memtable odd rows", mt.Search(q, 10), want)
 		checkSameResults(t, "memtable odd rows batch", batch[qi], want)
-	}
-}
-
-// TestIVFNProbeRecallRegression pins the recall/latency trade-off: with the
-// training fixed by seed, recall@10 at nprobe=4/32 must stay above the
-// floor measured at the time the contiguous kernel landed, and full probing
-// must stay exact. A layout or quantizer regression that silently drops
-// postings shows up here.
-func TestIVFNProbeRecallRegression(t *testing.T) {
-	const dim, n = 32, 2000
-	r := rng.New(211)
-	vecs := randomUnit(r, n, dim)
-	ix := NewIVF(IVFConfig{Dim: dim, NList: 32, NProbe: 4, Seed: 7})
-	for _, v := range vecs {
-		ix.Add(v, "")
-	}
-	ix.Train()
-	queries := randomUnit(r, 40, dim)
-	// Measured 0.512 when the contiguous kernel landed (random unit
-	// vectors are clusterless, so nprobe=4/32 recall is modest by design).
-	if got := ix.Recall(queries, 10); got < 0.45 {
-		t.Fatalf("recall@10 nprobe=4: %.3f, below regression floor 0.45", got)
-	}
-	ix.SetNProbe(32)
-	if got := ix.Recall(queries, 10); got < 0.999 {
-		t.Fatalf("recall@10 nprobe=nlist: %.3f, want ~1", got)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the blocked scan kernel shared by the FP16 code
-// blocks (Flat, IVF cells, the memtable, and HNSW's gathers) and the PQ
-// LUT scans. The layout discipline is FAISS's: codes live in one flat
+// blocks (Flat, the memtable, and HNSW's gathers) and IVF-PQ's LUT cell
+// scan. The layout discipline is FAISS's: codes live in one flat
 // array with row i at codes[i*dim:(i+1)*dim], so a scan is a pure forward
 // stream with no pointer chasing. The scan loop walks a halfBlock in
 // tiles of scanTileRows rows, scores each tile against the whole query
@@ -43,8 +43,8 @@ const (
 	segmentMinRows = 4096
 )
 
-// halfBlock is a contiguous FP16 code block (Flat storage, IVF cells, the
-// memtable, HNSW vectors).
+// halfBlock is a contiguous FP16 code block (Flat storage, the memtable,
+// HNSW vectors).
 type halfBlock struct {
 	codes []uint16
 	dim   int
@@ -132,9 +132,9 @@ func gatherScores(b halfBlock, rows []int32, q []float32, scores []float32) {
 // scanBatchTopK streams one code block through the kernel, a tile of rows
 // at a time scored against every query of the packed batch qs, and pushes
 // each score into hs[qi], the heap of query qi. Row r is reported as id
-// ids[r] when ids is non-nil (IVF cell postings), base+r otherwise. A
-// single-query scan is a one-query batch: qs is the query itself.
-func scanBatchTopK(b halfBlock, qs []float32, hs []*topK, ids []int, base int) {
+// base+r. A single-query scan is a one-query batch: qs is the query
+// itself.
+func scanBatchTopK(b halfBlock, qs []float32, hs []*topK, base int) {
 	rows := b.rows()
 	if rows == 0 || len(hs) == 0 {
 		return
@@ -147,11 +147,7 @@ func scanBatchTopK(b halfBlock, qs []float32, hs []*topK, ids []int, base int) {
 		b.scoreTile(scores, r0, r1, qs)
 		for qi, h := range hs {
 			for i, s := range scores[qi*n : (qi+1)*n] {
-				if ids != nil {
-					h.push(ids[r0+i], s)
-				} else {
-					h.push(base+r0+i, s)
-				}
+				h.push(base+r0+i, s)
 			}
 		}
 	}
@@ -192,7 +188,7 @@ func searchBlock(b halfBlock, q []float32, k int, keys []string, dst []Result) [
 	workers := scanSegments(rows, 1)
 	if workers <= 1 {
 		h := getTopK(k)
-		scanBatchTopK(b, q, []*topK{h}, nil, 0)
+		scanBatchTopK(b, q, []*topK{h}, 0)
 		dst = h.appendResults(dst, keys)
 		putTopK(h)
 		return dst
@@ -209,7 +205,7 @@ func searchBlock(b halfBlock, q []float32, k int, keys []string, dst []Result) [
 		wg.Add(1)
 		go func(sub halfBlock, base int, hs []*topK) {
 			defer wg.Done()
-			scanBatchTopK(sub, q, hs, nil, base)
+			scanBatchTopK(sub, q, hs, base)
 		}(b.slice(r0, r1), r0, heaps[len(heaps)-1:])
 	}
 	wg.Wait()
@@ -226,19 +222,19 @@ func searchBlockBatch(b halfBlock, queries [][]float32, k int, keys []string, tm
 	qp := packQueries(queries, b.dim)
 	defer putTile(qp)
 	return searchSegments(b.rows(), len(queries), k, keys, start, tm, func(r0, r1 int, hs []*topK) {
-		scanBatchTopK(b.slice(r0, r1), *qp, hs, nil, r0)
+		scanBatchTopK(b.slice(r0, r1), *qp, hs, r0)
 	})
 }
 
 // searchSegments is the segment-parallel multi-query driver behind every
-// contiguous code block (FP16 and PQ): the rows are split into
+// contiguous FP16 code block (Flat and the memtable): the rows are split into
 // scanSegments segments of segmentSize rows, each segment gets one heap
 // per query and its own goroutine, and each query's segment heaps are
 // folded by mergeHeaps. scanSeg scores rows [r0,r1) into hs (hs[qi] for
 // query qi) and is called once per segment, so the tile and row loops stay
 // in the family's kernel. A non-nil tm receives where the time went: Scan
-// runs from start — the caller's per-batch pre-work (query packing, LUT
-// construction) — through the segment scans, Merge covers the heap folds
+// runs from start — the caller's per-batch pre-work (query packing) —
+// through the segment scans, Merge covers the heap folds
 // into final descending order. Timing only brackets the two phases with
 // clock reads; results do not depend on it.
 func searchSegments(rows, nq, k int, keys []string, start time.Time, tm *ScanTiming, scanSeg func(r0, r1 int, hs []*topK)) [][]Result {
@@ -271,29 +267,14 @@ func searchSegments(rows, nq, k int, keys []string, start time.Time, tm *ScanTim
 	return out
 }
 
-// scanPQTopK streams a block of M-byte PQ codes against a precomputed
-// asymmetric-distance LUT: scoring a row is one table lookup and add per
-// subspace (lutScore), with no FP32 decode. Row r is reported as ids[r]
-// when ids is non-nil (IVF-PQ cell postings), base+r otherwise.
-func scanPQTopK(codes []byte, cb *pqCodebook, lut []float32, h *topK, ids []int, base int) {
+// scanPQTopK streams an IVF-PQ cell's M-byte PQ codes against a
+// precomputed asymmetric-distance LUT: scoring a row is one table lookup
+// and add per subspace (lutScore), with no FP32 decode. Row r is reported
+// as id ids[r], its posting in the cell.
+func scanPQTopK(codes []byte, cb *pqCodebook, lut []float32, h *topK, ids []int) {
 	m, ksub := cb.m, cb.ksub
-	rows := len(codes) / m
-	for r := 0; r < rows; r++ {
-		s := lutScore(codes[r*m:(r+1)*m], lut, ksub)
-		if ids != nil {
-			h.push(ids[r], s)
-		} else {
-			h.push(base+r, s)
-		}
-	}
-}
-
-// scanPQBatchTopK is the multi-query PQ kernel: the code segment (small —
-// M bytes per row — and so cache-resident) is re-streamed once per query
-// with that query's LUT. hs[i] receives the results for luts[i].
-func scanPQBatchTopK(codes []byte, cb *pqCodebook, luts [][]float32, hs []*topK, ids []int, base int) {
-	for qi, lut := range luts {
-		scanPQTopK(codes, cb, lut, hs[qi], ids, base)
+	for r, id := range ids {
+		h.push(id, lutScore(codes[r*m:(r+1)*m], lut, ksub))
 	}
 }
 

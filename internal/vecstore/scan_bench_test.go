@@ -201,73 +201,11 @@ func reportBytesPerVector(b *testing.B, ix Index) {
 	b.ReportMetric(StatsOf(ix).BytesPerVector(), "bytes/vector")
 }
 
-func buildBenchPQ(b *testing.B, n int) (*PQ, [][]float32) {
-	b.Helper()
-	r := rng.New(1)
-	ix := NewPQ(PQConfig{Dim: benchDim, M: benchPQM, Seed: 1})
-	for _, v := range randomUnit(r, n, benchDim) {
-		ix.Add(v, "")
-	}
-	ix.Train()
-	queries := randomUnit(r, 64, benchDim)
-	return ix, queries
-}
-
-// BenchmarkPQSearch is the asymmetric-distance scan: per query one M×256
-// LUT build, then one lookup+add per subspace per row — no FP32 decode in
-// the hot loop.
-func BenchmarkPQSearch(b *testing.B) {
-	ix, queries := buildBenchPQ(b, benchN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Search(queries[i%len(queries)], 10)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchN), "ns/vector")
-	reportBytesPerVector(b, ix)
-}
-
-// BenchmarkPQSearchSerial pins the single-threaded LUT kernel by staying
-// under the parallel threshold (compare with BenchmarkFlatSearchSerial for
-// the per-core decode-free win).
-func BenchmarkPQSearchSerial(b *testing.B) {
-	n := segmentMinRows
-	ix, queries := buildBenchPQ(b, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Search(queries[i%len(queries)], 10)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/vector")
-}
-
-// BenchmarkPQSearchBatch amortises LUT construction across the batch and
-// re-streams each cache-resident code segment once per query.
-func BenchmarkPQSearchBatch(b *testing.B) {
-	ix, queries := buildBenchPQ(b, benchN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.SearchBatch(queries, 10)
-	}
-	b.ReportMetric(
-		float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchN)/float64(len(queries)),
-		"ns/vector")
-}
-
 // BenchmarkIVFPQSearch composes the coarse probe with PQ cells: ns/vector
 // is per row actually scanned (n × nprobe/nlist), the figure to compare
-// with BenchmarkIVFSearch's FP16 cells.
+// with BenchmarkFlatSearch's FP16 rows.
 func BenchmarkIVFPQSearch(b *testing.B) {
-	r := rng.New(1)
-	ix := NewIVFPQ(IVFPQConfig{Dim: benchDim, NList: 256, NProbe: 8, M: benchPQM, Seed: 1})
-	const n = 20_000
-	for _, v := range randomUnit(r, n, benchDim) {
-		ix.Add(v, "")
-	}
-	ix.Train()
-	queries := randomUnit(r, 64, benchDim)
-	scanned := float64(n) * float64(ix.NProbe()) / float64(ix.NList())
+	ix, queries, scanned := buildBenchIVFPQ(b, IVFPQConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -356,42 +294,4 @@ func BenchmarkIVFPQAddNaive(b *testing.B) {
 		ix.cb.encode(vec, code)
 		ix.cellCodes[c] = append(ix.cellCodes[c], code...)
 	}
-}
-
-func BenchmarkIVFSearch(b *testing.B) {
-	r := rng.New(1)
-	ix := NewIVF(IVFConfig{Dim: benchDim, NList: 256, NProbe: 8, Seed: 1})
-	const n = 20_000 // IVF training at 100k dominates bench setup; 20k cells scan identically
-	for _, v := range randomUnit(r, n, benchDim) {
-		ix.Add(v, "")
-	}
-	ix.Train()
-	queries := randomUnit(r, 64, benchDim)
-	scanned := float64(n) * float64(ix.NProbe()) / float64(ix.NList())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Search(queries[i%len(queries)], 10)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/scanned, "ns/vector")
-}
-
-func BenchmarkIVFSearchBatch(b *testing.B) {
-	r := rng.New(1)
-	ix := NewIVF(IVFConfig{Dim: benchDim, NList: 256, NProbe: 8, Seed: 1})
-	const n = 20_000
-	for _, v := range randomUnit(r, n, benchDim) {
-		ix.Add(v, "")
-	}
-	ix.Train()
-	queries := randomUnit(r, 64, benchDim)
-	scanned := float64(n) * float64(ix.NProbe()) / float64(ix.NList())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.SearchBatch(queries, 10)
-	}
-	b.ReportMetric(
-		float64(b.Elapsed().Nanoseconds())/float64(b.N)/scanned/float64(len(queries)),
-		"ns/vector")
 }

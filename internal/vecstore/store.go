@@ -254,7 +254,7 @@ func sortResults(rs []Result) {
 // IndexStats describes an index's storage profile for reports (the
 // recall/memory/QPS trade-off tables rendered by internal/eval).
 type IndexStats struct {
-	Kind    string // index family, e.g. "Flat(FP16)", "PQ(m=48)"
+	Kind    string // index family, e.g. "Flat(FP16)", "HNSW(M=16,efSearch=32)"
 	Vectors int
 	Dim     int
 	Bytes   int64 // vector/code storage incl. codebooks, excl. keys
@@ -275,10 +275,6 @@ func StatsOf(ix Index) IndexStats {
 	switch v := ix.(type) {
 	case *Flat:
 		st.Kind = "Flat(FP16)"
-	case *IVF:
-		st.Kind = fmt.Sprintf("IVF(nlist=%d,nprobe=%d)", v.NList(), v.NProbe())
-	case *PQ:
-		st.Kind = fmt.Sprintf("PQ(m=%d)", v.M())
 	case *IVFPQ:
 		variant := ""
 		if vr := v.Variant(); vr != "" {

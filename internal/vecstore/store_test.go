@@ -1,10 +1,13 @@
 package vecstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +28,9 @@ func randomUnit(r *rng.Source, n, dim int) [][]float32 {
 	}
 	return out
 }
+
+func writeFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
+func readFile(path string) ([]byte, error)     { return os.ReadFile(path) }
 
 func TestFlatExactTopK(t *testing.T) {
 	r := rng.New(1)
@@ -266,29 +272,99 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsRetiredVSF1 pins that the retired jagged format is no
-// longer read: a well-formed VSF2 payload behind the VSF1 magic fails
-// with ErrBadFormat through both loaders.
+// TestLoadRejectsRetiredVSF1 pins that the retired formats are no longer
+// read: a well-formed VSF2 payload behind the VSF1 magic, a well-formed
+// VSF3 (standalone PQ) file, and a well-formed VSF4 file carrying the
+// retired OPQ rotation flag and section each fail with ErrBadFormat
+// through every loader, and no error points at a retired loader.
 func TestLoadRejectsRetiredVSF1(t *testing.T) {
-	ix := NewFlat(4)
-	ix.Add([]float32{1, 0, 0, 0}, "a")
-	path := filepath.Join(t.TempDir(), "v1.vsf")
-	if err := ix.Save(path); err != nil {
+	dir := t.TempDir()
+	le := binary.LittleEndian
+
+	flat := NewFlat(4)
+	flat.Add([]float32{1, 0, 0, 0}, "a")
+	v1 := filepath.Join(dir, "v1.vsf")
+	if err := flat.Save(v1); err != nil {
 		t.Fatal(err)
 	}
-	data, err := readFile(path)
+	data, err := readFile(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	copy(data, "VSF1")
-	if err := writeFile(path, data); err != nil {
+	if err := writeFile(v1, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFlat(path); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("LoadFlat(VSF1): %v, want ErrBadFormat", err)
+
+	// VSF3: magic, dim=4, m=2, ksub=1, count=1, key "a", the 1×4 codebook,
+	// and the row's two code bytes.
+	v3data := append([]byte("VSF3"), le.AppendUint32(nil, 4)...)
+	v3data = le.AppendUint32(v3data, 2)
+	v3data = le.AppendUint32(v3data, 1)
+	v3data = le.AppendUint64(v3data, 1)
+	v3data = append(le.AppendUint32(v3data, 1), 'a')
+	for _, f := range []float32{1, 0, 0, 0} {
+		v3data = le.AppendUint32(v3data, math.Float32bits(f))
 	}
-	if _, err := Load(path); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("Load(VSF1): %v, want ErrBadFormat", err)
+	v3data = append(v3data, 0, 0)
+	v3 := filepath.Join(dir, "v3.vsf")
+	if err := writeFile(v3, v3data); err != nil {
+		t.Fatal(err)
+	}
+
+	// VSF4 with rotation: a raw IVF-PQ file with flag bit 1 set and an
+	// identity dim×dim rotation spliced in after the codebook, where the
+	// retired writer put it.
+	vecs, keys := parityVectors(t, 8, 40)
+	ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: 8, NList: 4, NProbe: 4, M: 4, Seed: 1}, ivfpqVariants[0].cfg, vecs, keys)
+	v4 := filepath.Join(dir, "v4.vsf")
+	if err := ix.Save(v4); err != nil {
+		t.Fatal(err)
+	}
+	good, err := readFile(v4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 36 + 4*ix.km.K*ix.dim + 4*len(ix.cb.cents)
+	for _, k := range keys {
+		off += 4 + len(k)
+	}
+	var rot []byte
+	for r := 0; r < ix.dim; r++ {
+		for c := 0; c < ix.dim; c++ {
+			var v float32
+			if r == c {
+				v = 1
+			}
+			rot = le.AppendUint32(rot, math.Float32bits(v))
+		}
+	}
+	v4data := append(append(append([]byte(nil), good[:off]...), rot...), good[off:]...)
+	v4data[24] |= 1 << 1
+	if err := writeFile(v4, v4data); err != nil {
+		t.Fatal(err)
+	}
+
+	loaders := map[string]func(string) error{
+		"Load":      func(p string) error { _, err := Load(p); return err },
+		"LoadFlat":  func(p string) error { _, err := LoadFlat(p); return err },
+		"LoadIVFPQ": func(p string) error { _, err := LoadIVFPQ(p); return err },
+		"LoadHNSW":  func(p string) error { _, err := LoadHNSW(p); return err },
+	}
+	for _, in := range []struct{ name, path string }{
+		{"VSF1", v1}, {"VSF3", v3}, {"VSF4-rotation", v4},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			for name, load := range loaders {
+				err := load(in.path)
+				if !errors.Is(err, ErrBadFormat) {
+					t.Fatalf("%s(%s): %v, want ErrBadFormat", name, in.name, err)
+				}
+				if strings.Contains(err.Error(), "LoadPQ") {
+					t.Fatalf("%s(%s): error points at a retired loader: %v", name, in.name, err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,10 +13,10 @@ type ScanTiming struct {
 }
 
 // BatchSearchTimed is ix.SearchBatch plus where the batch's time went.
-// Flat, PQ, the memtable, IVF and IVF-PQ report their real scan/merge
-// split — Scan covers query packing or LUT construction and the segment or
-// cell scans, Merge the per-query heap folds — and Live books its tiers'
-// scans under Scan and their fold under Merge. HNSW, whose beams have
+// Flat, the memtable and IVF-PQ report their real scan/merge split — Scan
+// covers query packing or LUT construction and the segment or cell scans,
+// Merge the per-query heap folds — and Live books its tiers' scans under
+// Scan and their fold under Merge. HNSW, whose beams have
 // nothing to fold, books the whole batch under Scan, so the serving layer
 // never sees a merge phase the index did not report. Results are
 // bit-identical to SearchBatch.

@@ -31,8 +31,8 @@ func keyOf(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i%10)
 
 // TestBatchSearchTimedParity pins the timed entry point to the untimed
 // one and to per-query Search on every family: identical results, a real
-// scan/merge split on Flat, PQ, IVF, IVF-PQ (segment or cell scans, then
-// heap folds) and Live (tier scans, then the tier fold), and the whole
+// scan/merge split on Flat, IVF-PQ (segment or cell scans, then heap
+// folds) and Live (tier scans, then the tier fold), and the whole
 // batch under Scan with no merge phase on HNSW.
 func TestBatchSearchTimedParity(t *testing.T) {
 	ix, queries := timingFixture(t, 16, 500)
@@ -45,8 +45,6 @@ func TestBatchSearchTimedParity(t *testing.T) {
 	}{
 		{"Flat", ix, true},
 		{"Live", lv, true},
-		{"PQ", ix.ToPQ(PQConfig{M: 4, Seed: 1}), true},
-		{"IVF", ix.ToIVF(IVFConfig{NList: 8, NProbe: 3, Seed: 1}), true},
 		{"IVFPQ-residual", ix.ToIVFPQ(IVFPQConfig{NList: 8, NProbe: 3, M: 4, Seed: 1, Residual: true}), true},
 		{"HNSW", ix.ToHNSW(HNSWConfig{Seed: 3}), false},
 	} {
