@@ -29,15 +29,18 @@ verify:
 # ingest Add+Search+compact hammer), the mutable vecstore layer
 # (memtable + Live rotation), the router's scatter/gather + breaker +
 # health prober, the gateways (both coalescer dispatch branches under the
-# Close-vs-enqueue hammer), the parallel pipeline, the observability layer
-# (metrics registry snapshots under writer load, trace/slowlog concurrent
-# appends), and the evaluation path's cross-goroutine state: prompt plans
-# shared by every model's workers (eval, core), the process-wide
-# ability-calibration memo (llmsim), and the encoder's process-wide
-# projection-pattern table, filled lock-free by every goroutine that embeds
-# (embed's Pool, and chunk's parallel SplitAll).
+# Close-vs-enqueue hammer), the parallel pipeline (pipeline.For, the one
+# parallel loop, and Map/ForEach on it) and every stage that fans out
+# through For (spdf's ParseAll, chunk's SplitAll, embed's Pool, vecstore's
+# batch searches and training), the observability layer (metrics registry
+# snapshots under writer load, trace/slowlog concurrent appends), and the
+# evaluation path's cross-goroutine state: prompt plans shared by every
+# model's workers (eval, core), the process-wide ability-calibration memo
+# (llmsim), and the encoder's process-wide projection-pattern table, filled
+# lock-free by every goroutine that embeds (embed's Pool, and chunk's
+# parallel SplitAll).
 race:
-	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim ./internal/embed ./internal/chunk
+	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim ./internal/embed ./internal/chunk ./internal/spdf
 
 # Short native-fuzz pass over the VSF loader's magic dispatch and header
 # parsing (FuzzLoad); the checked-in corpus under testdata/fuzz pins the

@@ -32,6 +32,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/eval"
 	"repro/internal/llmsim"
+	"repro/internal/rag"
 	"repro/internal/vecstore"
 )
 
@@ -184,7 +185,7 @@ func extensions(w io.Writer, a *core.Artifacts) error {
 
 	// Trace distillation: measured coverage drives simulated continual
 	// pretraining; distilled baselines are then re-evaluated.
-	coverage := llmsim.TraceCoverage(a.KB, a.Traces, ragQuestionFactMap(a))
+	coverage := llmsim.TraceCoverage(a.KB, a.Traces, rag.QuestionFactMap(a.Questions))
 	fmt.Fprintf(w, "### Continual pretraining on reasoning traces (simulated)\n\n")
 	fmt.Fprintf(w, "Measured trace coverage of the knowledge base: %.2f\n\n", coverage)
 	fmt.Fprintln(w, "| Model | baseline | distilled baseline (measured) | RT ceiling |")
@@ -201,16 +202,6 @@ func extensions(w io.Writer, a *core.Artifacts) error {
 	}
 	fmt.Fprintln(w)
 	return nil
-}
-
-func ragQuestionFactMap(a *core.Artifacts) map[string]string {
-	m := make(map[string]string, len(a.Questions))
-	for _, q := range a.Questions {
-		if q.Prov.FactID != "" {
-			m[q.ID] = q.Prov.FactID
-		}
-	}
-	return m
 }
 
 func crossover(w io.Writer, m *eval.Matrix) {

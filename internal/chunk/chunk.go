@@ -12,11 +12,10 @@ package chunk
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/f16"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/tokenizer"
@@ -192,30 +191,10 @@ type Doc struct {
 // SplitAll chunks many documents in parallel, preserving document order in
 // the flattened output. workers <= 0 selects GOMAXPROCS.
 func (c *Chunker) SplitAll(docs []Doc, workers int) []Chunk {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	perDoc := make([][]Chunk, len(docs))
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(docs) {
-					return
-				}
-				perDoc[i] = c.Split(docs[i].ID, docs[i].Text)
-			}
-		}()
-	}
-	wg.Wait()
+	pipeline.For(len(docs), workers, func(i int) {
+		perDoc[i] = c.Split(docs[i].ID, docs[i].Text)
+	})
 	var out []Chunk
 	for _, cs := range perDoc {
 		out = append(out, cs...)

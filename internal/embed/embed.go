@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/f16"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/tokenizer"
 )
@@ -320,8 +321,9 @@ func (e *Encoder) EncodeBatch(texts []string) [][]float32 {
 	return out
 }
 
-// Pool is a parallel batch encoder. It fans texts out over a fixed worker
-// set, preserving input order in the output — the embedding stage of the
+// Pool is a parallel batch encoder. It fans texts out over at most workers
+// goroutines through pipeline.For (inline for a single text or worker),
+// preserving input order in the output — the embedding stage of the
 // paper's pipeline in miniature.
 type Pool struct {
 	enc     *Encoder
@@ -340,7 +342,7 @@ func NewPool(enc *Encoder, workers int) *Pool {
 // EncodeAll embeds texts in parallel, returning vectors in input order.
 func (p *Pool) EncodeAll(texts []string) [][]float32 {
 	out := make([][]float32, len(texts))
-	p.each(len(texts), func(i int) { out[i] = p.enc.Encode(texts[i]) })
+	pipeline.For(len(texts), p.workers, func(i int) { out[i] = p.enc.Encode(texts[i]) })
 	return out
 }
 
@@ -350,32 +352,6 @@ func (p *Pool) EncodeAll(texts []string) [][]float32 {
 // encoded.
 func (p *Pool) EncodeAllF16(texts []string) [][]uint16 {
 	out := make([][]uint16, len(texts))
-	p.each(len(texts), func(i int) { out[i] = f16.Encode(p.enc.Encode(texts[i])) })
+	pipeline.For(len(texts), p.workers, func(i int) { out[i] = f16.Encode(p.enc.Encode(texts[i])) })
 	return out
-}
-
-// each runs fn(i) for every i in [0, n), on at most p.workers goroutines
-// and never more than n: retrieval micro-batches are often 1-32 queries,
-// and a fan-out of GOMAXPROCS goroutines per call would dominate the cost
-// of embedding a single query.
-func (p *Pool) each(n int, fn func(i int)) {
-	workers := min(p.workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -1,8 +1,9 @@
 // Package pipeline is the workflow-execution substrate standing in for
-// Parsl in the paper's HPC pipeline: data-parallel map stages with worker
-// pools and futures, plus a checkpointing DAG engine that skips completed
-// stages on restart — the execution model the paper relies on to process
-// 22,548 documents and 173,318 chunks on ALCF machines.
+// Parsl in the paper's HPC pipeline: the data-parallel map stages (parse,
+// chunk, generate, distil, embed) the paper runs to process 22,548
+// documents and 173,318 chunks on ALCF machines. For is the one parallel
+// loop; Map and ForEach add per-item fault isolation and cancellation on
+// top of it.
 package pipeline
 
 import (
@@ -13,54 +14,35 @@ import (
 	"sync/atomic"
 )
 
-// Future is a single-assignment result slot.
-type Future[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-// NewFuture returns an unresolved future.
-func NewFuture[T any]() *Future[T] {
-	return &Future[T]{done: make(chan struct{})}
-}
-
-// Resolve sets the result exactly once; later calls are ignored.
-func (f *Future[T]) Resolve(val T, err error) {
-	select {
-	case <-f.done:
-	default:
-		f.val, f.err = val, err
-		close(f.done)
+// For runs fn(i) for every i in [0, n), on at most workers goroutines and
+// never more than n; workers <= 0 selects GOMAXPROCS. With one worker it
+// runs inline on the caller's goroutine: retrieval micro-batches are often
+// 1-32 queries, and a fan-out of GOMAXPROCS goroutines per call would
+// dominate the cost of embedding a single query. Otherwise items are
+// claimed through an atomic cursor.
+func For(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-}
-
-// Get blocks until resolution or context cancellation.
-func (f *Future[T]) Get(ctx context.Context) (T, error) {
-	select {
-	case <-f.done:
-		return f.val, f.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
-}
-
-// Go runs fn asynchronously and returns its future. A panic in fn resolves
-// the future with an error instead of crashing the program (per-task fault
-// isolation, as a workflow engine must provide).
-func Go[T any](fn func() (T, error)) *Future[T] {
-	f := NewFuture[T]()
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				var zero T
-				f.Resolve(zero, fmt.Errorf("pipeline: task panic: %v", r))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
-		f.Resolve(fn())
-	}()
-	return f
+	}
+	wg.Wait()
 }
 
 // MapError aggregates per-item failures from a Map stage.
@@ -78,38 +60,22 @@ func (e *MapError) Error() string {
 // workers <= 0 selects GOMAXPROCS. Cancellation stops dispatch of new
 // items; in-flight items finish.
 func Map[I, O any](ctx context.Context, items []I, workers int, fn func(context.Context, I) (O, error)) ([]O, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]O, len(items))
 	failures := make(map[int]error)
-	var mu sync.Mutex     // guards failures
-	var next atomic.Int64 // index of the next item to hand out
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= len(items) {
-					return
-				}
-				v, err := runItem(ctx, items[i], fn)
-				if err != nil {
-					mu.Lock()
-					failures[i] = err
-					mu.Unlock()
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
+	var mu sync.Mutex // guards failures
+	For(len(items), workers, func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		v, err := runItem(ctx, items[i], fn)
+		if err != nil {
+			mu.Lock()
+			failures[i] = err
+			mu.Unlock()
+			return
+		}
+		out[i] = v
+	})
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}

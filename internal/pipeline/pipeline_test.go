@@ -1,19 +1,16 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// --- Map / futures ---
 
 func TestMapOrderPreserved(t *testing.T) {
 	items := make([]int, 100)
@@ -108,244 +105,39 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestFutureResolveOnce(t *testing.T) {
-	f := NewFuture[int]()
-	f.Resolve(1, nil)
-	f.Resolve(2, nil)
-	v, err := f.Get(context.Background())
-	if v != 1 || err != nil {
-		t.Fatalf("v=%d err=%v", v, err)
-	}
+// onTestGoroutine reports whether the running goroutine is a test's own,
+// whose stack bottoms out in testing.tRunner; a worker goroutine's does not.
+func onTestGoroutine() bool {
+	buf := make([]byte, 8<<10)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("testing.tRunner("))
 }
 
-func TestFutureContextCancel(t *testing.T) {
-	f := NewFuture[int]()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := f.Get(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGoPanicBecomesError(t *testing.T) {
-	f := Go(func() (int, error) { panic("kaboom") })
-	_, err := f.Get(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// --- Engine / DAG ---
-
-func TestEngineTopologicalOrder(t *testing.T) {
-	e := NewEngine("")
-	var mu sync.Mutex
-	var order []string
-	mk := func(name string, deps ...string) *Task {
-		return &Task{Name: name, Deps: deps, Run: func(context.Context) error {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			return nil
-		}}
-	}
-	e.MustAdd(mk("parse"))
-	e.MustAdd(mk("chunk", "parse"))
-	e.MustAdd(mk("embed", "chunk"))
-	e.MustAdd(mk("generate", "chunk"))
-	e.MustAdd(mk("traces", "generate"))
-	if err := e.Run(context.Background(), 4); err != nil {
-		t.Fatal(err)
-	}
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	checks := [][2]string{{"parse", "chunk"}, {"chunk", "embed"}, {"chunk", "generate"}, {"generate", "traces"}}
-	for _, c := range checks {
-		if pos[c[0]] > pos[c[1]] {
-			t.Fatalf("%s ran after %s: %v", c[0], c[1], order)
-		}
-	}
-}
-
-func TestEngineParallelIndependentTasks(t *testing.T) {
-	e := NewEngine("")
-	var concurrent, peak int32
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("t%d", i)
-		e.MustAdd(&Task{Name: name, Run: func(context.Context) error {
-			c := atomic.AddInt32(&concurrent, 1)
-			for {
-				p := atomic.LoadInt32(&peak)
-				if c <= p || atomic.CompareAndSwapInt32(&peak, p, c) {
-					break
+func TestFor(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 1000} {
+		for _, workers := range []int{-1, 0, 1, 2, 64} {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				runs := make([]atomic.Int32, n)
+				plain := 0 // written without synchronisation: only safe inline
+				var offCaller atomic.Int32
+				For(n, workers, func(i int) {
+					runs[i].Add(1)
+					if workers == 1 {
+						plain++
+						if !onTestGoroutine() {
+							offCaller.Add(1)
+						}
+					}
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Fatalf("index %d ran %d times, want 1", i, got)
+					}
 				}
-			}
-			time.Sleep(20 * time.Millisecond)
-			atomic.AddInt32(&concurrent, -1)
-			return nil
-		}})
-	}
-	if err := e.Run(context.Background(), 4); err != nil {
-		t.Fatal(err)
-	}
-	if atomic.LoadInt32(&peak) < 2 {
-		t.Fatalf("independent tasks did not overlap (peak %d)", peak)
-	}
-}
-
-func TestEngineErrorStopsDependents(t *testing.T) {
-	e := NewEngine("")
-	ran := make(map[string]bool)
-	var mu sync.Mutex
-	e.MustAdd(&Task{Name: "a", Run: func(context.Context) error { return errors.New("fail") }})
-	e.MustAdd(&Task{Name: "b", Deps: []string{"a"}, Run: func(context.Context) error {
-		mu.Lock()
-		ran["b"] = true
-		mu.Unlock()
-		return nil
-	}})
-	err := e.Run(context.Background(), 2)
-	if err == nil || !strings.Contains(err.Error(), `task "a"`) {
-		t.Fatalf("err = %v", err)
-	}
-	if ran["b"] {
-		t.Fatal("dependent ran after failure")
-	}
-}
-
-func TestEngineUnknownDep(t *testing.T) {
-	e := NewEngine("")
-	e.MustAdd(&Task{Name: "a", Deps: []string{"ghost"}, Run: func(context.Context) error { return nil }})
-	if err := e.Run(context.Background(), 1); err == nil || !strings.Contains(err.Error(), "unknown") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestEngineCycleDetection(t *testing.T) {
-	e := NewEngine("")
-	e.MustAdd(&Task{Name: "a", Deps: []string{"b"}, Run: func(context.Context) error { return nil }})
-	e.MustAdd(&Task{Name: "b", Deps: []string{"a"}, Run: func(context.Context) error { return nil }})
-	if err := e.Run(context.Background(), 1); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestEngineDuplicateTask(t *testing.T) {
-	e := NewEngine("")
-	e.MustAdd(&Task{Name: "a", Run: func(context.Context) error { return nil }})
-	if err := e.Add(&Task{Name: "a", Run: func(context.Context) error { return nil }}); err == nil {
-		t.Fatal("duplicate accepted")
-	}
-}
-
-func TestEnginePanicInTask(t *testing.T) {
-	e := NewEngine("")
-	e.MustAdd(&Task{Name: "p", Run: func(context.Context) error { panic("task exploded") }})
-	err := e.Run(context.Background(), 1)
-	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestEngineCheckpointSkip(t *testing.T) {
-	dir := t.TempDir()
-	artifact := filepath.Join(dir, "out.txt")
-	runs := 0
-	mkEngine := func() *Engine {
-		e := NewEngine(filepath.Join(dir, "ckpt"))
-		e.MustAdd(&Task{
-			Name:    "produce",
-			Outputs: []string{artifact},
-			Run: func(context.Context) error {
-				runs++
-				return os.WriteFile(artifact, []byte("data"), 0o644)
-			},
-		})
-		return e
-	}
-	if err := mkEngine().Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := mkEngine().Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 {
-		t.Fatalf("task ran %d times, want 1 (checkpoint skip)", runs)
-	}
-}
-
-func TestEngineCheckpointInvalidatedByMissingOutput(t *testing.T) {
-	dir := t.TempDir()
-	artifact := filepath.Join(dir, "out.txt")
-	runs := 0
-	mkEngine := func() *Engine {
-		e := NewEngine(filepath.Join(dir, "ckpt"))
-		e.MustAdd(&Task{
-			Name:    "produce",
-			Outputs: []string{artifact},
-			Run: func(context.Context) error {
-				runs++
-				return os.WriteFile(artifact, []byte("data"), 0o644)
-			},
-		})
-		return e
-	}
-	if err := mkEngine().Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(artifact) // artifact lost → must re-run
-	if err := mkEngine().Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 {
-		t.Fatalf("task ran %d times, want 2 after artifact loss", runs)
-	}
-}
-
-func TestEngineReset(t *testing.T) {
-	dir := t.TempDir()
-	runs := 0
-	e := NewEngine(filepath.Join(dir, "ckpt"))
-	e.MustAdd(&Task{Name: "a", Run: func(context.Context) error { runs++; return nil }})
-	if err := e.Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 {
-		t.Fatalf("runs = %d after Reset", runs)
-	}
-}
-
-func TestEngineMetricsAndReport(t *testing.T) {
-	e := NewEngine("")
-	e.MustAdd(&Task{Name: "ok", Run: func(context.Context) error { return nil }})
-	e.MustAdd(&Task{Name: "bad", Run: func(context.Context) error { return errors.New("x") }})
-	_ = e.Run(context.Background(), 2)
-	ms := e.Metrics()
-	if len(ms) != 2 {
-		t.Fatalf("%d metrics", len(ms))
-	}
-	report := e.Report()
-	if !strings.Contains(report, "ok") || !strings.Contains(report, "FAILED") {
-		t.Fatalf("report:\n%s", report)
-	}
-}
-
-func TestEngineContextCancel(t *testing.T) {
-	e := NewEngine("")
-	ctx, cancel := context.WithCancel(context.Background())
-	e.MustAdd(&Task{Name: "a", Run: func(context.Context) error { cancel(); return nil }})
-	e.MustAdd(&Task{Name: "b", Deps: []string{"a"}, Run: func(context.Context) error { return nil }})
-	err := e.Run(ctx, 1)
-	if err == nil {
-		t.Fatal("cancelled run succeeded")
+				if workers == 1 && (plain != n || offCaller.Load() != 0) {
+					t.Fatalf("workers=1: inline counter %d of %d, %d item(s) off the caller's goroutine", plain, n, offCaller.Load())
+				}
+			})
+		}
 	}
 }
 

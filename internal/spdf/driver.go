@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
+
+	"repro/internal/pipeline"
 )
 
 // ParseResult is the per-file outcome of a parallel parse run.
@@ -51,31 +51,11 @@ func ParseAll(payloads [][]byte, names []string, workers int) ([]ParseResult, *R
 	if len(names) != len(payloads) {
 		panic("spdf: names/payloads length mismatch")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]ParseResult, len(payloads))
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(payloads) {
-					return
-				}
-				p, err := Parse(payloads[i])
-				results[i] = ParseResult{Path: names[i], Parsed: p, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	pipeline.For(len(payloads), workers, func(i int) {
+		p, err := Parse(payloads[i])
+		results[i] = ParseResult{Path: names[i], Parsed: p, Err: err}
+	})
 
 	rep := &Report{Total: len(results), ByClass: map[ErrorClass]int{}}
 	for _, res := range results {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/f16"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
 )
 
@@ -482,7 +483,7 @@ func (h *HNSW) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Resul
 		return out
 	}
 	defer tm.bookScan(time.Now())
-	parallelFor(len(queries), 0, func(i int) {
+	pipeline.For(len(queries), 0, func(i int) {
 		out[i] = h.Search(queries[i], k)
 	})
 	return out

@@ -3,12 +3,10 @@ package vecstore
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/f16"
+	"repro/internal/pipeline"
 )
 
 // invFile is IVFPQ's inverted-file layer: the spherical coarse quantizer,
@@ -46,7 +44,7 @@ func (ix *invFile) train(vecs [][]float32) []int {
 	}
 	ix.km.Train(vecs)
 	assign := make([]int, n)
-	parallelFor(n, 0, func(id int) {
+	pipeline.For(n, 0, func(id int) {
 		assign[id] = ix.km.Nearest(vecs[id])
 	})
 	counts := make([]int, ix.km.K)
@@ -117,7 +115,7 @@ func (ix *invFile) NList() int { return ix.km.K }
 // pre-work — through the cell scans, and Merge for the per-query folds.
 func (ix *invFile) searchCells(qs [][]float32, k int, keys []string, start time.Time, tm *ScanTiming, scanCell func(c int, qis []int32, hs []*topK)) [][]Result {
 	probes := make([][]int, len(qs))
-	parallelFor(len(qs), 0, func(qi int) {
+	pipeline.For(len(qs), 0, func(qi int) {
 		probes[qi] = ix.km.NearestN(qs[qi], ix.nprobe)
 	})
 	// Invert: cell → indices of the queries probing it.
@@ -134,7 +132,7 @@ func (ix *invFile) searchCells(qs [][]float32, k int, keys []string, start time.
 		}
 	}
 	partial := make([][]*topK, len(work))
-	parallelFor(len(work), 0, func(wi int) {
+	pipeline.For(len(work), 0, func(wi int) {
 		c := work[wi]
 		hs := make([]*topK, len(perCell[c]))
 		for i := range hs {
@@ -169,37 +167,6 @@ func (ix *invFile) searchCells(qs [][]float32, k int, keys []string, start time.
 	}
 	tm.book(start, mergeStart)
 	return out
-}
-
-// parallelFor runs fn(i) for i in [0,n) across workers goroutines with an
-// atomic work counter; workers <= 0 selects GOMAXPROCS. It is the shared
-// query/cell fan-out of the batch searches (IVF-PQ, HNSW) and of training.
-func parallelFor(n, workers int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // IVFPQ composes the inverted-file coarse quantizer with product-quantized
@@ -345,7 +312,7 @@ func (ix *IVFPQ) Train() {
 			}
 		}
 		res := make([][]float32, n)
-		parallelFor(n, 0, func(id int) {
+		pipeline.For(n, 0, func(id int) {
 			anchor := ix.anchors[assign[id]]
 			r := make([]float32, ix.dim)
 			for d, x := range full[id] {
@@ -358,7 +325,7 @@ func (ix *IVFPQ) Train() {
 	ix.cb = newPQCodebook(ix.dim, ix.pqCfg.M, ksub)
 	ix.cb.train(enc, ix.pqCfg.TrainIters, ix.pqCfg.Seed)
 	codes := make([]byte, n*ix.cb.m)
-	parallelFor(n, 0, func(id int) {
+	pipeline.For(n, 0, func(id int) {
 		ix.cb.encode(enc[id], codes[id*ix.cb.m:(id+1)*ix.cb.m])
 	})
 	ix.cellCodes = cellBlocks(ix.cellIDs, codes, ix.cb.m)

@@ -2,10 +2,10 @@ package vecstore
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/f16"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
 )
 
@@ -152,46 +152,32 @@ func (km *KMeans) Train(vecs [][]float32) {
 
 // assignAll assigns each vector to its nearest centroid under the active
 // objective and returns the number of changed assignments. Work is handed
-// out in blocks through an atomic cursor (no mutex on the hot path).
+// out in 256-row blocks through pipeline.For's atomic cursor (no mutex on
+// the hot path); workers <= 0 means one.
 func (km *KMeans) assignAll(vecs, centroids [][]float32, assign []int, workers int) int {
 	if workers <= 0 {
 		workers = 1
 	}
-	var changed atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
 	const block = 256
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var localChanged int64
-			for {
-				start := int(next.Add(block)) - block
-				if start >= len(vecs) {
-					break
-				}
-				end := start + block
-				if end > len(vecs) {
-					end = len(vecs)
-				}
-				for i := start; i < end; i++ {
-					best, bestScore := 0, km.score(vecs[i], centroids[0])
-					for c := 1; c < len(centroids); c++ {
-						if s := km.score(vecs[i], centroids[c]); s > bestScore {
-							best, bestScore = c, s
-						}
-					}
-					if assign[i] != best {
-						assign[i] = best
-						localChanged++
-					}
+	var changed atomic.Int64
+	pipeline.For((len(vecs)+block-1)/block, workers, func(b int) {
+		var localChanged int64
+		start := b * block
+		end := min(start+block, len(vecs))
+		for i := start; i < end; i++ {
+			best, bestScore := 0, km.score(vecs[i], centroids[0])
+			for c := 1; c < len(centroids); c++ {
+				if s := km.score(vecs[i], centroids[c]); s > bestScore {
+					best, bestScore = c, s
 				}
 			}
-			changed.Add(localChanged)
-		}()
-	}
-	wg.Wait()
+			if assign[i] != best {
+				assign[i] = best
+				localChanged++
+			}
+		}
+		changed.Add(localChanged)
+	})
 	return int(changed.Load())
 }
 

@@ -1,6 +1,9 @@
 package vecstore
 
-import "repro/internal/rng"
+import (
+	"repro/internal/pipeline"
+	"repro/internal/rng"
+)
 
 // Product quantization, the cell storage of IVF-PQ: each vector is split
 // into M contiguous subspaces and every subspace is vector-quantized
@@ -112,7 +115,7 @@ func (cb *pqCodebook) train(vecs [][]float32, iters int, seed uint64) {
 	if limit := cb.ksub * pqTrainSampleFactor; len(vecs) > limit {
 		sample = samplePQTrainSet(vecs, limit, seed)
 	}
-	parallelFor(cb.m, 0, func(s int) {
+	pipeline.For(cb.m, 0, func(s int) {
 		d0, d1 := cb.bounds[s], cb.bounds[s+1]
 		sub := make([][]float32, len(sample))
 		for i, v := range sample {
@@ -229,7 +232,7 @@ func lutScore(code []byte, lut []float32, ksub int) float32 {
 func buildLUTs(cb *pqCodebook, queries [][]float32) ([][]float32, []*[]float32) {
 	luts := make([][]float32, len(queries))
 	pooled := make([]*[]float32, len(queries))
-	parallelFor(len(queries), 0, func(i int) {
+	pipeline.For(len(queries), 0, func(i int) {
 		lp := getTile(cb.m * cb.ksub)
 		cb.lutInto(*lp, queries[i])
 		luts[i], pooled[i] = *lp, lp

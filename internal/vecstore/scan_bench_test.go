@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/f16"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
 )
 
@@ -180,7 +181,7 @@ func BenchmarkFlatBatchFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := make([][]Result, len(queries))
-		parallelFor(len(queries), 0, func(qi int) {
+		pipeline.For(len(queries), 0, func(qi int) {
 			out[qi] = ix.SearchInto(queries[qi], 10, nil)
 		})
 	}
