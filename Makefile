@@ -28,7 +28,8 @@ verify:
 # TestSwapSearchRaceConsistency's swap/search hammering and the live
 # ingest Add+Search+compact hammer), the mutable vecstore layer
 # (memtable + Live rotation), the router's scatter/gather + breaker +
-# health prober, the gateways (both coalescer dispatch branches under the
+# health prober (and TestServedGoldenMatrix, the whole golden exam served
+# through a router over three shards, ~25 s under -race), the gateways (both coalescer dispatch branches under the
 # Close-vs-enqueue hammer), the parallel pipeline (pipeline.For, the one
 # parallel loop, and Map/ForEach on it) and every stage that fans out
 # through For (spdf's ParseAll, chunk's SplitAll, embed's Pool, vecstore's

@@ -324,7 +324,7 @@ func BenchmarkAblationIDFEmbedder(b *testing.B) {
 				for _, q := range a.Questions[:n] {
 					f := a.KB.Fact(corpus.FactID(q.Prov.FactID))
 					for _, rc := range store.Retrieve(q.Question, 5) {
-						if f != nil && strings.Contains(rc.Chunk.Text, f.Sentence()) {
+						if f != nil && strings.Contains(rc.Text, f.Sentence()) {
 							hits++
 							break
 						}

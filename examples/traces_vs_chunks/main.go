@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,26 +28,35 @@ func main() {
 	q := artifacts.Questions[len(artifacts.Questions)/2]
 	fmt.Printf("question: %s\n  keyed answer: %q\n\n", q.Question, q.AnswerText())
 
-	chunks := artifacts.ChunkStore.Retrieve(q.Question, 3)
-	fmt.Println("top chunk retrievals (RAG-Chunks condition):")
-	for i, rc := range chunks {
-		fmt.Printf("  [%d] score %.3f, doc %s\n      %.140s…\n", i+1, rc.Score, rc.Chunk.DocID, rc.Chunk.Text)
+	// Both conditions retrieve through the same facade the evaluation uses.
+	setup := artifacts.SyntheticSetup()
+	retrieve := func(store rag.Facade) []rag.Hit {
+		b, err := store.RetrieveBatch(context.Background(), []string{q.Question}, 3, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return b.Hits[0]
 	}
-	cu := rag.ChunkUtility(artifacts.KB, q, chunks, nil)
 
-	traces := artifacts.TraceStores[mcq.ModeFocused].Retrieve(q.Question, 3, "")
-	fmt.Println("\ntop trace retrievals (RAG-RT-Focused condition):")
-	for i, rt := range traces {
-		fmt.Printf("  [%d] score %.3f, from question %s\n      %.140s…\n",
-			i+1, rt.Score, rt.Trace.QuestionID, rt.Trace.Reasoning)
+	chunks := retrieve(setup.Chunks)
+	fmt.Println("top chunk retrievals (RAG-Chunks condition):")
+	for i, h := range chunks {
+		fmt.Printf("  [%d] score %.3f, doc %s\n      %.140s…\n", i+1, h.Score, h.Group, h.Text)
 	}
-	tu := rag.TraceUtility(artifacts.KB, q, traces, nil)
+	cu := rag.Utility(artifacts.KB, q, "", nil, chunks, nil)
+
+	traces := retrieve(setup.Traces[mcq.ModeFocused])
+	fmt.Println("\ntop trace retrievals (RAG-RT-Focused condition):")
+	for i, h := range traces {
+		fmt.Printf("  [%d] score %.3f, from question %s\n      %.140s…\n", i+1, h.Score, h.Group, h.Text)
+	}
+	tu := rag.Utility(artifacts.KB, q, mcq.ModeFocused, setup.Facts, traces, nil)
 
 	fmt.Printf("\nmeasured retrieval utility: chunks %.3f vs traces %.3f\n", cu, tu)
 	fmt.Println("(traces are distilled: less filler per retrieved token, so higher utility)")
 
 	// Accuracy impact across the whole roster.
-	matrix, err := eval.Run(artifacts.SyntheticSetup(), llmsim.Profiles(),
+	matrix, err := eval.Run(setup, llmsim.Profiles(),
 		[]llmsim.Condition{llmsim.CondBaseline, llmsim.CondChunks, llmsim.CondRTFocused})
 	if err != nil {
 		log.Fatal(err)

@@ -253,7 +253,7 @@ func BuildBenchmark(cfg Config) (*Artifacts, error) {
 	// Stage 6: vector stores (chunk DB + three trace DBs).
 	enc := embed.NewDefault()
 	chunkStore := rag.BuildChunkStore(enc, chunks, cfg.Workers)
-	traceStores := rag.TraceStores(enc, traces, rag.QuestionFactMap(accepted), cfg.Workers)
+	traceStores := rag.TraceStores(enc, traces, nil, cfg.Workers)
 
 	a := &Artifacts{
 		Config:      cfg,
@@ -301,15 +301,11 @@ func SaveChunkIndex(a *Artifacts, path string) error {
 
 // SyntheticSetup bundles the generated benchmark for evaluation.
 func (a *Artifacts) SyntheticSetup() *eval.Setup {
-	return &eval.Setup{
-		KB:        a.KB,
-		Questions: a.Questions,
-		Chunks:    a.ChunkStore,
-		Traces:    a.TraceStores,
-		Bench:     llmsim.BenchSynthetic,
-		Seed:      a.Config.Seed,
-		Workers:   a.Config.Workers,
-	}
+	s := a.retrievalSetup()
+	s.Questions = a.Questions
+	s.Bench = llmsim.BenchSynthetic
+	s.Seed = a.Config.Seed
+	return &s
 }
 
 // AstroSetup generates the expert exam and bundles it against the same
@@ -317,15 +313,28 @@ func (a *Artifacts) SyntheticSetup() *eval.Setup {
 // corpus-derived chunk DB and the synthetic-question trace DBs).
 func (a *Artifacts) AstroSetup() (*eval.Setup, *astro.Exam) {
 	exam := astro.Generate(a.KB, a.Config.Seed)
-	return &eval.Setup{
-		KB:        a.KB,
-		Questions: exam.Questions,
-		Chunks:    a.ChunkStore,
-		Traces:    a.TraceStores,
-		Bench:     llmsim.BenchAstro,
-		Seed:      a.Config.Seed + 1,
-		Workers:   a.Config.Workers,
-	}, exam
+	s := a.retrievalSetup()
+	s.Questions = exam.Questions
+	s.Bench = llmsim.BenchAstro
+	s.Seed = a.Config.Seed + 1
+	return &s, exam
+}
+
+// retrievalSetup is what every evaluation of the artifacts shares: the
+// knowledge base, the stores behind their facades and the distilled
+// questions' facts, which trace utility grades against.
+func (a *Artifacts) retrievalSetup() eval.Setup {
+	traces := make(map[mcq.ReasoningMode]rag.Facade, len(a.TraceStores))
+	for mode, ts := range a.TraceStores {
+		traces[mode] = rag.NewTraceFacade(ts)
+	}
+	return eval.Setup{
+		KB:      a.KB,
+		Chunks:  rag.NewChunkFacade(a.ChunkStore),
+		Traces:  traces,
+		Facts:   rag.QuestionFactMap(a.Questions),
+		Workers: a.Config.Workers,
+	}
 }
 
 // AstroNoMathSetup restricts an Astro setup to the classifier-selected

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/astro"
+	"repro/internal/chunk"
 	"repro/internal/corpus"
 	"repro/internal/llmsim"
 	"repro/internal/mcq"
@@ -62,6 +63,10 @@ func TestBuildBenchmarkStats(t *testing.T) {
 
 func TestBuildBenchmarkQuestionsValid(t *testing.T) {
 	a := build(t)
+	chunks := make(map[string]chunk.Chunk, len(a.Chunks))
+	for _, c := range a.Chunks {
+		chunks[c.ID] = c
+	}
 	for _, q := range a.Questions {
 		if err := q.Validate(); err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
@@ -76,7 +81,7 @@ func TestBuildBenchmarkQuestionsValid(t *testing.T) {
 			t.Fatalf("%s: provenance incomplete: %+v", q.ID, q.Prov)
 		}
 		// Provenance must resolve: the chunk exists and contains the fact.
-		ch, ok := a.ChunkStore.Chunk(q.Prov.ChunkID)
+		ch, ok := chunks[q.Prov.ChunkID]
 		if !ok {
 			t.Fatalf("%s: chunk %s not in store", q.ID, q.Prov.ChunkID)
 		}

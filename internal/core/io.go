@@ -117,16 +117,15 @@ func Load(dir string) (*Artifacts, error) {
 	// Trace stores: load persisted per-mode indexes when present (the
 	// paper's three separate FAISS databases); otherwise re-embed, which
 	// is deterministic and yields identical stores.
-	qf := rag.QuestionFactMap(questions)
 	traceStores := make(map[mcq.ReasoningMode]*rag.TraceStore, len(mcq.AllModes))
 	for _, mode := range mcq.AllModes {
 		path := filepath.Join(dir, "traces_"+string(mode)+".vsf")
 		ix, err := vecstore.LoadFlat(path)
 		if err != nil {
-			traceStores = rag.TraceStores(enc, traces, qf, m.Config.Workers)
+			traceStores = rag.TraceStores(enc, traces, nil, m.Config.Workers)
 			break
 		}
-		traceStores[mode] = rag.WrapTraceStore(enc, mode, ix, traces, qf)
+		traceStores[mode] = rag.WrapTraceStore(enc, mode, ix, traces)
 	}
 
 	a := &Artifacts{

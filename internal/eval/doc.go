@@ -3,10 +3,13 @@
 // judge, measuring retrieval utility mechanistically, and rendering the
 // tables and percent-improvement figures (Figures 4-6).
 //
-// A Setup bundles one benchmark's questions with its retrieval stores;
-// Run sweeps the (model, condition) matrix, batching all retrieval
-// through the stores' multi-query path so each vecstore code tile (or
-// IVF-PQ LUT) is amortised across the whole question set. Rendering helpers
+// A Setup bundles one benchmark's questions with its retrieval stores,
+// each a rag.Facade (in-process, or remote such as a router's shard set),
+// and the distilled questions' facts that trace utility grades against;
+// Run sweeps the (model, condition) matrix with one Facade.RetrieveBatch
+// per condition, so in-process each vecstore code tile (or IVF-PQ LUT) is
+// amortised across the whole question set, and the exam reads the same
+// rag.Hit records the served stack returns. Rendering helpers
 // produce the paper's tables (RenderTable1/2, RenderAstroTable), the
 // percent-improvement figures (RenderFigure), per-topic breakdowns
 // (RenderTopicBreakdown), CSV export (RenderCSV), and the

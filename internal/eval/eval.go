@@ -18,9 +18,17 @@ import (
 type Setup struct {
 	KB        *corpus.KB
 	Questions []*mcq.Question
-	Chunks    *rag.ChunkStore
-	Traces    map[mcq.ReasoningMode]*rag.TraceStore
-	Bench     llmsim.Benchmark
+	// Chunks is the chunk store and Traces holds one store per trace mode,
+	// each behind the retrieval facade: an in-process store
+	// (rag.NewChunkFacade, rag.NewTraceFacade) or a remote one, such as a
+	// router's shard set.
+	Chunks rag.Facade
+	Traces map[mcq.ReasoningMode]rag.Facade
+	// Facts maps each distilled question's id to its fact
+	// (rag.QuestionFactMap): a trace hit's Group is its source question,
+	// so trace utility grades Facts[hit.Group].
+	Facts map[string]string
+	Bench llmsim.Benchmark
 	// K is the retrieval depth (top-k), default 5.
 	K int
 	// SelfExcludeTraces enables the stricter cross-question ablation in
@@ -47,82 +55,84 @@ func (s *Setup) k() int {
 type retrieved struct {
 	// plan is nil under the baseline condition, which retrieves nothing
 	// and whose utility is 0 whatever the window.
-	plan   *rag.PromptPlan
-	chunks []rag.RetrievedChunk
-	traces []rag.RetrievedTrace
+	plan *rag.PromptPlan
+	hits []rag.Hit
 }
 
 // retrieveAll performs the retrieval for a condition across all questions
 // at once, preserving question order. The whole question set goes through
-// the store's batch path (embedding fan-out + the vecstore multi-query
-// scan kernel), which amortises each decoded code tile across the entire
-// 16,680-question sweep instead of re-decoding per question. Each
-// question's prompt is then planned (rag.PlanPrompt) — the part of prompt
-// assembly that does not depend on a model's window.
+// one Facade.RetrieveBatch (embedding fan-out + the vecstore multi-query
+// scan kernel in-process), which amortises each decoded code tile across
+// the entire 16,680-question sweep instead of re-decoding per question.
+// Each question's prompt is then planned (rag.PlanPrompt) — the part of
+// prompt assembly that does not depend on a model's window.
 func (s *Setup) retrieveAll(cond llmsim.Condition) ([]retrieved, error) {
 	out := make([]retrieved, len(s.Questions))
 	if cond == llmsim.CondBaseline {
 		return out, nil
 	}
-	texts := make([][]string, len(s.Questions))
+	store, err := s.store(cond)
+	if err != nil {
+		return nil, err
+	}
 	queries := make([]string, len(s.Questions))
 	for i, q := range s.Questions {
 		queries[i] = q.Question
 	}
-	if cond == llmsim.CondChunks {
-		for i, rc := range s.Chunks.RetrieveBatch(queries, s.k()) {
-			texts[i] = make([]string, len(rc))
-			for j, c := range rc {
-				texts[i][j] = c.Chunk.Text
-			}
-			out[i].chunks = rc
-		}
-		return out, s.planAll(out, texts)
-	}
-	mode, err := condMode(cond)
-	if err != nil {
-		return nil, err
-	}
-	store, ok := s.Traces[mode]
-	if !ok {
-		return nil, fmt.Errorf("eval: no trace store for mode %s", mode)
-	}
 	var excludes []string
-	if s.SelfExcludeTraces {
+	if s.SelfExcludeTraces && cond != llmsim.CondChunks {
 		excludes = make([]string, len(s.Questions))
 		for i, q := range s.Questions {
 			excludes[i] = q.ID
 		}
 	}
-	for i, rt := range store.RetrieveBatch(queries, s.k(), excludes) {
-		texts[i] = make([]string, len(rt))
-		for j, tr := range rt {
-			texts[i][j] = tr.Trace.Reasoning
-		}
-		out[i].traces = rt
+	b, err := store.RetrieveBatch(context.Background(), queries, s.k(), excludes)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s retrieval: %w", cond, err)
 	}
-	return out, s.planAll(out, texts)
-}
-
-// planAll builds every question's prompt plan over its retrieved texts.
-func (s *Setup) planAll(out []retrieved, texts [][]string) error {
-	return pipeline.ForEach(context.Background(), indexRange(len(out)), s.Workers,
+	for i, hits := range b.Hits {
+		out[i].hits = hits
+	}
+	return out, pipeline.ForEach(context.Background(), indexRange(len(out)), s.Workers,
 		func(_ context.Context, i int) error {
-			out[i].plan = rag.PlanPrompt(s.Questions[i], texts[i])
+			texts := make([]string, len(out[i].hits))
+			for j, h := range out[i].hits {
+				texts[j] = h.Text
+			}
+			out[i].plan = rag.PlanPrompt(s.Questions[i], texts)
 			return nil
 		})
 }
 
-func condMode(c llmsim.Condition) (mcq.ReasoningMode, error) {
+// store returns the store a retrieval condition reads.
+func (s *Setup) store(cond llmsim.Condition) (rag.Facade, error) {
+	if cond == llmsim.CondChunks {
+		if s.Chunks == nil {
+			return nil, fmt.Errorf("eval: no chunk store for %s", cond)
+		}
+		return s.Chunks, nil
+	}
+	mode := traceMode(cond)
+	if mode == "" {
+		return nil, fmt.Errorf("eval: condition %s retrieves from no store", cond)
+	}
+	if s.Traces[mode] == nil {
+		return nil, fmt.Errorf("eval: no trace store for mode %s", mode)
+	}
+	return s.Traces[mode], nil
+}
+
+// traceMode is a trace condition's reasoning mode, "" for any other.
+func traceMode(c llmsim.Condition) mcq.ReasoningMode {
 	switch c {
 	case llmsim.CondRTDetail:
-		return mcq.ModeDetailed, nil
+		return mcq.ModeDetailed
 	case llmsim.CondRTFocused:
-		return mcq.ModeFocused, nil
+		return mcq.ModeFocused
 	case llmsim.CondRTEfficient:
-		return mcq.ModeEfficient, nil
+		return mcq.ModeEfficient
 	}
-	return "", fmt.Errorf("eval: condition %s has no trace mode", c)
+	return ""
 }
 
 // Cell is one (model, condition) result.
@@ -251,15 +261,12 @@ func runCell(setup *Setup, student *llmsim.Student, judge *llmsim.Judge,
 	// retrieves nothing: its utilities stay 0.
 	utilities := make([]float64, len(setup.Questions))
 	if cond != llmsim.CondBaseline {
+		mode := traceMode(cond)
 		err := pipeline.ForEach(context.Background(), indexRange(len(setup.Questions)), setup.Workers,
 			func(_ context.Context, i int) error {
 				q := setup.Questions[i]
 				fit := ret[i].plan.Fit(window)
-				if cond == llmsim.CondChunks {
-					utilities[i] = rag.ChunkUtility(setup.KB, q, ret[i].chunks, fit.Retained)
-				} else {
-					utilities[i] = rag.TraceUtility(setup.KB, q, ret[i].traces, fit.Retained)
-				}
+				utilities[i] = rag.Utility(setup.KB, q, mode, setup.Facts, ret[i].hits, fit.Retained)
 				return nil
 			})
 		if err != nil {

@@ -152,8 +152,11 @@ func TestSabotagedRetrievalCollapsesToBaseline(t *testing.T) {
 	a := artifacts(t)
 	setup := a.SyntheticSetup()
 	sabotaged := *setup
-	sabotaged.Chunks = rag.BuildChunkStore(nil, nil, 0)
-	sabotaged.Traces = rag.TraceStores(nil, nil, nil, 0)
+	sabotaged.Chunks = rag.NewChunkFacade(rag.BuildChunkStore(nil, nil, 0))
+	sabotaged.Traces = map[mcq.ReasoningMode]rag.Facade{}
+	for mode, ts := range rag.TraceStores(nil, nil, nil, 0) {
+		sabotaged.Traces[mode] = rag.NewTraceFacade(ts)
+	}
 	profiles := []*llmsim.Profile{mustProfile(t, "SmolLM3-3B")}
 	m, err := eval.Run(&sabotaged, profiles, llmsim.AllConditions)
 	if err != nil {
@@ -178,6 +181,35 @@ func TestSabotagedRetrievalCollapsesToBaseline(t *testing.T) {
 		if cell.Accuracy > baseCell.Accuracy+0.15 {
 			t.Fatalf("%s: sabotaged accuracy %.3f still shows RAG gain", cond, cell.Accuracy)
 		}
+	}
+}
+
+// TestRunRejectsMissingStore: a condition whose store the setup lacks is
+// an error naming the store, never a nil dereference mid-run.
+func TestRunRejectsMissingStore(t *testing.T) {
+	a := artifacts(t)
+	full := a.SyntheticSetup()
+	for _, tc := range []struct {
+		name string
+		cond llmsim.Condition
+		drop func(*eval.Setup)
+		want string
+	}{
+		{"chunks", llmsim.CondChunks, func(s *eval.Setup) { s.Chunks = nil }, "eval: no chunk store"},
+		{"traces", llmsim.CondRTFocused, func(s *eval.Setup) { s.Traces = nil }, "eval: no trace store for mode focused"},
+		{"one trace mode", llmsim.CondRTDetail, func(s *eval.Setup) {
+			s.Traces = map[mcq.ReasoningMode]rag.Facade{mcq.ModeFocused: full.Traces[mcq.ModeFocused]}
+		}, "eval: no trace store for mode detailed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			setup := *full
+			tc.drop(&setup)
+			_, err := eval.Run(&setup, []*llmsim.Profile{mustProfile(t, "SmolLM3-3B")},
+				[]llmsim.Condition{llmsim.CondBaseline, tc.cond})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

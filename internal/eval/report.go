@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/llmsim"
 	"repro/internal/mcq"
+	"repro/internal/rag"
 	"repro/internal/stats"
 	"repro/internal/vecstore"
 )
@@ -291,18 +292,19 @@ func RenderRetrievalStats(s *Setup) string {
 	b.WriteString("Retrieval stores\n\n")
 	b.WriteString("| Store | Index | Vectors | Dim | Bytes/vec | Total MB |\n")
 	b.WriteString("|---|---|---|---|---|---|\n")
-	writeRow := func(name string, st vecstore.IndexStats) {
+	writeRow := func(name string, f rag.Facade) {
+		sw, ok := f.(rag.Swapper)
+		if !ok {
+			return // no store, or a remote one without a local index
+		}
+		st := vecstore.StatsOf(sw.Index())
 		fmt.Fprintf(&b, "| %s | %s | %s | %d | %.1f | %.2f |\n",
 			name, st.Kind, formatInt(st.Vectors), st.Dim,
 			st.BytesPerVector(), float64(st.Bytes)/(1<<20))
 	}
-	if s.Chunks != nil {
-		writeRow("chunks", s.Chunks.IndexStats())
-	}
+	writeRow("chunks", s.Chunks)
 	for _, mode := range mcq.AllModes {
-		if ts, ok := s.Traces[mode]; ok {
-			writeRow("traces/"+string(mode), ts.IndexStats())
-		}
+		writeRow("traces/"+string(mode), s.Traces[mode])
 	}
 	return b.String()
 }

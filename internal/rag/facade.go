@@ -2,7 +2,6 @@ package rag
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/vecstore"
@@ -10,23 +9,13 @@ import (
 
 // Store-agnostic serving facade: the online layer (internal/serve) fronts
 // four retrieval databases — the chunk store plus the three per-mode
-// trace stores — behind identical routes, and the router fronts a shard
-// fleet behind the same routes, so serve speaks to all of them through
-// one small interface instead of hard-coding *ChunkStore. The adapters
-// below flatten each store's typed results into Hit records and forward
+// trace stores — behind identical routes, the router fronts a shard fleet
+// behind the same routes, and the evaluation harness retrieves through the
+// same interface, so all of them speak to every store through one small
+// interface instead of hard-coding *ChunkStore. Both store kinds already
+// answer in Hit records, so the adapter below only forwards the batch and
 // the snapshot (WithIndex) hook, keeping the hot-swap discipline of
 // snapshot.go intact per store.
-
-// Hit is one store-agnostic retrieval result. For chunk stores ID is the
-// chunk id, Group its document id, and Text the chunk text; for trace
-// stores ID is the trace id, Group its source-question id, and Text the
-// reasoning trace.
-type Hit struct {
-	ID    string
-	Group string
-	Text  string
-	Score float32
-}
 
 // Facade is the search half of a served store (internal/serve aliases it
 // as serve.Store). Implementations must be safe for concurrent use and
@@ -99,65 +88,30 @@ func (st StageTimings) Stages() []Stage {
 }
 
 // NewChunkFacade adapts a ChunkStore to the serving facade.
-func NewChunkFacade(s *ChunkStore) Facade { return chunkFacade{s} }
+func NewChunkFacade(s *ChunkStore) Facade { return facade{&s.store} }
 
 // NewTraceFacade adapts a TraceStore to the serving facade.
-func NewTraceFacade(s *TraceStore) Facade { return traceFacade{s} }
+func NewTraceFacade(s *TraceStore) Facade { return facade{&s.store} }
 
-type chunkFacade struct{ s *ChunkStore }
+// facade is the Facade (plus Swapper and Ingestor) over either store kind.
+type facade struct{ s *store }
 
 // RetrieveBatch never fails and ignores ctx: the store is in-process.
-func (f chunkFacade) RetrieveBatch(_ context.Context, queries []string, k int, _ []string) (Batch, error) {
-	res, st := f.s.RetrieveBatchStaged(queries, k)
-	out := make([][]Hit, len(res))
-	for i, rcs := range res {
-		hits := make([]Hit, len(rcs))
-		for j, rc := range rcs {
-			hits[j] = Hit{ID: rc.Chunk.ID, Group: rc.Chunk.DocID, Text: rc.Chunk.Text, Score: rc.Score}
-		}
-		out[i] = hits
-	}
-	return Batch{Hits: out, Stages: st.Stages()}, nil
+func (f facade) RetrieveBatch(_ context.Context, queries []string, k int, exclude []string) (Batch, error) {
+	hits, st := f.s.retrieveBatch(queries, k, exclude)
+	return Batch{Hits: hits, Stages: st.Stages()}, nil
 }
 
-func (f chunkFacade) WithIndex(index vecstore.Index) (Facade, error) {
-	s, err := f.s.WithIndex(index)
+func (f facade) WithIndex(index vecstore.Index) (Facade, error) {
+	snap, err := f.s.withIndex(index)
 	if err != nil {
 		return nil, err
 	}
-	return chunkFacade{s}, nil
+	return facade{&snap}, nil
 }
 
-func (f chunkFacade) Index() vecstore.Index { return f.s.Index() }
-func (f chunkFacade) Len() int              { return f.s.Len() }
-
-type traceFacade struct{ s *TraceStore }
-
-// RetrieveBatch never fails and ignores ctx: the store is in-process.
-func (f traceFacade) RetrieveBatch(_ context.Context, queries []string, k int, exclude []string) (Batch, error) {
-	res, st := f.s.RetrieveBatchStaged(queries, k, exclude)
-	out := make([][]Hit, len(res))
-	for i, rts := range res {
-		hits := make([]Hit, len(rts))
-		for j, rt := range rts {
-			hits[j] = Hit{ID: rt.Trace.ID, Group: rt.Trace.QuestionID, Text: rt.Trace.Reasoning, Score: rt.Score}
-		}
-		out[i] = hits
-	}
-	return Batch{Hits: out, Stages: st.Stages()}, nil
-}
-
-func (f traceFacade) WithIndex(index vecstore.Index) (Facade, error) {
-	s, err := f.s.WithIndex(index)
-	if err != nil {
-		return nil, err
-	}
-	return traceFacade{s}, nil
-}
-
-func (f traceFacade) Index() vecstore.Index { return f.s.Index() }
-func (f traceFacade) Len() int              { return f.s.Len() }
+func (f facade) Index() vecstore.Index { return f.s.Index() }
+func (f facade) Len() int              { return f.s.Len() }
 
 // String implements fmt.Stringer for serve-side logging.
-func (f chunkFacade) String() string { return fmt.Sprintf("ChunkStore(%d chunks)", f.s.Len()) }
-func (f traceFacade) String() string { return f.s.String() }
+func (f facade) String() string { return f.s.describe() }

@@ -26,9 +26,8 @@ func TestChunkFacadeMatchesStore(t *testing.T) {
 			t.Fatalf("query %d: %d vs %d hits", i, len(hits[i]), len(direct[i]))
 		}
 		for j, h := range hits[i] {
-			rc := direct[i][j]
-			if h.ID != rc.Chunk.ID || h.Group != rc.Chunk.DocID || h.Text != rc.Chunk.Text || h.Score != rc.Score {
-				t.Fatalf("query %d rank %d: hit %+v vs chunk %s/%s score %v", i, j, h, rc.Chunk.ID, rc.Chunk.DocID, rc.Score)
+			if h != direct[i][j] {
+				t.Fatalf("query %d rank %d: facade hit %+v vs store hit %+v", i, j, h, direct[i][j])
 			}
 		}
 	}
@@ -36,8 +35,7 @@ func TestChunkFacadeMatchesStore(t *testing.T) {
 
 func TestTraceFacadeMatchesStoreAndExcludes(t *testing.T) {
 	fx := buildFixture(t, 4)
-	qf := QuestionFactMap(fx.questions)
-	store := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, qf, 0)
+	store := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, 0)
 	f := NewTraceFacade(store)
 	var tr *mcq.Trace
 	for _, cand := range fx.traces {

@@ -10,8 +10,8 @@ import (
 
 // Live ingestion support for the chunk store: once EnableLive wraps the
 // serving index in a vecstore.Live mutable layer, AddChunks embeds and
-// inserts new chunks while searches proceed. Chunk metadata for inserted
-// rows lives in a small overlay map shared by every WithIndex snapshot —
+// inserts new chunks while searches proceed. The Hit records of inserted
+// rows live in a small overlay map shared by every WithIndex snapshot —
 // the immutable build-time byKey map stays lock-free on the hot read path,
 // and the overlay (consulted only on a byKey miss) takes an RLock.
 //
@@ -20,8 +20,9 @@ import (
 // its key resolves in collect. (The reverse order would drop fresh hits.)
 
 // Ingestor is the optional write-path extension of Facade: stores that
-// accept live inserts implement it (the chunk facade over a live-enabled
-// ChunkStore). The serving layer type-asserts for it on its add endpoint.
+// accept live inserts implement it (a facade over a live-enabled
+// ChunkStore; over any other store AddChunks fails). The serving layer
+// type-asserts for it on its add endpoint.
 type Ingestor interface {
 	// AddChunks embeds and inserts chunks, returning how many were added.
 	// It is safe to call concurrently with RetrieveBatch; the serving
@@ -32,10 +33,10 @@ type Ingestor interface {
 // liveChunks is the mutable metadata overlay shared across snapshots.
 type liveChunks struct {
 	mu    sync.RWMutex
-	byKey map[string]chunk.Chunk
+	byKey map[string]Hit
 }
 
-func (l *liveChunks) get(key string) (chunk.Chunk, bool) {
+func (l *liveChunks) get(key string) (Hit, bool) {
 	l.mu.RLock()
 	c, ok := l.byKey[key]
 	l.mu.RUnlock()
@@ -56,7 +57,7 @@ func (s *ChunkStore) EnableLive() {
 		s.index = vecstore.NewLive(s.index, nil)
 	}
 	if s.live == nil {
-		s.live = &liveChunks{byKey: make(map[string]chunk.Chunk)}
+		s.live = &liveChunks{byKey: make(map[string]Hit)}
 	}
 }
 
@@ -66,7 +67,10 @@ func (s *ChunkStore) EnableLive() {
 // call concurrently with RetrieveBatch; concurrent AddChunks calls are
 // themselves safe but the serving layer serialises them anyway (one write
 // lock per route) to coordinate with compaction.
-func (s *ChunkStore) AddChunks(chunks []chunk.Chunk) (int, error) {
+func (s *ChunkStore) AddChunks(chunks []chunk.Chunk) (int, error) { return s.addChunks(chunks) }
+
+// addChunks is AddChunks on the shared core, so a facade can forward it.
+func (s *store) addChunks(chunks []chunk.Chunk) (int, error) {
 	live, ok := s.index.(*vecstore.Live)
 	if !ok || s.live == nil {
 		return 0, fmt.Errorf("rag: AddChunks on a store without a live index (EnableLive first)")
@@ -84,7 +88,7 @@ func (s *ChunkStore) AddChunks(chunks []chunk.Chunk) (int, error) {
 			return 0, fmt.Errorf("rag: AddChunks: duplicate chunk id %q in batch", c.ID)
 		}
 		seen[c.ID] = true
-		if _, dup := s.byKey[c.ID]; dup || s.live.has(c.ID) {
+		if s.has(c.ID) {
 			return 0, fmt.Errorf("rag: AddChunks: chunk id %q already stored", c.ID)
 		}
 		texts[i] = c.Text
@@ -93,7 +97,7 @@ func (s *ChunkStore) AddChunks(chunks []chunk.Chunk) (int, error) {
 	// Metadata first (see the ordering discipline above), then the rows.
 	s.live.mu.Lock()
 	for _, c := range chunks {
-		s.live.byKey[c.ID] = c
+		s.live.byKey[c.ID] = chunkHit(c)
 	}
 	s.live.mu.Unlock()
 	for i, c := range chunks {
@@ -102,14 +106,5 @@ func (s *ChunkStore) AddChunks(chunks []chunk.Chunk) (int, error) {
 	return len(chunks), nil
 }
 
-// LiveIndex returns the store's mutable index, or nil when EnableLive was
-// never called (or a swap replaced the live layer).
-func (s *ChunkStore) LiveIndex() *vecstore.Live {
-	lv, _ := s.index.(*vecstore.Live)
-	return lv
-}
-
-// AddChunks implements Ingestor on the chunk facade.
-func (f chunkFacade) AddChunks(chunks []chunk.Chunk) (int, error) {
-	return f.s.AddChunks(chunks)
-}
+// AddChunks implements Ingestor on the facade.
+func (f facade) AddChunks(chunks []chunk.Chunk) (int, error) { return f.s.addChunks(chunks) }

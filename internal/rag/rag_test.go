@@ -59,7 +59,7 @@ func TestChunkStoreSelfRetrieval(t *testing.T) {
 	hits := 0
 	for i := 0; i < len(fx.chunks); i += 5 {
 		res := store.Retrieve(fx.chunks[i].Text, 1)
-		if len(res) == 1 && res[0].Chunk.ID == fx.chunks[i].ID {
+		if len(res) == 1 && res[0].ID == fx.chunks[i].ID {
 			hits++
 		}
 	}
@@ -79,7 +79,7 @@ func TestChunkRetrievalFindsSourceFact(t *testing.T) {
 	for _, q := range fx.questions {
 		f := fx.kb.Fact(corpus.FactID(q.Prov.FactID))
 		for _, rc := range store.Retrieve(q.Question, 5) {
-			if strings.Contains(rc.Chunk.Text, f.Sentence()) {
+			if strings.Contains(rc.Text, f.Sentence()) {
 				found++
 				break
 			}
@@ -154,7 +154,7 @@ func TestChunkStorePQSwap(t *testing.T) {
 	hits := 0
 	for i := 0; i < len(fx.chunks); i += 5 {
 		res := store.Retrieve(fx.chunks[i].Text, 1)
-		if len(res) == 1 && res[0].Chunk.ID == fx.chunks[i].ID {
+		if len(res) == 1 && res[0].ID == fx.chunks[i].ID {
 			hits++
 		}
 	}
@@ -175,7 +175,7 @@ func TestChunkStoreIVFPQSwap(t *testing.T) {
 		t.Fatal("IVF-PQ swap lost vectors")
 	}
 	res := store.Retrieve(fx.chunks[0].Text, 1)
-	if len(res) != 1 || res[0].Chunk.ID != fx.chunks[0].ID {
+	if len(res) != 1 || res[0].ID != fx.chunks[0].ID {
 		t.Fatal("retrieval broken after IVF-PQ swap")
 	}
 }
@@ -204,7 +204,7 @@ func TestChunkStorePQSaveReload(t *testing.T) {
 		t.Fatalf("%d results after reload, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Chunk.ID != want[i].Chunk.ID || got[i].Score != want[i].Score {
+		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
 			t.Fatalf("rank %d differs after reload", i)
 		}
 	}
@@ -243,7 +243,7 @@ func TestChunkStoreIVFPQSaveReload(t *testing.T) {
 		t.Fatalf("%d results after reload, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Chunk.ID != want[i].Chunk.ID || got[i].Score != want[i].Score {
+		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
 			t.Fatalf("rank %d differs after reload", i)
 		}
 	}
@@ -278,34 +278,45 @@ func TestTraceStorePerMode(t *testing.T) {
 
 func TestTraceRetrievalSelfExclusion(t *testing.T) {
 	fx := buildFixture(t, 5)
-	qf := QuestionFactMap(fx.questions)
-	store := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, qf, 0)
+	store := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, 0)
 	q := fx.questions[0]
-	res := store.Retrieve(q.Question, 5, q.ID)
-	for _, rt := range res {
-		if rt.Trace.QuestionID == q.ID {
+	res := store.RetrieveBatch([]string{q.Question}, 5, []string{q.ID})[0]
+	if len(res) != 5 {
+		t.Fatalf("%d hits with exclusion, want 5 (the over-fetch covers the excluded trace)", len(res))
+	}
+	for _, h := range res {
+		if h.Group == q.ID {
 			t.Fatal("own trace retrieved despite exclusion")
 		}
 	}
 	// Without exclusion, the question's own trace should top the list
 	// (trace text restates the question).
-	res = store.Retrieve(q.Question, 5, "")
-	if len(res) == 0 || res[0].Trace.QuestionID != q.ID {
+	res = store.RetrieveBatch([]string{q.Question}, 5, nil)[0]
+	if len(res) == 0 || res[0].Group != q.ID {
 		t.Fatal("own trace not top-ranked without exclusion")
 	}
 }
 
-func TestTraceRetrievalCarriesFactID(t *testing.T) {
+// TestTraceHitsCarrySourceQuestion: a trace hit's Group is its source
+// question, the key utility grading resolves the ground-truth fact by.
+func TestTraceHitsCarrySourceQuestion(t *testing.T) {
 	fx := buildFixture(t, 5)
 	qf := QuestionFactMap(fx.questions)
-	store := BuildTraceStore(nil, mcq.ModeEfficient, fx.traces, qf, 0)
-	res := store.Retrieve(fx.questions[0].Question, 3, "")
-	for _, rt := range res {
-		if rt.FactID == "" {
-			t.Fatal("retrieved trace lacks fact ground truth")
+	source := make(map[string]string, len(fx.traces))
+	for _, tr := range fx.traces {
+		source[tr.ID] = tr.QuestionID
+	}
+	store := BuildTraceStore(nil, mcq.ModeEfficient, fx.traces, 0)
+	res := store.RetrieveBatch([]string{fx.questions[0].Question}, 3, nil)[0]
+	if len(res) != 3 {
+		t.Fatalf("%d hits, want 3", len(res))
+	}
+	for _, h := range res {
+		if h.Group == "" || h.Group != source[h.ID] {
+			t.Fatalf("trace %s carries group %q, want its question %q", h.ID, h.Group, source[h.ID])
 		}
-		if rt.FactID != qf[rt.Trace.QuestionID] {
-			t.Fatal("fact mapping inconsistent")
+		if qf[h.Group] == "" {
+			t.Fatal("retrieved trace's question lacks fact ground truth")
 		}
 	}
 }
@@ -374,25 +385,25 @@ func TestChunkUtilityOracle(t *testing.T) {
 	f := fx.kb.Fact(corpus.FactID(q.Prov.FactID))
 
 	retrieved := store.Retrieve(q.Question, 5)
-	u := ChunkUtility(fx.kb, q, retrieved, nil)
+	u := Utility(fx.kb, q, "", nil, retrieved, nil)
 	if u <= 0 || u > 1 {
 		t.Fatalf("utility %v out of range", u)
 	}
 	// Exact fact chunk → near-full utility (times density and rank).
-	var exact []RetrievedChunk
+	var exact []Hit
 	for _, rc := range retrieved {
-		if strings.Contains(rc.Chunk.Text, f.Sentence()) {
-			exact = []RetrievedChunk{rc}
+		if strings.Contains(rc.Text, f.Sentence()) {
+			exact = []Hit{rc}
 			break
 		}
 	}
 	if exact != nil {
-		if got := ChunkUtility(fx.kb, q, exact, nil); got < 0.7 {
+		if got := Utility(fx.kb, q, "", nil, exact, nil); got < 0.7 {
 			t.Fatalf("exact-fact utility %v", got)
 		}
 	}
 	// Empty retrieval → zero.
-	if got := ChunkUtility(fx.kb, q, nil, nil); got != 0 {
+	if got := Utility(fx.kb, q, "", nil, nil, nil); got != 0 {
 		t.Fatalf("empty retrieval utility %v", got)
 	}
 }
@@ -402,8 +413,8 @@ func TestChunkUtilityHonoursInclusionMask(t *testing.T) {
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	q := fx.questions[0]
 	retrieved := store.Retrieve(q.Question, 3)
-	full := ChunkUtility(fx.kb, q, retrieved, []float64{1, 1, 1})
-	none := ChunkUtility(fx.kb, q, retrieved, []float64{0, 0, 0})
+	full := Utility(fx.kb, q, "", nil, retrieved, []float64{1, 1, 1})
+	none := Utility(fx.kb, q, "", nil, retrieved, []float64{0, 0, 0})
 	if none != 0 {
 		t.Fatalf("masked-out utility %v", none)
 	}
@@ -419,13 +430,13 @@ func TestTraceUtilityExceedsChunkUtility(t *testing.T) {
 	fx := buildFixture(t, 8)
 	qf := QuestionFactMap(fx.questions)
 	cs := BuildChunkStore(nil, fx.chunks, 0)
-	ts := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, qf, 0)
+	ts := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, 0)
 	var cu, tu float64
 	for _, q := range fx.questions {
-		cu += ChunkUtility(fx.kb, q, cs.Retrieve(q.Question, 5), nil)
+		cu += Utility(fx.kb, q, "", nil, cs.Retrieve(q.Question, 5), nil)
 		// Paper protocol: the question's own trace is retrievable (answer
 		// text excluded), so no self-exclusion here.
-		tu += TraceUtility(fx.kb, q, ts.Retrieve(q.Question, 5, ""), nil)
+		tu += Utility(fx.kb, q, mcq.ModeFocused, qf, ts.RetrieveBatch([]string{q.Question}, 5, nil)[0], nil)
 	}
 	n := float64(len(fx.questions))
 	if tu/n <= cu/n {
@@ -490,22 +501,18 @@ func TestChunkRetrieveBatchMatchesRetrieve(t *testing.T) {
 			t.Fatalf("query %d: %d vs %d results", i, len(batch[i]), len(seq))
 		}
 		for j := range seq {
-			if batch[i][j].Chunk.ID != seq[j].Chunk.ID || batch[i][j].Score != seq[j].Score {
+			if batch[i][j].ID != seq[j].ID || batch[i][j].Score != seq[j].Score {
 				t.Fatalf("query %d rank %d: batch %q/%v vs seq %q/%v", i, j,
-					batch[i][j].Chunk.ID, batch[i][j].Score, seq[j].Chunk.ID, seq[j].Score)
+					batch[i][j].ID, batch[i][j].Score, seq[j].ID, seq[j].Score)
 			}
 		}
 	}
 }
 
-func TestTraceRetrieveBatchMatchesRetrieve(t *testing.T) {
+func TestTraceRetrieveBatchMatchesSingleQueries(t *testing.T) {
 	fx := buildFixture(t, 5)
-	qf := QuestionFactMap(fx.questions)
-	store := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, qf, 0)
-	n := len(fx.questions)
-	if n > 10 {
-		n = 10
-	}
+	store := BuildTraceStore(nil, mcq.ModeFocused, fx.traces, 0)
+	n := min(len(fx.questions), 10)
 	queries := make([]string, n)
 	excludes := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -520,16 +527,16 @@ func TestTraceRetrieveBatchMatchesRetrieve(t *testing.T) {
 		}
 		batch := store.RetrieveBatch(queries, 3, ex)
 		for i := range queries {
-			exclude := ""
+			var one []string
 			if withExcludes {
-				exclude = excludes[i]
+				one = excludes[i : i+1]
 			}
-			seq := store.Retrieve(queries[i], 3, exclude)
+			seq := store.RetrieveBatch(queries[i:i+1], 3, one)[0]
 			if len(batch[i]) != len(seq) {
 				t.Fatalf("query %d: %d vs %d results", i, len(batch[i]), len(seq))
 			}
 			for j := range seq {
-				if batch[i][j].Trace.ID != seq[j].Trace.ID || batch[i][j].Score != seq[j].Score {
+				if batch[i][j] != seq[j] {
 					t.Fatalf("query %d rank %d mismatch", i, j)
 				}
 			}
@@ -566,8 +573,8 @@ func TestChunkStoreWithIndexSnapshot(t *testing.T) {
 		t.Fatalf("result lengths %d vs %d", len(before), len(after))
 	}
 	for i := range before {
-		if before[i].Chunk.ID != after[i].Chunk.ID {
-			t.Fatalf("result %d: %s vs %s", i, before[i].Chunk.ID, after[i].Chunk.ID)
+		if before[i].ID != after[i].ID {
+			t.Fatalf("result %d: %s vs %s", i, before[i].ID, after[i].ID)
 		}
 	}
 }

@@ -20,29 +20,53 @@ import (
 // must be chunk ids from the same corpus, and its dimensionality must
 // match the encoder's.
 func (s *ChunkStore) WithIndex(index vecstore.Index) (*ChunkStore, error) {
-	if err := validateIndex(index, s.enc.Dim(), func(k string) bool {
-		if _, ok := s.byKey[k]; ok {
-			return true
-		}
-		// Live inserts register metadata in the shared overlay, so an index
-		// holding post-build rows (a compaction successor) validates too.
-		return s.live != nil && s.live.has(k)
-	}); err != nil {
+	snap, err := s.withIndex(index)
+	if err != nil {
 		return nil, err
 	}
-	return &ChunkStore{enc: s.enc, index: index, byKey: s.byKey, live: s.live, pool: s.pool}, nil
+	return &ChunkStore{snap}, nil
 }
 
-// validateIndex rejects the swaps that would otherwise fail silently: a
+// WithIndex returns a snapshot of the trace store serving index instead of
+// the current one (see ChunkStore.WithIndex).
+func (s *TraceStore) WithIndex(index vecstore.Index) (*TraceStore, error) {
+	snap, err := s.withIndex(index)
+	if err != nil {
+		return nil, err
+	}
+	return &TraceStore{snap}, nil
+}
+
+// withIndex is both stores' WithIndex.
+func (s *store) withIndex(index vecstore.Index) (store, error) {
+	if err := s.validate(index); err != nil {
+		return store{}, err
+	}
+	snap := *s
+	snap.index = index
+	return snap, nil
+}
+
+// has reports whether key names a stored record. Live inserts register
+// metadata in the shared overlay, so an index holding post-build rows (a
+// compaction successor) validates too.
+func (s *store) has(key string) bool {
+	if _, ok := s.byKey[key]; ok {
+		return true
+	}
+	return s.live != nil && s.live.has(key)
+}
+
+// validate rejects the swaps that would otherwise fail silently: a
 // dimension mismatch, and — by sampling stored keys against the store's
 // metadata — a same-dimension index built from a different corpus (whose
 // hits would all be dropped by collect, serving empty results with no
 // error).
-func validateIndex(index vecstore.Index, dim int, known func(string) bool) error {
+func (s *store) validate(index vecstore.Index) error {
 	if index == nil {
 		return fmt.Errorf("rag: WithIndex: nil index")
 	}
-	if index.Dim() != dim {
+	if dim := s.enc.Dim(); index.Dim() != dim {
 		return fmt.Errorf("rag: WithIndex: index dim %d != encoder dim %d", index.Dim(), dim)
 	}
 	n := index.Len()
@@ -56,7 +80,7 @@ func validateIndex(index vecstore.Index, dim int, known func(string) bool) error
 		samples = n
 	}
 	for i := 0; i < samples; i++ {
-		if key := index.Key(i * n / samples); !known(key) {
+		if key := index.Key(i * n / samples); !s.has(key) {
 			return fmt.Errorf("rag: WithIndex: index key %q not in store metadata (index from a different corpus?)", key)
 		}
 	}
@@ -65,20 +89,4 @@ func validateIndex(index vecstore.Index, dim int, known func(string) bool) error
 
 // Index exposes the store's current index for stats and persistence; treat
 // it as read-only while the store is serving.
-func (s *ChunkStore) Index() vecstore.Index { return s.index }
-
-// WithIndex returns a snapshot of the trace store serving index instead of
-// the current one (see ChunkStore.WithIndex).
-func (s *TraceStore) WithIndex(index vecstore.Index) (*TraceStore, error) {
-	if err := validateIndex(index, s.enc.Dim(), func(k string) bool {
-		_, ok := s.byKey[k]
-		return ok
-	}); err != nil {
-		return nil, err
-	}
-	return &TraceStore{mode: s.mode, enc: s.enc, index: index, byKey: s.byKey, factOf: s.factOf, pool: s.pool}, nil
-}
-
-// Index exposes the trace store's current index; treat it as read-only
-// while the store is serving.
-func (s *TraceStore) Index() vecstore.Index { return s.index }
+func (s *store) Index() vecstore.Index { return s.index }

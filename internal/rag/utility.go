@@ -89,35 +89,29 @@ func retainedFraction(retained []float64, i int) float64 {
 	return retained[i]
 }
 
-// ChunkUtility measures the utility of retrieved chunks for a question,
+// Utility measures the utility of retrieved hits for a question,
 // honouring the prompt's per-item retained fractions (nil means all fully
-// included). A truncated item contributes proportionally to how much of it
-// the model actually saw.
-func ChunkUtility(kb *corpus.KB, q *mcq.Question, retrieved []RetrievedChunk, retained []float64) float64 {
-	best := 0.0
-	for i, rc := range retrieved {
-		frac := retainedFraction(retained, i)
-		if frac <= 0 {
-			continue
-		}
-		rel := relevance(kb, q, rc.Chunk.Text, "") * rankDiscount(i) * chunkDensity * frac
-		if rel > best {
-			best = rel
-		}
+// included): a truncated item contributes proportionally to how much of it
+// the model actually saw. mode is the trace store's reasoning mode, or ""
+// for chunk hits. facts maps a trace hit's Group (its source-question id)
+// to that question's fact (QuestionFactMap of the distilled questions);
+// chunk hits ignore it and are graded on their text.
+func Utility(kb *corpus.KB, q *mcq.Question, mode mcq.ReasoningMode, facts map[string]string, hits []Hit, retained []float64) float64 {
+	density := chunkDensity
+	if mode != "" {
+		density = modeDensity[mode]
 	}
-	return best
-}
-
-// TraceUtility measures the utility of retrieved traces for a question.
-func TraceUtility(kb *corpus.KB, q *mcq.Question, retrieved []RetrievedTrace, retained []float64) float64 {
 	best := 0.0
-	for i, rt := range retrieved {
+	for i, h := range hits {
 		frac := retainedFraction(retained, i)
 		if frac <= 0 {
 			continue
 		}
-		rel := relevance(kb, q, rt.Trace.Reasoning, rt.FactID) *
-			rankDiscount(i) * modeDensity[rt.Trace.Mode] * frac
+		itemFact := ""
+		if mode != "" {
+			itemFact = facts[h.Group]
+		}
+		rel := relevance(kb, q, h.Text, itemFact) * rankDiscount(i) * density * frac
 		if rel > best {
 			best = rel
 		}

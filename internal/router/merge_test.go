@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -42,19 +41,9 @@ func partition(chunks []chunk.Chunk, nShards int) [][]chunk.Chunk {
 }
 
 // storeSearch builds a fresh store over chunks and retrieves every query
-// at depth k, converted to wire results — the reference answer a single
-// unsharded backend would give.
+// at depth k — the reference answer a single unsharded backend would give.
 func storeSearch(chunks []chunk.Chunk, queries []string, k int) [][]serve.SearchResult {
-	f := rag.NewChunkFacade(rag.BuildChunkStore(nil, chunks, 0))
-	b, _ := f.RetrieveBatch(context.Background(), queries, k, nil)
-	out := make([][]serve.SearchResult, len(b.Hits))
-	for i, hits := range b.Hits {
-		out[i] = make([]serve.SearchResult, len(hits))
-		for j, h := range hits {
-			out[i][j] = serve.SearchResult{ID: h.ID, Group: h.Group, Text: h.Text, Score: h.Score}
-		}
-	}
-	return out
+	return rag.BuildChunkStore(nil, chunks, 0).RetrieveBatch(queries, k)
 }
 
 // TestMergeSubsetProperty is the exactness property the degraded-recall

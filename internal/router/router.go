@@ -283,11 +283,7 @@ func (s shardSet) RetrieveBatch(ctx context.Context, queries []string, k int, ex
 				lists = append(lists, resp.Results[qi])
 			}
 		}
-		merged := MergeTopK(lists, k)
-		hits[qi] = make([]rag.Hit, len(merged))
-		for j, m := range merged {
-			hits[qi][j] = rag.Hit{ID: m.ID, Group: m.Group, Text: m.Text, Score: m.Score}
-		}
+		hits[qi] = MergeTopK(lists, k)
 	}
 	stages[1].Dur = time.Since(mergeStart)
 	return rag.Batch{Hits: hits, Stages: stages, Parts: rag.Parts{OK: ok, Total: len(replies)}}, nil

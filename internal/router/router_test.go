@@ -71,7 +71,7 @@ func TestRouterEndToEnd(t *testing.T) {
 
 	// Healthy fleet: full fan-out, not degraded, and the router's merged
 	// answer equals a single unsharded store's, bit for bit.
-	resp, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[5].Text, 3, "")
+	resp, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[5].Text, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	tripped := false
 	for time.Now().Before(deadline) {
-		resp, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[1].Text, 5, "")
+		resp, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[1].Text, K: 5})
 		if err != nil {
 			t.Fatalf("outage must degrade, not error: %v", err)
 		}
@@ -181,7 +181,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	if !recovered {
 		t.Fatalf("breaker never closed after revival: %+v", hz)
 	}
-	resp, err = c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[1].Text, 5, "")
+	resp, err = c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[1].Text, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestRouterAllShardsFailed(t *testing.T) {
 		g.Set(serve.FaultError)
 	}
 	// Not one shard answered: the only case the router 5xxes.
-	_, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[0].Text, 3, "")
+	_, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[0].Text, K: 3})
 	var se *serve.StatusError
 	if !errors.As(err, &se) || se.Status != 503 {
 		t.Fatalf("err=%v, want router 503", err)
@@ -262,7 +262,7 @@ func TestRouterAllShardsFailed(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[0].Text, 3, "")
+		resp, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[0].Text, K: 3})
 		if err == nil && !resp.Degraded {
 			break
 		}
@@ -277,7 +277,7 @@ func TestRouterRequestValidation(t *testing.T) {
 	f := testFleet(t, 2, 16)
 	c := testRouter(t, f)
 	var se *serve.StatusError
-	if _, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, "", 3, ""); !errors.As(err, &se) || se.Status != 400 {
+	if _, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: "", K: 3}); !errors.As(err, &se) || se.Status != 400 {
 		t.Fatalf("empty query: err=%v, want 400", err)
 	}
 	big := make([]string, 2000)

@@ -110,7 +110,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 func TestRouterTimingOptIn(t *testing.T) {
 	f := testFleet(t, 2, 32)
 	c := testRouter(t, f)
-	resp, err := c.SearchRouteCtx(t.Context(), serve.RouteChunks, f.corpus[3].Text, 2, "")
+	resp, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[3].Text, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

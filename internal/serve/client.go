@@ -119,11 +119,6 @@ func (c *Client) SearchRoute(route, query string, k int, exclude string) (Search
 	return out, err
 }
 
-// SearchTrace issues one query against a reasoning-trace mode route.
-func (c *Client) SearchTrace(mode, query string, k int, exclude string) (SearchResponse, error) {
-	return c.SearchRoute("traces/"+mode, query, k, exclude)
-}
-
 // AddRoute inserts a batch of chunks on a live-mounted route.
 func (c *Client) AddRoute(route string, chunks []AddChunk) (AddResponse, error) {
 	var out AddResponse
@@ -163,14 +158,6 @@ func (c *Client) SearchRouteReqCtx(ctx context.Context, route string, req Search
 func (c *Client) SearchRouteBatchReqCtx(ctx context.Context, route string, req BatchSearchRequest) (BatchSearchResponse, error) {
 	var out BatchSearchResponse
 	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search/batch", req, &out)
-	return out, err
-}
-
-// SearchRouteCtx is SearchRoute under a caller context: the router's
-// per-shard deadline rides the request all the way to the backend.
-func (c *Client) SearchRouteCtx(ctx context.Context, route, query string, k int, exclude string) (SearchResponse, error) {
-	var out SearchResponse
-	err := c.Do(ctx, http.MethodPost, "/v1/"+route+"/search", SearchRequest{Query: query, K: k, Exclude: exclude}, &out)
 	return out, err
 }
 

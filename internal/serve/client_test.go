@@ -34,8 +34,8 @@ func TestClientNon200IsStatusError(t *testing.T) {
 			}
 			return err
 		}},
-		{"SearchRouteCtx", "/v1/chunks/search", func(*testing.T) error {
-			_, err := c.SearchRouteCtx(ctx, RouteChunks, "q", 1, "")
+		{"SearchRouteReqCtx", "/v1/chunks/search", func(*testing.T) error {
+			_, err := c.SearchRouteReqCtx(ctx, RouteChunks, SearchRequest{Query: "q", K: 1})
 			return err
 		}},
 	} {

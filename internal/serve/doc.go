@@ -7,7 +7,9 @@
 // of rag.Facade, the search half: RetrieveBatch, which takes the batch
 // leader's trace in its context and returns hits, the batch's named
 // stages and how many of the store's parts answered, or an error; and
-// Len). The swap half, rag.Swapper (the WithIndex snapshot hook and
+// Len). The hits are rag.Hit, and so is the wire record (SearchResult is
+// an alias), so a store's hits are encoded as they are, with no copy; a
+// query without hits still answers []. The swap half, rag.Swapper (the WithIndex snapshot hook and
 // Index), is optional: local stores have it, the router's remote shard
 // set does not, and a route without it serves searches only.
 // Each store is mounted as a named route ("chunks", "traces/detailed", …)

@@ -60,7 +60,7 @@ func TestFaultGateModes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := c.SearchRouteCtx(ctx, RouteChunks, chunks[0].Text, 3, ""); err == nil {
+	if _, err := c.SearchRouteReqCtx(ctx, RouteChunks, SearchRequest{Query: chunks[0].Text, K: 3}); err == nil {
 		t.Fatal("stalled request under a 50ms deadline returned nil error")
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {

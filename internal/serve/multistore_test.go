@@ -67,7 +67,7 @@ func TestMultiStoreRoutes(t *testing.T) {
 	// Each trace mode answers on its own route, top hit = the queried
 	// trace, with the source-question id carried as the group.
 	for _, tr := range []*mcq.Trace{traces[0], traces[1], traces[2]} {
-		resp, err := c.SearchTrace(string(tr.Mode), tr.Reasoning, 3, "")
+		resp, err := c.SearchRoute(TraceRoute(tr.Mode), tr.Reasoning, 3, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestMultiStoreRoutes(t *testing.T) {
 
 	// The question self-exclusion suppresses the trace's own question.
 	tr := traces[0]
-	resp, err := c.SearchTrace(string(tr.Mode), tr.Reasoning, 3, tr.QuestionID)
+	resp, err := c.SearchRoute(TraceRoute(tr.Mode), tr.Reasoning, 3, tr.QuestionID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 		if _, err := c.SearchRoute(RouteChunks, chunkQ, 3, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.SearchTrace("detailed", detailed.Reasoning, 3, ""); err != nil {
+		if _, err := c.SearchRoute(TraceRoute(mcq.ModeDetailed), detailed.Reasoning, 3, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 	if swap.Route != "chunks" || swap.Epoch != 1 {
 		t.Fatalf("swap response %+v", swap)
 	}
-	tresp, err := c.SearchTrace("detailed", detailed.Reasoning, 3, "")
+	tresp, err := c.SearchRoute(TraceRoute(mcq.ModeDetailed), detailed.Reasoning, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}

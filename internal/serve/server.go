@@ -24,8 +24,10 @@ import (
 // rag serving facade (RetrieveBatch over store-agnostic hits, Len). A store
 // that also implements rag.Swapper (WithIndex, Index) can be hot-swapped,
 // inserted into and compacted; rag.NewChunkFacade and rag.NewTraceFacade
-// adapt the two local store kinds, and the router mounts a remote shard
-// set that implements the search half only.
+// front the two local store kinds, and the router mounts a remote shard
+// set that implements the search half only. Every store answers in
+// rag.Hit, which is also the wire record (SearchResult), so no layer
+// copies a hit.
 type Store = rag.Facade
 
 // RouteChunks is the name of the default chunk-store route, served at
@@ -60,9 +62,6 @@ type Config struct {
 	// unlike coalesced singles, an explicit batch bypasses MaxBatch and
 	// would otherwise let one request run an unbounded RetrieveBatch.
 	MaxBatchQueries int
-	// OmitText drops result text from responses (ids and scores only),
-	// shrinking payloads for recall-style load tests.
-	OmitText bool
 	// CompactAt triggers background compaction on a live (mutable) route
 	// once its memtable reaches this many rows; 0 disables automatic
 	// compaction (the /admin/<route>/compact endpoint still works).
@@ -423,6 +422,13 @@ func (rt *route) retrieve(ctx context.Context, snap *Snapshot, queries []string,
 	start := time.Now()
 	b, err := snap.Store.RetrieveBatch(ctx, queries, k, exclude)
 	rt.hSearch.Observe(time.Since(start))
+	// The hits go on the wire as the store returned them: a query with no
+	// hits must still encode as [], not null.
+	for i, hits := range b.Hits {
+		if hits == nil {
+			b.Hits[i] = []rag.Hit{}
+		}
+	}
 	for _, st := range b.Stages {
 		rt.stageHist(st.Name).Observe(st.Dur)
 	}
@@ -866,15 +872,11 @@ type TimingInfo struct {
 	Spans   []obs.Span `json:"spans"`
 }
 
-// SearchResult is one retrieval hit on the wire. ID/Group are chunk
-// id/doc id on chunk routes and trace id/source-question id on trace
-// routes; Text is the chunk text or the reasoning trace.
-type SearchResult struct {
-	ID    string  `json:"id"`
-	Group string  `json:"group"`
-	Text  string  `json:"text,omitempty"`
-	Score float32 `json:"score"`
-}
+// SearchResult is one retrieval hit on the wire: the stores' own record,
+// encoded as it left the store. ID/Group are chunk id/doc id on chunk
+// routes and trace id/source-question id on trace routes; Text is the
+// chunk text or the reasoning trace.
+type SearchResult = rag.Hit
 
 // SearchResponse is the single-query search reply. Over a store split
 // into shards, ShardsOK of ShardsTotal answered, and Degraded says the
@@ -979,17 +981,6 @@ type Healthz struct {
 	Routes  map[string]RouteHealth `json:"routes"`
 }
 
-func (rt *route) results(hits []rag.Hit) []SearchResult {
-	out := make([]SearchResult, len(hits))
-	for i, h := range hits {
-		out[i] = SearchResult{ID: h.ID, Group: h.Group, Score: h.Score}
-		if !rt.cfg.OmitText {
-			out[i].Text = h.Text
-		}
-	}
-	return out
-}
-
 func (rt *route) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
 	if !httpkit.Decode(w, r, rt.mErrors, &req) {
@@ -1008,7 +999,7 @@ func (rt *route) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	resp := SearchResponse{Results: rt.results(out.results), Cached: cached, Epoch: out.epoch,
+	resp := SearchResponse{Results: out.results, Cached: cached, Epoch: out.epoch,
 		Degraded: out.parts.Partial(), ShardsOK: out.parts.OK, ShardsTotal: out.parts.Total, Route: rt.name}
 	if req.Timing {
 		// Snapshot before encoding: the response timing necessarily excludes
@@ -1058,11 +1049,8 @@ func (rt *route) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	if b.Parts.Partial() {
 		rt.mDegraded.Add(int64(len(req.Queries)))
 	}
-	out := BatchSearchResponse{Results: make([][]SearchResult, len(b.Hits)), Epoch: snap.Epoch,
+	out := BatchSearchResponse{Results: b.Hits, Epoch: snap.Epoch,
 		Degraded: b.Parts.Partial(), ShardsOK: b.Parts.OK, ShardsTotal: b.Parts.Total, Route: rt.name}
-	for i, hits := range b.Hits {
-		out.Results[i] = rt.results(hits)
-	}
 	if req.Timing {
 		out.Timing = &TimingInfo{TraceID: tr.ID(), TotalUS: tr.Since().Microseconds(), Spans: tr.Spans()}
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -137,6 +138,51 @@ func TestSearchOnlyRouteHasNoWriteEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// fixedStore answers every query with the same hits; a nil fixedStore
+// answers each query with a nil list.
+type fixedStore []rag.Hit
+
+func (f fixedStore) RetrieveBatch(_ context.Context, queries []string, _ int, _ []string) (rag.Batch, error) {
+	hits := make([][]rag.Hit, len(queries))
+	for i := range hits {
+		hits[i] = f
+	}
+	return rag.Batch{Hits: hits}, nil
+}
+
+func (f fixedStore) Len() int { return len(f) }
+
+// TestWireResultBytes pins the result bytes. The stores' hits go on the
+// wire as they are, so a query with no hits must still answer [] (not
+// null) on both search endpoints, and a hit encodes id, group, text and
+// score in that order.
+func TestWireResultBytes(t *testing.T) {
+	s := fakeServer(t, map[string]Store{
+		"empty": fixedStore(nil),
+		"one":   fixedStore{{ID: "c1", Group: "d1", Text: "some text", Score: 0.5}},
+	})
+	const hit = `{"id":"c1","group":"d1","text":"some text","score":0.5}`
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/empty/search", `{"query":"q"}`, `"results":[]`},
+		{"/v1/empty/search/batch", `{"queries":["q"]}`, `"results":[[]]`},
+		{"/v1/one/search", `{"query":"q"}`, `"results":[` + hit + `]`},
+		{"/v1/one/search/batch", `{"queries":["q"]}`, `"results":[[` + hit + `]]`},
+	} {
+		resp, err := http.Post("http://"+s.Addr()+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d, body %s; want it to contain %s", tc.path, resp.StatusCode, body, tc.want)
 		}
 	}
 }
