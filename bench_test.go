@@ -275,7 +275,7 @@ func BenchmarkAblationModeSpread(b *testing.B) {
 // BenchmarkRetrievalFanout measures the evaluation harness's retrieval
 // fan-out path: every benchmark question against the chunk store in one
 // RetrieveBatch call, which runs through the vecstore multi-query scan
-// kernel (each FP16 row pair is scored against the whole question batch
+// kernel (each FP16 row group is scored against the whole question batch
 // while it is in cache). Reports µs per query.
 func BenchmarkRetrievalFanout(b *testing.B) {
 	a := artifacts(b)

@@ -146,7 +146,7 @@ func DecodeInto(dst []float32, h []uint16) {
 // lane 0; lanes are added left to right) pin the rounding order every
 // scan in internal/vecstore reproduces. The four add chains are also the
 // loop's limit: each waits on the previous add's latency, which is why
-// Dot2 scores two rows at once.
+// the scans score rows through DotRows.
 func Dot(h []uint16, q []float32) float32 {
 	if len(h) != len(q) {
 		panic("f16: Dot length mismatch")
@@ -165,33 +165,34 @@ func Dot(h []uint16, q []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// Dot2 returns (Dot(a, q), Dot(b, q)) bit for bit in one pass: each row
-// keeps Dot's own four-accumulator tree and tail loop, and interleaving
-// the two rows gives the core eight independent add chains instead of
-// four, with every query element loaded once for both. It is the FP16
-// scoring kernel of internal/vecstore's scans.
-func Dot2(a, b []uint16, q []float32) (float32, float32) {
-	if len(a) != len(q) || len(b) != len(q) {
-		panic("f16: Dot2 length mismatch")
+// MaxDotRows is the most rows one DotRows call scores.
+const MaxDotRows = 8
+
+// DotRows sets out[i] = Dot(rows[i], q) bit for bit for up to MaxDotRows
+// rows, in one pass that loads each query chunk once for all of them. It is
+// the FP16 scoring kernel of internal/vecstore's scans. On amd64 hosts with
+// F16C it runs in assembly: Dot's four lanes are exactly one 4-wide SIMD
+// accumulator per row, so eight rows give eight independent add chains;
+// elsewhere it is Dot per row.
+func DotRows(out []float32, rows [][]uint16, q []float32) {
+	if len(rows) > MaxDotRows || len(out) < len(rows) {
+		panic("f16: DotRows takes at most MaxDotRows rows and one out slot per row")
 	}
-	var a0, a1, a2, a3, b0, b1, b2, b3 float32
-	i := 0
-	for ; i+4 <= len(q); i += 4 {
-		qs, as, bs := q[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
-		a0 += ToFloat32(as[0]) * qs[0]
-		b0 += ToFloat32(bs[0]) * qs[0]
-		a1 += ToFloat32(as[1]) * qs[1]
-		b1 += ToFloat32(bs[1]) * qs[1]
-		a2 += ToFloat32(as[2]) * qs[2]
-		b2 += ToFloat32(bs[2]) * qs[2]
-		a3 += ToFloat32(as[3]) * qs[3]
-		b3 += ToFloat32(bs[3]) * qs[3]
+	for _, r := range rows {
+		if len(r) != len(q) {
+			panic("f16: DotRows length mismatch")
+		}
 	}
-	for ; i < len(q); i++ {
-		a0 += ToFloat32(a[i]) * q[i]
-		b0 += ToFloat32(b[i]) * q[i]
+	if len(rows) > 0 {
+		dotRows(out, rows, q)
 	}
-	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
+}
+
+// dotRowsPortable is DotRows without the assembly kernel.
+func dotRowsPortable(out []float32, rows [][]uint16, q []float32) {
+	for i, r := range rows {
+		out[i] = Dot(r, q)
+	}
 }
 
 // DotF32 returns the inner product of two float32 vectors.

@@ -164,51 +164,131 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b)
 }
 
-// TestDot2MatchesDot pins Dot2 to Dot bit for bit. For each dimension the
-// rows between them hold every one of the 65 536 half bit patterns (±0,
-// subnormals, normals, ±Inf, NaN) in order, so every pattern meets every
-// accumulator lane and the tail loop; each row is paired with its
-// neighbour, its mirror and itself.
-func TestDot2MatchesDot(t *testing.T) {
+// dotRowsQuery is the query the DotRows parity checks score against:
+// normal draws, and for every third dimension also ±0, a float32
+// subnormal and a value large enough to overflow the products to ±Inf.
+func dotRowsQuery(r *rng.Source, dim int) []float32 {
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-40, 3e38}
+	q := make([]float32, dim)
+	for i := range q {
+		q[i] = float32(r.Normal(0, 1))
+		if dim%3 == 0 && i%5 == 4 {
+			q[i] = specials[i/5%len(specials)]
+		}
+	}
+	return q
+}
+
+// checkDotRows scores rows through DotRows and fails unless every score is
+// Dot's bit for bit.
+func checkDotRows(t testing.TB, rows [][]uint16, q []float32) {
+	t.Helper()
+	var out [MaxDotRows]float32
+	DotRows(out[:], rows, q)
+	for i, r := range rows {
+		if want := Dot(r, q); !sameBits(out[i], want) {
+			t.Fatalf("dim=%d, %d rows: row %d scored %x, Dot %x", len(q), len(rows), i,
+				math.Float32bits(out[i]), math.Float32bits(want))
+		}
+	}
+}
+
+// TestDotRowsMatchesDot pins DotRows to Dot bit for bit. For each
+// dimension 1–777 the rows hold every one of the 65 536 half bit patterns
+// (±0, subnormals, normals, ±Inf, NaN) in order, so every pattern meets
+// every accumulator lane and the tail; the rows are scored in groups whose
+// sizes cycle through 1–8, so every row count and kernel slot is used.
+func TestDotRowsMatchesDot(t *testing.T) {
 	r := rng.New(5)
-	for _, dim := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 383, 384, 385} {
+	for dim := 1; dim <= 777; dim++ {
 		n := (1<<16 + dim - 1) / dim
 		codes := make([]uint16, n*dim)
 		for i := range codes {
 			codes[i] = uint16(i) // past 0xFFFF the last row wraps back to 0x0000
 		}
-		rows := make([][]uint16, n)
-		for i := range rows {
-			rows[i] = codes[i*dim : (i+1)*dim]
+		q := dotRowsQuery(r, dim)
+		var rows [MaxDotRows][]uint16
+		for i, g := 0, 1; i < n; i, g = i+g, g%MaxDotRows+1 {
+			g := min(g, n-i)
+			for j := range g {
+				rows[j] = codes[(i+j)*dim : (i+j+1)*dim]
+			}
+			checkDotRows(t, rows[:g], q)
 		}
-		q := make([]float32, dim)
-		for i := range q {
-			q[i] = float32(r.Normal(0, 1))
+	}
+}
+
+// TestDotRowsUnaligned scores rows that start at odd offsets inside one
+// shared block, so no row start is 8-byte aligned, and rows that overlap.
+func TestDotRowsUnaligned(t *testing.T) {
+	r := rng.New(9)
+	for _, dim := range []int{4, 5, 8, 13, 384, 385} {
+		block := make([]uint16, 1+MaxDotRows*(dim+3))
+		for i := range block {
+			block[i] = uint16(r.Uint64())
 		}
-		for i, a := range rows {
-			for _, b := range [][]uint16{rows[(i+1)%n], rows[n-1-i], a} {
-				ga, gb := Dot2(a, b, q)
-				wa, wb := Dot(a, q), Dot(b, q)
-				if !sameBits(ga, wa) || !sameBits(gb, wb) {
-					t.Fatalf("dim=%d row %d: Dot2 = (%x, %x), Dot = (%x, %x)", dim, i,
-						math.Float32bits(ga), math.Float32bits(gb), math.Float32bits(wa), math.Float32bits(wb))
-				}
+		q := dotRowsQuery(r, dim)
+		for _, stride := range []int{dim + 1, dim + 3, 1} {
+			var rows [MaxDotRows][]uint16
+			for j := range rows {
+				off := 1 + j*stride
+				rows[j] = block[off : off+dim]
+			}
+			for g := 1; g <= MaxDotRows; g++ {
+				checkDotRows(t, rows[:g], q)
 			}
 		}
 	}
 }
 
-func TestDot2PanicsOnMismatch(t *testing.T) {
-	for _, c := range []struct{ a, b int }{{2, 3}, {3, 2}, {2, 2}} {
+func TestDotRowsPanicsOnMismatch(t *testing.T) {
+	q := make([]float32, 3)
+	for name, call := range map[string]func(){
+		"short row":   func() { DotRows(make([]float32, 2), [][]uint16{make([]uint16, 3), make([]uint16, 2)}, q) },
+		"long row":    func() { DotRows(make([]float32, 1), [][]uint16{make([]uint16, 5)}, make([]float32, 4)) },
+		"short out":   func() { DotRows(make([]float32, 1), [][]uint16{make([]uint16, 3), make([]uint16, 3)}, q) },
+		"nine rows":   func() { DotRows(make([]float32, 9), make([][]uint16, 9), make([]float32, 0)) },
+		"nil row, q4": func() { DotRows(make([]float32, 1), [][]uint16{nil}, make([]float32, 4)) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("no panic for lengths a=%d b=%d q=3", c.a, c.b)
+					t.Fatalf("%s: no panic", name)
 				}
 			}()
-			Dot2(make([]uint16, c.a), make([]uint16, c.b), make([]float32, 3))
+			call()
 		}()
 	}
+}
+
+// FuzzDotRowsMatchesDot widens TestDotRowsMatchesDot: codes from the
+// fuzzer's bytes fill one shared block, rows start at a fuzzed offset and
+// stride, and every score must equal Dot's bit for bit.
+func FuzzDotRowsMatchesDot(f *testing.F) {
+	specials := []byte{0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0xff, 0x03, 0x00, 0x7c, 0x00, 0xfc, 0x01, 0x7e, 0xff, 0xff}
+	for _, c := range []struct {
+		dim, rows, offset, stride int
+	}{{1, 1, 0, 1}, {3, 8, 1, 3}, {4, 8, 0, 4}, {7, 5, 1, 8}, {384, 8, 0, 384}, {385, 2, 3, 386}, {777, 8, 1, 777}} {
+		f.Add(specials, uint16(c.dim), uint8(c.rows), uint8(c.offset), uint16(c.stride), uint64(c.dim))
+	}
+	f.Fuzz(func(t *testing.T, codes []byte, dim uint16, nrows, offset uint8, stride uint16, seed uint64) {
+		d, g := 1+int(dim)%777, 1+int(nrows)%MaxDotRows
+		off, step := int(offset)%8, 1+int(stride)%(2*d)
+		block := make([]uint16, off+(g-1)*step+d)
+		for i := range block {
+			if len(codes) >= 2 {
+				k := 2 * i % (len(codes) &^ 1)
+				block[i] = uint16(codes[k]) | uint16(codes[k+1])<<8
+			} else {
+				block[i] = uint16(i * 0x9e37)
+			}
+		}
+		rows := make([][]uint16, g)
+		for j := range rows {
+			rows[j] = block[off+j*step : off+j*step+d]
+		}
+		checkDotRows(t, rows, dotRowsQuery(rng.New(seed), d))
+	})
 }
 
 func TestNormalizeUnitNorm(t *testing.T) {
@@ -319,11 +399,12 @@ func BenchmarkDotHalf384(b *testing.B) {
 	}
 }
 
-// BenchmarkDot2Half384 scores two rows per call; compare ns/op with twice
-// BenchmarkDotHalf384 for what the paired add chains buy.
-func BenchmarkDot2Half384(b *testing.B) {
+// BenchmarkDotRowsHalf384 scores MaxDotRows rows per call and reports
+// ns/row; compare with BenchmarkDotHalf384's ns/op for what one pass over
+// eight rows buys.
+func BenchmarkDotRowsHalf384(b *testing.B) {
 	r := rng.New(1)
-	v := make([]float32, 2*384)
+	v := make([]float32, MaxDotRows*384)
 	q := make([]float32, 384)
 	for i := range v {
 		v[i] = float32(r.Normal(0, 1))
@@ -332,13 +413,17 @@ func BenchmarkDot2Half384(b *testing.B) {
 		q[i] = float32(r.Normal(0, 1))
 	}
 	h := Encode(v)
+	rows := make([][]uint16, MaxDotRows)
+	for j := range rows {
+		rows[j] = h[j*384 : (j+1)*384]
+	}
+	out := make([]float32, MaxDotRows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dot2Sink, _ = Dot2(h[:384], h[384:], q)
+		DotRows(out, rows, q)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/MaxDotRows, "ns/row")
 }
-
-var dot2Sink float32
 
 func BenchmarkDotF32384(b *testing.B) {
 	r := rng.New(1)

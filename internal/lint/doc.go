@@ -30,11 +30,15 @@
 //	           can errors.Is/As through the wrap.
 //
 // The driver (cmd/raglint, `make lint`) loads every package of the
-// module, type-checks it (module-internal imports are resolved from
-// source by the loader itself; standard-library imports through the
-// go/importer source importer), runs the analyzers over the typed ASTs
-// and prints one "file:line: analyzer: message" diagnostic per finding,
-// exiting non-zero if any survive suppression. A finding is suppressed by
+// module from the files the compiler builds for the default target
+// (//go:build lines and _GOOS/_GOARCH suffixes are honoured, so a
+// build-tagged twin is never checked beside its original), type-checks
+// it (module-internal imports are resolved from source by the loader
+// itself; standard-library imports through the go/importer source
+// importer), runs the analyzers over the typed ASTs and prints one
+// "file:line: analyzer: message" diagnostic per finding, exiting non-zero
+// if any survive suppression. A type-check error is a finding of its own,
+// "typecheck", that no directive suppresses. A finding is suppressed by
 // a directive on the same line or the line directly above:
 //
 //	//lint:ignore <analyzer> <reason>

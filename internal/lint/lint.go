@@ -134,10 +134,19 @@ func (idx suppressionIndex) suppressed(analyzer string, pos token.Position) bool
 
 // Run executes the analyzers over every package and returns the surviving
 // diagnostics sorted by position. Malformed //lint:ignore directives are
-// reported under the pseudo-analyzer "lint".
+// reported under the pseudo-analyzer "lint", and type-check errors, which
+// no directive suppresses, under "typecheck": an analyzer over a package
+// that does not check sees only part of it.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, p := range pkgs {
+		for _, err := range p.TypeErrors {
+			d := Diagnostic{Analyzer: "typecheck", Message: err.Error()}
+			if te, ok := err.(types.Error); ok {
+				d.Pos, d.Message = te.Fset.Position(te.Pos), strings.TrimSpace(te.Msg)
+			}
+			out = append(out, d)
+		}
 		idx := buildSuppressions(p)
 		for file, lines := range idx {
 			for line, d := range lines {

@@ -130,6 +130,50 @@ func malformedSleepLine(t *testing.T, dir string) int {
 	return 0
 }
 
+// TestBuildTaggedTwinsLoadClean loads a package whose functions each have
+// a build-constrained twin (a //go:build pair and a _GOOS suffix file):
+// only the files the compiler would build are checked, so there is no
+// redeclaration and no finding.
+func TestBuildTaggedTwinsLoadClean(t *testing.T) {
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", "buildtags"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := LoadFixture(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 3 {
+		t.Errorf("loaded %d files, want 3 (use.go, impl.go, os.go)", len(pkg.Files))
+	}
+	for _, d := range Run([]*Package{pkg}, All()) {
+		t.Errorf("finding in build-tagged fixture: %s", d)
+	}
+}
+
+// TestTypeErrorsAreFindings pins that a package which does not type-check
+// fails the run: two unconstrained twins are a redeclaration.
+func TestTypeErrorsAreFindings(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"a.go", "b.go"} {
+		src := "package twins\n\nfunc twin() {}\n"
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkg, err := LoadFixture(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run([]*Package{pkg}, nil)
+	for _, d := range diags {
+		if d.Analyzer == "typecheck" && strings.Contains(d.Message, "redeclared") {
+			return
+		}
+	}
+	t.Fatalf("Run = %v, want a typecheck redeclaration finding", diags)
+}
+
 // TestSelect covers the driver's -analyzers flag parsing.
 func TestSelect(t *testing.T) {
 	all, err := Select("")

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -16,7 +17,8 @@ import (
 // Package is one type-checked package of the module: the parsed files the
 // analyzers walk plus the go/types objects they resolve names against.
 // TypeErrors collects (rather than aborts on) type-check problems so a
-// package that fails to fully check still gets the syntactic analyzers.
+// package that fails to fully check still gets the syntactic analyzers;
+// Run reports each one as a finding.
 type Package struct {
 	Name string // package name (e.g. "vecstore", "main")
 	Path string // import path (e.g. "repro/internal/vecstore")
@@ -143,22 +145,31 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range ents {
-		if isPkgGoFile(e) {
+		if isPkgGoFile(dir, e) {
 			return true
 		}
 	}
 	return false
 }
 
-func isPkgGoFile(e os.DirEntry) bool {
+// isPkgGoFile reports whether e is a non-test Go file the compiler would
+// build in dir for the default target: its //go:build line and any
+// _GOOS/_GOARCH suffix must match, so a file and its build-tagged twin
+// are never type-checked together.
+func isPkgGoFile(dir string, e os.DirEntry) bool {
 	name := e.Name()
-	return !e.IsDir() && strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".")
+	if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+		strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return err == nil && ok
 }
 
 // loadDir parses and type-checks the single package in dir under the
 // given import path, memoised by path. Type-check errors are collected on
-// the package, not returned: analyzers run on whatever resolved.
+// the package, not returned: analyzers run on whatever resolved, and Run
+// reports the errors.
 func (m *Module) loadDir(dir, path string) (*Package, error) {
 	if p, ok := m.pkgs[path]; ok {
 		if p == nil {
@@ -173,7 +184,7 @@ func (m *Module) loadDir(dir, path string) (*Package, error) {
 	}
 	pkg := &Package{Path: path, Dir: dir, Fset: m.fset}
 	for _, e := range ents {
-		if !isPkgGoFile(e) {
+		if !isPkgGoFile(dir, e) {
 			continue
 		}
 		f, err := parser.ParseFile(m.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

@@ -1,0 +1,5 @@
+//go:build !purego
+
+package buildtags
+
+func impl() int { return 1 }

@@ -302,6 +302,18 @@ func TestIngestConcurrentAddSearchCompact(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	// Quiesce includes the add-triggered background compaction: compact
+	// runs one at a time and declines beside one still in flight, which
+	// would leave the rows added during it for a next add that never comes.
+	rt, err := s.route(RouteChunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); rt.compacting.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("background compaction still running 10s after the last insert")
+		}
+	}
 
 	// Final drain, then audit every acked insert.
 	if _, err := s.CompactRoute(RouteChunks); err != nil {

@@ -27,9 +27,10 @@
 // pointer dereferences on the scan path. FP16 searches run through one
 // blocked scan loop over one block type, halfBlock (scan.go), that walks
 // the codes in tiles of scanTileRows (64) rows and scores each tile against
-// the query batch. Rows are scored in pairs straight from the codes by
-// f16.Dot2 — two interleaved rows give the core eight independent add
-// chains, and a lone 384-dim dot is bound by add latency, not decode.
+// the query batch. Rows are scored in groups of up to eight straight from
+// the codes by f16.DotRows — one pass (F16C assembly on amd64) gives the
+// core eight independent add chains, and a lone 384-dim dot is bound by
+// add latency, not decode.
 // Blocks with at least segmentMinRows (4096) rows of work per core are
 // split into GOMAXPROCS segments scanned concurrently with per-segment
 // top-k heaps merged exactly at the end, so a single query saturates the
@@ -48,7 +49,7 @@
 // residual shiftLUT under residual encoding.
 //
 // Index.SearchBatch is the multi-query entry point every family
-// implements: each FP16 row pair (or, for IVF-PQ, each probed cell) is
+// implements: each FP16 row group (or, for IVF-PQ, each probed cell) is
 // scored against the whole query batch while it is in cache, so the codes
 // are streamed once per batch. A single-query search is the same loop over
 // a one-query batch; IVFPQ answers Search through SearchBatch itself.

@@ -20,23 +20,25 @@ import (
 // at the end, so a single query saturates the machine. A single-query
 // search is the same loop over a one-query batch.
 //
-// FP16 rows are scored in pairs straight from the codes by f16.Dot2 (an
-// odd last row by f16.Dot): a 384-dim dot is bound by the latency of its
-// four add chains, not by decode or bandwidth, and two interleaved rows
-// give the core eight independent chains. Each pair is scored against
-// every query of the batch while it sits in L1.
+// FP16 rows are scored in groups of up to f16.MaxDotRows (8) straight
+// from the codes by f16.DotRows: a lone 384-dim dot is bound by the
+// latency of its four add chains, not by decode or bandwidth, and one
+// pass over eight rows (F16C assembly on amd64, one 4-wide accumulator
+// per row) gives the core eight independent chains and loads each query
+// chunk once for all of them. Each group is scored against every query of
+// the batch while it sits in L1.
 //
-// Exactness: f16.Dot2 returns f16.Dot's result for each row bit for bit,
-// and the top-k heap orders by the total order (score desc, id asc), so
-// push order and segment merging cannot change results: the kernel
+// Exactness: f16.DotRows returns f16.Dot's result for each row bit for
+// bit, and the top-k heap orders by the total order (score desc, id asc),
+// so push order and segment merging cannot change results: the kernel
 // reproduces the reference scalar scan bit-for-bit. The parity tests in
 // parity_test.go enforce this.
 
 const (
 	// scanTileRows is the number of rows scored per kernel step, the
-	// granularity of the score buffer. It is even, so FP16 row pairs never
-	// straddle a tile or a segment, and the only unpaired row is a block's
-	// last.
+	// granularity of the score buffer. It is a multiple of
+	// f16.MaxDotRows, so a row group never straddles a tile or a segment,
+	// and the only short group is a block's last.
 	scanTileRows = 64
 	// segmentMinRows is the minimum per-segment work that justifies
 	// spawning a parallel scan goroutine for a single query.
@@ -61,22 +63,19 @@ func (b halfBlock) slice(r0, r1 int) halfBlock {
 
 // scoreTile writes the inner product of row r0+i with query qi of the
 // packed batch qs (query qi is qs[qi*dim:(qi+1)*dim]) to
-// scores[qi*(r1-r0)+i]. Rows are scored in pairs through f16.Dot2, each
-// pair against every query before the next pair is loaded; an odd last row
-// goes through f16.Dot.
+// scores[qi*(r1-r0)+i]. Rows are scored in groups of up to
+// f16.MaxDotRows through f16.DotRows, each group against every query
+// before the next group is loaded.
 func (b halfBlock) scoreTile(scores []float32, r0, r1 int, qs []float32) {
 	n, dim := r1-r0, b.dim
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		x, y := b.row(r0+i), b.row(r0+i+1)
-		for qi := 0; qi*dim < len(qs); qi++ {
-			scores[qi*n+i], scores[qi*n+i+1] = f16.Dot2(x, y, qs[qi*dim:(qi+1)*dim])
+	var rows [f16.MaxDotRows][]uint16
+	for i := 0; i < n; i += f16.MaxDotRows {
+		g := min(f16.MaxDotRows, n-i)
+		for j := range g {
+			rows[j] = b.row(r0 + i + j)
 		}
-	}
-	if i < n {
-		x := b.row(r0 + i)
 		for qi := 0; qi*dim < len(qs); qi++ {
-			scores[qi*n+i] = f16.Dot(x, qs[qi*dim:(qi+1)*dim])
+			f16.DotRows(scores[qi*n+i:qi*n+i+g], rows[:g], qs[qi*dim:(qi+1)*dim])
 		}
 	}
 }
@@ -116,16 +115,17 @@ func putTopK(h *topK) { topKPool.Put(h) }
 
 // gatherScores scores an arbitrary gather of FP16 rows — the beam-search
 // candidate sets of HNSW, rather than a forward stream — against q,
-// writing scores[i] for rows[i]. Rows are paired in gather order through
-// f16.Dot2 like the scan's tiles, an odd last row through f16.Dot, so the
-// scores are bit-identical to scoring one row at a time.
+// writing scores[i] for rows[i]. Rows are grouped in gather order through
+// f16.DotRows like the scan's tiles, so the scores are bit-identical to
+// scoring one row at a time.
 func gatherScores(b halfBlock, rows []int32, q []float32, scores []float32) {
-	i := 0
-	for ; i+2 <= len(rows); i += 2 {
-		scores[i], scores[i+1] = f16.Dot2(b.row(int(rows[i])), b.row(int(rows[i+1])), q)
-	}
-	if i < len(rows) {
-		scores[i] = f16.Dot(b.row(int(rows[i])), q)
+	var group [f16.MaxDotRows][]uint16
+	for i := 0; i < len(rows); i += f16.MaxDotRows {
+		g := min(f16.MaxDotRows, len(rows)-i)
+		for j := range g {
+			group[j] = b.row(int(rows[i+j]))
+		}
+		f16.DotRows(scores[i:i+g], group[:g], q)
 	}
 }
 
@@ -279,7 +279,7 @@ func scanPQTopK(codes []byte, cb *pqCodebook, lut []float32, h *topK, ids []int)
 }
 
 // segmentSize rounds rows/workers up to a whole number of tiles so tiles,
-// and with them FP16 row pairs, never straddle segment boundaries.
+// and with them FP16 row groups, never straddle segment boundaries.
 func segmentSize(rows, workers int) int {
 	seg := (rows + workers - 1) / workers
 	seg = (seg + scanTileRows - 1) / scanTileRows * scanTileRows

@@ -1,15 +1,11 @@
 package vecstore
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/f16"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 )
-
-func mathFloat32frombits(b uint32) float32 { return math.Float32frombits(b) }
 
 // Kernel benchmarks for the BENCH trajectory. All report ns/vector (time
 // per stored vector scanned, the layout-independent figure of merit) and
@@ -33,68 +29,6 @@ func buildBenchFlat(b *testing.B, n, dim int) (*Flat, [][]float32) {
 	return ix, queries
 }
 
-// jaggedFlat emulates the pre-rewrite storage and scan: one heap-allocated
-// []uint16 per vector, scored with the seed's branchy per-element widening
-// conversion (frozen here so later f16 improvements — e.g. the lookup-table
-// decode — don't silently inflate the baseline). Retained so the contiguous
-// kernel's speedup stays measurable against its true baseline.
-type jaggedFlat struct {
-	dim  int
-	vecs [][]uint16
-	keys []string
-}
-
-// seedToFloat32 is the seed's bit-manipulation binary16→float32 conversion
-// (identical output to f16.ToFloat32, pre-lookup-table cost profile).
-func seedToFloat32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1F)
-	man := uint32(h & 0x3FF)
-	switch exp {
-	case 0:
-		if man == 0 {
-			return mathFloat32frombits(sign)
-		}
-		e := uint32(127 - 15 + 1)
-		for man&0x400 == 0 {
-			man <<= 1
-			e--
-		}
-		man &= 0x3FF
-		return mathFloat32frombits(sign | e<<23 | man<<13)
-	case 0x1F:
-		if man == 0 {
-			return mathFloat32frombits(sign | 0x7F800000)
-		}
-		return mathFloat32frombits(sign | 0x7FC00000 | man<<13)
-	default:
-		return mathFloat32frombits(sign | (exp+127-15)<<23 | man<<13)
-	}
-}
-
-func seedDot(h []uint16, q []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(h); i += 4 {
-		s0 += seedToFloat32(h[i]) * q[i]
-		s1 += seedToFloat32(h[i+1]) * q[i+1]
-		s2 += seedToFloat32(h[i+2]) * q[i+2]
-		s3 += seedToFloat32(h[i+3]) * q[i+3]
-	}
-	for ; i < len(h); i++ {
-		s0 += seedToFloat32(h[i]) * q[i]
-	}
-	return s0 + s1 + s2 + s3
-}
-
-func (ix *jaggedFlat) search(query []float32, k int) []Result {
-	h := newTopK(k)
-	for id, v := range ix.vecs {
-		h.push(id, seedDot(v, query))
-	}
-	return h.results(ix.keys)
-}
-
 func BenchmarkFlatSearch(b *testing.B) {
 	ix, queries := buildBenchFlat(b, benchN, benchDim)
 	var dst []Result
@@ -107,27 +41,8 @@ func BenchmarkFlatSearch(b *testing.B) {
 	reportBytesPerVector(b, ix)
 }
 
-// BenchmarkFlatSearchJagged is the pre-rewrite baseline (jagged [][]uint16
-// storage, per-vector f16.Dot): compare with BenchmarkFlatSearch for the
-// contiguous-kernel speedup.
-func BenchmarkFlatSearchJagged(b *testing.B) {
-	r := rng.New(1)
-	ix := &jaggedFlat{dim: benchDim}
-	for _, v := range randomUnit(r, benchN, benchDim) {
-		ix.vecs = append(ix.vecs, f16.Encode(v))
-		ix.keys = append(ix.keys, "")
-	}
-	queries := randomUnit(r, 64, benchDim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.search(queries[i%len(queries)], 10)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchN), "ns/vector")
-}
-
-// BenchmarkFlatSearchSerial pins the single-threaded kernel (row pairs
-// scored straight from the codes by f16.Dot2, no segment parallelism) by
+// BenchmarkFlatSearchSerial pins the single-threaded kernel (row groups
+// scored straight from the codes by f16.DotRows, no segment parallelism) by
 // staying under the parallel threshold; ns/vector here isolates the kernel
 // from the parallel win.
 func BenchmarkFlatSearchSerial(b *testing.B) {
@@ -173,7 +88,7 @@ func BenchmarkFlatSearchBatch2(b *testing.B) {
 
 // BenchmarkFlatBatchFanout is the query-level fan-out batches used before
 // the multi-query kernel existed; compare with
-// BenchmarkFlatSearchBatch for what scoring each row pair against the whole
+// BenchmarkFlatSearchBatch for what scoring each row group against the whole
 // batch buys.
 func BenchmarkFlatBatchFanout(b *testing.B) {
 	ix, queries := buildBenchFlat(b, benchN, benchDim)

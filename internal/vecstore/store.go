@@ -113,8 +113,8 @@ func (ix *Flat) SearchInto(query []float32, k int, dst []Result) []Result {
 	return searchBlock(ix.block(), query, k, ix.keys, dst[:0])
 }
 
-// SearchBatch implements Index with the multi-query kernel: each row pair
-// is scored against the whole batch while it is in cache.
+// SearchBatch implements Index with the multi-query kernel: each group of
+// up to eight rows is scored against the whole batch while it is in cache.
 func (ix *Flat) SearchBatch(queries [][]float32, k int) [][]Result {
 	return ix.searchBatch(queries, k, nil)
 }
