@@ -7,7 +7,7 @@
 //	table3     Astro all questions + Figure 5 + GPT-4 crossover
 //	table4     Astro no-math subset + Figure 6
 //	ablation   retrieval-depth, self-exclusion and index ablations
-//	           (IVF-PQ encoding; HNSW vs Flat vs IVF-PQ)
+//	           (HNSW vs Flat vs IVF-PQ)
 //	extensions sub-domain breakdown and trace distillation (paper §5)
 //
 // The header carries no timestamp, so the sections without wall-clock
@@ -229,8 +229,7 @@ func crossover(w io.Writer, m *eval.Matrix) {
 }
 
 // ablations sweeps the retrieval design choices: retrieval depth k, trace
-// self-exclusion, and the index trade-offs (IVF-PQ encoding, HNSW against
-// Flat and IVF-PQ).
+// self-exclusion, and the index trade-off (HNSW against Flat and IVF-PQ).
 func ablations(w io.Writer, a *core.Artifacts) error {
 	fmt.Fprintln(w, "## Ablations")
 	fmt.Fprintln(w)
@@ -278,13 +277,6 @@ func ablations(w io.Writer, a *core.Artifacts) error {
 		fmt.Fprintf(w, "| %s | %.3f | %.3f |\n", label, cell.Accuracy, cell.MeanUtility)
 	}
 	fmt.Fprintln(w)
-
-	// IVF-PQ encoding variants at identical code budget.
-	fmt.Fprintln(w, "### Index ablation: IVF-PQ encoding variant (chunk store, same M)")
-	fmt.Fprintln(w)
-	if err := ivfpqVariantAblation(w, a); err != nil {
-		return err
-	}
 
 	// HNSW against the two poles it sits between.
 	fmt.Fprintln(w, "### Index ablation: HNSW vs Flat vs IVF-PQ trade-off (chunk store)")
@@ -345,48 +337,6 @@ func hnswTradeoffAblation(w io.Writer, a *core.Artifacts) error {
 		st := vecstore.StatsOf(r.ix)
 		fmt.Fprintf(w, "| %s | %.1f | %.1f | %.3f | %.1f |\n",
 			st.Kind, r.buildMS, st.BytesPerVector(), r.recall, perQueryUS(r.ix))
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-// ivfpqVariantAblation sweeps the IVF-PQ encodings — raw codes and
-// per-cell residual codes — over the chunk embeddings at one fixed code
-// budget (M bytes/vector), the recall-at-same-memory comparison behind the
-// residual row of docs/ARCHITECTURE.md.
-func ivfpqVariantAblation(w io.Writer, a *core.Artifacts) error {
-	encDefault := embed.NewDefault()
-	vecs := make([][]float32, 0, len(a.Chunks))
-	for _, c := range a.Chunks {
-		vecs = append(vecs, encDefault.Encode(c.Text))
-	}
-	queries := make([][]float32, 0, 50)
-	for i, q := range a.Questions {
-		if i >= 50 {
-			break
-		}
-		queries = append(queries, encDefault.Encode(q.Question))
-	}
-	variants := []struct {
-		label string
-		cfg   vecstore.IVFPQConfig
-	}{
-		{"raw", vecstore.IVFPQConfig{}},
-		{"residual", vecstore.IVFPQConfig{Residual: true}},
-	}
-	fmt.Fprintln(w, "| variant | index | bytes/vec | recall@5 |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, v := range variants {
-		cfg := v.cfg
-		cfg.Dim, cfg.NList, cfg.NProbe, cfg.M, cfg.Seed = 384, 64, 8, 48, 1
-		ix := vecstore.NewIVFPQ(cfg)
-		for i, vec := range vecs {
-			ix.Add(vec, a.Chunks[i].ID)
-		}
-		ix.Train()
-		st := vecstore.StatsOf(ix)
-		fmt.Fprintf(w, "| %s | %s | %.1f | %.3f |\n",
-			v.label, st.Kind, st.BytesPerVector(), ix.Recall(vecs, queries, 5))
 	}
 	fmt.Fprintln(w)
 	return nil

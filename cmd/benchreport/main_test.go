@@ -30,8 +30,8 @@ func TestRunHeaderHasNoTimestamp(t *testing.T) {
 }
 
 // TestRunAblationSection drives the ablation path end to end at a small
-// scale: the IVF-PQ encoding rows (raw and residual) and the HNSW / Flat /
-// IVF-PQ trade-off rows are present, and no IVF probe table is.
+// scale: the HNSW / Flat / IVF-PQ trade-off rows are present, and neither
+// the retired IVF probe table nor the IVF-PQ encoding-variant table is.
 func TestRunAblationSection(t *testing.T) {
 	var b strings.Builder
 	if err := run(&b, 0.005, 1, "ablation"); err != nil {
@@ -39,9 +39,6 @@ func TestRunAblationSection(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"### Index ablation: IVF-PQ encoding variant",
-		"| raw | IVF-PQ(",
-		"| residual | IVF-PQ(",
 		"### Index ablation: HNSW vs Flat vs IVF-PQ trade-off",
 		"| Flat(FP16) |",
 		"| HNSW(",
@@ -51,7 +48,7 @@ func TestRunAblationSection(t *testing.T) {
 			t.Errorf("ablation report lacks %q", want)
 		}
 	}
-	for _, gone := range []string{"IVF recall vs probes", "OPQ"} {
+	for _, gone := range []string{"IVF recall vs probes", "OPQ", "encoding variant"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("ablation report still has %q", gone)
 		}

@@ -90,9 +90,6 @@ var indexKinds = []struct {
 	build func(f *vecstore.Flat, seed uint64) vecstore.Index
 }{
 	{"flat", nil},
-	{"ivfpq", func(f *vecstore.Flat, seed uint64) vecstore.Index {
-		return f.ToIVFPQ(vecstore.IVFPQConfig{Seed: seed})
-	}},
 	{"hnsw", func(f *vecstore.Flat, seed uint64) vecstore.Index {
 		return f.ToHNSW(vecstore.HNSWConfig{Seed: seed})
 	}},

@@ -21,6 +21,7 @@ func TestValidateConfig(t *testing.T) {
 		{"bad index", "bogus", "", 0.02, false},
 		{"retired ivf", "ivf", "", 0.02, false},
 		{"retired pq", "pq", "", 0.02, false},
+		{"retired ivfpq", "ivfpq", "", 0.02, false},
 		{"bad shard", "flat", "5/3", 0.02, false},
 		{"zero scale", "flat", "", 0, false},
 	}

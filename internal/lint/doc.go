@@ -34,8 +34,8 @@
 // (//go:build lines and _GOOS/_GOARCH suffixes are honoured, so a
 // build-tagged twin is never checked beside its original), type-checks
 // it (module-internal imports are resolved from source by the loader
-// itself; standard-library imports through the go/importer source
-// importer), runs the analyzers over the typed ASTs and prints one
+// itself; standard-library imports through one go/importer source
+// importer shared by every load in the process), runs the analyzers over the typed ASTs and prints one
 // "file:line: analyzer: message" diagnostic per finding, exiting non-zero
 // if any survive suppression. A type-check error is a finding of its own,
 // "typecheck", that no directive suppresses. A finding is suppressed by

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package of the module: the parsed files the
@@ -35,16 +36,24 @@ type Package struct {
 // Module is a loaded Go module: the package loader and type-check cache
 // behind one raglint run. It resolves module-internal import paths from
 // source itself and delegates everything else (the standard library) to
-// the go/importer source importer, so the whole pipeline stays inside the
-// standard library.
+// the shared go/importer source importer, so the whole pipeline stays
+// inside the standard library.
 type Module struct {
 	Root string // absolute module root (directory of go.mod)
 	Path string // module path from go.mod
 
-	fset *token.FileSet
-	std  types.ImporterFrom
 	pkgs map[string]*Package // by import path; nil value marks in-progress
 }
+
+// fset and std are shared by every Module of the process: the standard
+// library is type-checked from source once, not once per LoadModule or
+// LoadFixture call. token.FileSet is safe for concurrent use; the source
+// importer is not, so stdMu serialises it across parallel loads.
+var (
+	fset  = token.NewFileSet()
+	stdMu sync.Mutex
+	std   = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+)
 
 // LoadModule loads every non-test package under the module rooted at (or
 // above) dir. Directories named testdata or vendor, and hidden or
@@ -55,14 +64,7 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	m := &Module{
-		Root: root,
-		Path: modPath,
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: make(map[string]*Package),
-	}
+	m := &Module{Root: root, Path: modPath, pkgs: make(map[string]*Package)}
 	var dirs []string
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -182,12 +184,12 @@ func (m *Module) loadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: m.fset}
+	pkg := &Package{Path: path, Dir: dir, Fset: fset}
 	for _, e := range ents {
 		if !isPkgGoFile(dir, e) {
 			continue
 		}
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +209,7 @@ func (m *Module) loadDir(dir, path string) (*Package, error) {
 		Importer: m,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	pkg.Types, _ = conf.Check(path, m.fset, pkg.Files, pkg.Info)
+	pkg.Types, _ = conf.Check(path, fset, pkg.Files, pkg.Info)
 	m.pkgs[path] = pkg
 	return pkg, nil
 }
@@ -227,20 +229,15 @@ func (m *Module) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return m.std.ImportFrom(path, m.Root, 0)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return std.ImportFrom(path, m.Root, 0)
 }
 
 // LoadFixture parses and type-checks one standalone package directory
 // (an analyzer test fixture). Fixture packages may import the standard
 // library only.
 func LoadFixture(dir string) (*Package, error) {
-	fset := token.NewFileSet()
-	m := &Module{
-		Root: dir,
-		Path: "fixture",
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: make(map[string]*Package),
-	}
+	m := &Module{Root: dir, Path: "fixture", pkgs: make(map[string]*Package)}
 	return m.loadDir(dir, "fixture/"+filepath.Base(dir))
 }

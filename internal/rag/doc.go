@@ -10,12 +10,12 @@
 // (Group = document id), the trace stores' are traces (Group = source
 // question id) — and it is also serve's wire record. Both stores expose
 // the same scaling knobs: UseIndex swaps the exact index for one built
-// from it — IVF-PQ or HNSW (recall vs memory vs QPS — see
+// from it — HNSW, or the in-memory IVF-PQ (recall vs memory vs QPS — see
 // docs/ARCHITECTURE.md), RetrieveBatch answers whole question sets
 // through the index's multi-query scan kernel (the query-embedding pool
 // is built once per store and capped at the batch size — the serving hot
-// path retrieves per micro-batch), SaveIndex/vecstore.Load persist the
-// store's vectors in the index's own VSF format, and IndexStats feeds the
+// path retrieves per micro-batch), SaveIndex/vecstore.Load persist a
+// Flat or HNSW store's vectors in the index's own VSF format, and IndexStats feeds the
 // eval report's retrieval-configuration table. Only trace stores
 // over-fetch by 2 and honour per-query question exclusion.
 //

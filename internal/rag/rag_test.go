@@ -178,74 +178,9 @@ func TestChunkStoreIVFPQSwap(t *testing.T) {
 	if len(res) != 1 || res[0].ID != fx.chunks[0].ID {
 		t.Fatal("retrieval broken after IVF-PQ swap")
 	}
-}
-
-// TestChunkStorePQSaveReload persists a raw-encoded (one-cell) IVF-PQ
-// store and checks the reloaded store retrieves identically.
-func TestChunkStorePQSaveReload(t *testing.T) {
-	fx := buildFixture(t, 3)
-	store := BuildChunkStore(nil, fx.chunks, 0)
-	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
-		return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 1, M: embed.DefaultDim / 4, Seed: 1})
-	})
-	path := t.TempDir() + "/chunks.vsf"
-	if err := store.SaveIndex(path); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := vecstore.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded := WrapChunkStore(nil, ix, fx.chunks)
-	q := fx.chunks[0].Text
-	want := store.Retrieve(q, 3)
-	got := reloaded.Retrieve(q, 3)
-	if len(got) != len(want) {
-		t.Fatalf("%d results after reload, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			t.Fatalf("rank %d differs after reload", i)
-		}
-	}
-}
-
-// TestChunkStoreIVFPQSaveReload persists a residual IVF-PQ-backed store
-// as VSF4 and checks the reloaded store retrieves bit-identically —
-// the hot-swap path ragserve uses (vecstore.Load dispatches on magic).
-func TestChunkStoreIVFPQSaveReload(t *testing.T) {
-	fx := buildFixture(t, 3)
-	store := BuildChunkStore(nil, fx.chunks, 0)
-	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
-		return f.ToIVFPQ(vecstore.IVFPQConfig{
-			NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1, Residual: true,
-		})
-	})
-	if kind := store.IndexStats().Kind; !strings.HasSuffix(kind, ",res)") {
-		t.Fatalf("IndexStats kind %q missing variant after IVF-PQ swap", kind)
-	}
-	path := t.TempDir() + "/chunks.vsf4"
-	if err := store.SaveIndex(path); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := vecstore.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ix.(*vecstore.IVFPQ); !ok {
-		t.Fatalf("Load returned %T for a VSF4 file", ix)
-	}
-	reloaded := WrapChunkStore(nil, ix, fx.chunks)
-	q := fx.chunks[0].Text
-	want := store.Retrieve(q, 3)
-	got := reloaded.Retrieve(q, 3)
-	if len(got) != len(want) {
-		t.Fatalf("%d results after reload, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			t.Fatalf("rank %d differs after reload", i)
-		}
+	// IVF-PQ is in-memory only: there is no format to save it in.
+	if err := store.SaveIndex(t.TempDir() + "/chunks.vsf"); err == nil {
+		t.Fatal("SaveIndex of an IVF-PQ store succeeded")
 	}
 }
 

@@ -134,7 +134,8 @@ func (s *store) collect(res []vecstore.Result, k int, exclude string) []Hit {
 }
 
 // UseIndex replaces the store's exact Flat index with build(flat) — for
-// example flat.ToIVFPQ or ToHNSW, trading recall for latency or memory.
+// example flat.ToHNSW, trading recall for latency, or flat.ToIVFPQ, an
+// in-memory index that SaveIndex cannot persist.
 // It fails, leaving the store unchanged, when the current index is not a
 // *vecstore.Flat (already swapped, or wrapped by EnableLive).
 func (s *store) UseIndex(build func(*vecstore.Flat) vecstore.Index) error {
@@ -156,9 +157,8 @@ func (s *store) IndexStats() vecstore.IndexStats {
 func (s *store) Len() int { return s.index.Len() }
 
 // SaveIndex persists the underlying vector index in its family's format
-// (VSF2 for Flat, VSF4 for IVF-PQ including residual trained state, VSF5
-// for HNSW including the whole graph). Live stores have no on-disk format
-// and return an error.
+// (VSF2 for Flat, VSF5 for HNSW including the whole graph). IVF-PQ and
+// Live stores have no on-disk format and return an error.
 func (s *store) SaveIndex(path string) error {
 	saver, ok := s.index.(interface{ Save(path string) error })
 	if !ok {

@@ -22,8 +22,7 @@
 //     into micro-batches (internal/batch, the same admission-window
 //     coalescer behind the argo model gateway) and dispatched through the
 //     store's RetrieveBatch — so the vecstore multi-query kernel streams
-//     the codes once for the whole batch, and an IVF-PQ index amortises
-//     its per-query LUT build across it. Trace-route requests carry the
+//     the codes once for the whole batch. Trace-route requests carry the
 //     per-query question self-exclusion id through the same batches.
 //
 //   - Query cache. A sharded LRU keyed by (epoch, k, exclude, query)

@@ -228,6 +228,55 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionDrainsBurstsWithoutFurtherAdds: concurrent writers add
+// bursts of CompactAt rows, then nothing more is added. A burst that
+// lands while a compaction runs has its own trigger declined, so only the
+// re-check after each compaction can drain it; the memtable must drop
+// below CompactAt with no further add.
+func TestCompactionDrainsBurstsWithoutFurtherAdds(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CompactAt = 4
+	s, _, _ := liveTestServer(t, 16, cfg)
+
+	const writers, bursts = 4, 6
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < bursts; b++ {
+				burst := make([]chunk.Chunk, cfg.CompactAt)
+				for i := range burst {
+					burst[i] = chunk.Chunk{
+						ID:   fmt.Sprintf("burst-%d-%d-%d", w, b, i),
+						Text: fmt.Sprintf("burst ingest writer %d round %d row %d", w, b, i),
+					}
+				}
+				if _, err := s.AddChunks(RouteChunks, burst); err != nil {
+					t.Errorf("add: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mem := memRows(s.Snapshot())
+		if mem < cfg.CompactAt {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d memtable rows (CompactAt %d) still waiting 5s after the last add", mem, cfg.CompactAt)
+		}
+	}
+	if want := 16 + writers*bursts*cfg.CompactAt; s.Snapshot().Store.Len() != want {
+		t.Fatalf("store has %d vectors, want %d", s.Snapshot().Store.Len(), want)
+	}
+}
+
 // TestIngestConcurrentAddSearchCompact is the serving-layer race hammer:
 // programmatic writers, searchers and a compactor loop hit one route
 // concurrently; afterwards compactions must have published, the final
@@ -303,8 +352,8 @@ func TestIngestConcurrentAddSearchCompact(t *testing.T) {
 		return
 	}
 	// Quiesce includes the add-triggered background compaction: compact
-	// runs one at a time and declines beside one still in flight, which
-	// would leave the rows added during it for a next add that never comes.
+	// runs one at a time, so the final drain below would be declined
+	// beside one still in flight.
 	rt, err := s.route(RouteChunks)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -249,6 +250,14 @@ func TestSwapRejectsBadInput(t *testing.T) {
 	c := NewClient("http://"+s.Addr(), nil)
 	if _, err := c.SwapRoute(RouteChunks, filepath.Join(t.TempDir(), "missing.vsf")); err == nil {
 		t.Fatal("swap from a missing file succeeded")
+	}
+	// VSF4 (IVF-PQ) is retired: its magic is refused like any unknown one.
+	v4 := filepath.Join(t.TempDir(), "ivfpq.vsf")
+	if err := os.WriteFile(v4, []byte("VSF4\x08\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SwapRoute(RouteChunks, v4); err == nil {
+		t.Fatal("swap from a VSF4 file succeeded")
 	}
 	if _, err := s.SwapIndex(vecstore.NewFlat(7), "bad-dim"); err == nil {
 		t.Fatal("swap to a mismatched index succeeded")

@@ -671,20 +671,41 @@ func (rt *route) addChunks(chunks []chunk.Chunk) (AddResponse, error) {
 	rt.gVectors.Set(int64(vectors))
 	rt.gMemRows.Set(int64(memRows))
 	if rt.cfg.CompactAt > 0 && memRows >= rt.cfg.CompactAt {
-		go rt.compact() //nolint:errcheck // surfaced via metrics; next add retries
+		go rt.compactBehind()
 	}
 	return AddResponse{Added: added, Vectors: vectors, MemRows: memRows, Epoch: snap.Epoch, WriteGen: gen, Route: rt.name}, nil
 }
 
-// compact drains the route's memtable into its base index and publishes
-// the result. The expensive encode (CompactBase) runs outside every lock,
-// concurrent with searches and further inserts; only the rotate+publish
-// step takes writeMu. If an admin swap replaced the snapshot while the
-// encode ran, the compaction is dropped rather than resurrect the old
-// corpus. Returns whether a compaction was published.
+// compactBehind is the background compaction: it compacts for as long as
+// the memtable holds CompactAt rows or more. One compaction runs at a
+// time, so an add landing during an in-flight one has its own trigger
+// declined; every compaction therefore re-checks here once it has
+// finished, or those rows would wait for a next add that may never come.
+func (rt *route) compactBehind() {
+	for rt.cfg.CompactAt > 0 && memRows(rt.snap.Load()) >= rt.cfg.CompactAt {
+		if ok, err := rt.compactOnce(); !ok || err != nil {
+			return // declined beside a running one (it re-checks), swapped out, or failed
+		}
+	}
+}
+
+// compact is the admin compaction: one compactOnce, then the background
+// re-check for rows that arrived while it ran.
 func (rt *route) compact() (bool, error) {
+	ok, err := rt.compactOnce()
+	go rt.compactBehind()
+	return ok, err
+}
+
+// compactOnce drains the route's memtable into its base index and
+// publishes the result. The expensive encode (CompactBase) runs outside
+// every lock, concurrent with searches and further inserts; only the
+// rotate+publish step takes writeMu. If an admin swap replaced the
+// snapshot while the encode ran, the compaction is dropped rather than
+// resurrect the old corpus. Returns whether a compaction was published.
+func (rt *route) compactOnce() (bool, error) {
 	if !rt.compacting.CompareAndSwap(false, true) {
-		return false, nil // one at a time; the trigger after the next add retries
+		return false, nil // one at a time; the running one re-checks when done
 	}
 	defer rt.compacting.Store(false)
 	snap := rt.snap.Load()

@@ -196,7 +196,7 @@ func TestConformanceSelfRetrieval(t *testing.T) {
 			limit := 0
 			switch f.name {
 			case "HNSW-wide", "HNSW-loaded", "Live-HNSW-split",
-				"PQ", "IVFPQ-fullprobe", "IVFPQ-residual", "IVFPQ-opq":
+				"PQ", "IVFPQ-fullprobe", "IVFPQ-residual":
 				limit = 2
 			}
 			if miss > limit {

@@ -10,11 +10,11 @@ import (
 // arbitrary bytes: whatever Load is fed, it must either return a usable
 // index or a clean error — never panic, and never size an allocation from
 // header fields the file cannot physically back (the size-budget checks
-// in readFlat/readIVFPQ/readHNSW exist because early fuzzing found corrupt
-// 12-byte headers driving multi-gigabyte makes). Seeds are real files of
-// every format still read plus their truncated prefixes; the corrupt
-// header corpus lives in testdata/fuzz/FuzzLoad, where the retired VSF3
-// and VSF4-rotation entries now pin rejection.
+// in readFlat/readHNSW exist because early fuzzing found corrupt 12-byte
+// headers driving multi-gigabyte makes). Seeds are real files of every
+// format still read and of the retired VSF4, plus their truncated
+// prefixes; the corrupt header corpus lives in testdata/fuzz/FuzzLoad,
+// where the retired VSF3 and VSF4 entries now pin rejection.
 func FuzzLoad(f *testing.F) {
 	dir := f.TempDir()
 	seed := func(name string, save func(path string) error) {
@@ -44,8 +44,11 @@ func FuzzLoad(f *testing.F) {
 		flat.Add(vec, string(rune('a'+i%26)))
 	}
 	seed("flat.vsf", flat.Save)
-	seed("ivfpq-raw.vsf", flat.ToIVFPQ(IVFPQConfig{NList: 4, NProbe: 4, M: 4}).Save)
-	seed("ivfpq.vsf", flat.ToIVFPQ(IVFPQConfig{NList: 4, NProbe: 4, M: 4, Residual: true}).Save)
+	// Files of the retired IVF-PQ format must fail like any unknown magic.
+	for _, flags := range []uint32{0, vsf4Residual} {
+		data := retiredVSF4(flags)
+		seed("vsf4.vsf", func(path string) error { return os.WriteFile(path, data, 0o644) })
+	}
 	seed("hnsw.vsf", flat.ToHNSW(HNSWConfig{M: 4, EfConstruction: 16, Seed: 9}).Save)
 	f.Add([]byte("VSF1"))
 	f.Add([]byte("VSF2\x08\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))

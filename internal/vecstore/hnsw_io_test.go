@@ -163,9 +163,6 @@ func TestVSF5CrossFormatRejection(t *testing.T) {
 	if _, err := LoadFlat(hnswPath); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("LoadFlat(VSF5) = %v, want ErrBadFormat", err)
 	}
-	if _, err := LoadIVFPQ(hnswPath); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("LoadIVFPQ(VSF5) = %v, want ErrBadFormat", err)
-	}
 	if _, err := LoadHNSW(flatPath); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("LoadHNSW(VSF2) = %v, want ErrBadFormat", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/f16"
@@ -14,23 +13,17 @@ import (
 
 // Binary persistence for vector indexes (the chunk and trace stores are
 // saved once by the generation pipeline and loaded by every evaluation
-// run). Three on-disk formats are read and written — VSF2 (contiguous
-// FP16, the Flat format), VSF4 (IVF-PQ: coarse centroids, PQ codebook,
-// residual flag, and per-cell postings + code blocks), and VSF5 (HNSW:
-// construction parameters, per-node levels, entry point, compact adjacency
-// lists, and the contiguous FP16 code block). The byte-level specification
-// and the read/write compatibility matrix live in docs/VSF_FORMAT.md; Load
-// dispatches on the magic, LoadFlat/LoadIVFPQ/LoadHNSW insist on their own
-// family, and any other magic (the retired VSF1 and VSF3 included) fails
-// with ErrBadFormat.
-//
-// IVF-PQ has a format of its own because its trained state — codebook,
-// residual anchors, cell assignment — is what the recall acceptance pins;
-// retraining at load would re-run k-means on every server swap.
+// run). Two on-disk formats are read and written — VSF2 (contiguous FP16,
+// the Flat format) and VSF5 (HNSW: construction parameters, per-node
+// levels, entry point, compact adjacency lists, and the contiguous FP16
+// code block). The byte-level specification and the read/write
+// compatibility matrix live in docs/VSF_FORMAT.md; Load dispatches on the
+// magic, LoadFlat/LoadHNSW insist on their own family, and any other magic
+// (the retired VSF1, VSF3 and VSF4 included) fails with ErrBadFormat.
+// IVF-PQ is built in memory from a Flat (ToIVFPQ) and never persisted.
 
 var (
 	magicV2 = [4]byte{'V', 'S', 'F', '2'}
-	magicV4 = [4]byte{'V', 'S', 'F', '4'}
 	magicV5 = [4]byte{'V', 'S', 'F', '5'}
 )
 
@@ -41,13 +34,6 @@ var (
 const (
 	hnswMaxM     = 1 << 8
 	hnswMaxLevel = 64
-)
-
-// VSF4 header flag bits; a file with any other bit set (such as bit 1,
-// the retired OPQ rotation) fails to load.
-const (
-	vsf4FlagResidual = 1 << 0
-	vsf4FlagsKnown   = vsf4FlagResidual
 )
 
 // ErrBadFormat is returned when a persisted index fails validation.
@@ -164,8 +150,6 @@ func LoadFlat(path string) (*Flat, error) {
 		switch m {
 		case magicV2:
 			return readFlat(r, remain)
-		case magicV4:
-			return nil, fmt.Errorf("%w: %s is an IVF-PQ (VSF4) index; use Load or LoadIVFPQ", ErrBadFormat, path)
 		case magicV5:
 			return nil, fmt.Errorf("%w: %s is an HNSW (VSF5) index; use Load or LoadHNSW", ErrBadFormat, path)
 		}
@@ -174,14 +158,12 @@ func LoadFlat(path string) (*Flat, error) {
 }
 
 // Load reads any persisted index, dispatching on the format magic: VSF2
-// loads as *Flat, VSF4 as *IVFPQ, VSF5 as *HNSW.
+// loads as *Flat, VSF5 as *HNSW.
 func Load(path string) (Index, error) {
 	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (Index, error) {
 		switch m {
 		case magicV2:
 			return readFlat(r, remain)
-		case magicV4:
-			return readIVFPQ(r, remain)
 		case magicV5:
 			return readHNSW(r, remain)
 		}
@@ -269,47 +251,6 @@ func readKey(r io.Reader, i uint64) (string, error) {
 	return string(key), nil
 }
 
-// writeF32s streams float32s as little-endian through a fixed scratch
-// buffer (same discipline as writeCodes).
-func writeF32s(w io.Writer, vals []float32) error {
-	const chunk = 16 << 10
-	buf := make([]byte, 4*chunk)
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > chunk {
-			n = chunk
-		}
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := w.Write(buf[:4*n]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// readF32s fills dst with little-endian float32s from r.
-func readF32s(r io.Reader, dst []float32) error {
-	const chunk = 16 << 10
-	buf := make([]byte, 4*chunk)
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > chunk {
-			n = chunk
-		}
-		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
-			return err
-		}
-		for i := range dst[:n] {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-		dst = dst[n:]
-	}
-	return nil
-}
-
 // ToIVFPQ converts a Flat index into a trained IVF-PQ index with the given
 // configuration (Dim is taken from the source index).
 func (ix *Flat) ToIVFPQ(cfg IVFPQConfig) *IVFPQ {
@@ -336,220 +277,6 @@ func (ix *Flat) ToHNSW(cfg HNSWConfig) *HNSW {
 		h.Add(buf, ix.keys[i])
 	}
 	return h
-}
-
-// Save writes the IVF-PQ index to path atomically in the VSF4 format
-// (coarse centroids, optional residual anchors, PQ codebook, per-cell
-// postings and code blocks; see docs/VSF_FORMAT.md). Save panics if the
-// index is untrained.
-func (ix *IVFPQ) Save(path string) error {
-	if !ix.trained {
-		panic("vecstore: IVFPQ Save before Train")
-	}
-	return saveAtomic(path, func(w io.Writer) error { return writeIVFPQ(w, ix) })
-}
-
-func writeIVFPQ(w io.Writer, ix *IVFPQ) error {
-	if _, err := w.Write(magicV4[:]); err != nil {
-		return err
-	}
-	var flags uint32
-	if ix.residual {
-		flags |= vsf4FlagResidual
-	}
-	hdr := []uint32{
-		uint32(ix.dim), uint32(ix.cb.m), uint32(ix.cb.ksub),
-		uint32(ix.km.K), uint32(ix.nprobe), flags,
-	}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(ix.keys))); err != nil {
-		return err
-	}
-	if err := writeKeys(w, ix.keys); err != nil {
-		return err
-	}
-	for _, cent := range ix.km.Centroids {
-		if err := writeF32s(w, cent); err != nil {
-			return err
-		}
-	}
-	if ix.residual {
-		for _, anchor := range ix.anchors {
-			if err := writeF32s(w, anchor); err != nil {
-				return err
-			}
-		}
-	}
-	if err := writeF32s(w, ix.cb.cents); err != nil {
-		return err
-	}
-	var idbuf []byte
-	for c := 0; c < ix.km.K; c++ {
-		ids := ix.cellIDs[c]
-		need := 4 * (len(ids) + 1)
-		if cap(idbuf) < need {
-			idbuf = make([]byte, need)
-		}
-		buf := idbuf[:need]
-		binary.LittleEndian.PutUint32(buf, uint32(len(ids)))
-		for j, id := range ids {
-			binary.LittleEndian.PutUint32(buf[4+4*j:], uint32(id))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		if _, err := w.Write(ix.cellCodes[c]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadIVFPQ reads an IVF-PQ index previously written by IVFPQ.Save
-// (VSF4). Other families are rejected; use Load for magic dispatch.
-func LoadIVFPQ(path string) (*IVFPQ, error) {
-	return loadVSF(path, func(r io.Reader, m [4]byte, remain int64) (*IVFPQ, error) {
-		if m != magicV4 {
-			return nil, fmt.Errorf("%w: %s is not an IVF-PQ (VSF4) index (magic %q); use Load", ErrBadFormat, path, m)
-		}
-		return readIVFPQ(r, remain)
-	})
-}
-
-// readIVFPQ consumes a VSF4 stream after the magic. The subspace geometry
-// is not stored — it is a pure function of (dim, m), recomputed by
-// newPQCodebook; everything else — coarse centroids, residual anchors,
-// codebook, cell assignment — is restored exactly,
-// so a loaded index searches bit-identically to the one saved and accepts
-// further Add calls without retraining. remain is the payload byte budget
-// (file size minus magic).
-func readIVFPQ(r io.Reader, remain int64) (*IVFPQ, error) {
-	var dim, m, ksub, nlist, nprobe, flags uint32
-	for _, p := range []*uint32{&dim, &m, &ksub, &nlist, &nprobe, &flags} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("%w: IVF-PQ header: %w", ErrBadFormat, err)
-		}
-	}
-	if dim == 0 || dim > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible dim %d", ErrBadFormat, dim)
-	}
-	if m == 0 || m > dim {
-		return nil, fmt.Errorf("%w: implausible IVF-PQ m %d for dim %d", ErrBadFormat, m, dim)
-	}
-	if ksub == 0 || ksub > pqKSubMax {
-		return nil, fmt.Errorf("%w: implausible IVF-PQ ksub %d", ErrBadFormat, ksub)
-	}
-	if nlist == 0 || nlist > 1<<22 {
-		return nil, fmt.Errorf("%w: implausible IVF-PQ nlist %d", ErrBadFormat, nlist)
-	}
-	if nprobe == 0 || nprobe > nlist {
-		return nil, fmt.Errorf("%w: IVF-PQ nprobe %d outside [1, nlist=%d]", ErrBadFormat, nprobe, nlist)
-	}
-	if flags&^uint32(vsf4FlagsKnown) != 0 {
-		return nil, fmt.Errorf("%w: unknown IVF-PQ flags %#x", ErrBadFormat, flags)
-	}
-	var count uint64
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("%w: count: %w", ErrBadFormat, err)
-	}
-	if count > (1<<31)/uint64(m) {
-		return nil, fmt.Errorf("%w: implausible count %d", ErrBadFormat, count)
-	}
-	// Bound every header-driven section by the bytes the file actually
-	// has: records (key length + codes), coarse centroids, optional
-	// residual anchors, the codebook, and the per-cell size prefixes. A corrupt header in a tiny file fails here
-	// rather than make()-ing gigabytes.
-	remain -= 32
-	need := int64(count)*int64(4+m) + 4*int64(nlist)*int64(dim) + 4*int64(ksub)*int64(dim) + 4*int64(nlist)
-	if flags&vsf4FlagResidual != 0 {
-		need += 4 * int64(nlist) * int64(dim)
-	}
-	if need > remain {
-		return nil, fmt.Errorf("%w: header needs >= %d payload bytes, file has %d", ErrBadFormat, need, remain)
-	}
-	ix := NewIVFPQ(IVFPQConfig{
-		Dim: int(dim), NList: int(nlist), NProbe: int(nprobe), M: int(m),
-		Residual: flags&vsf4FlagResidual != 0,
-	})
-	ix.keys = make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		key, err := readKey(r, i)
-		if err != nil {
-			return nil, err
-		}
-		ix.keys = append(ix.keys, key)
-	}
-	ix.km.Centroids = make([][]float32, nlist)
-	for c := range ix.km.Centroids {
-		cent := make([]float32, dim)
-		if err := readF32s(r, cent); err != nil {
-			return nil, fmt.Errorf("%w: coarse centroid %d: %w", ErrBadFormat, c, err)
-		}
-		ix.km.Centroids[c] = cent
-	}
-	if ix.residual {
-		ix.anchors = make([][]float32, nlist)
-		for c := range ix.anchors {
-			anchor := make([]float32, dim)
-			if err := readF32s(r, anchor); err != nil {
-				return nil, fmt.Errorf("%w: residual anchor %d: %w", ErrBadFormat, c, err)
-			}
-			ix.anchors[c] = anchor
-		}
-	}
-	ix.cb = newPQCodebook(int(dim), int(m), int(ksub))
-	if err := readF32s(r, ix.cb.cents); err != nil {
-		return nil, fmt.Errorf("%w: IVF-PQ codebook: %w", ErrBadFormat, err)
-	}
-	ix.cellIDs = make([][]int, nlist)
-	ix.cellCodes = make([][]byte, nlist)
-	var total uint64
-	for c := uint32(0); c < nlist; c++ {
-		var cn uint32
-		if err := binary.Read(r, binary.LittleEndian, &cn); err != nil {
-			return nil, fmt.Errorf("%w: cell %d size: %w", ErrBadFormat, c, err)
-		}
-		total += uint64(cn)
-		if total > count {
-			return nil, fmt.Errorf("%w: cell sizes exceed count %d", ErrBadFormat, count)
-		}
-		idbytes := make([]byte, 4*uint64(cn))
-		if _, err := io.ReadFull(r, idbytes); err != nil {
-			return nil, fmt.Errorf("%w: cell %d postings: %w", ErrBadFormat, c, err)
-		}
-		ids := make([]int, cn)
-		for j := range ids {
-			id := binary.LittleEndian.Uint32(idbytes[4*j:])
-			if uint64(id) >= count {
-				return nil, fmt.Errorf("%w: cell %d posting %d exceeds count %d", ErrBadFormat, c, id, count)
-			}
-			ids[j] = int(id)
-		}
-		codes := make([]byte, uint64(cn)*uint64(m))
-		if _, err := io.ReadFull(r, codes); err != nil {
-			return nil, fmt.Errorf("%w: cell %d code block: %w", ErrBadFormat, c, err)
-		}
-		// A code byte ≥ ksub (possible whenever ksub < 256) must fail at
-		// load time, not index past its subspace's LUT at query time.
-		if int(ksub) < pqKSubMax {
-			for i, cc := range codes {
-				if uint32(cc) >= ksub {
-					return nil, fmt.Errorf("%w: IVF-PQ code %d in cell %d offset %d exceeds ksub %d", ErrBadFormat, cc, c, i, ksub)
-				}
-			}
-		}
-		ix.cellIDs[c] = ids
-		ix.cellCodes[c] = codes
-	}
-	if total != count {
-		return nil, fmt.Errorf("%w: cell sizes sum to %d, count is %d", ErrBadFormat, total, count)
-	}
-	ix.trained = true
-	return ix, nil
 }
 
 // Save writes the HNSW index to path atomically in the VSF5 format

@@ -61,14 +61,6 @@ func (ix *invFile) train(vecs [][]float32) []int {
 	return assign
 }
 
-// route appends post-train insertion id, whose vector is v, to its
-// nearest cell's postings and returns the cell.
-func (ix *invFile) route(v []float32, id int) int {
-	c := ix.km.Nearest(v)
-	ix.cellIDs[c] = append(ix.cellIDs[c], id)
-	return c
-}
-
 // cellBlocks packs each cell's rows, in posting order, into one contiguous
 // block: block c is the stride-wide rows codes[id*stride:(id+1)*stride]
 // of the ids in cellIDs[c].
@@ -232,42 +224,18 @@ func NewIVFPQ(cfg IVFPQConfig) *IVFPQ {
 	}
 }
 
-// Add implements Index. Vectors added after training are encoded and
-// routed to their cell immediately; before training they are only
-// buffered. The post-train path encodes into the tail of the cell's
-// contiguous code block (no per-insert code buffer).
+// Add implements Index. Vectors are only buffered until Train; the index
+// is built once, so Add after Train panics, as Search before Train does.
 func (ix *IVFPQ) Add(vec []float32, key string) int {
+	if ix.trained {
+		panic("vecstore: Add to trained IVFPQ")
+	}
 	if len(vec) != ix.dim {
 		panic(fmt.Sprintf("vecstore: Add dim %d to IVFPQ of dim %d", len(vec), ix.dim))
 	}
-	id := len(ix.keys)
 	ix.keys = append(ix.keys, key)
-	if !ix.trained {
-		ix.staged = f16.AppendEncoded(ix.staged, vec)
-		return id
-	}
-	c := ix.route(vec, id)
-	enc := vec
-	var rp *[]float32
-	if ix.residual {
-		rp = getTile(ix.dim)
-		anchor := ix.anchors[c]
-		for d, x := range vec {
-			(*rp)[d] = x - anchor[d]
-		}
-		enc = *rp
-	}
-	codes := ix.cellCodes[c]
-	tail := len(codes)
-	for i := 0; i < ix.cb.m; i++ {
-		codes = append(codes, 0)
-	}
-	ix.cb.encode(enc, codes[tail:])
-	ix.cellCodes[c] = codes
-	if rp != nil {
-		putTile(rp)
-	}
-	return id
+	ix.staged = f16.AppendEncoded(ix.staged, vec)
+	return len(ix.keys) - 1
 }
 
 // Train fits the coarse quantizer and the PQ codebook on all buffered
@@ -296,10 +264,7 @@ func (ix *IVFPQ) Train() {
 			a := make([]float32, ix.dim)
 			ix.anchors[c] = a
 			if len(ids) == 0 {
-				// No mass to average; anchor at the routing centroid so a
-				// post-train Add landing here still gets a sane residual.
-				copy(a, ix.km.Centroids[c])
-				continue
+				continue // no mass to average; searches skip empty cells
 			}
 			for _, id := range ids {
 				for d, x := range full[id] {
@@ -335,9 +300,6 @@ func (ix *IVFPQ) Train() {
 
 // M returns the number of PQ subspaces (code bytes per vector).
 func (ix *IVFPQ) M() int { return ix.pqCfg.M }
-
-// Residual reports whether codes quantize per-cell residuals.
-func (ix *IVFPQ) Residual() bool { return ix.residual }
 
 // Variant names the encoding variant for stats and reports: "" (raw) or
 // "res".

@@ -1,8 +1,6 @@
 package vecstore
 
 import (
-	"errors"
-	"os"
 	"strings"
 	"testing"
 
@@ -10,7 +8,7 @@ import (
 )
 
 // IVF-PQ suite: the inverted-file layer, the PQ LUT kernel, residual
-// encoding, the VSF4 persistence format, and the post-train Add hot path.
+// encoding, and the build-once lifecycle.
 // The parity discipline matches parity_test.go — the pooled, per-cell-LUT
 // kernel path must reproduce the retained scalar reference bit-for-bit for
 // both encodings.
@@ -180,16 +178,15 @@ func TestPQSearchBatchParity(t *testing.T) {
 	}
 }
 
-// TestPQLifecyclePanics: an untrained quantized index refuses Save (and
-// Search, see TestIVFSearchUntrainedPanics); once trained it takes
-// further Adds, routed and encoded in place.
+// TestPQLifecyclePanics: the index is built once — Search before Train
+// panics (TestIVFSearchUntrainedPanics), and so does Add after Train.
 func TestPQLifecyclePanics(t *testing.T) {
 	ix := NewIVFPQ(IVFPQConfig{Dim: 8, NList: 1})
 	ix.Add(make([]float32, 8), "a")
-	mustPanic(t, "Save before Train", func() { ix.Save(t.TempDir() + "/untrained.vsf") })
 	ix.Train()
-	if id := ix.Add(make([]float32, 8), "b"); id != 1 || ix.Len() != 2 {
-		t.Fatalf("post-train Add: id %d, Len %d", id, ix.Len())
+	mustPanic(t, "Add after Train", func() { ix.Add(make([]float32, 8), "b") })
+	if ix.Len() != 1 {
+		t.Fatalf("Len %d after a refused Add, want 1", ix.Len())
 	}
 }
 
@@ -201,31 +198,6 @@ func mustPanic(t *testing.T, label string, fn func()) {
 		}
 	}()
 	fn()
-}
-
-// TestPQLoadRejectsOutOfRangeCode: when ksub < 256 a corrupt code byte
-// must fail at load time with ErrBadFormat, not panic or mis-score at
-// search time. (TestVSF4RejectsCorrupt holds the same for residual
-// files, whose layout adds the anchors.)
-func TestPQLoadRejectsOutOfRangeCode(t *testing.T) {
-	const dim, n = 8, 50 // ksub = n = 50 < 256
-	vecs, keys := parityVectors(t, dim, n)
-	ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: dim, NList: 1, M: 4, Seed: 51}, ivfpqVariants[0].cfg, vecs, keys)
-	path := t.TempDir() + "/corrupt.vsf"
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] = 255 // last code byte: centroid 255 of 50
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIVFPQ(path); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("corrupt code byte: got %v, want ErrBadFormat", err)
-	}
 }
 
 func TestIVFPQVariantsKernelParity(t *testing.T) {
@@ -250,36 +222,6 @@ func TestIVFPQVariantsKernelParity(t *testing.T) {
 					batch[qi], ix.searchReference(q, 10))
 			}
 		}
-	}
-}
-
-// TestIVFPQPostTrainAdd checks that vectors added after training are
-// encoded, routed, and retrievable.
-func TestIVFPQPostTrainAdd(t *testing.T) {
-	const dim, n = 16, 600
-	vecs, keys := parityVectors(t, dim, n)
-	ix := NewIVFPQ(IVFPQConfig{Dim: dim, NList: 8, NProbe: 8, M: 8, Seed: 45})
-	for i, v := range vecs[:n-50] {
-		ix.Add(v, keys[i])
-	}
-	ix.Train()
-	for i, v := range vecs[n-50:] {
-		ix.Add(v, keys[n-50+i])
-	}
-	if ix.Len() != n {
-		t.Fatalf("Len %d after post-train adds", ix.Len())
-	}
-	hits := 0
-	for i := n - 50; i < n; i++ {
-		for _, r := range ix.Search(vecs[i], 3) {
-			if r.ID == i {
-				hits++
-				break
-			}
-		}
-	}
-	if hits < 45 {
-		t.Fatalf("only %d/50 post-train vectors self-retrieve in top-3", hits)
 	}
 }
 
@@ -376,218 +318,6 @@ func TestIVFPQSetNProbeClampedAtTrain(t *testing.T) {
 	}
 }
 
-// TestIVFPQPostTrainAddAllocs pins the post-train Add hot path: encoding
-// into the tail of the cell's code block must not allocate a fresh code
-// buffer per insert (the old path did `make([]byte, m)` every call);
-// amortised slice growth is the only allocation left.
-func TestIVFPQPostTrainAddAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool is deliberately lossy under -race; steady-state allocs not observable")
-	}
-	for _, v := range ivfpqVariants {
-		const dim, n = 16, 800
-		vecs, keys := parityVectors(t, dim, n)
-		ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: dim, NList: 8, NProbe: 4, M: 8, Seed: 57}, v.cfg, vecs[:n/2], keys[:n/2])
-		next := n / 2
-		allocs := testing.AllocsPerRun(300, func() {
-			ix.Add(vecs[next%n], "post")
-			next++
-		})
-		if allocs >= 1 {
-			t.Fatalf("%s: post-train Add allocates %.2f objects/op, want amortised < 1", v.name, allocs)
-		}
-	}
-}
-
-// TestVSF4SaveLoadRoundTrip round-trips every encoding variant through
-// VSF4: trained state must survive exactly (keys, centroids, codebook,
-// residual anchors, postings, codes), searches must match bit-for-bit, and the
-// format dispatchers must route each magic to the right loader.
-func TestVSF4SaveLoadRoundTrip(t *testing.T) {
-	const dim, n = 24, 400
-	vecs, keys := parityVectors(t, dim, n)
-	for _, v := range ivfpqVariants {
-		ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: dim, NList: 10, NProbe: 4, M: 6, Seed: 59}, v.cfg, vecs, keys)
-		path := t.TempDir() + "/index.vsf4"
-		if err := ix.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadIVFPQ(path)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if loaded.Len() != n || loaded.Dim() != dim || loaded.M() != 6 ||
-			loaded.NList() != ix.NList() || loaded.NProbe() != ix.NProbe() {
-			t.Fatalf("%s: loaded shape %d/%d/m=%d nlist=%d nprobe=%d",
-				v.name, loaded.Len(), loaded.Dim(), loaded.M(), loaded.NList(), loaded.NProbe())
-		}
-		if loaded.Residual() != ix.Residual() || loaded.Variant() != ix.Variant() {
-			t.Fatalf("%s: loaded variant %q residual=%v", v.name, loaded.Variant(), loaded.Residual())
-		}
-		for i := range keys {
-			if loaded.Key(i) != ix.Key(i) {
-				t.Fatalf("%s: key %d mismatch", v.name, i)
-			}
-		}
-		for c := range ix.cellIDs {
-			if len(loaded.cellIDs[c]) != len(ix.cellIDs[c]) {
-				t.Fatalf("%s: cell %d size mismatch", v.name, c)
-			}
-			for j, id := range ix.cellIDs[c] {
-				if loaded.cellIDs[c][j] != id {
-					t.Fatalf("%s: cell %d posting %d mismatch", v.name, c, j)
-				}
-			}
-			for j, code := range ix.cellCodes[c] {
-				if loaded.cellCodes[c][j] != code {
-					t.Fatalf("%s: cell %d code byte %d mismatch", v.name, c, j)
-				}
-			}
-		}
-		for i, f := range ix.cb.cents {
-			if loaded.cb.cents[i] != f {
-				t.Fatalf("%s: codebook float %d mismatch", v.name, i)
-			}
-		}
-		for c, cent := range ix.km.Centroids {
-			for d, f := range cent {
-				if loaded.km.Centroids[c][d] != f {
-					t.Fatalf("%s: coarse centroid %d dim %d mismatch", v.name, c, d)
-				}
-			}
-		}
-		for c, anchor := range ix.anchors {
-			for d, f := range anchor {
-				if loaded.anchors[c][d] != f {
-					t.Fatalf("%s: residual anchor %d dim %d mismatch", v.name, c, d)
-				}
-			}
-		}
-		r := rng.New(193)
-		for trial := 0; trial < 3; trial++ {
-			q := randomUnit(r, 1, dim)[0]
-			checkSameResults(t, "vsf4 "+v.name, loaded.Search(q, 5), ix.Search(q, 5))
-		}
-	}
-
-	// Dispatch: Load routes VSF4 to *IVFPQ; the typed loaders of the other
-	// families refuse it, and LoadIVFPQ refuses theirs.
-	ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: dim, NList: 10, NProbe: 4, M: 6, Seed: 59},
-		ivfpqVariants[1].cfg, vecs, keys)
-	dir := t.TempDir()
-	v4 := dir + "/a.vsf4"
-	if err := ix.Save(v4); err != nil {
-		t.Fatal(err)
-	}
-	anyIx, err := Load(v4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := anyIx.(*IVFPQ); !ok {
-		t.Fatalf("Load returned %T for VSF4", anyIx)
-	}
-	if _, err := LoadFlat(v4); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("LoadFlat on VSF4: %v", err)
-	}
-	flat := NewFlat(dim)
-	for i, fv := range vecs {
-		flat.Add(fv, keys[i])
-	}
-	v2 := dir + "/a.vsf"
-	if err := flat.Save(v2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIVFPQ(v2); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("LoadIVFPQ on VSF2: %v", err)
-	}
-	if st := StatsOf(ix); !strings.HasSuffix(st.Kind, ",res)") {
-		t.Fatalf("StatsOf kind %q missing variant tag", st.Kind)
-	}
-}
-
-// TestVSF4LoadThenAdd is the trained-state restoration regression test: a
-// VSF4-loaded IVFPQ followed by Add must route, encode (raw or residual
-// against the loaded anchors) and search correctly, without retraining.
-func TestVSF4LoadThenAdd(t *testing.T) {
-	const dim, n, extra = 16, 600, 50
-	vecs, keys := parityVectors(t, dim, n)
-	for _, v := range ivfpqVariants {
-		ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: dim, NList: 8, NProbe: 8, M: 8, Seed: 61},
-			v.cfg, vecs[:n-extra], keys[:n-extra])
-		path := t.TempDir() + "/mutate.vsf4"
-		if err := ix.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadIVFPQ(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, nv := range vecs[n-extra:] {
-			loaded.Add(nv, keys[n-extra+i])
-		}
-		if loaded.Len() != n {
-			t.Fatalf("%s: Len %d after post-load adds", v.name, loaded.Len())
-		}
-		hits := 0
-		for i := n - extra; i < n; i++ {
-			for _, r := range loaded.Search(vecs[i], 3) {
-				if r.ID == i {
-					hits++
-					break
-				}
-			}
-		}
-		if hits < extra-5 {
-			t.Fatalf("%s: only %d/%d post-load vectors self-retrieve in top-3", v.name, hits, extra)
-		}
-		// The mutated index must still hold kernel/reference parity.
-		r := rng.New(197)
-		for trial := 0; trial < 3; trial++ {
-			q := randomUnit(r, 1, dim)[0]
-			checkSameResults(t, "vsf4 load+add "+v.name, loaded.Search(q, 7), loaded.searchReference(q, 7))
-		}
-	}
-}
-
-// TestVSF4RejectsCorrupt: out-of-range code bytes and unknown header
-// flags must fail at load time with ErrBadFormat.
-func TestVSF4RejectsCorrupt(t *testing.T) {
-	const dim, n = 8, 60 // ksub = n = 60 < 256
-	vecs, keys := parityVectors(t, dim, n)
-	ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: dim, NList: 4, NProbe: 4, M: 4, Seed: 63},
-		ivfpqVariants[1].cfg, vecs, keys)
-	dir := t.TempDir()
-	path := dir + "/good.vsf4"
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Last byte of the file is the last code byte of the last non-empty
-	// cell: centroid 255 of 60.
-	corrupt := append([]byte(nil), raw...)
-	corrupt[len(corrupt)-1] = 255
-	bad := dir + "/code.vsf4"
-	if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIVFPQ(bad); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("corrupt code byte: got %v, want ErrBadFormat", err)
-	}
-	// Unknown flag bit (header offset 24 = magic+dim+m+ksub+nlist+nprobe).
-	corrupt = append([]byte(nil), raw...)
-	corrupt[24] |= 0x80
-	bad = dir + "/flags.vsf4"
-	if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIVFPQ(bad); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("unknown flag bit: got %v, want ErrBadFormat", err)
-	}
-}
-
 // TestPQBytesPerVector pins the acceptance memory claim at the benchmark
 // dimension: PQ codes at M=48 store ≤ 1/8 the bytes-per-vector of Flat's
 // FP16 (codebook and the one coarse centroid amortised over the benchmark
@@ -623,9 +353,8 @@ func TestStatsOfUntrainedPQ(t *testing.T) {
 	}
 }
 
-// The inverted-file layer (invFile): probe sizing, post-train routing,
-// lifecycle panics, the probe-grouped batch scan and seeded training,
-// driven through IVF-PQ.
+// The inverted-file layer (invFile): probe sizing, lifecycle panics, the
+// probe-grouped batch scan and seeded training, driven through IVF-PQ.
 
 func TestIVFAutoNListAndNProbe(t *testing.T) {
 	r := rng.New(19)
@@ -642,24 +371,17 @@ func TestIVFAutoNListAndNProbe(t *testing.T) {
 	}
 }
 
-// TestIVFAddAfterTrain: a vector added after training is routed to its
-// nearest cell's postings, keeps its key, and is retrievable.
+// TestIVFAddAfterTrain: a trained index refuses Add with a panic before
+// it changes anything — Len, keys and results stay those of the build.
 func TestIVFAddAfterTrain(t *testing.T) {
 	ix, _ := buildIVFPQ(t, 200, 16, 8, 8)
 	v := randomUnit(rng.New(23), 1, 16)[0]
-	id := ix.Add(v, "late")
-	if ids := ix.cellIDs[ix.km.Nearest(v)]; ids[len(ids)-1] != id {
-		t.Fatalf("late id %d not appended to its nearest cell's postings", id)
+	before := ix.Search(v, 5)
+	mustPanic(t, "Add after Train", func() { ix.Add(v, "late") })
+	if ix.Len() != 200 || len(ix.keys) != 200 {
+		t.Fatalf("refused Add grew the index to Len %d, %d keys", ix.Len(), len(ix.keys))
 	}
-	for _, r := range ix.Search(v, 3) {
-		if r.ID == id {
-			if r.Key != "late" {
-				t.Fatalf("late-added vector carries key %q", r.Key)
-			}
-			return
-		}
-	}
-	t.Fatal("late-added vector not retrievable in the top 3")
+	checkSameResults(t, "after refused Add", ix.Search(v, 5), before)
 }
 
 func TestIVFSearchUntrainedPanics(t *testing.T) {

@@ -122,52 +122,6 @@ func TestLiveCompactionPreservesResults(t *testing.T) {
 	}
 }
 
-// TestLiveCompactIntoIVFPQ exercises the production compaction target: the
-// memtable drains into a trained IVF-PQ base through the post-train
-// residual Add path. With every cell probed the scan is exhaustive, so
-// every inserted key must be retrievable at k=Len after the drain.
-func TestLiveCompactIntoIVFPQ(t *testing.T) {
-	const dim, nBase, nMem = 16, 80, 12
-	rng := rand.New(rand.NewSource(13))
-	flat := NewFlat(dim)
-	for i := 0; i < nBase; i++ {
-		flat.Add(randVec(rng, dim), fmt.Sprintf("b%02d", i))
-	}
-	base := flat.ToIVFPQ(IVFPQConfig{NList: 4, NProbe: 4, M: 4, Residual: true})
-	live := NewLive(base, nil)
-	memVecs := make(map[string][]float32, nMem)
-	for i := 0; i < nMem; i++ {
-		key := fmt.Sprintf("m%02d", i)
-		v := randVec(rng, dim)
-		memVecs[key] = v
-		live.Add(v, key)
-	}
-	newBase, err := live.CompactBase(nMem)
-	if err != nil {
-		t.Fatalf("CompactBase: %v", err)
-	}
-	live = live.Rotate(newBase, nMem)
-	if live.MemLen() != 0 || live.Len() != nBase+nMem {
-		t.Fatalf("after drain: MemLen=%d Len=%d", live.MemLen(), live.Len())
-	}
-	// The original base must be undisturbed by the clone's appends.
-	if base.Len() != nBase {
-		t.Fatalf("original base grew to %d rows", base.Len())
-	}
-	for key, v := range memVecs {
-		found := false
-		for _, r := range live.Search(v, live.Len()) {
-			if r.Key == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("key %q not retrievable after compaction into IVF-PQ", key)
-		}
-	}
-}
-
 // TestLiveCompactIntoHNSW exercises the modernised graph index as the
 // compaction target: the memtable drains into an HNSW base through
 // CloneForAppend + incremental Add — the sub-linear mutable-base path the
@@ -215,7 +169,8 @@ func TestLiveCompactIntoHNSW(t *testing.T) {
 }
 
 // TestLiveCompactBaseRejects pins the error paths: a cut outside the
-// memtable, and a base without CloneForAppend (a bare Memtable).
+// memtable, and a base without CloneForAppend (a bare Memtable, and the
+// build-once IVF-PQ).
 func TestLiveCompactBaseRejects(t *testing.T) {
 	live := NewLive(NewFlat(4), nil)
 	live.Add([]float32{1, 0, 0, 0}, "a")
@@ -230,5 +185,14 @@ func TestLiveCompactBaseRejects(t *testing.T) {
 	liveMT := NewLive(mt, nil)
 	if _, err := liveMT.CompactBase(0); err == nil {
 		t.Fatal("CompactBase on a non-cloneable base succeeded")
+	}
+	flat := NewFlat(4)
+	for i := 0; i < 8; i++ {
+		flat.Add([]float32{1, float32(i), 0, 1}, "f")
+	}
+	livePQ := NewLive(flat.ToIVFPQ(IVFPQConfig{NList: 2, M: 2, Seed: 1}), nil)
+	livePQ.Add([]float32{0, 1, 0, 0}, "a")
+	if _, err := livePQ.CompactBase(1); err == nil {
+		t.Fatal("CompactBase into an IVF-PQ base succeeded")
 	}
 }

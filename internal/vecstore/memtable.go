@@ -19,9 +19,9 @@ import (
 // property pinned by TestLiveMatchesFlatUnion).
 //
 // Compaction follows the snapshot discipline of the serving layer: the
-// slow step (CompactBase) encodes a prefix of the memtable into a clone of
-// the base — post-train IVFPQ.Add is the residual encode path — while
-// readers and writers proceed; the fast step (Rotate) runs under the
+// slow step (CompactBase) appends a prefix of the memtable to a clone of
+// the base (a Flat or an HNSW; IVF-PQ is build-once and cannot take rows)
+// while readers and writers proceed; the fast step (Rotate) runs under the
 // caller's write lock and produces a successor Live whose fresh memtable
 // carries only the rows added since the compaction cut. Acked ids are
 // stable across compaction: row r of the memtable is id base.Len()+r
@@ -131,17 +131,6 @@ type AppendableCloner interface {
 // CloneForAppend implements AppendableCloner for Flat.
 func (ix *Flat) CloneForAppend() Index {
 	cp := *ix
-	return &cp
-}
-
-// CloneForAppend implements AppendableCloner for IVFPQ: the outer per-cell
-// slices are copied so post-train Add mutates only the clone's view, while
-// the trained state (quantizers, codebook, anchors, rotation) is shared
-// read-only.
-func (ix *IVFPQ) CloneForAppend() Index {
-	cp := *ix
-	cp.cellIDs = append([][]int(nil), ix.cellIDs...)
-	cp.cellCodes = append([][]byte(nil), ix.cellCodes...)
 	return &cp
 }
 
@@ -291,10 +280,11 @@ func (lv *Live) MemoryBytes() int64 {
 }
 
 // CompactBase is the slow half of a compaction: it clones the base and
-// encodes the first n memtable rows into the clone through the base's own
-// Add path (post-train residual encoding for IVFPQ). Readers and writers
-// may proceed concurrently — rows [0,n) are frozen by append-only growth,
-// and the clone never disturbs rows visible through the original base.
+// appends the first n memtable rows to the clone through the base's own
+// Add path; a base that is not an AppendableCloner (IVF-PQ) fails here.
+// Readers and writers may proceed concurrently — rows [0,n) are frozen by
+// append-only growth, and the clone never disturbs rows visible through
+// the original base.
 func (lv *Live) CompactBase(n int) (Index, error) {
 	cl, ok := lv.base.(AppendableCloner)
 	if !ok {

@@ -176,38 +176,3 @@ func BenchmarkIVFPQResidualSearchBatch(b *testing.B) {
 		float64(b.Elapsed().Nanoseconds())/float64(b.N)/scanned/float64(len(queries)),
 		"ns/vector")
 }
-
-// BenchmarkIVFPQAdd is the post-train insert hot path: route, residual
-// subtract, encode into the tail of the cell's contiguous block. Compare
-// allocs/op with BenchmarkIVFPQAddNaive (the pre-fix per-insert buffer).
-func BenchmarkIVFPQAdd(b *testing.B) {
-	ix, queries, _ := buildBenchIVFPQ(b, IVFPQConfig{Residual: true})
-	vecs := randomUnit(rng.New(3), 256, benchDim)
-	_ = queries
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Add(vecs[i%len(vecs)], "")
-	}
-}
-
-// BenchmarkIVFPQAddNaive is the frozen pre-fix Add path — a fresh
-// make([]byte, m) per insert, encoded against the shared codebook, then
-// copied into the cell block — retained so the allocation win of the
-// in-place tail encode stays measurable against its true baseline.
-func BenchmarkIVFPQAddNaive(b *testing.B) {
-	ix, _, _ := buildBenchIVFPQ(b, IVFPQConfig{})
-	vecs := randomUnit(rng.New(3), 256, benchDim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vec := vecs[i%len(vecs)]
-		id := len(ix.keys)
-		ix.keys = append(ix.keys, "")
-		c := ix.km.Nearest(vec)
-		ix.cellIDs[c] = append(ix.cellIDs[c], id)
-		code := make([]byte, ix.cb.m)
-		ix.cb.encode(vec, code)
-		ix.cellCodes[c] = append(ix.cellCodes[c], code...)
-	}
-}

@@ -274,9 +274,51 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // TestLoadRejectsRetiredVSF1 pins that the retired formats are no longer
 // read: a well-formed VSF2 payload behind the VSF1 magic, a well-formed
-// VSF3 (standalone PQ) file, and a well-formed VSF4 file carrying the
-// retired OPQ rotation flag and section each fail with ErrBadFormat
-// through every loader, and no error points at a retired loader.
+// VSF3 (standalone PQ) file, and well-formed VSF4 (IVF-PQ) files, residual
+// and with the OPQ rotation, each fail with ErrBadFormat through every
+// loader, and no error points at a retired loader.
+// VSF4 flag bits of the retired IVF-PQ format.
+const (
+	vsf4Residual = 1 << 0
+	vsf4Rotation = 1 << 1
+)
+
+// retiredVSF4 returns a file of the retired IVF-PQ format, well formed
+// for its old reader: dim=4, m=2, ksub=1, nlist=1, nprobe=1, the flags,
+// count=1, key "a", the coarse centroid, the cell anchor when residual,
+// the 1×4 codebook, the identity rotation when rotated, and the one
+// cell's size, posting and two code bytes.
+func retiredVSF4(flags uint32) []byte {
+	le := binary.LittleEndian
+	b := []byte("VSF4")
+	for _, u := range []uint32{4, 2, 1, 1, 1, flags} {
+		b = le.AppendUint32(b, u)
+	}
+	b = le.AppendUint64(b, 1)
+	b = append(le.AppendUint32(b, 1), 'a')
+	row := func(r int) {
+		for c := 0; c < 4; c++ {
+			var v float32
+			if c == r {
+				v = 1
+			}
+			b = le.AppendUint32(b, math.Float32bits(v))
+		}
+	}
+	row(0) // coarse centroid
+	if flags&vsf4Residual != 0 {
+		row(0) // anchor
+	}
+	row(0) // codebook
+	if flags&vsf4Rotation != 0 {
+		for r := 0; r < 4; r++ {
+			row(r)
+		}
+	}
+	b = le.AppendUint32(le.AppendUint32(b, 1), 0)
+	return append(b, 0, 0)
+}
+
 func TestLoadRejectsRetiredVSF1(t *testing.T) {
 	dir := t.TempDir()
 	le := binary.LittleEndian
@@ -312,47 +354,22 @@ func TestLoadRejectsRetiredVSF1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// VSF4 with rotation: a raw IVF-PQ file with flag bit 1 set and an
-	// identity dim×dim rotation spliced in after the codebook, where the
-	// retired writer put it.
-	vecs, keys := parityVectors(t, 8, 40)
-	ix := buildVariantIVFPQ(t, IVFPQConfig{Dim: 8, NList: 4, NProbe: 4, M: 4, Seed: 1}, ivfpqVariants[0].cfg, vecs, keys)
 	v4 := filepath.Join(dir, "v4.vsf")
-	if err := ix.Save(v4); err != nil {
+	if err := writeFile(v4, retiredVSF4(vsf4Residual)); err != nil {
 		t.Fatal(err)
 	}
-	good, err := readFile(v4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := 36 + 4*ix.km.K*ix.dim + 4*len(ix.cb.cents)
-	for _, k := range keys {
-		off += 4 + len(k)
-	}
-	var rot []byte
-	for r := 0; r < ix.dim; r++ {
-		for c := 0; c < ix.dim; c++ {
-			var v float32
-			if r == c {
-				v = 1
-			}
-			rot = le.AppendUint32(rot, math.Float32bits(v))
-		}
-	}
-	v4data := append(append(append([]byte(nil), good[:off]...), rot...), good[off:]...)
-	v4data[24] |= 1 << 1
-	if err := writeFile(v4, v4data); err != nil {
+	v4rot := filepath.Join(dir, "v4rot.vsf")
+	if err := writeFile(v4rot, retiredVSF4(vsf4Rotation)); err != nil {
 		t.Fatal(err)
 	}
 
 	loaders := map[string]func(string) error{
-		"Load":      func(p string) error { _, err := Load(p); return err },
-		"LoadFlat":  func(p string) error { _, err := LoadFlat(p); return err },
-		"LoadIVFPQ": func(p string) error { _, err := LoadIVFPQ(p); return err },
-		"LoadHNSW":  func(p string) error { _, err := LoadHNSW(p); return err },
+		"Load":     func(p string) error { _, err := Load(p); return err },
+		"LoadFlat": func(p string) error { _, err := LoadFlat(p); return err },
+		"LoadHNSW": func(p string) error { _, err := LoadHNSW(p); return err },
 	}
 	for _, in := range []struct{ name, path string }{
-		{"VSF1", v1}, {"VSF3", v3}, {"VSF4-rotation", v4},
+		{"VSF1", v1}, {"VSF3", v3}, {"VSF4", v4}, {"VSF4-rotation", v4rot},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			for name, load := range loaders {
@@ -360,7 +377,7 @@ func TestLoadRejectsRetiredVSF1(t *testing.T) {
 				if !errors.Is(err, ErrBadFormat) {
 					t.Fatalf("%s(%s): %v, want ErrBadFormat", name, in.name, err)
 				}
-				if strings.Contains(err.Error(), "LoadPQ") {
+				if strings.Contains(err.Error(), "LoadPQ") || strings.Contains(err.Error(), "LoadIVFPQ") {
 					t.Fatalf("%s(%s): error points at a retired loader: %v", name, in.name, err)
 				}
 			}
