@@ -13,13 +13,13 @@
 //     gets full batches while a fast handler (the in-process simulated
 //     teacher, ~30 µs per batch) is not made to sit out MaxDelay per call;
 //     Stats().Window shows which regime the gateway is in;
-//   - token-bucket rate limiting across batches;
 //   - bounded retries with exponential backoff and deterministic jitter for
 //     transient failures (the schedule is the shared internal/retry.Policy,
 //     which the router's shard fan-out reuses), aborted immediately when
-//     the gateway closes;
-//   - an optional net/http JSON transport (server.go) so the same handler
-//     can sit behind a real socket.
+//     the gateway closes.
+//
+// The gateway is in-process: the handler is a Go function (the simulated
+// teacher in the pipeline), called directly with each coalesced batch.
 package argo
 
 import (
@@ -59,10 +59,6 @@ type Config struct {
 	MaxDelay    time.Duration // cap on the time a request waits for batchmates (default 2ms); see batch.Config
 	MaxRetries  int           // retry budget per request for transient failures (default 3)
 	BaseBackoff time.Duration // first retry delay (default 1ms, doubles per attempt)
-	// RatePerSec limits handler dispatches per second; 0 disables.
-	RatePerSec float64
-	// Burst is the token-bucket depth when rate limiting (default 1).
-	Burst int
 }
 
 func (c *Config) fill() {
@@ -79,9 +75,6 @@ func (c *Config) fill() {
 	}
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = time.Millisecond
-	}
-	if c.Burst <= 0 {
-		c.Burst = 1
 	}
 }
 
@@ -106,19 +99,17 @@ var ErrGatewayClosed = errors.New("argo: gateway closed")
 
 // Gateway batches concurrent requests into handler calls. Coalescing is
 // delegated to internal/batch; the gateway layers the model-endpoint
-// semantics (rate limiting, retry with backoff, ID-keyed handler contract)
-// on top.
+// semantics (retry with backoff, ID-keyed handler contract) on top.
 type Gateway struct {
 	cfg     Config
 	policy  retry.Policy
 	handler BatchHandler
 	co      *batch.Coalescer[Request, Response]
-	limiter *bucket
 
-	// ctx gates every wait inside the retry machinery (backoff sleeps,
-	// rate-limiter waits): Close cancels it first, so a closing gateway
-	// stops retrying within one tick instead of sleeping out the whole
-	// backoff schedule before the coalescer can drain.
+	// ctx gates the backoff sleeps of the retry machinery: Close cancels
+	// it first, so a closing gateway stops retrying within one tick
+	// instead of sleeping out the whole backoff schedule before the
+	// coalescer can drain.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -137,11 +128,12 @@ func NewGateway(cfg Config, handler BatchHandler) *Gateway {
 		// retry.Policy.Fill re-mapping an explicit 0 back to the default.
 		policy:  retry.Policy{MaxRetries: cfg.MaxRetries, BaseBackoff: cfg.BaseBackoff},
 		handler: handler,
-		limiter: newBucket(cfg.RatePerSec, cfg.Burst),
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	g.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, g.serveBatch)
+	g.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, func(reqs []Request) []Response {
+		return g.serveAttempt(reqs, 0)
+	})
 	return g
 }
 
@@ -181,39 +173,8 @@ func (g *Gateway) Call(ctx context.Context, req Request) (Response, error) {
 	return resp, nil
 }
 
-// CallAll submits requests concurrently (letting the gateway batch them)
-// and returns responses in request order.
-func (g *Gateway) CallAll(ctx context.Context, reqs []Request) ([]Response, error) {
-	out := make([]Response, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = g.Call(ctx, reqs[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// serveBatch is the coalescer's batch function: one rate-limiter token per
-// coalesced batch, then the retry loop.
-func (g *Gateway) serveBatch(reqs []Request) []Response {
-	if err := g.limiter.wait(g.ctx); err != nil {
-		return g.failAll(reqs, err)
-	}
-	return g.serveAttempt(reqs, 0)
-}
-
 // failAll answers every request with the same terminal error — the shape a
-// batch takes when the gateway is cancelled mid-wait.
+// batch takes when the gateway is cancelled mid-backoff.
 func (g *Gateway) failAll(reqs []Request, err error) []Response {
 	out := make([]Response, len(reqs))
 	for i, req := range reqs {
@@ -296,59 +257,4 @@ func (g *Gateway) countFailure() {
 	g.mu.Lock()
 	g.stats.Failures++
 	g.mu.Unlock()
-}
-
-// bucket is a token-bucket rate limiter; nil-safe when disabled.
-type bucket struct {
-	interval time.Duration
-	tokens   int
-	depth    int
-	last     time.Time
-	mu       sync.Mutex
-}
-
-func newBucket(ratePerSec float64, burst int) *bucket {
-	if ratePerSec <= 0 {
-		return nil
-	}
-	return &bucket{
-		interval: time.Duration(float64(time.Second) / ratePerSec),
-		tokens:   burst,
-		depth:    burst,
-		last:     time.Now(),
-	}
-}
-
-// wait blocks until a token is available or ctx is cancelled (the second
-// of the two historical time.Sleep sites that used to ride out their full
-// delay even while the gateway was closing).
-func (b *bucket) wait(ctx context.Context) error {
-	if b == nil {
-		return nil
-	}
-	for {
-		b.mu.Lock()
-		now := time.Now()
-		refill := int(now.Sub(b.last) / b.interval)
-		if refill > 0 {
-			b.tokens += refill
-			if b.tokens > b.depth {
-				b.tokens = b.depth
-			}
-			b.last = b.last.Add(time.Duration(refill) * b.interval)
-		}
-		if b.tokens > 0 {
-			b.tokens--
-			b.mu.Unlock()
-			return nil
-		}
-		sleep := b.interval - now.Sub(b.last)
-		b.mu.Unlock()
-		if sleep < time.Microsecond {
-			sleep = time.Microsecond
-		}
-		if err := retry.Sleep(ctx, sleep); err != nil {
-			return err
-		}
-	}
 }

@@ -293,12 +293,6 @@ func indexes(n int) []int {
 	return out
 }
 
-// SaveChunkIndex persists the artifacts' chunk vector index to path (the
-// FP16 Flat layout of internal/vecstore).
-func SaveChunkIndex(a *Artifacts, path string) error {
-	return a.ChunkStore.SaveIndex(path)
-}
-
 // SyntheticSetup bundles the generated benchmark for evaluation.
 func (a *Artifacts) SyntheticSetup() *eval.Setup {
 	s := a.retrievalSetup()

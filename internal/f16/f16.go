@@ -242,20 +242,6 @@ func Cosine(a, b []float32) float32 {
 	return DotF32(a, b) / (na * nb)
 }
 
-// L2Squared returns the squared Euclidean distance between a stored half
-// vector and a float32 query.
-func L2Squared(h []uint16, q []float32) float32 {
-	if len(h) != len(q) {
-		panic("f16: L2Squared length mismatch")
-	}
-	var s float32
-	for i := range h {
-		d := ToFloat32(h[i]) - q[i]
-		s += d * d
-	}
-	return s
-}
-
 // BytesPerVector reports the storage footprint of one half-precision vector
 // of the given dimension, used for dataset-statistics reporting.
 func BytesPerVector(dim int) int { return 2 * dim }

@@ -326,15 +326,6 @@ func TestCosine(t *testing.T) {
 	}
 }
 
-func TestL2Squared(t *testing.T) {
-	h := Encode([]float32{1, 2})
-	q := []float32{4, 6}
-	got := L2Squared(h, q)
-	if math.Abs(float64(got-25)) > 0.1 {
-		t.Fatalf("L2Squared = %v, want 25", got)
-	}
-}
-
 func TestBytesPerVector(t *testing.T) {
 	if BytesPerVector(384) != 768 {
 		t.Fatalf("BytesPerVector(384) = %d", BytesPerVector(384))

@@ -3,9 +3,9 @@
 // serve.Server over its shards): bounded JSON request decoding, JSON and
 // traced response encoding, the /metrics, /debug/slowlog and /debug/pprof
 // handlers, and the listen/serve/drain lifecycle. The router's own
-// listener and /healthz, and internal/argo's gateway server, use the
-// lifecycle and JSON encoding too. Plain functions over the callers' own
-// state; nothing here knows about routes, shards or indexes.
+// listener and /healthz use the lifecycle and JSON encoding too. Plain
+// functions over the callers' own state; nothing here knows about routes,
+// shards or indexes.
 package httpkit
 
 import (

@@ -546,17 +546,6 @@ func TestTraceNeverAssertsAnswer(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	teacher, _, _, _ := teacherFixture(t)
-	s := teacher.Summarize("Radiation damages DNA. Repair follows. Cells survive.")
-	if !strings.Contains(s, "Radiation damages DNA.") || !strings.Contains(s, "3 statements") {
-		t.Fatalf("summary %q", s)
-	}
-	if teacher.Summarize("") != "" {
-		t.Fatal("empty text summarised")
-	}
-}
-
 // --- judge ---
 
 func TestJudgeParsesFormats(t *testing.T) {

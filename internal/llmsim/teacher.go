@@ -30,17 +30,6 @@ func NewTeacher(kb *corpus.KB) *Teacher {
 	return &Teacher{KB: kb, NumOptions: 7}
 }
 
-// Summarize produces the teacher's summary-and-expansion of a chunk, the
-// first step of the paper's structured generation prompt.
-func (t *Teacher) Summarize(text string) string {
-	sentences := tokenizer.SplitSentences(text)
-	if len(sentences) == 0 {
-		return ""
-	}
-	head := sentences[0]
-	return fmt.Sprintf("%s In summary, the passage develops this observation and its experimental support across %d statements.", head, len(sentences))
-}
-
 // FactsInChunk returns the subset of candidate facts whose canonical
 // sentence appears verbatim in the chunk text, in candidate order.
 func (t *Teacher) FactsInChunk(ch chunk.Chunk, candidates []corpus.FactID) []*corpus.Fact {

@@ -119,13 +119,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Time runs fn and observes its duration.
-func (h *Histogram) Time(fn func()) {
-	start := time.Now()
-	fn()
-	h.Observe(time.Since(start))
-}
-
 // Snapshot is a consistent point-in-time view of a histogram.
 type Snapshot struct {
 	Total int64

@@ -110,15 +110,6 @@ func TestHistogramMean(t *testing.T) {
 	}
 }
 
-func TestHistogramTime(t *testing.T) {
-	h := NewHistogram(nil)
-	h.Time(func() { time.Sleep(2 * time.Millisecond) })
-	s := h.Snapshot()
-	if s.Total != 1 || s.Max < time.Millisecond {
-		t.Fatalf("snapshot %+v", s)
-	}
-}
-
 func TestRegistryIdentity(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("a") != r.Counter("a") {

@@ -36,8 +36,7 @@ type SlowLog struct {
 	entries []TraceRecord
 }
 
-// DefaultSlowLogSize is the per-route retention used when a config leaves
-// the size unset.
+// DefaultSlowLogSize is the retention of every serving route's slowlog.
 const DefaultSlowLogSize = 32
 
 // NewSlowLog returns a slowlog retaining the capacity slowest traces

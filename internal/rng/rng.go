@@ -134,56 +134,6 @@ func (r *Source) Normal(mu, sigma float64) float64 {
 	}
 }
 
-// Exp returns an exponentially distributed sample with the given rate.
-func (r *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	return -math.Log(1-r.Float64()) / rate
-}
-
-// Gamma returns a Gamma(shape, 1) sample (Marsaglia–Tsang method).
-func (r *Source) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic("rng: Gamma with non-positive shape")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a)
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.Normal(0, 1)
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// Beta returns a Beta(a, b) sample.
-func (r *Source) Beta(a, b float64) float64 {
-	x := r.Gamma(a)
-	y := r.Gamma(b)
-	if x+y == 0 {
-		return 0.5
-	}
-	return x / (x + y)
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -209,10 +159,6 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Choice returns a uniformly random index in [0, len), as a convenience for
-// picking from slices.
-func (r *Source) Choice(length int) int { return r.Intn(length) }
 
 // Categorical samples an index proportionally to the non-negative weights.
 // It panics if weights is empty or sums to zero.
@@ -283,9 +229,6 @@ func NewZipf(n int, s float64) *Zipf {
 	}
 	return &Zipf{cdf: cdf}
 }
-
-// N returns the support size of the sampler.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Sample draws a rank in [0, N).
 func (z *Zipf) Sample(r *Source) int {

@@ -145,58 +145,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(13)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := r.Exp(2)
-		if x < 0 {
-			t.Fatalf("Exp returned negative %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.02 {
-		t.Fatalf("Exp(2) mean %v, want ~0.5", mean)
-	}
-}
-
-func TestGammaMean(t *testing.T) {
-	for _, shape := range []float64{0.5, 1, 2.5, 9} {
-		r := New(17)
-		const n = 100000
-		var sum float64
-		for i := 0; i < n; i++ {
-			x := r.Gamma(shape)
-			if x < 0 {
-				t.Fatalf("Gamma(%v) negative sample", shape)
-			}
-			sum += x
-		}
-		mean := sum / n
-		if math.Abs(mean-shape) > 0.05*shape+0.03 {
-			t.Fatalf("Gamma(%v) mean %v", shape, mean)
-		}
-	}
-}
-
-func TestBetaRangeAndMean(t *testing.T) {
-	r := New(19)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := r.Beta(2, 5)
-		if x < 0 || x > 1 {
-			t.Fatalf("Beta out of [0,1]: %v", x)
-		}
-		sum += x
-	}
-	want := 2.0 / 7.0
-	if mean := sum / n; math.Abs(mean-want) > 0.01 {
-		t.Fatalf("Beta(2,5) mean %v, want ~%v", mean, want)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(23)
 	p := r.Perm(50)

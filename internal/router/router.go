@@ -47,8 +47,9 @@ import (
 	"repro/internal/serve"
 )
 
-// Config parameterises a Router. Request depth and batch limits, the
-// slowlog size and the metrics registry are serve's defaults.
+// Config parameterises a Router. Request depth and batch limits and the
+// slowlog size are serve's constants; the metrics registry is the one its
+// serve.Server makes.
 type Config struct {
 	// Shards are the backend base URLs ("http://host:port"), one per
 	// corpus partition. Order defines the shard names (shard0, shard1, …).

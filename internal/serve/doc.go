@@ -45,7 +45,8 @@
 //     store error answers 503. internal/router is this server over a
 //     remote shard set (NewTier("router", …)), with the cache off.
 //
-//   - Observability and load. /healthz reports every route; /metrics is
+//   - Observability and load. /healthz reports every route's epoch,
+//     vector count and index source under routes.<name>; /metrics is
 //     the text exposition of an internal/metrics Registry with one
 //     namespace per route (serve.chunks.…, serve.traces.detailed.…:
 //     QPS counters, batch-size distribution, cache hit rate, latency
@@ -53,7 +54,7 @@
 //     uniform/zipf and mixed-route load for cmd/ragload and the tests.
 //
 // The HTTP scaffolding (request decoding, response encoding, the debug
-// surface, listen/drain) is internal/httpkit, shared with argo's gateway.
+// surface, listen/drain) is internal/httpkit, shared with the router.
 // cmd/ragserve wires the stores to a corpus and a SIGTERM drain;
 // cmd/ragload is the matching load generator; measured performance is
 // ragbench's (benchmarks/README.md).

@@ -140,7 +140,7 @@ func TestHNSWRouteEndToEnd(t *testing.T) {
 	if _, ok := snap.Store.(rag.Swapper).Index().(*vecstore.HNSW); !ok || snap.Epoch != 1 {
 		t.Fatalf("after the swap the %s route serves a %T at epoch %d", route, snap.Store.(rag.Swapper).Index(), snap.Epoch)
 	}
-	if flatSnap := s.Snapshot(); flatSnap.Epoch != 0 {
+	if flatSnap := s.routes[RouteChunks].snap.Load(); flatSnap.Epoch != 0 {
 		t.Fatalf("swapping the %s route moved the chunks epoch to %d", route, flatSnap.Epoch)
 	}
 	if after := searchAll(); !reflect.DeepEqual(after, before) {

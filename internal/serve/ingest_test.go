@@ -93,9 +93,7 @@ func TestAddThenSearchSeesInsert(t *testing.T) {
 // empty batches, oversized batches, duplicate ids (in-batch, vs the build
 // corpus, and vs a previous insert) — all without partial inserts.
 func TestAddValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxBatchQueries = 4
-	s, _, chunks := liveTestServer(t, 16, cfg)
+	s, _, chunks := liveTestServer(t, 16, DefaultConfig())
 	c := NewClient("http://"+s.Addr(), nil)
 
 	wantStatus := func(err error, code int, what string) {
@@ -110,7 +108,13 @@ func TestAddValidation(t *testing.T) {
 	}
 	_, err := c.AddRoute(RouteChunks, nil)
 	wantStatus(err, 400, "empty batch")
-	_, err = c.AddRoute(RouteChunks, []AddChunk{freshChunk(1), freshChunk(2), freshChunk(3), freshChunk(4), freshChunk(5)})
+	// One past maxBatchItems; its ids include the 6 and 7 inserted below,
+	// so a partial insert would fail those steps.
+	oversize := make([]AddChunk, maxBatchItems+1)
+	for i := range oversize {
+		oversize[i] = freshChunk(i + 1)
+	}
+	_, err = c.AddRoute(RouteChunks, oversize)
 	wantStatus(err, 413, "oversized batch")
 	_, err = c.AddRoute(RouteChunks, []AddChunk{freshChunk(6), freshChunk(6)})
 	wantStatus(err, 400, "in-batch duplicate")
@@ -177,7 +181,7 @@ func TestCompactEndpoint(t *testing.T) {
 		}
 	}
 	// The published index is still a Live layer over the grown base.
-	snap := s.Snapshot()
+	snap := s.routes[RouteChunks].snap.Load()
 	lv, ok := snap.Store.(rag.Swapper).Index().(*vecstore.Live)
 	if !ok {
 		t.Fatalf("post-compaction index is %T, want *vecstore.Live", snap.Store.(rag.Swapper).Index())
@@ -206,7 +210,7 @@ func TestAutoCompaction(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap := s.Snapshot()
+		snap := s.routes[RouteChunks].snap.Load()
 		lv := snap.Store.(rag.Swapper).Index().(*vecstore.Live)
 		if snap.Epoch >= 1 && lv.MemLen() == 0 && snap.Source == "compaction" {
 			break
@@ -264,7 +268,7 @@ func TestCompactionDrainsBurstsWithoutFurtherAdds(t *testing.T) {
 		return
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		mem := memRows(s.Snapshot())
+		mem := memRows(s.routes[RouteChunks].snap.Load())
 		if mem < cfg.CompactAt {
 			break
 		}
@@ -272,8 +276,8 @@ func TestCompactionDrainsBurstsWithoutFurtherAdds(t *testing.T) {
 			t.Fatalf("%d memtable rows (CompactAt %d) still waiting 5s after the last add", mem, cfg.CompactAt)
 		}
 	}
-	if want := 16 + writers*bursts*cfg.CompactAt; s.Snapshot().Store.Len() != want {
-		t.Fatalf("store has %d vectors, want %d", s.Snapshot().Store.Len(), want)
+	if want := 16 + writers*bursts*cfg.CompactAt; s.routes[RouteChunks].snap.Load().Store.Len() != want {
+		t.Fatalf("store has %d vectors, want %d", s.routes[RouteChunks].snap.Load().Store.Len(), want)
 	}
 }
 
@@ -368,7 +372,7 @@ func TestIngestConcurrentAddSearchCompact(t *testing.T) {
 	if _, err := s.CompactRoute(RouteChunks); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Snapshot()
+	snap := s.routes[RouteChunks].snap.Load()
 	if want := 32 + writers*perWriter; snap.Store.Len() != want {
 		t.Fatalf("store has %d vectors after quiesce, want %d", snap.Store.Len(), want)
 	}

@@ -249,7 +249,7 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 }
 
 func TestStaleFillDoesNotSquatAfterSwap(t *testing.T) {
-	// A fill that is still in flight when SwapIndex purges the cache must
+	// A fill that is still in flight when a swap purges the cache must
 	// not leave an entry keyed under the dead epoch.
 	cfg := DefaultConfig()
 	cfg.MaxDelay = 40 * time.Millisecond // park the fill in the coalescer
@@ -262,13 +262,13 @@ func TestStaleFillDoesNotSquatAfterSwap(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := s.Search(context.Background(), chunks[4].Text, 2)
+		_, _, _, err := s.SearchRoute(context.Background(), RouteChunks, chunks[4].Text, 2, "")
 		done <- err
 	}()
 	for { // wait until the fill's flight is registered
-		s.chunks.flights.mu.Lock()
-		n := len(s.chunks.flights.m)
-		s.chunks.flights.mu.Unlock()
+		s.routes[RouteChunks].flights.mu.Lock()
+		n := len(s.routes[RouteChunks].flights.m)
+		s.routes[RouteChunks].flights.mu.Unlock()
 		if n > 0 {
 			break
 		}
@@ -280,14 +280,14 @@ func TestStaleFillDoesNotSquatAfterSwap(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := s.chunks.cache.Len(); n != 0 {
+	if n := s.routes[RouteChunks].cache.Len(); n != 0 {
 		t.Fatalf("%d dead-epoch entries squatting the cache after swap", n)
 	}
 	// A fresh lookup misses, then fills under the live epoch.
-	if _, cached, epoch, err := s.Search(context.Background(), chunks[4].Text, 2); err != nil || cached || epoch != 1 {
+	if _, cached, epoch, err := s.SearchRoute(context.Background(), RouteChunks, chunks[4].Text, 2, ""); err != nil || cached || epoch != 1 {
 		t.Fatalf("post-swap lookup cached=%v epoch=%d err=%v", cached, epoch, err)
 	}
-	if n := s.chunks.cache.Len(); n != 1 {
+	if n := s.routes[RouteChunks].cache.Len(); n != 1 {
 		t.Fatalf("cache len %d after live-epoch fill", n)
 	}
 }
@@ -343,16 +343,16 @@ func TestSwapSearchRaceConsistency(t *testing.T) {
 				default:
 				}
 				q := chunks[(w*13+i)%len(chunks)]
-				res, _, epoch, err := s.Search(context.Background(), q.Text, 3)
+				res, _, epoch, err := s.SearchRoute(context.Background(), RouteChunks, q.Text, 3, "")
 				if err != nil || len(res) == 0 || res[0].ID != q.ID {
 					bad.Add(1)
 					continue
 				}
-				if published := s.Snapshot().Epoch; epoch > published {
+				if published := s.routes[RouteChunks].snap.Load().Epoch; epoch > published {
 					// A response can trail a concurrent swap but never lead it.
 					bad.Add(1)
 				}
-				if n := s.chunks.cache.Len(); n > cfg.CacheCap {
+				if n := s.routes[RouteChunks].cache.Len(); n > cfg.CacheCap {
 					t.Errorf("cache len %d exceeds capacity %d", n, cfg.CacheCap)
 					return
 				}
@@ -375,13 +375,13 @@ func TestSwapSearchRaceConsistency(t *testing.T) {
 	}
 	// No entry may survive under a dead epoch: every remaining key was
 	// filled for the final generation.
-	finalPrefix := fmt.Sprintf("%d\x1f", s.Snapshot().Epoch)
-	for _, sh := range s.chunks.cache.shards {
+	finalPrefix := fmt.Sprintf("%d\x1f", s.routes[RouteChunks].snap.Load().Epoch)
+	for _, sh := range s.routes[RouteChunks].cache.shards {
 		sh.mu.Lock()
 		for key := range sh.items {
 			if !strings.HasPrefix(key, finalPrefix) {
 				sh.mu.Unlock()
-				t.Fatalf("dead-epoch cache key %q (final epoch %d)", key, s.Snapshot().Epoch)
+				t.Fatalf("dead-epoch cache key %q (final epoch %d)", key, s.routes[RouteChunks].snap.Load().Epoch)
 			}
 		}
 		sh.mu.Unlock()

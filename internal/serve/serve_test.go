@@ -57,11 +57,8 @@ func TestSearchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hz.Status != "ok" || hz.Vectors != 64 || hz.Epoch != 0 {
+	if rh, ok := hz.Routes[RouteChunks]; hz.Status != "ok" || !ok || rh.Vectors != 64 || rh.Epoch != 0 || rh.Source != "initial" {
 		t.Fatalf("healthz %+v", hz)
-	}
-	if rh, ok := hz.Routes[RouteChunks]; !ok || rh.Vectors != 64 || rh.Epoch != 0 {
-		t.Fatalf("healthz routes %+v", hz.Routes)
 	}
 
 	// Querying a chunk's own text must return that chunk first.
@@ -259,17 +256,17 @@ func TestSwapRejectsBadInput(t *testing.T) {
 	if _, err := c.SwapRoute(RouteChunks, v4); err == nil {
 		t.Fatal("swap from a VSF4 file succeeded")
 	}
-	if _, err := s.SwapIndex(vecstore.NewFlat(7), "bad-dim"); err == nil {
+	if _, err := s.SwapRouteIndex(RouteChunks, vecstore.NewFlat(7), "bad-dim"); err == nil {
 		t.Fatal("swap to a mismatched index succeeded")
 	}
 	// Same dimension, different corpus: keys don't resolve in the store's
 	// metadata, which would silently serve empty results.
-	foreign := vecstore.NewFlat(s.Snapshot().Store.(rag.Swapper).Index().Dim())
+	foreign := vecstore.NewFlat(s.routes[RouteChunks].snap.Load().Store.(rag.Swapper).Index().Dim())
 	foreign.Add(make([]float32, foreign.Dim()), "alien-0001")
-	if _, err := s.SwapIndex(foreign, "foreign"); err == nil {
+	if _, err := s.SwapRouteIndex(RouteChunks, foreign, "foreign"); err == nil {
 		t.Fatal("foreign-corpus index accepted")
 	}
-	if got := s.Snapshot().Epoch; got != 0 {
+	if got := s.routes[RouteChunks].snap.Load().Epoch; got != 0 {
 		t.Fatalf("failed swaps advanced the epoch to %d", got)
 	}
 	// Still serving.
@@ -312,11 +309,11 @@ func TestSearchDirectAPI(t *testing.T) {
 	store := rag.BuildChunkStore(nil, chunks, 0)
 	s := New(store, DefaultConfig())
 	defer s.Close()
-	res, cached, epoch, err := s.Search(context.Background(), chunks[9].Text, 2)
+	res, cached, epoch, err := s.SearchRoute(context.Background(), RouteChunks, chunks[9].Text, 2, "")
 	if err != nil || cached || epoch != 0 || len(res) != 2 || res[0].ID != chunks[9].ID {
 		t.Fatalf("res=%v cached=%v epoch=%d err=%v", res, cached, epoch, err)
 	}
-	res2, cached2, epoch2, err := s.Search(context.Background(), chunks[9].Text, 2)
+	res2, cached2, epoch2, err := s.SearchRoute(context.Background(), RouteChunks, chunks[9].Text, 2, "")
 	if err != nil || !cached2 || epoch2 != 0 || res2[0].ID != chunks[9].ID {
 		t.Fatalf("repeat: cached=%v epoch=%d err=%v", cached2, epoch2, err)
 	}
@@ -335,13 +332,13 @@ func TestCancelledLeaderDoesNotPoisonJoiners(t *testing.T) {
 	lctx, lcancel := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := s.Search(lctx, chunks[2].Text, 2)
+		_, _, _, err := s.SearchRoute(lctx, RouteChunks, chunks[2].Text, 2, "")
 		leaderDone <- err
 	}()
 	for { // wait until the leader's flight is registered
-		s.chunks.flights.mu.Lock()
-		n := len(s.chunks.flights.m)
-		s.chunks.flights.mu.Unlock()
+		s.routes[RouteChunks].flights.mu.Lock()
+		n := len(s.routes[RouteChunks].flights.m)
+		s.routes[RouteChunks].flights.mu.Unlock()
 		if n > 0 {
 			break
 		}
@@ -349,7 +346,7 @@ func TestCancelledLeaderDoesNotPoisonJoiners(t *testing.T) {
 	}
 	lcancel() // the leader's client disconnects mid-flight
 
-	res, _, _, err := s.Search(context.Background(), chunks[2].Text, 2)
+	res, _, _, err := s.SearchRoute(context.Background(), RouteChunks, chunks[2].Text, 2, "")
 	if err != nil {
 		t.Fatalf("healthy joiner poisoned by leader cancellation: %v", err)
 	}
@@ -362,20 +359,48 @@ func TestCancelledLeaderDoesNotPoisonJoiners(t *testing.T) {
 	}
 }
 
+// TestBatchEndpointBounded pins maxBatchItems on batch search: a batch of
+// exactly the bound (1024) is served, one more query is refused with 413.
 func TestBatchEndpointBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxBatchQueries = 4
-	s, _, chunks := testServer(t, 16, cfg)
+	s, _, chunks := testServer(t, 16, DefaultConfig())
 	c := NewClient("http://"+s.Addr(), nil)
-	if _, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, []string{chunks[0].Text, chunks[1].Text}, 2, nil); err != nil {
+	queries := make([]string, maxBatchItems+1)
+	for i := range queries {
+		queries[i] = chunks[i%len(chunks)].Text
+	}
+	if _, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, queries[:maxBatchItems], 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	oversize := make([]string, 5)
-	for i := range oversize {
-		oversize[i] = chunks[i].Text
+	_, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, queries, 2, nil)
+	if err == nil || !strings.Contains(err.Error(), "413") || !strings.Contains(err.Error(), "exceeds limit 1024") {
+		t.Fatalf("oversized batch not rejected at 1024: %v", err)
 	}
-	if _, err := c.SearchRouteBatchCtx(context.Background(), RouteChunks, oversize, 2, nil); err == nil || !strings.Contains(err.Error(), "413") {
-		t.Fatalf("oversized batch not rejected: %v", err)
+}
+
+// TestRequestDepthDefaultAndBound pins defaultK and maxK on both search
+// endpoints: over a store deeper than maxK, an omitted k returns defaultK
+// hits and a k past the bound returns maxK.
+func TestRequestDepthDefaultAndBound(t *testing.T) {
+	s, _, chunks := testServer(t, maxK+28, DefaultConfig())
+	c := NewClient("http://"+s.Addr(), nil)
+	ctx := context.Background()
+	for _, tc := range []struct{ k, want int }{{0, 5}, {1000, 100}} {
+		one, err := c.SearchRoute(RouteChunks, chunks[3].Text, tc.k, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(one.Results) != tc.want {
+			t.Errorf("/search k=%d: %d hits, want %d", tc.k, len(one.Results), tc.want)
+		}
+		batch, err := c.SearchRouteBatchCtx(ctx, RouteChunks, []string{chunks[3].Text, chunks[4].Text}, tc.k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, hits := range batch.Results {
+			if len(hits) != tc.want {
+				t.Errorf("/search/batch k=%d query %d: %d hits, want %d", tc.k, i, len(hits), tc.want)
+			}
+		}
 	}
 }
 

@@ -38,6 +38,18 @@ const RouteChunks = "chunks"
 // ("traces/detailed" etc.).
 func TraceRoute(mode mcq.ReasoningMode) string { return "traces/" + string(mode) }
 
+// The request limits and the cache shard count every route shares.
+const (
+	cacheShards = 8   // locks per query cache
+	defaultK    = 5   // retrieval depth when a request omits k
+	maxK        = 100 // deepest retrieval a request may ask for
+	// maxBatchItems bounds one batch-search request and one insert:
+	// unlike coalesced singles, an explicit batch bypasses MaxBatch and
+	// would otherwise let one request run an unbounded RetrieveBatch or
+	// memtable append.
+	maxBatchItems = 1024
+)
+
 // Config parameterises a Server. Every mounted route gets its own
 // coalescer and cache built from the same configuration.
 type Config struct {
@@ -52,33 +64,18 @@ type Config struct {
 	// CacheCap is the per-route query-cache capacity in entries; 0
 	// disables the caches (default 4096 via DefaultConfig).
 	CacheCap int
-	// CacheShards splits each cache to reduce lock contention (default 8).
-	CacheShards int
-	// DefaultK is the retrieval depth when a request omits k (default 5).
-	DefaultK int
-	// MaxK bounds the retrieval depth a request may ask for (default 100).
-	MaxK int
-	// MaxBatchQueries bounds one batch-search request (default 1024):
-	// unlike coalesced singles, an explicit batch bypasses MaxBatch and
-	// would otherwise let one request run an unbounded RetrieveBatch.
-	MaxBatchQueries int
 	// CompactAt triggers background compaction on a live (mutable) route
 	// once its memtable reaches this many rows; 0 disables automatic
 	// compaction (the /admin/<route>/compact endpoint still works).
 	CompactAt int
-	// SlowLog is the per-route retention of slowest traces served at
-	// GET /debug/slowlog/<route> (0 selects obs.DefaultSlowLogSize).
-	SlowLog int
 	// Debug mounts net/http/pprof under /debug/pprof/. Off by default:
 	// profiling endpoints on a serving port are opt-in.
 	Debug bool
-	// Registry receives the server's metrics; nil creates a private one.
-	Registry *metrics.Registry
 }
 
 // DefaultConfig returns the serving defaults.
 func DefaultConfig() Config {
-	return Config{MaxBatch: 32, MaxDelay: time.Millisecond, CacheCap: 4096, CacheShards: 8, DefaultK: 5, MaxK: 100}
+	return Config{MaxBatch: 32, MaxDelay: time.Millisecond, CacheCap: 4096}
 }
 
 func (c *Config) fill() {
@@ -87,18 +84,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = time.Millisecond
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
-	}
-	if c.DefaultK <= 0 {
-		c.DefaultK = 5
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 100
-	}
-	if c.MaxBatchQueries <= 0 {
-		c.MaxBatchQueries = 1024
 	}
 }
 
@@ -121,7 +106,6 @@ type Server struct {
 	tier    string // metric namespace: "serve", or "router" on the router
 	reg     *metrics.Registry
 	routes  map[string]*route
-	chunks  *route // the RouteChunks route, target of Search/SwapIndex/Snapshot
 	started atomic.Bool
 
 	httpSrv *http.Server
@@ -193,7 +177,7 @@ type searchOut struct {
 	err     error
 }
 
-// New builds a server with store mounted as the "chunks" route — the PR 3
+// New builds a server with store mounted as the "chunks" route — the
 // single-store constructor. Mount more stores (MountTraceStores) before
 // Start, or use NewMulti to start from an empty route table.
 func New(store *rag.ChunkStore, cfg Config) *Server {
@@ -212,11 +196,7 @@ func NewMulti(cfg Config) *Server { return NewTier("serve", cfg) }
 // registers serve.<route>.….
 func NewTier(tier string, cfg Config) *Server {
 	cfg.fill()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	return &Server{cfg: cfg, tier: tier, reg: reg, routes: make(map[string]*route)}
+	return &Server{cfg: cfg, tier: tier, reg: metrics.NewRegistry(), routes: make(map[string]*route)}
 }
 
 // Mount registers st under name ("chunks", "traces/detailed", …) before
@@ -237,11 +217,7 @@ func (s *Server) Mount(name string, st Store) error {
 	if _, ok := s.routes[name]; ok {
 		return fmt.Errorf("serve: route %q already mounted", name)
 	}
-	rt := newRoute(name, st, s.cfg, s.reg, tierPrefix(s.tier, name))
-	s.routes[name] = rt
-	if name == RouteChunks {
-		s.chunks = rt
-	}
+	s.routes[name] = newRoute(name, st, s.cfg, s.reg, tierPrefix(s.tier, name))
 	return nil
 }
 
@@ -327,7 +303,7 @@ func newRoute(name string, st Store, cfg Config, reg *metrics.Registry, p string
 		hBatch:          reg.SizeHistogram(p + "batch.size"),
 		hStageQueue:     reg.Histogram(p + "stage.queue"),
 		hStageEncode:    reg.Histogram(p + "stage.encode"),
-		slow:            obs.NewSlowLog(cfg.SlowLog),
+		slow:            obs.NewSlowLog(0),
 		gVectors:        reg.Gauge(p + "index.vectors"),
 		gEpoch:          reg.Gauge(p + "index.epoch"),
 		gCacheLen:       reg.Gauge(p + "cache.len"),
@@ -335,7 +311,7 @@ func newRoute(name string, st Store, cfg Config, reg *metrics.Registry, p string
 		gWindow:         reg.Gauge(p + "coalesce_window_us"),
 	}
 	if cfg.CacheCap > 0 {
-		rt.cache = NewCache(cfg.CacheCap, cfg.CacheShards)
+		rt.cache = NewCache(cfg.CacheCap, cacheShards)
 		rt.hStageCache = reg.Histogram(p + "stage.cache")
 	}
 	rt.snap.Store(&Snapshot{Store: st, Epoch: 0, Source: "initial"})
@@ -459,7 +435,7 @@ func (rt *route) search(ctx context.Context, query string, k int, exclude string
 			rt.mDegraded.Inc()
 		}
 	}()
-	k = rt.depth(k)
+	k = depth(k)
 	tr := obs.FromContext(ctx)
 	job := searchJob{query: query, k: k, exclude: exclude, tr: tr}
 	if rt.cache == nil {
@@ -538,12 +514,12 @@ func (rt *route) dispatch(ctx context.Context, job searchJob) (searchOut, error)
 	return out, err
 }
 
-// depth applies the route's default and bound to a requested k.
-func (rt *route) depth(k int) int {
+// depth applies the default and the bound to a requested k.
+func depth(k int) int {
 	if k <= 0 {
-		k = rt.cfg.DefaultK
+		k = defaultK
 	}
-	return min(k, rt.cfg.MaxK)
+	return min(k, maxK)
 }
 
 // swapIndex atomically publishes a snapshot serving index on this route.
@@ -581,17 +557,12 @@ func (s *Server) route(name string) (*route, error) {
 	return nil, fmt.Errorf("serve: unknown route %q (mounted: %s)", name, strings.Join(s.Routes(), ", "))
 }
 
-// Search answers one query on the chunks route. cached reports whether
-// the result came from the query cache; epoch is the generation of the
-// snapshot that actually produced the results (it can trail the
-// currently published epoch across a concurrent swap).
-func (s *Server) Search(ctx context.Context, query string, k int) (results []rag.Hit, cached bool, epoch uint64, err error) {
-	return s.SearchRoute(ctx, RouteChunks, query, k, "")
-}
-
 // SearchRoute answers one query on a named route. exclude is the trace
 // routes' question self-exclusion id ("" for none; chunk routes ignore
-// it).
+// it). cached reports whether the result came from the query cache;
+// epoch is the generation of the snapshot that actually produced the
+// results (it can trail the currently published epoch across a
+// concurrent swap).
 func (s *Server) SearchRoute(ctx context.Context, routeName, query string, k int, exclude string) (results []rag.Hit, cached bool, epoch uint64, err error) {
 	rt, err := s.route(routeName)
 	if err != nil {
@@ -599,11 +570,6 @@ func (s *Server) SearchRoute(ctx context.Context, routeName, query string, k int
 	}
 	out, cached, err := rt.search(ctx, query, k, exclude)
 	return out.results, cached, out.epoch, err
-}
-
-// SwapIndex hot-swaps the chunks route (see SwapRouteIndex).
-func (s *Server) SwapIndex(index vecstore.Index, source string) (*Snapshot, error) {
-	return s.SwapRouteIndex(RouteChunks, index, source)
 }
 
 // SwapRouteIndex atomically publishes a snapshot of one route serving
@@ -778,15 +744,6 @@ func (s *Server) CompactRoute(routeName string) (bool, error) {
 	return rt.compact()
 }
 
-// Snapshot returns the currently published snapshot of the chunks route,
-// or nil when no chunk store is mounted.
-func (s *Server) Snapshot() *Snapshot {
-	if s.chunks == nil {
-		return nil
-	}
-	return s.chunks.snap.Load()
-}
-
 // RouteSnapshot returns the currently published snapshot of one route.
 func (s *Server) RouteSnapshot(routeName string) (*Snapshot, bool) {
 	rt, ok := s.routes[routeName]
@@ -816,7 +773,7 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 //
 // plus the shared endpoints:
 //
-//	GET  /healthz   {"status","epoch","vectors","source","routes":{...}}
+//	GET  /healthz   {"status","routes":{<name>:{"epoch","vectors","source"}}}
 //	GET  /metrics   text exposition of the registry
 //
 // and the debug surface:
@@ -856,7 +813,7 @@ func (s *Server) Addr() string { return s.addr }
 
 // Shutdown drains gracefully: the listener stops accepting, in-flight
 // requests run to completion (bounded by ctx), and only then do the
-// route coalescers stop — the argo SIGTERM-drain pattern.
+// route coalescers stop — the SIGTERM-drain pattern.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := httpkit.Shutdown(ctx, s.httpSrv)
 	for _, rt := range s.routes {
@@ -991,15 +948,11 @@ type RouteHealth struct {
 
 // Healthz is the /healthz reply. Status is "ok", or "degraded" when any
 // mounted route has zero vectors loaded (an empty shard serves nothing,
-// and an upstream prober must be able to tell). The top-level
-// epoch/vectors/source mirror the chunks route for PR 3 compatibility;
-// Routes carries every mounted store.
+// and an upstream prober must be able to tell). Routes carries every
+// mounted store's epoch, vector count and index source.
 type Healthz struct {
-	Status  string                 `json:"status"`
-	Epoch   uint64                 `json:"epoch"`
-	Vectors int                    `json:"vectors"`
-	Source  string                 `json:"source"`
-	Routes  map[string]RouteHealth `json:"routes"`
+	Status string                 `json:"status"`
+	Routes map[string]RouteHealth `json:"routes"`
 }
 
 func (rt *route) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -1044,9 +997,9 @@ func (rt *route) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty queries", http.StatusBadRequest)
 		return
 	}
-	if len(req.Queries) > rt.cfg.MaxBatchQueries {
+	if len(req.Queries) > maxBatchItems {
 		rt.mErrors.Inc()
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), rt.cfg.MaxBatchQueries),
+		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), maxBatchItems),
 			http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -1060,7 +1013,7 @@ func (rt *route) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	tr := obs.NewTrace(r.Header.Get(obs.TraceHeader))
 	snap := rt.snap.Load()
 	t0 := time.Now()
-	b, err := rt.retrieve(obs.WithTrace(r.Context(), tr), snap, req.Queries, rt.depth(req.K), req.Exclude)
+	b, err := rt.retrieve(obs.WithTrace(r.Context(), tr), snap, req.Queries, depth(req.K), req.Exclude)
 	attachStages(tr, t0, b.Stages)
 	if err != nil {
 		rt.mErrors.Inc()
@@ -1108,9 +1061,9 @@ func (rt *route) handleAdd(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty chunks", http.StatusBadRequest)
 		return
 	}
-	if len(req.Chunks) > rt.cfg.MaxBatchQueries {
+	if len(req.Chunks) > maxBatchItems {
 		rt.mErrors.Inc()
-		http.Error(w, fmt.Sprintf("insert of %d exceeds limit %d", len(req.Chunks), rt.cfg.MaxBatchQueries),
+		http.Error(w, fmt.Sprintf("insert of %d exceeds limit %d", len(req.Chunks), maxBatchItems),
 			http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -1152,10 +1105,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			hz.Status = "degraded"
 		}
 		hz.Routes[name] = RouteHealth{Epoch: snap.Epoch, Vectors: vectors, Source: snap.Source}
-	}
-	if s.chunks != nil {
-		snap := s.chunks.snap.Load()
-		hz.Epoch, hz.Vectors, hz.Source = snap.Epoch, snap.Store.Len(), snap.Source
 	}
 	httpkit.WriteJSON(w, hz)
 }

@@ -74,19 +74,6 @@ func escape(s string) string {
 	return s
 }
 
-func unescape(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-			b.WriteByte(s[i])
-			continue
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
-}
-
 // ErrorClass categorises parse failures for the driver's aggregate report.
 type ErrorClass string
 

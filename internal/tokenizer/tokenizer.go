@@ -240,47 +240,6 @@ func NGrams(word string, n int) []string {
 	return grams
 }
 
-// Vocab is a bidirectional string↔id mapping with frequency counts. It is
-// not safe for concurrent mutation; build once, then share read-only.
-type Vocab struct {
-	ids   map[string]int
-	words []string
-	count []int
-}
-
-// NewVocab returns an empty vocabulary.
-func NewVocab() *Vocab {
-	return &Vocab{ids: make(map[string]int)}
-}
-
-// Add inserts word (or bumps its count) and returns its id.
-func (v *Vocab) Add(word string) int {
-	if id, ok := v.ids[word]; ok {
-		v.count[id]++
-		return id
-	}
-	id := len(v.words)
-	v.ids[word] = id
-	v.words = append(v.words, word)
-	v.count = append(v.count, 1)
-	return id
-}
-
-// ID returns the id of word and whether it is present.
-func (v *Vocab) ID(word string) (int, bool) {
-	id, ok := v.ids[word]
-	return id, ok
-}
-
-// Word returns the surface form for id.
-func (v *Vocab) Word(id int) string { return v.words[id] }
-
-// Count returns the observed frequency of id.
-func (v *Vocab) Count(id int) int { return v.count[id] }
-
-// Len returns the vocabulary size.
-func (v *Vocab) Len() int { return len(v.words) }
-
 // Truncate fits text within maxTokens (approximate LLM tokens), cutting at a
 // word boundary. It returns text unchanged when it already fits. RAG prompt
 // assembly uses this to respect each model's context window.

@@ -272,31 +272,6 @@ func TestNGramsShortWord(t *testing.T) {
 	}
 }
 
-func TestVocab(t *testing.T) {
-	v := NewVocab()
-	id1 := v.Add("dose")
-	id2 := v.Add("fraction")
-	id3 := v.Add("dose")
-	if id1 != id3 {
-		t.Fatal("re-adding gave new id")
-	}
-	if id1 == id2 {
-		t.Fatal("distinct words share id")
-	}
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d", v.Len())
-	}
-	if v.Count(id1) != 2 {
-		t.Fatalf("Count = %d", v.Count(id1))
-	}
-	if v.Word(id2) != "fraction" {
-		t.Fatalf("Word = %q", v.Word(id2))
-	}
-	if _, ok := v.ID("absent"); ok {
-		t.Fatal("found absent word")
-	}
-}
-
 func TestTruncateFits(t *testing.T) {
 	text := "short text"
 	if got := Truncate(text, 100); got != text {

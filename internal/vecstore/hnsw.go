@@ -104,14 +104,8 @@ func (h *HNSW) Dim() int { return h.dim }
 // M reports the graph's max-neighbour parameter.
 func (h *HNSW) M() int { return h.m }
 
-// EfConstruction reports the construction beam width.
-func (h *HNSW) EfConstruction() int { return h.efConstruction }
-
 // EfSearch reports the current search beam width.
 func (h *HNSW) EfSearch() int { return h.efSearch }
-
-// Seed reports the construction seed.
-func (h *HNSW) Seed() uint64 { return h.seed }
 
 // Key returns the metadata key for id.
 func (h *HNSW) Key(id int) string {

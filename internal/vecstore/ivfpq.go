@@ -76,9 +76,6 @@ func cellBlocks(cellIDs [][]int, codes []byte, stride int) [][]byte {
 	return blocks
 }
 
-// Trained reports whether the quantizers have been fitted.
-func (ix *invFile) Trained() bool { return ix.trained }
-
 // SetNProbe adjusts the number of cells scanned per query (recall knob).
 // Values set before Train are re-clamped when Train sizes the cell count.
 func (ix *invFile) SetNProbe(n int) {
