@@ -36,11 +36,14 @@ verify:
 # through For (spdf's ParseAll, chunk's SplitAll, embed's Pool, vecstore's
 # batch searches and training), the observability layer (metrics registry
 # snapshots under writer load, trace/slowlog concurrent appends), and the
-# evaluation path's cross-goroutine state: prompt plans shared by every
-# model's workers (eval, core), the process-wide ability-calibration memo
-# (llmsim), and the encoder's process-wide projection-pattern table, filled
-# lock-free by every goroutine that embeds (embed's Pool, and chunk's
-# parallel SplitAll).
+# build and evaluation paths' cross-goroutine state: the question slots
+# the teacher's handler fills on the gateway's goroutine and the
+# generation workers read back (core); each condition's prompt plans and
+# hit grades, read by every cell running in parallel, one Student shared
+# by its model's cells and the one Judge shared by all (eval, core); the
+# process-wide ability-calibration memo (llmsim), and the encoder's
+# process-wide projection-pattern table, filled lock-free by every
+# goroutine that embeds (embed's Pool, and chunk's parallel SplitAll).
 race:
 	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim ./internal/embed ./internal/chunk ./internal/spdf
 
@@ -110,10 +113,12 @@ lint:
 # allocs per text through the memoised projection), BenchmarkSplit,
 # BenchmarkPromptPlanFit vs BenchmarkAssemblePrompt, BenchmarkDoFastFunc and
 # BenchmarkGatewayCallFastHandler (two closed-loop callers, ns per call),
-# BenchmarkEvaluateSynthetic.
+# BenchmarkEvaluateSynthetic (the Table 2 matrix) and BenchmarkBuildBenchmark
+# (one scale-0.01 build on two workers: the build half of ragbench's
+# mcqa_build, allocations included).
 bench:
 	$(GO) test ./internal/f16 ./internal/vecstore -run '^$$' -bench . -benchmem
-	$(GO) test ./internal/tokenizer ./internal/embed ./internal/chunk ./internal/rag ./internal/batch ./internal/argo ./internal/eval -run '^$$' -bench . -benchmem
+	$(GO) test ./internal/tokenizer ./internal/embed ./internal/chunk ./internal/rag ./internal/batch ./internal/argo ./internal/eval ./internal/core -run '^$$' -bench . -benchmem
 
 # Full paper-artifact bench suite (Tables 2-4, Figures 4-6, ablations).
 bench-all:

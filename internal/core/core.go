@@ -12,8 +12,8 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/argo"
 	"repro/internal/astro"
@@ -160,29 +160,27 @@ func BuildBenchmark(cfg Config) (*Artifacts, error) {
 		cfg.Metrics.Histogram("stage.chunk").Observe(time.Since(chunkStart))
 	}
 
-	// Stage 4: MCQ generation + judging, batched through the gateway.
+	// Stage 4: MCQ generation + judging, batched through the gateway. The
+	// gateway and the teacher share this process, so nothing crosses a
+	// wire format: a request's payload is its chunk index in decimal, and
+	// the handler writes the question into that chunk's slot of
+	// generated, which the caller reads once its call has succeeded.
 	teacher := llmsim.NewTeacher(kb)
-	type generated struct {
-		q *mcq.Question
-	}
+	generated := make([]*mcq.Question, len(chunks))
 	handler := func(_ context.Context, batch []argo.Request) []argo.Response {
 		out := make([]argo.Response, len(batch))
 		for i, req := range batch {
-			var idx int
-			if err := json.Unmarshal(req.Payload, &idx); err != nil {
-				out[i] = argo.Response{ID: req.ID, Err: "bad payload: " + err.Error()}
+			out[i].ID = req.ID
+			idx, err := strconv.Atoi(string(req.Payload))
+			if err != nil || idx < 0 || idx >= len(chunks) {
+				out[i].Err = fmt.Sprintf("bad payload %q", req.Payload)
 				continue
 			}
 			ch := chunks[idx]
 			r := root.SplitN("mcq", idx)
 			q := teacher.GenerateMCQ(ch, factsOf[ch.DocID], pathOf[ch.DocID], r)
 			q.Checks = teacher.JudgeQuality(q, r)
-			data, err := json.Marshal(q)
-			if err != nil {
-				out[i] = argo.Response{ID: req.ID, Err: err.Error()}
-				continue
-			}
-			out[i] = argo.Response{ID: req.ID, Payload: data}
+			generated[idx] = q
 		}
 		return out
 	}
@@ -191,25 +189,20 @@ func BuildBenchmark(cfg Config) (*Artifacts, error) {
 
 	candidates, err := pipeline.Map(context.Background(), indexes(len(chunks)), cfg.Workers,
 		func(ctx context.Context, i int) (*mcq.Question, error) {
-			payload, _ := json.Marshal(i)
 			var callStart time.Time
 			if cfg.Metrics != nil {
 				callStart = time.Now()
 			}
-			resp, err := gw.Call(ctx, argo.Request{
-				ID: fmt.Sprintf("gen-%d", i), Op: "generate-mcq", Payload: payload,
-			})
-			if err != nil {
+			idx := strconv.Itoa(i)
+			if _, err := gw.Call(ctx, argo.Request{
+				ID: "gen-" + idx, Op: "generate-mcq", Payload: []byte(idx),
+			}); err != nil {
 				return nil, err
 			}
 			if cfg.Metrics != nil {
 				cfg.Metrics.Histogram("teacher.call").Observe(time.Since(callStart))
 			}
-			var q mcq.Question
-			if err := json.Unmarshal(resp.Payload, &q); err != nil {
-				return nil, err
-			}
-			return &q, nil
+			return generated[i], nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("core: generation: %w", err)

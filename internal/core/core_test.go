@@ -282,10 +282,21 @@ func TestEvaluateSyntheticAccuraciesNearPaper(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildBenchmarkTiny(b *testing.B) {
+// BenchmarkBuildBenchmark times the generation half of ragbench's
+// mcqa_build workload at its shape (scale 0.01, seed 1, two workers): parse,
+// chunk, teacher calls through the gateway, distillation and the four
+// store builds. Run with -benchmem to see the allocations per build.
+func BenchmarkBuildBenchmark(b *testing.B) {
+	cfg := DefaultConfig(0.01)
+	cfg.Seed, cfg.Workers = 1, 2
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildBenchmark(DefaultConfig(0.002)); err != nil {
+		a, err := BuildBenchmark(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sinkArtifacts = a
 	}
 }
+
+var sinkArtifacts *Artifacts

@@ -3,7 +3,9 @@ package core
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -115,15 +117,31 @@ func Load(dir string) (*Artifacts, error) {
 	kb := corpus.Build(m.Config.Seed, m.Config.FactsPerTopic)
 	chunkStore := rag.WrapChunkStore(enc, flat, chunks)
 	// Trace stores: load persisted per-mode indexes when present (the
-	// paper's three separate FAISS databases); otherwise re-embed, which
-	// is deterministic and yields identical stores.
+	// paper's three separate FAISS databases); when one is absent,
+	// re-embed that mode's traces, which is deterministic and yields an
+	// identical store. An index that exists but does not load, or whose
+	// size is not its mode's trace count, is an error: wrapped, it would
+	// answer every query with nothing.
 	traceStores := make(map[mcq.ReasoningMode]*rag.TraceStore, len(mcq.AllModes))
 	for _, mode := range mcq.AllModes {
 		path := filepath.Join(dir, "traces_"+string(mode)+".vsf")
 		ix, err := vecstore.LoadFlat(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			traceStores[mode] = rag.BuildTraceStore(enc, mode, traces, m.Config.Workers)
+			continue
+		}
 		if err != nil {
-			traceStores = rag.TraceStores(enc, traces, nil, m.Config.Workers)
-			break
+			return nil, fmt.Errorf("core: %s trace index: %w", mode, err)
+		}
+		n := 0
+		for _, tr := range traces {
+			if tr.Mode == mode {
+				n++
+			}
+		}
+		if ix.Len() != n || ix.Dim() != enc.Dim() {
+			return nil, fmt.Errorf("core: %s trace index holds %d vectors of dim %d for %d traces of dim %d",
+				mode, ix.Len(), ix.Dim(), n, enc.Dim())
 		}
 		traceStores[mode] = rag.WrapTraceStore(enc, mode, ix, traces)
 	}

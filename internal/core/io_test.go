@@ -1,13 +1,18 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/llmsim"
+	"repro/internal/mcq"
+	"repro/internal/vecstore"
 )
 
 func factID(s string) corpus.FactID { return corpus.FactID(s) }
@@ -103,6 +108,69 @@ func TestLoadRejectsManifestMismatch(t *testing.T) {
 	if _, err := Load(dir); err == nil {
 		t.Fatal("mismatched artifacts loaded")
 	}
+}
+
+// TestLoadRejectsMismatchedTraceIndex pins what Load does with each
+// per-mode trace index: a foreign or truncated file is an error (wrapped,
+// it would make its condition retrieval-free), and only an absent one
+// falls back to re-embedding the traces.
+func TestLoadRejectsMismatchedTraceIndex(t *testing.T) {
+	a := build(t)
+	focused := "traces_" + string(mcq.ModeFocused) + ".vsf"
+	saved := func(t *testing.T) string {
+		dir := t.TempDir()
+		if err := a.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	t.Run("foreign", func(t *testing.T) {
+		dir := saved(t)
+		data, err := os.ReadFile(filepath.Join(dir, "chunks.vsf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, focused), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "focused trace index") {
+			t.Fatalf("chunk index loaded as the focused trace index: err = %v", err)
+		}
+	})
+	t.Run("truncated", func(t *testing.T) {
+		dir := saved(t)
+		path := filepath.Join(dir, focused)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); !errors.Is(err, vecstore.ErrBadFormat) {
+			t.Fatalf("truncated trace index: err = %v, want ErrBadFormat", err)
+		}
+	})
+	t.Run("absent", func(t *testing.T) {
+		dir := saved(t)
+		if err := os.Remove(filepath.Join(dir, focused)); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range mcq.AllModes {
+			if got, want := back.TraceStores[mode].Len(), a.TraceStores[mode].Len(); got != want {
+				t.Fatalf("%s: reloaded store holds %d traces, want %d", mode, got, want)
+			}
+		}
+		query := []string{a.Questions[0].Question}
+		got := back.TraceStores[mcq.ModeFocused].RetrieveBatch(query, 5, nil)
+		if want := a.TraceStores[mcq.ModeFocused].RetrieveBatch(query, 5, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("re-embedded focused store answers %v, built store %v", got, want)
+		}
+	})
 }
 
 func TestTopicTagsPropagate(t *testing.T) {

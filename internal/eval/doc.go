@@ -9,7 +9,10 @@
 // Run sweeps the (model, condition) matrix with one Facade.RetrieveBatch
 // per condition, so in-process each vecstore code tile (or IVF-PQ LUT) is
 // amortised across the whole question set, and the exam reads the same
-// rag.Hit records the served stack returns. Rendering helpers
+// rag.Hit records the served stack returns. Each hit is graded once per
+// condition (rag.Grades) and the grades are shared by every model; the
+// cells then run in parallel, each on its own seed-derived answer stream,
+// so the matrix does not depend on Setup.Workers. Rendering helpers
 // produce the paper's tables (RenderTable1/2, RenderAstroTable), the
 // percent-improvement figures (RenderFigure), per-topic breakdowns
 // (RenderTopicBreakdown), CSV export (RenderCSV), and the

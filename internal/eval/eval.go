@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -38,7 +39,9 @@ type Setup struct {
 	SelfExcludeTraces bool
 	// Seed drives answer sampling; fixed seed → bit-identical tables.
 	Seed uint64
-	// Workers bounds parallelism (<=0 → GOMAXPROCS).
+	// Workers bounds parallelism (<=0 → GOMAXPROCS): the prompt planning
+	// and grading of each condition's retrieval, and the (model,
+	// condition) cells evaluated at once. Results do not depend on it.
 	Workers int
 }
 
@@ -50,13 +53,16 @@ func (s *Setup) k() int {
 }
 
 // retrieved caches one question's retrieval results for one condition so
-// the expensive similarity searches, and the token counts of the prompt
-// the results go into, are taken once, not once per model.
+// the expensive similarity searches, the token counts of the prompt the
+// results go into and the relevance grades of the hits are taken once, not
+// once per model.
 type retrieved struct {
 	// plan is nil under the baseline condition, which retrieves nothing
 	// and whose utility is 0 whatever the window.
 	plan *rag.PromptPlan
 	hits []rag.Hit
+	// grades holds each hit's relevance (rag.Grades), in hit order.
+	grades []float64
 }
 
 // retrieveAll performs the retrieval for a condition across all questions
@@ -65,7 +71,8 @@ type retrieved struct {
 // scan kernel in-process), which amortises each decoded code tile across
 // the entire 16,680-question sweep instead of re-decoding per question.
 // Each question's prompt is then planned (rag.PlanPrompt) — the part of
-// prompt assembly that does not depend on a model's window.
+// prompt assembly that does not depend on a model's window — and its hits
+// graded (rag.Grades), which depends on no model at all.
 func (s *Setup) retrieveAll(cond llmsim.Condition) ([]retrieved, error) {
 	out := make([]retrieved, len(s.Questions))
 	if cond == llmsim.CondBaseline {
@@ -93,13 +100,16 @@ func (s *Setup) retrieveAll(cond llmsim.Condition) ([]retrieved, error) {
 	for i, hits := range b.Hits {
 		out[i].hits = hits
 	}
+	mode := traceMode(cond)
 	return out, pipeline.ForEach(context.Background(), indexRange(len(out)), s.Workers,
 		func(_ context.Context, i int) error {
+			q := s.Questions[i]
 			texts := make([]string, len(out[i].hits))
 			for j, h := range out[i].hits {
 				texts[j] = h.Text
 			}
-			out[i].plan = rag.PlanPrompt(s.Questions[i], texts)
+			out[i].plan = rag.PlanPrompt(q, texts)
+			out[i].grades = rag.Grades(s.KB, q, mode, s.Facts, out[i].hits)
 			return nil
 		})
 }
@@ -209,11 +219,24 @@ func (m *Matrix) Row(model string) *Row {
 	return nil
 }
 
+// cellTask is one (model, condition) cell of a matrix, with everything it
+// reads: the model's student, the condition's shared retrieval and the
+// cell's own answer stream.
+type cellTask struct {
+	row     *Row
+	student *llmsim.Student
+	cond    llmsim.Condition
+	ret     []retrieved
+	r       *rng.Source
+}
+
 // Run evaluates the given profiles under the given conditions. Retrieval is
 // performed once per condition and shared across models; each model sees
 // retrieval through its own context window (truncation drops low-ranked
 // items), and its response probability is driven by the measured utility
-// (DESIGN.md §4).
+// (DESIGN.md §4). The cells run in parallel on setup.Workers: each draws
+// its answers from its own stream, split from the seed by model and
+// condition, so the matrix does not depend on the schedule.
 func Run(setup *Setup, profiles []*llmsim.Profile, conditions []llmsim.Condition) (*Matrix, error) {
 	if len(setup.Questions) == 0 {
 		return nil, fmt.Errorf("eval: no questions")
@@ -232,45 +255,55 @@ func Run(setup *Setup, profiles []*llmsim.Profile, conditions []llmsim.Condition
 		cache[cond] = r
 	}
 
+	var tasks []cellTask
 	for _, prof := range profiles {
 		student := llmsim.NewStudent(prof)
 		row := &Row{Model: prof.Name, Cells: make(map[llmsim.Condition]*Cell)}
+		matrix.Rows = append(matrix.Rows, row)
 		for _, cond := range conditions {
 			if !student.Supports(setup.Bench, cond) {
 				continue
 			}
-			cell, err := runCell(setup, student, judge, cond, cache[cond],
-				root.Split(prof.Name+"|"+string(cond)))
-			if err != nil {
-				return nil, err
-			}
-			row.Cells[cond] = cell
+			tasks = append(tasks, cellTask{row, student, cond, cache[cond], root.Split(prof.Name + "|" + string(cond))})
 		}
-		matrix.Rows = append(matrix.Rows, row)
+	}
+	cells, err := pipeline.Map(context.Background(), tasks, setup.Workers,
+		func(_ context.Context, t cellTask) (*Cell, error) {
+			return runCell(setup, t.student, judge, t.cond, t.ret, t.r), nil
+		})
+	if err != nil {
+		// Cells return no errors, so a failure is a panic: name the first
+		// failing cell in table order.
+		var me *pipeline.MapError
+		if errors.As(err, &me) {
+			for i, t := range tasks {
+				if e := me.Failures[i]; e != nil {
+					return nil, fmt.Errorf("eval: %s/%s: %w", t.row.Model, t.cond, e)
+				}
+			}
+		}
+		return nil, err
+	}
+	for i, t := range tasks {
+		t.row.Cells[t.cond] = cells[i]
 	}
 	return matrix, nil
 }
 
 // runCell evaluates one model under one condition.
 func runCell(setup *Setup, student *llmsim.Student, judge *llmsim.Judge,
-	cond llmsim.Condition, ret []retrieved, r *rng.Source) (*Cell, error) {
+	cond llmsim.Condition, ret []retrieved, r *rng.Source) *Cell {
 
 	window := student.Profile.ContextWindow
 	// Pass 1: fit each question's shared prompt plan to this model's
-	// window and measure the utility of what survived. The baseline
+	// window and weigh the shared grades of what survived. The baseline
 	// retrieves nothing: its utilities stay 0.
 	utilities := make([]float64, len(setup.Questions))
 	if cond != llmsim.CondBaseline {
 		mode := traceMode(cond)
-		err := pipeline.ForEach(context.Background(), indexRange(len(setup.Questions)), setup.Workers,
-			func(_ context.Context, i int) error {
-				q := setup.Questions[i]
-				fit := ret[i].plan.Fit(window)
-				utilities[i] = rag.Utility(setup.KB, q, mode, setup.Facts, ret[i].hits, fit.Retained)
-				return nil
-			})
-		if err != nil {
-			return nil, err
+		for i := range setup.Questions {
+			fit := ret[i].plan.Fit(window)
+			utilities[i] = rag.UtilityOf(ret[i].grades, mode, fit.Retained)
 		}
 	}
 	// Mean utility per math/no-math subset: the calibrated response rows
@@ -298,8 +331,8 @@ func runCell(setup *Setup, student *llmsim.Student, judge *llmsim.Judge,
 		uMeanPlain = uSumPlain / float64(nPlain)
 	}
 
-	// Pass 2: answer and grade. Sequential RNG keeps runs reproducible
-	// (answering is microseconds per item; retrieval dominated pass 1).
+	// Pass 2: answer and grade. The cell's own sequential stream keeps
+	// runs reproducible.
 	cell := &Cell{
 		Model: student.Profile.Name, Condition: cond,
 		Total: len(setup.Questions), ByTopic: make(map[string]*TopicCount),
@@ -328,7 +361,7 @@ func runCell(setup *Setup, student *llmsim.Student, judge *llmsim.Judge,
 	}
 	cell.Accuracy = float64(cell.Correct) / float64(cell.Total)
 	cell.CI = stats.WilsonCI(cell.Correct, cell.Total)
-	return cell, nil
+	return cell
 }
 
 func indexRange(n int) []int {

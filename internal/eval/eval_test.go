@@ -1,6 +1,8 @@
 package eval_test
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +79,60 @@ func TestRunDeterministic(t *testing.T) {
 		if m1.Rows[0].Cells[cond].Correct != m2.Rows[0].Cells[cond].Correct {
 			t.Fatalf("%s not deterministic", cond)
 		}
+	}
+}
+
+// TestRunIndependentOfWorkers runs the full matrix on one worker and on
+// four: the cells run in parallel, each on its own answer stream, so every
+// cell must come out the same, mean utility bit for bit.
+func TestRunIndependentOfWorkers(t *testing.T) {
+	a := artifacts(t)
+	run := func(workers int) *eval.Matrix {
+		setup := a.SyntheticSetup()
+		setup.Workers = workers
+		m, err := eval.Run(setup, llmsim.Profiles(), llmsim.AllConditions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	serial, parallel := run(1), run(4)
+	if len(serial.Rows) != len(parallel.Rows) {
+		t.Fatalf("%d rows on one worker, %d on four", len(serial.Rows), len(parallel.Rows))
+	}
+	for i, row := range serial.Rows {
+		prow := parallel.Rows[i]
+		if row.Model != prow.Model || len(row.Cells) != len(prow.Cells) {
+			t.Fatalf("row %d: %s with %d cells on one worker, %s with %d on four",
+				i, row.Model, len(row.Cells), prow.Model, len(prow.Cells))
+		}
+		for cond, c := range row.Cells {
+			p := prow.Cells[cond]
+			if p == nil || c.Correct != p.Correct || c.Total != p.Total || c.Unparseable != p.Unparseable ||
+				math.Float64bits(c.MeanUtility) != math.Float64bits(p.MeanUtility) {
+				t.Fatalf("%s/%s: one worker %+v, four %+v", row.Model, cond, c, p)
+			}
+			if !reflect.DeepEqual(c.ByTopic, p.ByTopic) {
+				t.Fatalf("%s/%s: per-topic tallies differ between one worker and four", row.Model, cond)
+			}
+		}
+	}
+}
+
+// TestRunSurfacesPanickingCell runs a cell that panics (a profile with no
+// Astro baseline row for math questions) beside one that does not: Run
+// must return an error naming the failing cell, not crash or drop it.
+func TestRunSurfacesPanickingCell(t *testing.T) {
+	a := artifacts(t)
+	q := *a.Questions[0]
+	q.Math = true
+	setup := a.SyntheticSetup()
+	setup.Questions = []*mcq.Question{&q}
+	setup.Bench = llmsim.BenchAstro
+	broken := &llmsim.Profile{Name: "no-math-rows", AstroNoMath: llmsim.Targets{llmsim.CondBaseline: 0.5}}
+	_, err := eval.Run(setup, []*llmsim.Profile{llmsim.GPT4Profile(), broken}, []llmsim.Condition{llmsim.CondBaseline})
+	if err == nil || !strings.Contains(err.Error(), "no-math-rows/baseline") || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("err = %v, want the panicking cell named", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package llmsim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/corpus"
@@ -120,12 +119,6 @@ type DistillReport struct {
 	BaselineBefore  float64
 	BaselineAfter   float64
 	BestRTReference float64
-}
-
-// String renders one report line.
-func (d DistillReport) String() string {
-	return fmt.Sprintf("%-28s coverage %.2f: baseline %.3f → %.3f (RT ceiling %.3f)",
-		d.Model, d.Coverage, d.BaselineBefore, d.BaselineAfter, d.BestRTReference)
 }
 
 // DistillAll applies DistillOnTraces to every profile and reports the

@@ -126,8 +126,8 @@ func TestDistillAllReports(t *testing.T) {
 		if rep.BaselineAfter >= rep.BestRTReference {
 			t.Fatalf("%s: gain exceeds RT ceiling", rep.Model)
 		}
-		if !strings.Contains(rep.String(), profiles[i].Name) {
-			t.Fatalf("report string %q", rep.String())
+		if rep.Model != profiles[i].Name {
+			t.Fatalf("report %d names %q, want %q", i, rep.Model, profiles[i].Name)
 		}
 	}
 }

@@ -23,9 +23,6 @@ func (s RegistrySnapshot) Counter(name string) int64 { return s.Counters[name] }
 // Gauge returns the named gauge's value (0 when absent).
 func (s RegistrySnapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Histogram returns the named histogram snapshot (zero value when absent).
-func (s RegistrySnapshot) Histogram(name string) Snapshot { return s.Histograms[name] }
-
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()

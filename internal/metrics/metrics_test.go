@@ -161,7 +161,7 @@ func TestRegistryReport(t *testing.T) {
 	}
 	// Report and WriteTo share one formatting path: the histogram summary
 	// body must be identical in both renderings.
-	summary := r.Snapshot().Histogram("parse.latency").summary()
+	summary := r.Snapshot().Histograms["parse.latency"].summary()
 	if !strings.Contains(rep, summary) || !strings.Contains(r.Render(), summary) {
 		t.Fatalf("report and render disagree on the summary line %q:\n%s\n%s", summary, rep, r.Render())
 	}
@@ -231,10 +231,10 @@ func TestRegistrySnapshot(t *testing.T) {
 	if s.Counter("hits") != 3 || s.Gauge("depth") != 7 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	if s.Histogram("lat").Total != 1 || s.Histogram("batch").Total != 1 {
+	if s.Histograms["lat"].Total != 1 || s.Histograms["batch"].Total != 1 {
 		t.Fatal("histogram snapshots missing")
 	}
-	if !s.Histogram("batch").Sizes || s.Histogram("lat").Sizes {
+	if !s.Histograms["batch"].Sizes || s.Histograms["lat"].Sizes {
 		t.Fatal("size flag mixed up between histograms")
 	}
 	if s.Counter("absent") != 0 {

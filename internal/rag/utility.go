@@ -26,12 +26,9 @@ import (
 // paper finds detailed traces can "trail slightly, likely due to noise from
 // over-elaboration" (§3.1.3), which we reproduce as a small density penalty.
 
-// relevance grades one retrieved text against the question's source fact.
-func relevance(kb *corpus.KB, q *mcq.Question, text string, itemFactID string) float64 {
-	if q.Prov.FactID == "" {
-		return 0.05
-	}
-	f := kb.Fact(corpus.FactID(q.Prov.FactID))
+// relevance grades one retrieved text against the question's source fact
+// f (nil when the question has none or the knowledge base lacks it).
+func relevance(kb *corpus.KB, q *mcq.Question, f *corpus.Fact, text string, itemFactID string) float64 {
 	if f == nil {
 		return 0.05
 	}
@@ -89,32 +86,55 @@ func retainedFraction(retained []float64, i int) float64 {
 	return retained[i]
 }
 
-// Utility measures the utility of retrieved hits for a question,
-// honouring the prompt's per-item retained fractions (nil means all fully
-// included): a truncated item contributes proportionally to how much of it
-// the model actually saw. mode is the trace store's reasoning mode, or ""
-// for chunk hits. facts maps a trace hit's Group (its source-question id)
-// to that question's fact (QuestionFactMap of the distilled questions);
-// chunk hits ignore it and are graded on their text.
-func Utility(kb *corpus.KB, q *mcq.Question, mode mcq.ReasoningMode, facts map[string]string, hits []Hit, retained []float64) float64 {
+// Grades grades each retrieved hit's relevance to a question, in hit
+// order. The grades depend on the question and the hits only, not on a
+// model, so an evaluation grades each (condition, question) once and
+// shares the grades across models. mode is the trace store's reasoning
+// mode, or "" for chunk hits. facts maps a trace hit's Group (its
+// source-question id) to that question's fact (QuestionFactMap of the
+// distilled questions); chunk hits ignore it and are graded on their text.
+func Grades(kb *corpus.KB, q *mcq.Question, mode mcq.ReasoningMode, facts map[string]string, hits []Hit) []float64 {
+	var f *corpus.Fact
+	if q.Prov.FactID != "" {
+		f = kb.Fact(corpus.FactID(q.Prov.FactID))
+	}
+	grades := make([]float64, len(hits))
+	for i, h := range hits {
+		itemFact := ""
+		if mode != "" {
+			itemFact = facts[h.Group]
+		}
+		grades[i] = relevance(kb, q, f, h.Text, itemFact)
+	}
+	return grades
+}
+
+// UtilityOf measures the utility of graded hits (Grades), honouring the
+// prompt's per-item retained fractions (nil means all fully included): a
+// truncated item contributes proportionally to how much of it the model
+// actually saw.
+func UtilityOf(grades []float64, mode mcq.ReasoningMode, retained []float64) float64 {
 	density := chunkDensity
 	if mode != "" {
 		density = modeDensity[mode]
 	}
 	best := 0.0
-	for i, h := range hits {
+	for i, g := range grades {
 		frac := retainedFraction(retained, i)
 		if frac <= 0 {
 			continue
 		}
-		itemFact := ""
-		if mode != "" {
-			itemFact = facts[h.Group]
-		}
-		rel := relevance(kb, q, h.Text, itemFact) * rankDiscount(i) * density * frac
+		rel := g * rankDiscount(i) * density * frac
 		if rel > best {
 			best = rel
 		}
 	}
 	return best
+}
+
+// Utility measures the utility of retrieved hits for a question: their
+// Grades, weighted by UtilityOf. An evaluation that scores the same hits
+// for several models grades them once and calls UtilityOf per model.
+func Utility(kb *corpus.KB, q *mcq.Question, mode mcq.ReasoningMode, facts map[string]string, hits []Hit, retained []float64) float64 {
+	return UtilityOf(Grades(kb, q, mode, facts, hits), mode, retained)
 }

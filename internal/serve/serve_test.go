@@ -128,7 +128,7 @@ func TestCoalescingUnderConcurrentClients(t *testing.T) {
 		t.Fatalf("no coalescing under %d concurrent clients: %d batches for %d queries (mean %.2f)",
 			clients, batches, queued, mean)
 	}
-	if snap.Histogram("serve.chunks.batch.size").Total != batches {
+	if snap.Histograms["serve.chunks.batch.size"].Total != batches {
 		t.Fatal("batch-size histogram out of sync with batch counter")
 	}
 	t.Logf("mean batch %.2f over %d batches, qps %.0f", mean, batches, rep.QPS)

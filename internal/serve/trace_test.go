@@ -133,7 +133,7 @@ func TestStageHistogramsRegistered(t *testing.T) {
 	}
 	snap := s.Registry().Snapshot()
 	for _, stage := range []string{"queue", "cache", "embed", "scan", "merge", "encode"} {
-		h := snap.Histogram("serve." + RouteChunks + ".stage." + stage)
+		h := snap.Histograms["serve."+RouteChunks+".stage."+stage]
 		if h.Total == 0 {
 			t.Fatalf("stage histogram serve.%s.stage.%s has no samples", RouteChunks, stage)
 		}

@@ -1,9 +1,6 @@
 package spdf
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -174,9 +171,6 @@ func TestParseAllIsolation(t *testing.T) {
 			t.Fatalf("clean doc %d errored: %v", i, res.Err)
 		}
 	}
-	if !strings.Contains(rep.String(), "salvaged") {
-		t.Fatalf("report string: %s", rep.String())
-	}
 }
 
 func TestParseAllWorkerCounts(t *testing.T) {
@@ -192,52 +186,6 @@ func TestParseAllWorkerCounts(t *testing.T) {
 		if rep.OK != len(docs) {
 			t.Fatalf("workers=%d: OK=%d", workers, rep.OK)
 		}
-	}
-}
-
-func TestParseDir(t *testing.T) {
-	dir := t.TempDir()
-	docs := sampleDocs(t, 5)
-	for _, d := range docs {
-		if err := os.WriteFile(filepath.Join(dir, d.ID+".spdf"), Encode(d), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A non-spdf file must be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	results, rep, err := ParseDir(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != 5 || len(results) != 5 {
-		t.Fatalf("ParseDir: %+v", rep)
-	}
-}
-
-func TestParseDirMissing(t *testing.T) {
-	results, rep, err := ParseDir(filepath.Join(t.TempDir(), "empty-subdir-missing"), 2)
-	if err != nil {
-		t.Fatalf("glob of missing dir should yield empty, got err %v", err)
-	}
-	if len(results) != 0 || rep.Total != 0 {
-		t.Fatal("expected empty result set")
-	}
-}
-
-func TestMetadataJSON(t *testing.T) {
-	m := Metadata{DocID: "paper-000001", Title: "T", Authors: []string{"A", "B"}, Year: 2020, Kind: "full"}
-	data, err := MetadataJSON(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Metadata
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.DocID != m.DocID || len(back.Authors) != 2 || back.Year != 2020 {
-		t.Fatalf("round trip: %+v", back)
 	}
 }
 
