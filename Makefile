@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: verify bench bench-all docs fmt lint purego race fuzz-smoke
+.PHONY: verify bench bench-all docs fmt lint purego race fuzz-smoke reach
 
 verify:
 	@unformatted="$$(gofmt -l .)"; \
@@ -119,6 +119,12 @@ lint:
 bench:
 	$(GO) test ./internal/f16 ./internal/vecstore -run '^$$' -bench . -benchmem
 	$(GO) test ./internal/tokenizer ./internal/embed ./internal/chunk ./internal/rag ./internal/batch ./internal/argo ./internal/eval ./internal/core -run '^$$' -bench . -benchmem
+
+# Reachability listing: the internal/ functions that no binary (cmd/,
+# examples/, ragbench) links, with their line counts and the total. A
+# function only tests call is listed. Informational: it gates nothing.
+reach:
+	bash tools/reach.sh
 
 # Full paper-artifact bench suite (Tables 2-4, Figures 4-6, ablations).
 bench-all:

@@ -28,6 +28,11 @@
 //	kill %2 && curl -s localhost:8080/v1/chunks/search -d '{"query":"...","k":5}' | jq .degraded
 //	curl -s localhost:8080/healthz | jq .shards
 //
+// A failed shard call is retried once after 5 ms (5xx and transport errors
+// only); three consecutive failures trip the shard's breaker for 500 ms,
+// after which the health prober (every 500 ms) runs the half-open probe.
+// These are the router package's constants, not flags.
+//
 // SIGINT/SIGTERM drains gracefully like ragserve.
 package main
 
@@ -42,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/retry"
 	"repro/internal/router"
 )
 
@@ -53,11 +57,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 32, "coalescer batch size")
 	maxDelay := flag.Duration("max-delay", time.Millisecond, "cap on the coalescer admission wait (the wait applied is one scatter/gather service time when that is shorter)")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-attempt shard deadline")
-	retries := flag.Int("retries", 1, "retries per shard call after the first attempt (negative: none)")
-	backoff := flag.Duration("backoff", 5*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")
-	threshold := flag.Int("breaker-threshold", 3, "consecutive shard-call failures that trip the breaker")
-	cooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "open-state cooldown before a half-open probe")
-	probe := flag.Duration("probe", 500*time.Millisecond, "health prober period (drives breaker recovery)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown window")
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/ on the routing port")
 	flag.Parse()
@@ -67,28 +66,16 @@ func main() {
 		log.Fatal("ragrouter: -shards is required")
 	}
 	cfg := router.Config{
-		Shards:        splitList(*shards),
-		Routes:        splitList(*routes),
-		MaxBatch:      *maxBatch,
-		MaxDelay:      *maxDelay,
-		ShardTimeout:  *timeout,
-		Retry:         retry.Policy{MaxRetries: normRetries(*retries), BaseBackoff: *backoff},
-		Breaker:       router.BreakerConfig{Threshold: *threshold, Cooldown: *cooldown},
-		ProbeInterval: *probe,
-		Debug:         *debug,
+		Shards:       splitList(*shards),
+		Routes:       splitList(*routes),
+		MaxBatch:     *maxBatch,
+		MaxDelay:     *maxDelay,
+		ShardTimeout: *timeout,
+		Debug:        *debug,
 	}
 	if err := run(*addr, *drain, cfg); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// normRetries maps the flag's "negative means none" onto the retry
-// policy's encoding (where 0 means "use the default").
-func normRetries(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return n
 }
 
 func splitList(s string) []string {

@@ -101,54 +101,6 @@ func TestCallAllOrder(t *testing.T) {
 	}
 }
 
-func TestTransientRetry(t *testing.T) {
-	var calls sync.Map
-	handler := func(_ context.Context, batch []Request) []Response {
-		out := make([]Response, len(batch))
-		for i, r := range batch {
-			n, _ := calls.LoadOrStore(r.ID, new(int32))
-			c := atomic.AddInt32(n.(*int32), 1)
-			if c < 3 {
-				out[i] = Response{ID: r.ID, Err: "overloaded", Retry: true}
-			} else {
-				out[i] = Response{ID: r.ID, Payload: []byte("ok")}
-			}
-		}
-		return out
-	}
-	g := NewGateway(Config{MaxRetries: 5, BaseBackoff: 100 * time.Microsecond}, handler)
-	defer g.Close()
-	resp, err := g.Call(context.Background(), Request{ID: "flaky"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp.Payload) != "ok" {
-		t.Fatalf("payload %q", resp.Payload)
-	}
-	if g.Stats().Retries < 2 {
-		t.Fatalf("retries %d", g.Stats().Retries)
-	}
-}
-
-func TestRetryBudgetExhaustion(t *testing.T) {
-	handler := func(_ context.Context, batch []Request) []Response {
-		out := make([]Response, len(batch))
-		for i, r := range batch {
-			out[i] = Response{ID: r.ID, Err: "always down", Retry: true}
-		}
-		return out
-	}
-	g := NewGateway(Config{MaxRetries: 2, BaseBackoff: 50 * time.Microsecond}, handler)
-	defer g.Close()
-	_, err := g.Call(context.Background(), Request{ID: "doomed"})
-	if err == nil || !strings.Contains(err.Error(), "always down") {
-		t.Fatalf("err = %v", err)
-	}
-	if g.Stats().Failures == 0 {
-		t.Fatal("failure not counted")
-	}
-}
-
 func TestPermanentErrorNoRetry(t *testing.T) {
 	var calls int32
 	handler := func(_ context.Context, batch []Request) []Response {
@@ -159,13 +111,16 @@ func TestPermanentErrorNoRetry(t *testing.T) {
 		}
 		return out
 	}
-	g := NewGateway(Config{MaxRetries: 5}, handler)
+	g := NewGateway(Config{}, handler)
 	defer g.Close()
 	if _, err := g.Call(context.Background(), Request{ID: "bad"}); err == nil {
 		t.Fatal("permanent error not surfaced")
 	}
 	if atomic.LoadInt32(&calls) != 1 {
 		t.Fatalf("permanent error retried %d times", calls)
+	}
+	if f := g.Stats().Failures; f != 1 {
+		t.Fatalf("failures %d, want 1", f)
 	}
 }
 
@@ -174,8 +129,50 @@ func TestMissingResponseBecomesError(t *testing.T) {
 	g := NewGateway(Config{}, handler)
 	defer g.Close()
 	_, err := g.Call(context.Background(), Request{ID: "lost"})
-	if err == nil || !strings.Contains(err.Error(), "no response") {
+	if err == nil || !strings.Contains(err.Error(), "0 responses for a batch of 1") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestResponseCountMismatchFailsBatch: the handler contract is
+// index-aligned, so a handler answering one response too few or one too
+// many leaves no response that can be trusted to answer its request, and
+// every request of the batch fails.
+func TestResponseCountMismatchFailsBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra int
+	}{{"too few", -1}, {"too many", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			handler := func(ctx context.Context, batch []Request) []Response {
+				out := echoHandler(ctx, batch)
+				if tc.extra < 0 {
+					return out[:len(out)-1]
+				}
+				return append(out, Response{ID: "stray"})
+			}
+			g := NewGateway(Config{MaxBatch: 8, MaxDelay: 5 * time.Millisecond}, handler)
+			defer g.Close()
+			const n = 8
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[i] = g.Call(context.Background(), Request{ID: fmt.Sprintf("r%d", i), Payload: []byte("x")})
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "responses for a batch of") {
+					t.Fatalf("request %d: err = %v, want the count mismatch", i, err)
+				}
+			}
+			if st := g.Stats(); st.Failures != n || st.Requests != n {
+				t.Fatalf("stats %+v, want %d requests, all failed", st, n)
+			}
+		})
 	}
 }
 
@@ -240,45 +237,4 @@ func BenchmarkGatewayCallFastHandler(b *testing.B) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestCloseAbortsBackoffWithinOneTick pins the retry machinery's one wait,
-// the backoff sleep between attempts: a gateway closed mid-backoff must
-// stop retrying immediately instead of sleeping out the remaining
-// schedule — with a 30s base backoff, anything under a couple of seconds
-// proves the sleep was interrupted.
-func TestCloseAbortsBackoffWithinOneTick(t *testing.T) {
-	attempted := make(chan struct{}, 16)
-	handler := func(_ context.Context, batch []Request) []Response {
-		out := make([]Response, len(batch))
-		for i, req := range batch {
-			out[i] = Response{ID: req.ID, Err: "transient", Retry: true}
-		}
-		select {
-		case attempted <- struct{}{}:
-		default:
-		}
-		return out
-	}
-	g := NewGateway(Config{MaxBatch: 1, MaxRetries: 5, BaseBackoff: 30 * time.Second}, handler)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := g.Call(context.Background(), Request{ID: "doomed"})
-		done <- err
-	}()
-	<-attempted // first attempt ran; the gateway is now in its 30s backoff
-	start := time.Now()
-	g.Close()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("Close blocked %v on a pending backoff", elapsed)
-	}
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("retry-aborted call returned nil error")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("call still pending after Close")
-	}
 }

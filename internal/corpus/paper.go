@@ -220,13 +220,6 @@ func kindPrefix(k DocKind) string {
 	return "paper"
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // CorpusSpec describes how many documents to generate; the paper's full
 // scale is {Papers: 14115, Abstracts: 8433}.
 type CorpusSpec struct {

@@ -10,9 +10,10 @@ import (
 )
 
 // nosleep: a bare time.Sleep cannot be interrupted, so a closing server
-// or a departed client rides out the full wait — the argo
-// Close-vs-backoff hang, fixed by routing every delay through the
-// ctx-abortable retry.Sleep. Non-test code must not call time.Sleep.
+// or a departed client rides out the full wait — as in the argo
+// gateway's Close-vs-backoff hang, fixed by routing every delay through
+// the ctx-abortable retry.Sleep (that retry path has since been deleted).
+// Non-test code must not call time.Sleep.
 var analyzerNoSleep = &Analyzer{
 	Name: "nosleep",
 	Doc:  "bare time.Sleep in non-test code must go through the ctx-abortable retry.Sleep",

@@ -8,7 +8,9 @@
 // Each analyzer pins one historical incident:
 //
 //	nosleep    bare time.Sleep in non-test code must go through the
-//	           ctx-abortable retry.Sleep — the argo Close-vs-backoff hang.
+//	           ctx-abortable retry.Sleep — the argo gateway's
+//	           Close-vs-backoff hang (that retry path has since gone;
+//	           the router's shard retry sleeps through retry.Sleep).
 //	ctxhttp    outbound requests must be built with
 //	           http.NewRequestWithContext so router→shard deadlines
 //	           propagate end to end.

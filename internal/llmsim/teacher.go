@@ -312,10 +312,3 @@ func relationVerb(rel corpus.Relation) string {
 		return "relates to"
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

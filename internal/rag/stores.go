@@ -295,6 +295,3 @@ func QuestionFactMap(questions []*mcq.Question) map[string]string {
 	}
 	return m
 }
-
-// String implements fmt.Stringer for pipeline logging.
-func (s *TraceStore) String() string { return s.describe() }

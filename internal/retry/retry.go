@@ -1,9 +1,10 @@
-// Package retry is the shared bounded-retry policy of the repo's two
-// network tiers: the argo model-API gateway and the router shard fan-out.
-// Both need the same semantics — exponential backoff with deterministic
-// jitter (no wall-clock randomness, so runs stay reproducible) and sleeps
-// that abort the moment the caller's context is cancelled, so a closing
-// gateway or a departed client never waits out a full backoff schedule.
+// Package retry is the bounded-retry policy of the router's shard fan-out,
+// the one call in the repo that can fail transiently: exponential backoff
+// with deterministic jitter (no wall-clock randomness, so runs stay
+// reproducible) and sleeps that abort the moment the caller's context is
+// cancelled, so a closing router or a departed client never waits out a
+// full backoff schedule. Sleep is also the repo's one sanctioned
+// cancellable sleep (raglint's nosleep analyzer).
 package retry
 
 import (
@@ -14,35 +15,16 @@ import (
 // Policy bounds a retry loop: how many re-attempts after the first try,
 // and how the delay between them grows.
 type Policy struct {
-	// MaxRetries is the number of re-attempts after the initial one
-	// (default 3). 0 after Fill means "use the default"; use a negative
-	// value for "never retry".
+	// MaxRetries is the number of re-attempts after the initial one.
 	MaxRetries int
-	// BaseBackoff is the delay before the first retry (default 1ms); it
-	// doubles per attempt, plus deterministic jitter.
+	// BaseBackoff is the delay before the first retry; it doubles per
+	// attempt, plus deterministic jitter.
 	BaseBackoff time.Duration
-	// MaxBackoff caps a single delay; 0 leaves it uncapped.
-	MaxBackoff time.Duration
-}
-
-// Fill applies the defaults, returning the effective policy. A negative
-// MaxRetries normalises to 0 (no retries).
-func (p Policy) Fill() Policy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 3
-	} else if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = time.Millisecond
-	}
-	return p
 }
 
 // Backoff returns the delay before retry number attempt+1 (attempt counts
 // from 0): BaseBackoff << attempt plus a deterministic jitter derived from
-// the attempt number — the exact schedule the argo gateway has always used,
-// now shared with the router.
+// the attempt number.
 func (p Policy) Backoff(attempt int) time.Duration {
 	if attempt < 0 {
 		attempt = 0
@@ -54,9 +36,6 @@ func (p Policy) Backoff(attempt int) time.Duration {
 	}
 	delay := p.BaseBackoff << shift
 	delay += time.Duration(attempt*7%5) * p.BaseBackoff / 4
-	if p.MaxBackoff > 0 && delay > p.MaxBackoff {
-		delay = p.MaxBackoff
-	}
 	return delay
 }
 
@@ -83,7 +62,6 @@ func Sleep(ctx context.Context, d time.Duration) error {
 // immediately and returns the attempt's error (which usually already
 // carries the cancellation).
 func (p Policy) Do(ctx context.Context, fn func(ctx context.Context) error, retryable func(error) bool) error {
-	p = p.Fill()
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = fn(ctx)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBackoffDeterministicAndMonotoneBase(t *testing.T) {
-	p := Policy{BaseBackoff: time.Millisecond}.Fill()
+	p := Policy{BaseBackoff: time.Millisecond}
 	// The schedule is a pure function of the attempt number: same inputs,
 	// same delays, run after run.
 	for attempt := 0; attempt < 8; attempt++ {
@@ -26,23 +26,23 @@ func TestBackoffDeterministicAndMonotoneBase(t *testing.T) {
 }
 
 func TestBackoffCapAndOverflowClamp(t *testing.T) {
-	p := Policy{BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}.Fill()
-	if d := p.Backoff(20); d != 10*time.Millisecond {
-		t.Fatalf("capped delay %v, want 10ms", d)
-	}
-	uncapped := Policy{BaseBackoff: time.Millisecond}.Fill()
-	if d := uncapped.Backoff(1 << 20); d <= 0 {
-		t.Fatalf("overflowed delay %v", d)
+	// The doubling stops at attempt 30: later attempts differ only by the
+	// jitter, which is under one BaseBackoff, and never overflow.
+	p := Policy{BaseBackoff: time.Millisecond}
+	capped := time.Millisecond << 30
+	for _, attempt := range []int{30, 31, 64, 1 << 20} {
+		if d := p.Backoff(attempt); d < capped || d >= capped+time.Millisecond {
+			t.Fatalf("attempt %d: delay %v, want within [%v, %v)", attempt, d, capped, capped+time.Millisecond)
+		}
 	}
 }
 
-func TestFillDefaultsAndNegativeRetries(t *testing.T) {
-	p := Policy{}.Fill()
-	if p.MaxRetries != 3 || p.BaseBackoff != time.Millisecond {
-		t.Fatalf("defaults %+v", p)
-	}
-	if p := (Policy{MaxRetries: -1}).Fill(); p.MaxRetries != 0 {
-		t.Fatalf("negative MaxRetries → %d, want 0", p.MaxRetries)
+func TestDoZeroPolicyTriesOnce(t *testing.T) {
+	calls := 0
+	err := Policy{}.Do(context.Background(),
+		func(context.Context) error { calls++; return errors.New("down") }, nil)
+	if err == nil || calls != 1 {
+		t.Fatalf("err=%v calls=%d, want the error after 1 call", err, calls)
 	}
 }
 

@@ -32,37 +32,26 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig parameterises a shard's circuit breaker.
-type BreakerConfig struct {
-	// Threshold is the consecutive-failure count that trips the breaker
-	// (default 3).
-	Threshold int
-	// Cooldown is how long a tripped breaker rejects before admitting a
-	// half-open probe (default 500ms).
-	Cooldown time.Duration
-}
-
-func (c *BreakerConfig) fill() {
-	if c.Threshold <= 0 {
-		c.Threshold = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 500 * time.Millisecond
-	}
-}
+const (
+	// breakerThreshold is the consecutive-failure count that trips a
+	// shard's breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long a tripped breaker rejects before
+	// admitting a half-open probe.
+	breakerCooldown = 500 * time.Millisecond
+)
 
 // breaker is the per-shard consecutive-failure circuit breaker:
 //
-//	closed --(Threshold consecutive failures)--> open
-//	open   --(Cooldown elapsed)--> half-open, one probe admitted
+//	closed --(breakerThreshold consecutive failures)--> open
+//	open   --(breakerCooldown elapsed)--> half-open, one probe admitted
 //	half-open --(probe ok)--> closed        (probe fail)--> open
 //
 // It deliberately trips on *consecutive* failures, not a rate: one slow
 // request in a healthy stream must not shed a shard (that would silently
 // lose its slice of the corpus), while a dead shard fails every call and
-// trips within Threshold batches.
+// trips within breakerThreshold batches.
 type breaker struct {
-	cfg BreakerConfig
 	now func() time.Time // injectable for tests
 
 	mu       sync.Mutex
@@ -73,9 +62,8 @@ type breaker struct {
 	trips    int64
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	cfg.fill()
-	return &breaker{cfg: cfg, now: time.Now}
+func newBreaker() *breaker {
+	return &breaker{now: time.Now}
 }
 
 // Allow reports whether live traffic may proceed: only in the closed
@@ -97,7 +85,7 @@ func (b *breaker) AllowProbe() bool {
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.now().Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -125,7 +113,7 @@ func (b *breaker) Record(ok bool) {
 			return
 		}
 		b.fails++
-		if b.fails >= b.cfg.Threshold {
+		if b.fails >= breakerThreshold {
 			b.trip()
 		}
 	case BreakerHalfOpen:
@@ -156,7 +144,7 @@ func (b *breaker) trip() {
 func (b *breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= breakerCooldown {
 		return BreakerHalfOpen
 	}
 	return b.state

@@ -6,22 +6,28 @@ import (
 )
 
 // clockBreaker returns a breaker on a manual clock.
-func clockBreaker(cfg BreakerConfig) (*breaker, *time.Time) {
-	b := newBreaker(cfg)
+func clockBreaker() (*breaker, *time.Time) {
+	b := newBreaker()
 	clk := time.Unix(1000, 0)
 	b.now = func() time.Time { return clk }
 	return b, &clk
 }
 
+// fail records n consecutive failures.
+func fail(b *breaker, n int) {
+	for range n {
+		b.Record(false)
+	}
+}
+
 func TestBreakerTripsOnConsecutiveFailuresOnly(t *testing.T) {
-	b, _ := clockBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second})
+	b, _ := clockBreaker()
 	// Interleaved successes keep resetting the streak: never trips.
 	for i := 0; i < 10; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker rejected live traffic at %d", i)
 		}
-		b.Record(false)
-		b.Record(false)
+		fail(b, breakerThreshold-1)
 		b.Record(true)
 	}
 	if got := b.State(); got != BreakerClosed {
@@ -30,10 +36,8 @@ func TestBreakerTripsOnConsecutiveFailuresOnly(t *testing.T) {
 	if b.Trips() != 0 {
 		t.Fatalf("trips %d, want 0", b.Trips())
 	}
-	// Three consecutive failures trip it.
-	b.Record(false)
-	b.Record(false)
-	b.Record(false)
+	// breakerThreshold consecutive failures trip it.
+	fail(b, breakerThreshold)
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state %v after threshold failures, want open", got)
 	}
@@ -49,12 +53,11 @@ func TestBreakerTripsOnConsecutiveFailuresOnly(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
-	b, clk := clockBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second})
-	b.Record(false)
-	b.Record(false)
+	b, clk := clockBreaker()
+	fail(b, breakerThreshold)
 	// Cooldown elapses: exactly one probe is admitted; live traffic and
 	// concurrent probes stay out.
-	*clk = clk.Add(time.Second)
+	*clk = clk.Add(breakerCooldown)
 	if got := b.State(); got != BreakerHalfOpen {
 		t.Fatalf("state %v past cooldown, want half-open", got)
 	}
@@ -78,10 +81,9 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	b, clk := clockBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second})
-	b.Record(false)
-	b.Record(false)
-	*clk = clk.Add(time.Second)
+	b, clk := clockBreaker()
+	fail(b, breakerThreshold)
+	*clk = clk.Add(breakerCooldown)
 	if !b.AllowProbe() {
 		t.Fatal("probe rejected")
 	}
@@ -96,7 +98,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if b.AllowProbe() {
 		t.Fatal("probe admitted before the restarted cooldown elapsed")
 	}
-	*clk = clk.Add(time.Second)
+	*clk = clk.Add(breakerCooldown)
 	if !b.AllowProbe() {
 		t.Fatal("probe rejected after restarted cooldown")
 	}
@@ -107,12 +109,11 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 }
 
 func TestBreakerLateRecordIgnored(t *testing.T) {
-	b, _ := clockBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second})
+	b, _ := clockBreaker()
 	if !b.Allow() {
 		t.Fatal("closed breaker rejected")
 	}
-	b.Record(false)
-	b.Record(false) // trips
+	fail(b, breakerThreshold) // trips
 	// A straggler request admitted before the trip reports back late;
 	// the breaker's decision stands.
 	b.Record(true)

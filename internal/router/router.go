@@ -17,15 +17,20 @@
 //
 //   - a per-shard deadline, context-propagated end to end (router attempt
 //     ctx → HTTP request → backend handler → backend coalescer);
-//   - bounded retries with the shared internal/retry backoff policy
-//     (exponential, deterministic jitter), 5xx and transport errors only;
-//   - a per-shard circuit breaker (consecutive-failure trip, cooldown,
-//     half-open probe driven by the background health prober);
+//   - one retry after a 5 ms backoff (internal/retry's schedule), on 5xx
+//     and transport errors only, so a stalled shard holds a batch for at
+//     most two ShardTimeouts;
+//   - a per-shard circuit breaker (trips after 3 consecutive failures,
+//     cools down for 500 ms, then the background health prober, polling
+//     every 500 ms, runs the one half-open probe);
 //   - graceful degradation: when a shard is down, tripped or timing out,
 //     clients get the exact merged top-k over the surviving shards with
 //     degraded:true and shards_ok/shards_total on the wire — never a 5xx
 //     while at least one shard answers;
 //   - a /healthz of its own, reporting every shard's breaker and probe.
+//
+// The retry, breaker and probe settings are package constants, not
+// configuration: no deployment has needed other values.
 package router
 
 import (
@@ -67,15 +72,6 @@ type Config struct {
 	// ShardTimeout is the per-attempt deadline of one shard call
 	// (default 2s). It propagates to the backend as the request context.
 	ShardTimeout time.Duration
-	// Retry is the per-shard retry policy (5xx/transport errors only);
-	// zero value takes the retry defaults (3 retries, 1ms base backoff).
-	Retry retry.Policy
-	// Breaker is the per-shard circuit-breaker configuration.
-	Breaker BreakerConfig
-	// ProbeInterval is the health prober's period (default 500ms). The
-	// prober polls every shard's /healthz and is what closes a tripped
-	// breaker again once the shard reports "ok".
-	ProbeInterval time.Duration
 	// Debug mounts net/http/pprof under /debug/pprof/ (opt-in).
 	Debug bool
 }
@@ -87,12 +83,19 @@ func (c *Config) fill() {
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 2 * time.Second
 	}
-	c.Retry = c.Retry.Fill()
-	c.Breaker.fill()
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 500 * time.Millisecond
-	}
 }
+
+const (
+	// shardRetries is how often a failed shard call is re-attempted, on
+	// 5xx and transport errors only (retryableError); shardBackoff is the
+	// delay before the retry (internal/retry's schedule).
+	shardRetries = 1
+	shardBackoff = 5 * time.Millisecond
+	// probeInterval is the health prober's period. The prober polls every
+	// shard's /healthz and is what closes a tripped breaker again once the
+	// shard reports "ok".
+	probeInterval = 500 * time.Millisecond
+)
 
 // errAllShardsFailed is the only condition the router answers with a 5xx:
 // not one shard produced results for the batch.
@@ -192,7 +195,7 @@ func New(cfg Config) (*Router, error) {
 			name:      name,
 			url:       url,
 			client:    serve.NewClient(url, nil),
-			br:        newBreaker(cfg.Breaker),
+			br:        newBreaker(),
 			mRequests: reg.Counter(p + "requests"),
 			mFailures: reg.Counter(p + "failures"),
 			mRetries:  reg.Counter(p + "retries"),
@@ -304,7 +307,7 @@ func (r *Router) callShard(sh *shard, routeName string, queries []string, k int,
 	start := time.Now()
 	var resp serve.BatchSearchResponse
 	attempts := 0
-	err := r.cfg.Retry.Do(obs.WithTrace(r.ctx, tr), func(ctx context.Context) error {
+	err := retry.Policy{MaxRetries: shardRetries, BaseBackoff: shardBackoff}.Do(obs.WithTrace(r.ctx, tr), func(ctx context.Context) error {
 		if attempts > 0 {
 			sh.mRetries.Inc()
 		}
@@ -349,14 +352,14 @@ func retryableError(err error) bool {
 	return !errors.Is(err, context.Canceled)
 }
 
-// probeLoop polls every shard's /healthz each ProbeInterval. It is the
+// probeLoop polls every shard's /healthz each probeInterval. It is the
 // recovery path of the breaker state machine: when a breaker has cooled
 // into half-open, the probe is the single admitted trial, so client
 // traffic never pays the latency of poking a possibly-still-dead shard —
 // degraded responses continue until a probe proves the shard back.
 func (r *Router) probeLoop() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.ProbeInterval)
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -375,7 +378,7 @@ func (r *Router) probeLoop() {
 // reporting "degraded" (a route with zero vectors) counts as a failed
 // probe: it is alive but cannot serve its slice of the corpus.
 func (r *Router) probeShard(sh *shard) {
-	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.ProbeInterval)
+	ctx, cancel := context.WithTimeout(r.ctx, probeInterval)
 	hz, err := sh.client.HealthzCtx(ctx)
 	cancel()
 	status := "unreachable"

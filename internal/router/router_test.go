@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/rag"
-	"repro/internal/retry"
 	"repro/internal/serve"
 )
 
@@ -43,17 +42,16 @@ func testFleet(t testing.TB, nShards, nChunks int) *fleet {
 	return f
 }
 
-// testRouter starts a router over the fleet with timings tight enough
-// that trip/probe/recovery all happen within a test run.
-func testRouter(t testing.TB, f *fleet) *Client {
+// testRouter starts a router over the fleet under the package's fixed
+// fault policy (one retry, a breaker tripping at three consecutive
+// failures, a 500 ms cooldown and probe period, so a trip heals within
+// about a second) and returns a client for it with the router's URL.
+func testRouter(t testing.TB, f *fleet) (*Client, string) {
 	t.Helper()
 	r, err := New(Config{
-		Shards:        f.urls,
-		ShardTimeout:  2 * time.Second,
-		Retry:         retry.Policy{MaxRetries: 1, BaseBackoff: time.Millisecond},
-		Breaker:       BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
-		ProbeInterval: 20 * time.Millisecond,
-		MaxDelay:      500 * time.Microsecond,
+		Shards:       f.urls,
+		ShardTimeout: 2 * time.Second,
+		MaxDelay:     500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +60,13 @@ func testRouter(t testing.TB, f *fleet) *Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	return NewClient("http://"+r.Addr(), nil)
+	url := "http://" + r.Addr()
+	return NewClient(url, nil), url
 }
 
 func TestRouterEndToEnd(t *testing.T) {
 	f := testFleet(t, 3, 48)
-	c := testRouter(t, f)
+	c, url := testRouter(t, f)
 
 	// Healthy fleet: full fan-out, not degraded, and the router's merged
 	// answer equals a single unsharded store's, bit for bit.
@@ -110,7 +109,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	// the estimate has left its seed but cannot exceed it. The router's
 	// /metrics speaks the backends' exposition, so the backend client
 	// reads it.
-	mtext, err := serve.NewClient(c.BaseURL(), nil).MetricsCtx(t.Context())
+	mtext, err := serve.NewClient(url, nil).MetricsCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestRouterEndToEnd(t *testing.T) {
 // of the batch as degraded.
 func TestRouterDegradedBatch(t *testing.T) {
 	f := testFleet(t, 3, 48)
-	c := testRouter(t, f)
+	c, _ := testRouter(t, f)
 	degraded := func() int64 {
 		mtext, err := c.MetricsCtx(t.Context())
 		if err != nil {
@@ -242,7 +241,7 @@ func TestRouterDegradedBatch(t *testing.T) {
 
 func TestRouterAllShardsFailed(t *testing.T) {
 	f := testFleet(t, 2, 16)
-	c := testRouter(t, f)
+	c, _ := testRouter(t, f)
 	for _, g := range f.gates {
 		g.Set(serve.FaultError)
 	}
@@ -255,8 +254,21 @@ func TestRouterAllShardsFailed(t *testing.T) {
 	if _, err := c.SearchRouteBatchCtx(t.Context(), serve.RouteChunks, []string{f.corpus[0].Text}, 3, nil); !errors.As(err, &se) || se.Status != 503 {
 		t.Fatalf("batch err=%v, want router 503", err)
 	}
-	// The two failed requests tripped both breakers (threshold 2), so the
-	// fleet heals via half-open probes after Clear, not instantly.
+	// A third failed request trips both breakers (breakerThreshold
+	// consecutive failures), so the fleet heals via half-open probes after
+	// Clear, not instantly.
+	for range breakerThreshold - 2 {
+		if _, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[0].Text, K: 3}); !errors.As(err, &se) || se.Status != 503 {
+			t.Fatalf("err=%v, want router 503", err)
+		}
+	}
+	hz, err := c.HealthzCtx(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hz.ShardsOK != 0 || hz.Shards["shard0"].Trips != 1 || hz.Shards["shard1"].Trips != 1 {
+		t.Fatalf("breakers after %d failed requests: %+v", breakerThreshold, hz)
+	}
 	for _, g := range f.gates {
 		g.Clear()
 	}
@@ -275,7 +287,7 @@ func TestRouterAllShardsFailed(t *testing.T) {
 
 func TestRouterRequestValidation(t *testing.T) {
 	f := testFleet(t, 2, 16)
-	c := testRouter(t, f)
+	c, _ := testRouter(t, f)
 	var se *serve.StatusError
 	if _, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: "", K: 3}); !errors.As(err, &se) || se.Status != 400 {
 		t.Fatalf("empty query: err=%v, want 400", err)
@@ -296,9 +308,9 @@ func TestRouterRequestValidation(t *testing.T) {
 // bare /v1/search paths do not exist on this tier either.
 func TestUnroutedPathsAre404(t *testing.T) {
 	f := testFleet(t, 2, 16)
-	c := testRouter(t, f)
+	_, url := testRouter(t, f)
 	for _, path := range []string{"/v1/search", "/v1/search/batch"} {
-		resp, err := http.Post(c.BaseURL()+path, "application/json",
+		resp, err := http.Post(url+path, "application/json",
 			strings.NewReader(fmt.Sprintf(`{"query":%q,"queries":[%q]}`, f.corpus[0].Text, f.corpus[0].Text)))
 		if err != nil {
 			t.Fatal(err)

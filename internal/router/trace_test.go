@@ -44,7 +44,7 @@ func findRecord(page obs.SlowLogPage, traceID string) *obs.TraceRecord {
 // shardN.-prefixed remote spans.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	f := testFleet(t, 3, 48)
-	c := testRouter(t, f)
+	c, url := testRouter(t, f)
 
 	const traceID = "e2e-router-trace-7"
 	ctx := obs.WithTrace(context.Background(), obs.NewTrace(traceID))
@@ -82,7 +82,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 
 	// Router slowlog retains the same id with a non-empty timeline.
-	rpage := getSlowlog(t, c.BaseURL(), serve.RouteChunks)
+	rpage := getSlowlog(t, url, serve.RouteChunks)
 	rrec := findRecord(rpage, traceID)
 	if rrec == nil {
 		t.Fatalf("trace %q not in router slowlog: %+v", traceID, rpage.Slowest)
@@ -109,7 +109,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 // contract holds through the router tier too.
 func TestRouterTimingOptIn(t *testing.T) {
 	f := testFleet(t, 2, 32)
-	c := testRouter(t, f)
+	c, _ := testRouter(t, f)
 	resp, err := c.SearchRouteReqCtx(t.Context(), serve.RouteChunks, serve.SearchRequest{Query: f.corpus[3].Text, K: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,6 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{base: baseURL, hc: httpClient}
 }
 
-// BaseURL returns the endpoint the client targets.
-func (c *Client) BaseURL() string { return c.base }
-
 // StatusError is a non-200 reply, carried as a typed error so callers
 // (the router's retry classifier) can tell a 5xx worth retrying from a
 // 4xx that is the caller's own fault.

@@ -121,13 +121,6 @@ func TestTruncatedSalvage(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestParseEmptyInput(t *testing.T) {
 	if _, err := Parse(nil); err == nil {
 		t.Fatal("nil input parsed")
