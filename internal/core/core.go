@@ -25,7 +25,6 @@ import (
 	"repro/internal/mcq"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
-	"repro/internal/qc"
 	"repro/internal/rag"
 	"repro/internal/rng"
 	"repro/internal/spdf"
@@ -52,11 +51,6 @@ type Config struct {
 	// documents/chunks/questions, latency histograms for parse and
 	// generation). Nil disables collection.
 	Metrics *metrics.Registry
-	// Dedup enables near-duplicate removal over accepted questions (off by
-	// default to match the paper's reported counts; see internal/qc).
-	Dedup bool
-	// DedupThreshold is the cosine threshold for Dedup (default 0.97).
-	DedupThreshold float64
 }
 
 // DefaultConfig returns the paper's settings at the given scale.
@@ -75,7 +69,6 @@ type Stats struct {
 	Candidates      int
 	Accepted        int
 	AcceptanceRate  float64
-	Deduplicated    int
 	Traces          int
 	EmbeddingDim    int
 	ChunkStoreBytes int64
@@ -208,20 +201,9 @@ func BuildBenchmark(cfg Config) (*Artifacts, error) {
 		return nil, fmt.Errorf("core: generation: %w", err)
 	}
 	accepted := mcq.FilterByQuality(candidates, cfg.QualityThreshold)
-	deduplicated := 0
-	if cfg.Dedup {
-		threshold := cfg.DedupThreshold
-		if threshold <= 0 || threshold > 1 {
-			threshold = 0.97
-		}
-		res := qc.Dedup(accepted, embed.NewDefault(), threshold)
-		deduplicated = len(res.Dropped)
-		accepted = res.Kept
-	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Counter("questions.candidates").Add(int64(len(candidates)))
 		cfg.Metrics.Counter("questions.accepted").Add(int64(len(accepted)))
-		cfg.Metrics.Counter("questions.deduplicated").Add(int64(deduplicated))
 	}
 
 	// Stage 5: reasoning-trace distillation (three modes per question).
@@ -266,7 +248,6 @@ func BuildBenchmark(cfg Config) (*Artifacts, error) {
 			Chunks:          len(chunks),
 			Candidates:      len(candidates),
 			Accepted:        len(accepted),
-			Deduplicated:    deduplicated,
 			Traces:          len(traces),
 			EmbeddingDim:    enc.Dim(),
 			ChunkStoreBytes: chunkStore.MemoryBytes(),
