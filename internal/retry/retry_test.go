@@ -27,12 +27,12 @@ func TestBackoffDeterministicAndMonotoneBase(t *testing.T) {
 
 func TestBackoffCapAndOverflowClamp(t *testing.T) {
 	// The doubling stops at attempt 30: later attempts differ only by the
-	// jitter, which is under one BaseBackoff, and never overflow.
+	// jitter, which is at most one BaseBackoff, and never overflow.
 	p := Policy{BaseBackoff: time.Millisecond}
 	capped := time.Millisecond << 30
-	for _, attempt := range []int{30, 31, 64, 1 << 20} {
-		if d := p.Backoff(attempt); d < capped || d >= capped+time.Millisecond {
-			t.Fatalf("attempt %d: delay %v, want within [%v, %v)", attempt, d, capped, capped+time.Millisecond)
+	for _, attempt := range []int{30, 31, 32, 64, 1 << 20} {
+		if d := p.Backoff(attempt); d < capped || d > capped+time.Millisecond {
+			t.Fatalf("attempt %d: delay %v, want within [%v, %v]", attempt, d, capped, capped+time.Millisecond)
 		}
 	}
 }
