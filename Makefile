@@ -47,23 +47,29 @@ verify:
 race:
 	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim ./internal/embed ./internal/chunk ./internal/spdf
 
-# The portable FP16 kernel: the purego build tag swaps f16.DotRows's F16C
-# assembly for f16.Dot per row, so the fallback that non-amd64 hosts run
-# stays tested on amd64 too (f16's parity tests and vecstore's scans).
+# The portable kernels: the purego build tag swaps f16.DotRows's F16C
+# assembly for f16.Dot per row and f16.DotI8Rows's AVX2 int8 assembly for a
+# plain Go loop, so the fallbacks that non-amd64 hosts run stay tested on
+# amd64 too (f16's tests and vecstore's scans, the int8 first pass
+# included).
 purego:
 	$(GO) test -tags purego ./internal/f16 ./internal/vecstore
 
 # Short native-fuzz passes: the VSF loader's magic dispatch and header
 # parsing (FuzzLoad; the checked-in corpus under testdata/fuzz pins the
 # historical crashers — truncations, count/dim/keylen bombs — on every
-# run), and f16.DotRows against f16.Dot bit for bit on fuzzed codes,
-# dimensions, row counts and unaligned row starts. -fuzzminimizetime caps
+# run), f16.DotRows against f16.Dot bit for bit on fuzzed codes,
+# dimensions, row counts and unaligned row starts, and the int8 first pass
+# (f16.DotI8Rows, the bound and the FP16 rerank) against the reference scan
+# on fuzzed codes, dims, k and batch sizes (FuzzFirstPassMatchesReference:
+# ids and score bits equal). -fuzzminimizetime caps
 # the minimisation of each new input at 100 runs: at Go's default (60 s)
 # the first new input FuzzLoad finds is minimised for the rest of the 10 s,
 # and the log reads "0/sec" from about 3 s on.
 fuzz-smoke:
 	$(GO) test ./internal/vecstore -run '^$$' -fuzz 'FuzzLoad' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/f16 -run '^$$' -fuzz 'FuzzDotRowsMatchesDot' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/vecstore -run '^$$' -fuzz 'FuzzFirstPassMatchesReference' -fuzztime 10s -fuzzminimizetime 100x
 
 # Documentation gate: vet, a package-comment check — every internal
 # package must open with a `// Package <name> ...` comment somewhere in
@@ -104,8 +110,10 @@ lint:
 	$(GO) run ./cmd/raglint
 
 # Kernel benchmarks: f16.Dot vs f16.DotRows (ns per row, one row per call
-# vs eight per pass); ns/vector and bytes/vector for the contiguous
-# blocked scan (parallel and serial), the IVF-PQ LUT scans (raw and
+# vs eight per pass) and the int8 first-pass kernel f16.DotI8Rows
+# (BenchmarkDotI8Rows384, ns per row over a 64-row tile); ns/vector and
+# bytes/vector for the contiguous blocked scan through the first pass
+# (parallel and serial), the IVF-PQ LUT scans (raw and
 # residual), and the multi-query batch kernels at the serving shape
 # (batch of 2) and at 64;
 # then the build/evaluate hot path:

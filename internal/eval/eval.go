@@ -68,8 +68,10 @@ type retrieved struct {
 // retrieveAll performs the retrieval for a condition across all questions
 // at once, preserving question order. The whole question set goes through
 // one Facade.RetrieveBatch (embedding fan-out + the vecstore multi-query
-// scan kernel in-process), which amortises each decoded code tile across
-// the entire 16,680-question sweep instead of re-decoding per question.
+// scan in-process): the questions are packed and quantized once as one
+// query batch, each tile of rows is scored against every question while it
+// sits in cache by the int8 first pass, and each question's surviving
+// candidates are rescored exactly in FP16, so the hits are the exact scan's.
 // Each question's prompt is then planned (rag.PlanPrompt) — the part of
 // prompt assembly that does not depend on a model's window — and its hits
 // graded (rag.Grades), which depends on no model at all.

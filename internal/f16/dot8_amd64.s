@@ -81,6 +81,96 @@ done:
 	VZEROUPPER
 	RET
 
+// func dotI8(out *int32, rows *int8, n, stride int, q *int16, chunks int)
+//
+// out[i] = the sum over the first 16*chunks elements of row i (int8, rows
+// stride bytes apart) times q's (int16). Each step sign-extends 16 codes to
+// words (VPMOVSXBW), multiplies them by the query chunk and adds adjacent
+// pairs into eight dwords (VPMADDWD), then accumulates (VPADDD). Rows go
+// four at a time, sharing each query load, then one at a time.
+TEXT ·dotI8(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ stride+24(FP), R8
+	MOVQ q+32(FP), DX
+	MOVQ chunks+40(FP), R9
+
+quad:
+	CMPQ CX, $4
+	JLT  single
+	LEAQ (SI)(R8*1), R11
+	LEAQ (SI)(R8*2), R12
+	LEAQ (R11)(R8*2), R13
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ AX, AX // byte offset into the rows; the query's is twice it
+	MOVQ R9, BX
+
+quadloop:
+	VMOVDQU   (DX)(AX*2), Y4
+	VPMOVSXBW (SI)(AX*1), Y5
+	VPMOVSXBW (R11)(AX*1), Y6
+	VPMOVSXBW (R12)(AX*1), Y7
+	VPMOVSXBW (R13)(AX*1), Y8
+	VPMADDWD  Y4, Y5, Y5
+	VPMADDWD  Y4, Y6, Y6
+	VPMADDWD  Y4, Y7, Y7
+	VPMADDWD  Y4, Y8, Y8
+	VPADDD    Y5, Y0, Y0
+	VPADDD    Y6, Y1, Y1
+	VPADDD    Y7, Y2, Y2
+	VPADDD    Y8, Y3, Y3
+	ADDQ      $16, AX
+	DECQ      BX
+	JNZ       quadloop
+
+	// Fold each row's eight dwords: after the three horizontal adds, dword
+	// r of the low lane plus dword r of the high lane is row r's sum.
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VMOVDQU      X0, (DI)
+	ADDQ         $16, DI
+	LEAQ         (SI)(R8*4), SI
+	SUBQ         $4, CX
+	JMP          quad
+
+single:
+	TESTQ CX, CX
+	JZ    done
+	VPXOR Y0, Y0, Y0
+	XORQ  AX, AX
+	MOVQ  R9, BX
+
+singleloop:
+	VPMOVSXBW (SI)(AX*1), Y5
+	VPMADDWD  (DX)(AX*2), Y5, Y5
+	VPADDD    Y5, Y0, Y0
+	ADDQ      $16, AX
+	DECQ      BX
+	JNZ       singleloop
+
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, (DI)
+	ADDQ         $4, DI
+	ADDQ         R8, SI
+	DECQ         CX
+	JMP          single
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

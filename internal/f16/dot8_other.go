@@ -6,3 +6,8 @@ package f16
 func dotRows(out []float32, rows [][]uint16, q []float32) {
 	dotRowsPortable(out, rows, q)
 }
+
+// dotI8Rows is DotI8Rows after its checks: the plain integer loop.
+func dotI8Rows(out []int32, rows []int8, q []int16) {
+	dotI8RowsPortable(out, rows, q)
+}

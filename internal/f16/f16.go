@@ -195,6 +195,40 @@ func dotRowsPortable(out []float32, rows [][]uint16, q []float32) {
 	}
 }
 
+// DotI8Rows sets out[i] to the integer inner product of q with row i of
+// rows, the int8 codes rows[i*len(q):(i+1)*len(q)], for every one of
+// len(out) rows. q holds int8 codes widened to int16 once by the caller, so
+// a query scored against many tiles is widened once. The sums are exact
+// integers (wrapping modulo 2^32 only past 133 144 int8 dimensions), and
+// integer addition associates, so every accumulation width and order gives
+// the same result: the AVX2 kernel on amd64 and the plain loop elsewhere
+// need no bit-parity argument, only equality. It is the first-pass kernel
+// of internal/vecstore's scans.
+func DotI8Rows(out []int32, rows []int8, q []int16) {
+	if len(rows) != len(out)*len(q) {
+		panic("f16: DotI8Rows wants len(out) rows of len(q) codes")
+	}
+	if len(q) == 0 {
+		clear(out)
+		return
+	}
+	if len(out) > 0 {
+		dotI8Rows(out, rows, q)
+	}
+}
+
+// dotI8RowsPortable is DotI8Rows without the assembly kernel.
+func dotI8RowsPortable(out []int32, rows []int8, q []int16) {
+	d := len(q)
+	for i := range out {
+		var s int32
+		for j, c := range rows[i*d : (i+1)*d] {
+			s += int32(c) * int32(q[j])
+		}
+		out[i] = s
+	}
+}
+
 // DotF32 returns the inner product of two float32 vectors.
 func DotF32(a, b []float32) float32 {
 	if len(a) != len(b) {

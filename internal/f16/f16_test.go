@@ -291,6 +291,57 @@ func FuzzDotRowsMatchesDot(f *testing.F) {
 	})
 }
 
+// TestDotI8Rows checks DotI8Rows against the definitional integer sum for
+// dims 1–100 and 384, row counts 0–9 (the four-row groups and the single-row
+// remainder) and extreme codes (±127, -128), with rows read at odd offsets.
+func TestDotI8Rows(t *testing.T) {
+	r := rng.New(11)
+	for _, d := range append(seqInts(1, 100), 384, 385) {
+		q := make([]int16, d)
+		for j := range q {
+			q[j] = int16(int8(r.Uint64()))
+			if j%7 == 3 {
+				q[j] = -128
+			}
+		}
+		for n := 0; n <= 9; n++ {
+			block := make([]int8, 1+n*d)
+			for i := range block {
+				block[i] = int8(r.Uint64())
+				if i%11 == 5 {
+					block[i] = [...]int8{127, -127, -128}[i%3]
+				}
+			}
+			rows := block[1:]
+			out := make([]int32, n)
+			DotI8Rows(out, rows, q)
+			for i := range out {
+				var want int32
+				for j := range q {
+					want += int32(rows[i*d+j]) * int32(q[j])
+				}
+				if out[i] != want {
+					t.Fatalf("d=%d n=%d row %d: got %d, want %d", d, n, i, out[i], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on a short row block")
+		}
+	}()
+	DotI8Rows(make([]int32, 2), make([]int8, 7), make([]int16, 4))
+}
+
+func seqInts(lo, hi int) []int {
+	s := make([]int, 0, hi-lo+1)
+	for i := lo; i <= hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
 func TestNormalizeUnitNorm(t *testing.T) {
 	v := []float32{3, 4}
 	Normalize(v)
@@ -414,6 +465,29 @@ func BenchmarkDotRowsHalf384(b *testing.B) {
 		DotRows(out, rows, q)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/MaxDotRows, "ns/row")
+}
+
+// BenchmarkDotI8Rows384 scores a 64-row tile of int8 codes per call, the
+// shape of vecstore's first pass, and reports ns/row; compare with
+// BenchmarkDotRowsHalf384 for what the int8 first pass costs per row
+// against the FP16 score.
+func BenchmarkDotI8Rows384(b *testing.B) {
+	const rows = 64
+	r := rng.New(1)
+	codes := make([]int8, rows*384)
+	for i := range codes {
+		codes[i] = int8(r.Uint64())
+	}
+	q := make([]int16, 384)
+	for i := range q {
+		q[i] = int16(int8(r.Uint64()))
+	}
+	out := make([]int32, rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DotI8Rows(out, codes, q)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }
 
 func BenchmarkDotF32384(b *testing.B) {

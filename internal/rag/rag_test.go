@@ -202,7 +202,7 @@ func TestTraceStorePerMode(t *testing.T) {
 	}
 	for _, mode := range mcq.AllModes {
 		s := stores[mode]
-		if s.Mode() != mode {
+		if s.mode != mode {
 			t.Fatal("mode mismatch")
 		}
 		if s.Len() != len(fx.questions) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/embed"
+	"repro/internal/f16"
 	"repro/internal/mcq"
 	"repro/internal/vecstore"
 )
@@ -202,9 +203,12 @@ func WrapChunkStore(enc *embed.Encoder, index vecstore.Index, chunks []chunk.Chu
 	return &ChunkStore{newStore(enc, index, chunkHits(chunks), "")}
 }
 
-// MemoryBytes reports vector storage size (the paper quotes 747 MB of FP16
-// at full scale).
-func (s *ChunkStore) MemoryBytes() int64 { return vecstore.StatsOf(s.index).Bytes }
+// MemoryBytes reports the FP16 embedding storage, 2·dim bytes per chunk:
+// the figure the paper's 747 MB FP16 store compares with. The index's own
+// footprint, derived search state included, is IndexStats().Bytes.
+func (s *ChunkStore) MemoryBytes() int64 {
+	return int64(s.index.Len()) * int64(f16.BytesPerVector(s.index.Dim()))
+}
 
 // Retrieve returns the top-k chunks for a query text.
 func (s *ChunkStore) Retrieve(query string, k int) []Hit {
@@ -265,9 +269,6 @@ func TraceStores(enc *embed.Encoder, traces []*mcq.Trace, _ map[string]string, w
 	}
 	return out
 }
-
-// Mode returns the store's reasoning mode.
-func (s *TraceStore) Mode() mcq.ReasoningMode { return s.mode }
 
 // RetrieveBatch answers many query texts at once through the index's
 // multi-query scan kernel. exclude is either nil (no exclusion) or one

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/rag"
@@ -98,5 +99,25 @@ func TestShardFaultPolicy(t *testing.T) {
 				t.Fatalf("%sfailures = %d, want %d", p, got, wantFailures)
 			}
 		})
+	}
+}
+
+// TestShardClientsHaveNoClientTimeout pins that ShardTimeout alone bounds
+// a shard call: the shard clients' HTTP client carries no client-level
+// timeout, which would silently cut a longer ShardTimeout (a 30 s cap
+// once did).
+func TestShardClientsHaveNoClientTimeout(t *testing.T) {
+	r, err := New(Config{Shards: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, ShardTimeout: 2 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.hc.Timeout != 0 {
+		t.Fatalf("shard HTTP client timeout %v, want none", r.hc.Timeout)
+	}
+	for _, sh := range r.shards {
+		if *sh.client != *serve.NewClient(sh.url, r.hc) {
+			t.Fatalf("%s: client not built on the router's timeout-free HTTP client", sh.name)
+		}
 	}
 }

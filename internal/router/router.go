@@ -151,6 +151,9 @@ type Router struct {
 	cfg    Config
 	srv    *serve.Server
 	shards []*shard
+	// hc is every shard client's HTTP client: pooled, with no client-level
+	// timeout, so ShardTimeout on each attempt's context is the only bound.
+	hc *http.Client
 
 	ctx        context.Context
 	cancel     context.CancelFunc
@@ -187,14 +190,14 @@ func New(cfg Config) (*Router, error) {
 	srv := serve.NewTier("router", serve.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay, Debug: cfg.Debug})
 	reg := srv.Registry()
 	ctx, cancel := context.WithCancel(context.Background())
-	r := &Router{cfg: cfg, srv: srv, ctx: ctx, cancel: cancel}
+	r := &Router{cfg: cfg, srv: srv, hc: serve.PooledHTTPClient(0), ctx: ctx, cancel: cancel}
 	for i, url := range cfg.Shards {
 		name := fmt.Sprintf("shard%d", i)
 		p := ShardMetricPrefix(name)
 		sh := &shard{
 			name:      name,
 			url:       url,
-			client:    serve.NewClient(url, nil),
+			client:    serve.NewClient(url, r.hc),
 			br:        newBreaker(),
 			mRequests: reg.Counter(p + "requests"),
 			mFailures: reg.Counter(p + "failures"),

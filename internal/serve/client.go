@@ -19,14 +19,21 @@ type Client struct {
 	hc   *http.Client
 }
 
-// NewClient targets baseURL ("http://host:port"). A nil httpClient gets a
-// 30s-timeout default with a connection pool sized for load generation.
+// NewClient targets baseURL ("http://host:port"). A nil httpClient gets
+// PooledHTTPClient(30 * time.Second).
 func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
-		tr := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}
-		httpClient = &http.Client{Timeout: 30 * time.Second, Transport: tr}
+		httpClient = PooledHTTPClient(30 * time.Second)
 	}
 	return &Client{base: baseURL, hc: httpClient}
+}
+
+// PooledHTTPClient returns an http.Client over a connection pool sized for
+// load generation and fan-out, with a client-level timeout; 0 sets none,
+// leaving each request's context as its only bound.
+func PooledHTTPClient(timeout time.Duration) *http.Client {
+	tr := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}
+	return &http.Client{Timeout: timeout, Transport: tr}
 }
 
 // StatusError is a non-200 reply, carried as a typed error so callers

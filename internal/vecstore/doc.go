@@ -41,7 +41,20 @@
 // machine.
 //
 // Flat and the memtable share one segment-parallel batch scan,
-// searchSegments.
+// searchSegments, and take an int8 first pass through it that is exact by
+// proof (firstpass.go, after the VA-file's bound-filtered scan). Each
+// FP16 row x̂ carries int8 codes c_x with a per-row scale s_x, the norm
+// of its residual e_x = x̂ − s_x·c_x and the norm of x̃ = s_x·c_x, both
+// rounded up: dim + 12 bytes per row, derived at Add, at VSF2 load and at
+// compaction, never stored. A query is quantized the same way once per
+// batch. The exact integer dot gives an estimate s_q·s_x·(c_q·c_x) within
+// ‖q‖‖e_x‖ + ‖e_q‖‖x̃‖ + γ of the FP16 score, where γ covers f16.Dot's
+// float32 rounding (γ_m·‖q‖(‖x̃‖+‖e_x‖) with m = dim+8 and
+// γ_m = m·2⁻²⁴/(1−m·2⁻²⁴), plus m·2⁻¹⁴⁹ for underflow). Only the rows
+// whose upper bound reaches the segment's k-th largest lower bound are
+// rescored in FP16, so results stay bit-identical to the reference scan.
+// Non-finite rows are always rescored; non-finite or huge queries (norm
+// past 2⁶⁴) and segments with no more rows than k take the plain scan.
 //
 // IVF-PQ searches skip decoding entirely: a per-query M×256 look-up table
 // of sub-query·centroid dot products is built once, after which scoring a
@@ -62,8 +75,9 @@
 // Scores are bit-for-bit identical to the reference scalar scans (one row,
 // one f16.Dot at a time; for IVF-PQ, one LUT row-sum at a time):
 // binary16→float32 conversion is exact, the accumulation trees match, and
-// top-k selection uses the total order (score descending, id ascending),
-// making push order and segment merges irrelevant. parity_test.go and
+// top-k selection uses the total order (score descending, id ascending, a
+// NaN below every number), making push order, segment merges and the
+// first pass's pruning irrelevant. parity_test.go, firstpass_test.go and
 // ivfpq_test.go pin this down.
 //
 // All indexes are safe for concurrent Search after construction; Add is not

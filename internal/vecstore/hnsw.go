@@ -483,11 +483,14 @@ func (h *HNSW) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Resul
 	return out
 }
 
-// flatView returns a zero-copy exact-scan view over the same code block.
-// FP16 encode∘decode is the identity on stored codes, so the view scores
-// exactly like a Flat rebuilt from the decoded vectors.
+// flatView returns an exact-scan view over the same code block, sharing
+// the codes and deriving the first-pass state. FP16 encode∘decode is the
+// identity on stored codes, so the view scores exactly like a Flat rebuilt
+// from the decoded vectors.
 func (h *HNSW) flatView() *Flat {
-	return &Flat{dim: h.dim, codes: h.codes, keys: h.keys}
+	f := &Flat{dim: h.dim, codes: h.codes, keys: h.keys}
+	f.deriveFirstPass()
+	return f
 }
 
 // RecallAgainst measures recall@k against a prebuilt exact index over the

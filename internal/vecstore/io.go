@@ -233,6 +233,7 @@ func readFlat(r io.Reader, remain int64) (*Flat, error) {
 	if err := readCodes(r, ix.codes); err != nil {
 		return nil, fmt.Errorf("%w: code block: %w", ErrBadFormat, err)
 	}
+	ix.deriveFirstPass()
 	return ix, nil
 }
 

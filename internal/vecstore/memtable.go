@@ -35,6 +35,8 @@ type Memtable struct {
 	mu    sync.RWMutex
 	codes []uint16 // row i at codes[i*dim:(i+1)*dim]
 	keys  []string
+	i8    []int8     // first-pass codes, as Flat's
+	bnd   []rowBound // first-pass bounds, as Flat's
 }
 
 // NewMemtable returns an empty mutable exact index.
@@ -51,8 +53,10 @@ func (mt *Memtable) Add(vec []float32, key string) int {
 		panic(fmt.Sprintf("vecstore: Add dim %d to memtable of dim %d", len(vec), mt.dim))
 	}
 	mt.mu.Lock()
+	at := len(mt.codes)
 	mt.codes = f16.AppendEncoded(mt.codes, vec)
 	mt.keys = append(mt.keys, key)
+	mt.i8, mt.bnd = appendFirstPass(mt.i8, mt.bnd, mt.codes[at:], mt.dim)
 	id := len(mt.keys) - 1
 	mt.mu.Unlock()
 	return id
@@ -77,15 +81,16 @@ func (mt *Memtable) Key(id int) string {
 	return k
 }
 
-// snapshot returns stable views of rows [lo, hi). Rows are append-only, so
-// the returned slices never change after capture; only the slice headers
-// need the lock.
-func (mt *Memtable) snapshot(lo, hi int) (codes []uint16, keys []string) {
+// snapshot returns stable views of rows [lo, hi), first-pass state
+// included. Rows are append-only, so the returned slices never change
+// after capture; only the slice headers need the lock.
+func (mt *Memtable) snapshot(lo, hi int) (b halfBlock, keys []string) {
+	d := mt.dim
 	mt.mu.RLock()
-	codes = mt.codes[lo*mt.dim : hi*mt.dim : hi*mt.dim]
+	b = halfBlock{codes: mt.codes[lo*d : hi*d : hi*d], dim: d, i8: mt.i8[lo*d : hi*d : hi*d], bnd: mt.bnd[lo:hi:hi]}
 	keys = mt.keys[lo:hi:hi]
 	mt.mu.RUnlock()
-	return codes, keys
+	return b, keys
 }
 
 // Search implements Index with the same blocked scan as Flat, over the
@@ -94,11 +99,11 @@ func (mt *Memtable) Search(query []float32, k int) []Result {
 	if len(query) != mt.dim {
 		panic("vecstore: Search dim mismatch")
 	}
-	codes, keys := mt.snapshot(0, mt.Len())
+	b, keys := mt.snapshot(0, mt.Len())
 	if k <= 0 || len(keys) == 0 {
 		return nil
 	}
-	return searchBlock(halfBlock{codes: codes, dim: mt.dim}, query, k, keys, nil)
+	return searchBlock(b, query, k, keys, nil)
 }
 
 // SearchBatch implements Index; the whole batch is answered from one row
@@ -109,13 +114,14 @@ func (mt *Memtable) SearchBatch(queries [][]float32, k int) [][]Result {
 
 func (mt *Memtable) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Result {
 	checkBatchDims(queries, mt.dim)
-	codes, keys := mt.snapshot(0, mt.Len())
-	return searchBlockBatch(halfBlock{codes: codes, dim: mt.dim}, queries, k, keys, tm)
+	b, keys := mt.snapshot(0, mt.Len())
+	return searchBlockBatch(b, queries, k, keys, tm)
 }
 
-// MemoryBytes reports FP16 row storage, for StatsOf.
+// MemoryBytes reports FP16 row storage plus the first-pass state, for
+// StatsOf.
 func (mt *Memtable) MemoryBytes() int64 {
-	return int64(mt.Len()) * int64(f16.BytesPerVector(mt.dim))
+	return int64(mt.Len()) * int64(f16.BytesPerVector(mt.dim)+firstPassBytes(mt.dim))
 }
 
 // AppendableCloner is implemented by indexes that can produce a cheap
@@ -294,10 +300,10 @@ func (lv *Live) CompactBase(n int) (Index, error) {
 		return nil, fmt.Errorf("vecstore: CompactBase(%d) outside memtable of %d rows", n, lv.mem.Len())
 	}
 	newBase := cl.CloneForAppend()
-	codes, keys := lv.mem.snapshot(0, n)
+	b, keys := lv.mem.snapshot(0, n)
 	buf := make([]float32, lv.dim)
 	for r := 0; r < n; r++ {
-		f16.DecodeInto(buf, codes[r*lv.dim:(r+1)*lv.dim])
+		f16.DecodeInto(buf, b.row(r))
 		newBase.Add(buf, keys[r])
 	}
 	return newBase, nil
@@ -316,8 +322,10 @@ func (lv *Live) Rotate(newBase Index, n int) *Live {
 	}
 	m := lv.mem.Len()
 	fresh := NewMemtable(lv.dim)
-	codes, keys := lv.mem.snapshot(n, m)
-	fresh.codes = append(fresh.codes, codes...)
+	b, keys := lv.mem.snapshot(n, m)
+	fresh.codes = append(fresh.codes, b.codes...)
 	fresh.keys = append(fresh.keys, keys...)
+	fresh.i8 = append(fresh.i8, b.i8...)
+	fresh.bnd = append(fresh.bnd, b.bnd...)
 	return &Live{base: newBase, mem: fresh, nb: newBase.Len(), dim: lv.dim}
 }

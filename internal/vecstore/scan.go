@@ -28,11 +28,24 @@ import (
 // chunk once for all of them. Each group is scored against every query of
 // the batch while it sits in L1.
 //
+// Flat and the memtable scan through an int8 first pass (firstpass.go)
+// when a segment holds more rows than k: each tile of int8 rows is scored
+// against every query of the batch by f16.DotI8Rows while it sits in L1,
+// each score is bounded within ±(‖q‖‖e_x‖ + ‖e_q‖‖x̃‖ + γ) of the FP16
+// one, and only rows whose upper bound reaches τ, the segment's k-th
+// largest lower bound, are rescored by f16.DotRows (gatherScores) and
+// pushed. A non-finite row is always rescored; a batch with a non-finite
+// or huge query, or a segment with no more rows than k, takes the plain
+// path, which scores every row.
+//
 // Exactness: f16.DotRows returns f16.Dot's result for each row bit for
-// bit, and the top-k heap orders by the total order (score desc, id asc),
-// so push order and segment merging cannot change results: the kernel
-// reproduces the reference scalar scan bit-for-bit. The parity tests in
-// parity_test.go enforce this.
+// bit, and the top-k heap orders by the total order (score desc, id asc;
+// NaN below every number), so push order and segment merging cannot
+// change results, and the first pass only leaves out rows that cannot be
+// in the top-k: the scan reproduces the reference scalar scan
+// bit-for-bit. parity_test.go and firstpass_test.go enforce this. The
+// integer kernel needs no parity test of its own: its sums are exact and
+// associate, so any width or order gives the same integers.
 
 const (
 	// scanTileRows is the number of rows scored per kernel step, the
@@ -46,20 +59,31 @@ const (
 )
 
 // halfBlock is a contiguous FP16 code block (Flat storage, the memtable,
-// HNSW vectors).
+// HNSW vectors). Flat and the memtable also carry each row's derived
+// first-pass state (firstpass.go): int8 codes with row r at
+// i8[r*dim:(r+1)*dim], and bnd[r]. HNSW's block has none.
 type halfBlock struct {
 	codes []uint16
 	dim   int
+	i8    []int8
+	bnd   []rowBound
 }
 
 func (b halfBlock) rows() int { return len(b.codes) / b.dim }
 
 func (b halfBlock) row(r int) []uint16 { return b.codes[r*b.dim : (r+1)*b.dim] }
 
-// slice returns the sub-block of rows [r0,r1).
+// slice returns the sub-block of rows [r0,r1), first-pass state included.
 func (b halfBlock) slice(r0, r1 int) halfBlock {
-	return halfBlock{codes: b.codes[r0*b.dim : r1*b.dim], dim: b.dim}
+	s := halfBlock{codes: b.codes[r0*b.dim : r1*b.dim], dim: b.dim}
+	if b.firstPass() {
+		s.i8, s.bnd = b.i8[r0*b.dim:r1*b.dim], b.bnd[r0:r1]
+	}
+	return s
 }
+
+// firstPass reports whether every row carries its first-pass state.
+func (b halfBlock) firstPass() bool { return len(b.bnd) == b.rows() }
 
 // scoreTile writes the inner product of row r0+i with query qi of the
 // packed batch qs (query qi is qs[qi*dim:(qi+1)*dim]) to
@@ -130,15 +154,21 @@ func gatherScores(b halfBlock, rows []int32, q []float32, scores []float32) {
 }
 
 // scanBatchTopK streams one code block through the kernel, a tile of rows
-// at a time scored against every query of the packed batch qs, and pushes
-// each score into hs[qi], the heap of query qi. Row r is reported as id
-// base+r. A single-query scan is a one-query batch: qs is the query
-// itself.
-func scanBatchTopK(b halfBlock, qs []float32, hs []*topK, base int) {
+// at a time scored against every query of the batch qb, and pushes each
+// score into hs[qi], the heap of query qi. Row r is reported as id base+r.
+// A single-query scan is a one-query batch. A block with more rows than k
+// goes through the int8 first pass (firstPassTopK) unless the block or the
+// batch has no first-pass state; the plain path below scores every row.
+func scanBatchTopK(b halfBlock, qb *queryBatch, hs []*topK, base int) {
 	rows := b.rows()
 	if rows == 0 || len(hs) == 0 {
 		return
 	}
+	if rows > hs[0].k && !qb.plain && b.firstPass() {
+		firstPassTopK(b, qb, hs, base)
+		return
+	}
+	qs := qb.fp
 	sp := getTile(scanTileRows * len(hs))
 	scores := *sp
 	for r0 := 0; r0 < rows; r0 += scanTileRows {
@@ -185,10 +215,12 @@ func scanSegments(rows, queries int) int {
 // descending-ordered results to dst.
 func searchBlock(b halfBlock, q []float32, k int, keys []string, dst []Result) []Result {
 	rows := b.rows()
+	qb := prepQueries(q, b.dim, k < rows && b.firstPass())
+	defer putQueryBatch(qb)
 	workers := scanSegments(rows, 1)
 	if workers <= 1 {
 		h := getTopK(k)
-		scanBatchTopK(b, q, []*topK{h}, 0)
+		scanBatchTopK(b, qb, []*topK{h}, 0)
 		dst = h.appendResults(dst, keys)
 		putTopK(h)
 		return dst
@@ -205,15 +237,16 @@ func searchBlock(b halfBlock, q []float32, k int, keys []string, dst []Result) [
 		wg.Add(1)
 		go func(sub halfBlock, base int, hs []*topK) {
 			defer wg.Done()
-			scanBatchTopK(sub, q, hs, base)
+			scanBatchTopK(sub, qb, hs, base)
 		}(b.slice(r0, r1), r0, heaps[len(heaps)-1:])
 	}
 	wg.Wait()
 	return mergeHeaps(heaps, keys, dst)
 }
 
-// searchBlockBatch is the FP16 SearchBatch: the batch is packed once and
-// every segment's tiles are scored against all of it by scanBatchTopK.
+// searchBlockBatch is the FP16 SearchBatch: the batch is packed and
+// quantized once and every segment's tiles are scored against all of it by
+// scanBatchTopK.
 func searchBlockBatch(b halfBlock, queries [][]float32, k int, keys []string, tm *ScanTiming) [][]Result {
 	if b.rows() == 0 || k <= 0 || len(queries) == 0 {
 		return make([][]Result, len(queries))
@@ -221,8 +254,10 @@ func searchBlockBatch(b halfBlock, queries [][]float32, k int, keys []string, tm
 	start := time.Now()
 	qp := packQueries(queries, b.dim)
 	defer putTile(qp)
+	qb := prepQueries(*qp, b.dim, k < b.rows() && b.firstPass())
+	defer putQueryBatch(qb)
 	return searchSegments(b.rows(), len(queries), k, keys, start, tm, func(r0, r1 int, hs []*topK) {
-		scanBatchTopK(b.slice(r0, r1), *qp, hs, r0)
+		scanBatchTopK(b.slice(r0, r1), qb, hs, r0)
 	})
 }
 

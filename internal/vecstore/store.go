@@ -42,11 +42,13 @@ type Index interface {
 }
 
 // Flat is an exact exhaustive-scan index over one contiguous FP16 code
-// block.
+// block, with the int8 first-pass state derived from it (firstpass.go).
 type Flat struct {
 	dim   int
 	codes []uint16 // row i at codes[i*dim:(i+1)*dim]
 	keys  []string
+	i8    []int8     // first-pass codes, row i at i8[i*dim:(i+1)*dim]
+	bnd   []rowBound // first-pass bounds, row i at bnd[i]
 }
 
 // NewFlat returns an empty exact index of the given dimensionality.
@@ -64,7 +66,14 @@ func (ix *Flat) Add(vec []float32, key string) int {
 	}
 	ix.codes = f16.AppendEncoded(ix.codes, vec)
 	ix.keys = append(ix.keys, key)
+	ix.deriveFirstPass()
 	return len(ix.keys) - 1
+}
+
+// deriveFirstPass derives the first-pass state of the rows that lack it:
+// the row just added, or every row of a loaded or viewed code block.
+func (ix *Flat) deriveFirstPass() {
+	ix.i8, ix.bnd = appendFirstPass(ix.i8, ix.bnd, ix.codes[len(ix.bnd)*ix.dim:], ix.dim)
 }
 
 // Len implements Index.
@@ -79,7 +88,9 @@ func (ix *Flat) Key(id int) string { return ix.keys[id] }
 // row returns the FP16 codes of row id.
 func (ix *Flat) row(id int) []uint16 { return ix.codes[id*ix.dim : (id+1)*ix.dim] }
 
-func (ix *Flat) block() halfBlock { return halfBlock{codes: ix.codes, dim: ix.dim} }
+func (ix *Flat) block() halfBlock {
+	return halfBlock{codes: ix.codes, dim: ix.dim, i8: ix.i8, bnd: ix.bnd}
+}
 
 // Vector decodes and returns the stored vector for id. Hot readers should
 // prefer VectorInto, which reuses a caller-supplied buffer.
@@ -141,10 +152,10 @@ func (ix *Flat) searchReference(query []float32, k int) []Result {
 	return h.results(ix.keys)
 }
 
-// MemoryBytes reports the approximate size of vector storage, for
-// dataset-statistics reporting (the paper quotes 747 MB FP16).
+// MemoryBytes reports the size of vector storage: the FP16 codes (the
+// paper quotes 747 MB FP16) plus the derived first-pass state.
 func (ix *Flat) MemoryBytes() int64 {
-	return int64(len(ix.keys)) * int64(f16.BytesPerVector(ix.dim))
+	return int64(len(ix.keys)) * int64(f16.BytesPerVector(ix.dim)+firstPassBytes(ix.dim))
 }
 
 // topK is a bounded heap of (id, score) keeping the k best entries under
@@ -162,10 +173,20 @@ func newTopK(k int) *topK {
 	return &topK{k: k, ids: make([]int, 0, k+1), scores: make([]float32, 0, k+1)}
 }
 
-// worse reports whether entry (s1,id1) ranks strictly below (s2,id2).
+// worse reports whether entry (s1,id1) ranks strictly below (s2,id2). A
+// NaN score ranks below every number, so the order stays total when a
+// non-finite row scores NaN and no selection depends on push order.
 func worse(s1 float32, id1 int, s2 float32, id2 int) bool {
-	if s1 != s2 {
-		return s1 < s2
+	switch {
+	case s1 < s2:
+		return true
+	case s1 > s2:
+		return false
+	case s1 == s2:
+		return id1 > id2
+	}
+	if n1, n2 := s1 != s1, s2 != s2; n1 != n2 {
+		return n1
 	}
 	return id1 > id2
 }

@@ -151,7 +151,9 @@ func TestFlatMemoryBytes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ix.Add(v, "")
 	}
-	if got := ix.MemoryBytes(); got != 10*768 {
+	// 768 B of FP16 codes plus the first pass's 384 int8 codes and its
+	// 12-byte rowBound per row.
+	if got := ix.MemoryBytes(); got != 10*(768+384+12) {
 		t.Fatalf("MemoryBytes = %d", got)
 	}
 }
