@@ -17,13 +17,13 @@
 // time ≥ MaxDelay) keeps the full MaxDelay window and keeps filling its
 // batches; a fast one (a ~30 µs simulated-teacher handler) stops charging
 // every caller MaxDelay to amortise microseconds of work. The estimate
-// starts at MaxDelay ("assume slow until measured"), so the first batches
-// after New wait the full cap, and follows the batch function with an
-// exponential moving average of gain 1/4. Below minTimerWindow a Go timer
-// cannot honour the window, so none is armed: the dispatcher yields once
-// and takes what is already queued. Stats reports the current window and
-// the cumulative queue wait so an operator can see which regime a
-// deployment is in.
+// starts at MaxDelay ("assume slow until measured"), so the first batch
+// after New waits the full cap; that batch's duration replaces it, and
+// later ones move it with an exponential moving average of gain 1/4.
+// Below minTimerWindow a Go timer cannot honour the window, so none is
+// armed: the dispatcher yields once and takes what is already queued.
+// Stats reports the current window and the cumulative queue wait so an
+// operator can see which regime a deployment is in.
 //
 // The coalescer guarantees that every accepted item is answered exactly
 // once, even when Close races concurrent Do calls (see the closeMu
@@ -58,7 +58,16 @@ const (
 	// millisecond late when the process is otherwise idle, because the
 	// runtime then sleeps in the poller at 1 ms granularity — which at
 	// these windows is the whole window several times over.
-	minTimerWindow = 250 * time.Microsecond
+	//
+	// The threshold must not sit between the service time of a one-item
+	// batch and that of a two-item one. There the regime is bistable: the
+	// late timer gathers two-item batches whose runs keep the window armed,
+	// yielding keeps batches at one item and the window below, and a run
+	// stays in whichever regime it reached first. A one-query Flat batch of
+	// ~7.5k rows (embed and scan) takes ≈ 0.25 ms and a two-query one
+	// ≈ 0.4 ms; 100 µs is below both and above the in-process teacher's
+	// ≈ 30 µs batches.
+	minTimerWindow = 100 * time.Microsecond
 	// serviceGain is the inverse smoothing gain of the service-time
 	// estimate: each batch moves it a quarter of the way to its own
 	// duration.
@@ -275,6 +284,7 @@ func (c *Coalescer[Q, R]) serveBatch(pendings []item[Q, R]) {
 	c.mu.Lock()
 	c.stats.Items += int64(len(pendings))
 	c.stats.Batches++
+	first := c.stats.Batches == 1
 	c.stats.QueueWait += waited
 	if len(pendings) > c.stats.MaxBatch {
 		c.stats.MaxBatch = len(pendings)
@@ -282,8 +292,16 @@ func (c *Coalescer[Q, R]) serveBatch(pendings []item[Q, R]) {
 	c.mu.Unlock()
 
 	results := c.run(items)
-	est := c.service.Load()
-	c.service.Store(est + (int64(time.Since(start))-est)/serviceGain)
+	// The first measurement replaces the MaxDelay seed outright: decaying
+	// from the seed would charge a fast batch function about ten timer
+	// windows on every new Coalescer.
+	d, est := int64(time.Since(start)), c.service.Load()
+	if first {
+		est = d
+	} else {
+		est += (d - est) / serviceGain
+	}
+	c.service.Store(est)
 	for i, it := range pendings {
 		if i < len(results) {
 			it.done <- result[R]{r: results[i]}

@@ -104,7 +104,7 @@ func TestCloseAnswersEveryAcceptedItem(t *testing.T) {
 	// window below minTimerWindow is yield-and-drain from the first batch,
 	// one above it arms the timer.
 	for name, delay := range map[string]time.Duration{
-		"yield-and-drain": 100 * time.Microsecond,
+		"yield-and-drain": 50 * time.Microsecond,
 		"timer":           2 * time.Millisecond,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -168,12 +168,26 @@ func TestFastFuncStopsWaiting(t *testing.T) {
 	if w := c.Stats().Window; w != maxDelay {
 		t.Fatalf("window before any batch = %v, want the cap %v (assume slow until measured)", w, maxDelay)
 	}
-	loopDo(t, c, 2, 50) // warm-up: the estimate decays by 3/4 per batch
+	loopDo(t, c, 2, 50) // warm-up: the first batch replaces the seed
 	if w := c.Stats().Window; w >= minTimerWindow {
 		t.Fatalf("window after warm-up = %v, want below %v", w, minTimerWindow)
 	}
 	if mean := loopDo(t, c, 2, 500); mean >= maxDelay/4 {
 		t.Fatalf("mean Do latency %v with a ~0 batch function, want < %v", mean, maxDelay/4)
+	}
+}
+
+func TestFirstBatchReplacesSeed(t *testing.T) {
+	// The MaxDelay seed holds only until the first batch is measured: one
+	// fast batch takes the window below what a timer is armed for, so the
+	// next caller does not sit out a decaying seed.
+	c := New(Config{MaxDelay: 2 * time.Millisecond}, double)
+	defer c.Close()
+	if _, err := c.Do(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if w := c.Stats().Window; w >= minTimerWindow {
+		t.Fatalf("window after one fast batch = %v, want below %v", w, minTimerWindow)
 	}
 }
 
