@@ -36,14 +36,17 @@ verify:
 # through For (spdf's ParseAll, chunk's SplitAll, embed's Pool, vecstore's
 # batch searches and training), the observability layer (metrics registry
 # snapshots under writer load, trace/slowlog concurrent appends), and the
-# build and evaluation paths' cross-goroutine state: the question slots
-# the teacher's handler fills on the gateway's goroutine and the
-# generation workers read back (core); each condition's prompt plans and
-# hit grades, read by every cell running in parallel, one Student shared
-# by its model's cells and the one Judge shared by all (eval, core); the
-# process-wide ability-calibration memo (llmsim), and the encoder's
-# process-wide projection-pattern table, filled lock-free by every
-# goroutine that embeds (embed's Pool, and chunk's parallel SplitAll).
+# build and evaluation paths' cross-goroutine state: the chunks and
+# knowledge base the teacher reads on the build's own generation workers,
+# one chunk each, with no gateway goroutine and no shared question slots
+# (core); each condition's prompt plans and hit grades, read by every
+# cell running in parallel, one Student shared by its model's cells and
+# the one Judge shared by all (eval, core); the process-wide
+# ability-calibration memo (llmsim), and the encoder's process-wide projection-pattern table and
+# word memo, filled lock-free by every goroutine that embeds (embed's Pool,
+# chunk's parallel SplitAll, and the store builds, which encode straight
+# into one FP16 block), with memo slots replaced under concurrent readers
+# (TestWordMemoConcurrentReplace).
 race:
 	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs ./internal/eval ./internal/core ./internal/llmsim ./internal/embed ./internal/chunk ./internal/spdf
 
@@ -118,7 +121,9 @@ lint:
 # (batch of 2) and at 64;
 # then the build/evaluate hot path:
 # BenchmarkCountTokens (must report 0 allocs/op), BenchmarkEncode (ns and
-# allocs per text through the memoised projection), BenchmarkSplit,
+# allocs per text through the word memo, one sentence repeated, so every
+# word hits) and BenchmarkEncodeCorpus (the distinct chunk texts of a tiny
+# generated corpus: the memo's hit rate on real vocabulary), BenchmarkSplit,
 # BenchmarkPromptPlanFit vs BenchmarkAssemblePrompt, BenchmarkDoFastFunc and
 # BenchmarkGatewayCallFastHandler (two closed-loop callers, ns per call),
 # BenchmarkEvaluateSynthetic (the Table 2 matrix) and BenchmarkBuildBenchmark

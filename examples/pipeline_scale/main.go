@@ -54,7 +54,8 @@ func main() {
 			texts[i] = c.Text
 		}
 		tEmbed := time.Now()
-		_ = embed.NewPool(embed.NewDefault(), workers).EncodeAllF16(texts)
+		enc := embed.NewDefault()
+		embed.NewPool(enc, workers).EncodeF16Into(make([]uint16, len(texts)*enc.Dim()), texts)
 		dEmbed := time.Since(tEmbed)
 
 		total := dParse + dChunk + dEmbed

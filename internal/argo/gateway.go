@@ -11,11 +11,16 @@
 // simulated teacher, ~30 µs per batch) is not made to sit out MaxDelay per
 // call; Stats().Window shows which regime the gateway is in.
 //
-// The gateway is in-process: the handler is a Go function (the simulated
-// teacher in the pipeline), called directly with each coalesced batch. It
-// cannot fail transiently, so the gateway does not retry: a response's Err
-// is final. Retry with backoff lives where a call can fail, in the
-// router's shard fan-out.
+// The gateway is in-process: the handler is a Go function, called directly
+// with each coalesced batch. It cannot fail transiently, so the gateway
+// does not retry: a response's Err is final. Retry with backoff lives
+// where a call can fail, in the router's shard fan-out.
+//
+// Its one caller is ragbench's stage replay (benchmarks/ragbench), which
+// re-runs the build's generation stage from outside and routes the
+// simulated teacher through the gateway. core.BuildBenchmark itself calls
+// the teacher as a function on its own workers; the package goes once the
+// replay does the same.
 package argo
 
 import (

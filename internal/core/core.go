@@ -2,9 +2,10 @@
 // substrate into the paper's end-to-end workflow (Figure 1) —
 //
 //	corpus → SPDF containers → parallel parsing → semantic chunking →
-//	embedding → MCQ generation + quality filtering (teacher behind the
-//	batching gateway) → reasoning-trace distillation → vector stores →
-//	evaluation setups for the synthetic benchmark and the Astro exam.
+//	embedding → MCQ generation + quality filtering (one teacher call per
+//	chunk on the build's workers) → reasoning-trace distillation → vector
+//	stores → evaluation setups for the synthetic benchmark and the Astro
+//	exam.
 //
 // BuildBenchmark runs the generation pipeline; SyntheticSetup / AstroSetup
 // produce eval.Setup bundles; Evaluate* regenerate the paper's tables.
@@ -13,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/argo"
 	"repro/internal/astro"
@@ -45,7 +45,9 @@ type Config struct {
 	QualityThreshold float64
 	// Workers bounds parallelism (<=0 → GOMAXPROCS).
 	Workers int
-	// Gateway optionally overrides the teacher-call gateway configuration.
+	// Gateway configures the teacher-call gateway of ragbench's stage
+	// replay (benchmarks/ragbench), its only reader: BuildBenchmark calls
+	// the teacher directly. It goes when the replay stops using argo.
 	Gateway argo.Config
 	// Metrics optionally receives per-stage instrumentation (counters for
 	// documents/chunks/questions, latency histograms for parse and
@@ -90,9 +92,11 @@ type Artifacts struct {
 // BuildBenchmark runs the full generation pipeline. Every stage goes
 // through the real substrate: documents are rendered to SPDF bytes and
 // parsed back (with the fault-tolerant parser), chunks are semantically
-// split and embedded, teacher calls are batched through the Argo-style
-// gateway, and the quality gate filters candidates exactly as the paper's
-// 7/10 threshold does.
+// split and embedded, the in-process teacher is called once per chunk on
+// the build's own workers, each call drawing from the chunk's own stream,
+// the quality gate filters candidates exactly as the paper's 7/10
+// threshold does, and each store is encoded straight into one FP16 block.
+// The artifacts do not depend on cfg.Workers.
 func BuildBenchmark(cfg Config) (*Artifacts, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("core: non-positive scale %v", cfg.Scale)
@@ -153,49 +157,24 @@ func BuildBenchmark(cfg Config) (*Artifacts, error) {
 		cfg.Metrics.Histogram("stage.chunk").Observe(time.Since(chunkStart))
 	}
 
-	// Stage 4: MCQ generation + judging, batched through the gateway. The
-	// gateway and the teacher share this process, so nothing crosses a
-	// wire format: a request's payload is its chunk index in decimal, and
-	// the handler writes the question into that chunk's slot of
-	// generated, which the caller reads once its call has succeeded.
+	// Stage 4: MCQ generation + judging, one teacher call per chunk on the
+	// build's own workers. Each chunk draws from its own stream, so the
+	// questions do not depend on the worker count or the call order.
 	teacher := llmsim.NewTeacher(kb)
-	generated := make([]*mcq.Question, len(chunks))
-	handler := func(_ context.Context, batch []argo.Request) []argo.Response {
-		out := make([]argo.Response, len(batch))
-		for i, req := range batch {
-			out[i].ID = req.ID
-			idx, err := strconv.Atoi(string(req.Payload))
-			if err != nil || idx < 0 || idx >= len(chunks) {
-				out[i].Err = fmt.Sprintf("bad payload %q", req.Payload)
-				continue
-			}
-			ch := chunks[idx]
-			r := root.SplitN("mcq", idx)
-			q := teacher.GenerateMCQ(ch, factsOf[ch.DocID], pathOf[ch.DocID], r)
-			q.Checks = teacher.JudgeQuality(q, r)
-			generated[idx] = q
-		}
-		return out
-	}
-	gw := argo.NewGateway(cfg.Gateway, handler)
-	defer gw.Close()
-
 	candidates, err := pipeline.Map(context.Background(), indexes(len(chunks)), cfg.Workers,
-		func(ctx context.Context, i int) (*mcq.Question, error) {
+		func(_ context.Context, i int) (*mcq.Question, error) {
 			var callStart time.Time
 			if cfg.Metrics != nil {
 				callStart = time.Now()
 			}
-			idx := strconv.Itoa(i)
-			if _, err := gw.Call(ctx, argo.Request{
-				ID: "gen-" + idx, Op: "generate-mcq", Payload: []byte(idx),
-			}); err != nil {
-				return nil, err
-			}
+			ch := chunks[i]
+			r := root.SplitN("mcq", i)
+			q := teacher.GenerateMCQ(ch, factsOf[ch.DocID], pathOf[ch.DocID], r)
+			q.Checks = teacher.JudgeQuality(q, r)
 			if cfg.Metrics != nil {
 				cfg.Metrics.Histogram("teacher.call").Observe(time.Since(callStart))
 			}
-			return generated[i], nil
+			return q, nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("core: generation: %w", err)

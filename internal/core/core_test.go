@@ -134,6 +134,33 @@ func TestBuildBenchmarkDeterministic(t *testing.T) {
 	}
 }
 
+// Every teacher call draws from its chunk's own stream, so a build on one
+// worker yields the same candidates, scores and traces as one on many.
+func TestBuildBenchmarkIndependentOfWorkers(t *testing.T) {
+	a := build(t)
+	cfg := DefaultConfig(0.01)
+	cfg.Workers = 1
+	b, err := BuildBenchmark(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Stats.Candidates != b.Stats.Candidates || len(a.Questions) != len(b.Questions) || len(a.Traces) != len(b.Traces) {
+		t.Fatalf("stats differ: %+v vs %+v", a.Stats, b.Stats)
+	}
+	for i, q := range a.Questions {
+		p := b.Questions[i]
+		if q.ID != p.ID || q.Answer != p.Answer || q.Checks.QualityScore != p.Checks.QualityScore ||
+			strings.Join(q.Options, "\x00") != strings.Join(p.Options, "\x00") {
+			t.Fatalf("question %d differs between 1 and %d workers", i, a.Config.Workers)
+		}
+	}
+	for i, tr := range a.Traces {
+		if tr.ID != b.Traces[i].ID || tr.Reasoning != b.Traces[i].Reasoning {
+			t.Fatalf("trace %d differs between worker counts", i)
+		}
+	}
+}
+
 func TestBuildBenchmarkRejectsBadScale(t *testing.T) {
 	if _, err := BuildBenchmark(Config{Scale: 0}); err == nil {
 		t.Fatal("zero scale accepted")
@@ -284,7 +311,7 @@ func TestEvaluateSyntheticAccuraciesNearPaper(t *testing.T) {
 
 // BenchmarkBuildBenchmark times the generation half of ragbench's
 // mcqa_build workload at its shape (scale 0.01, seed 1, two workers): parse,
-// chunk, teacher calls through the gateway, distillation and the four
+// chunk, teacher calls on the build's workers, distillation and the four
 // store builds. Run with -benchmem to see the allocations per build.
 func BenchmarkBuildBenchmark(b *testing.B) {
 	cfg := DefaultConfig(0.01)

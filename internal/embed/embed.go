@@ -1,9 +1,11 @@
 package embed
 
 import (
+	"iter"
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
@@ -99,8 +101,16 @@ func (e *Encoder) EncodeInto(dst []float32, text string) {
 		if e.idf != nil {
 			weight *= e.idf.Weight(w)
 		}
-		e.addFeature(dst, rng.HashString(w), 2*weight)
-		e.addNGrams(dst, w, weight*0.5)
+		// The memo replays the word's patterns with the same two scales
+		// the table path passes, in the same order.
+		h := rng.HashString(w)
+		if pats := e.proj.wordPatterns(w, h); pats != nil {
+			addPacked(dst, pats[:projWords], 2*weight)
+			addPacked(dst, pats[projWords:], weight*0.5)
+		} else {
+			e.addFeature(dst, h, 2*weight)
+			e.addNGrams(dst, w, weight*0.5)
+		}
 	}
 	// Bigram features capture local composition ("double-strand" vs
 	// "single-strand" contexts): the hash of words[i]+"\x1f"+words[i+1].
@@ -112,21 +122,27 @@ func (e *Encoder) EncodeInto(dst []float32, text string) {
 }
 
 // addNGrams adds the character ngramSize-grams of "^"+w+"$" (the features
-// of tokenizer.NGrams) without building them: each gram is the byte range
-// [a, b) of the padded word between two rune boundaries, hashed in place.
+// of tokenizer.NGrams) in order.
 func (e *Encoder) addNGrams(dst []float32, w string, weight float32) {
-	end := len(w) + 2
-	a, b := 0, 0
-	for k := 0; k < ngramSize && b < end; k++ {
-		b = nextRune(w, b)
+	for h := range nGramHashes(w) {
+		e.addFeature(dst, h, weight)
 	}
-	// A padded word shorter than one gram is itself the only feature.
-	for {
-		e.addFeature(dst, hashPadded(w, a, b), weight)
-		if b == end {
-			return
+}
+
+// nGramHashes yields the hashes of the character ngramSize-grams of
+// "^"+w+"$" without building them: each gram is the byte range [a, b) of
+// the padded word between two rune boundaries, hashed in place.
+func nGramHashes(w string) iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		end := len(w) + 2
+		a, b := 0, 0
+		for k := 0; k < ngramSize && b < end; k++ {
+			b = nextRune(w, b)
 		}
-		a, b = nextRune(w, a), nextRune(w, b)
+		// A padded word shorter than one gram is itself the only feature.
+		for yield(hashPadded(w, a, b)) && b != end {
+			a, b = nextRune(w, a), nextRune(w, b)
+		}
 	}
 }
 
@@ -157,7 +173,14 @@ func hashPadded(w string, a, b int) uint64 {
 // addFeature accumulates the sparse projection of the feature whose
 // FNV-1a hash is h, in the pattern's draw order.
 func (e *Encoder) addFeature(dst []float32, h uint64, weight float32) {
-	for _, word := range e.proj.pattern((h ^ e.seed) % hashSpace) {
+	p := e.proj.pattern((h ^ e.seed) % hashSpace)
+	addPacked(dst, p[:], weight)
+}
+
+// addPacked accumulates packed pattern entries, in order, each scaled by
+// weight.
+func addPacked(dst []float32, pats []uint64, weight float32) {
+	for _, word := range pats {
 		for _, v := range [2]int32{int32(uint32(word)), int32(word >> 32)} {
 			// v is idx+1, negated for a minus sign. m is 0 or -1, so
 			// (v^m)-m is |v| and m|1 the sign: the same sign*weight
@@ -186,6 +209,55 @@ type projTable struct {
 	dim   int
 	seed  uint64
 	words []atomic.Uint64
+	// memo is the word memo (wordPatterns): slot s holds the entry of the
+	// word last derived among those whose memoSlot is s, or nil.
+	memo [memoSlots]atomic.Pointer[wordEntry]
+}
+
+// The word memo's bound: memoSlots direct-mapped slots, each holding at
+// most one word of at most memoMaxWord bytes. A longer word is not
+// memoised; it takes the table path.
+const (
+	memoBits    = 12
+	memoSlots   = 1 << memoBits
+	memoMaxWord = 32
+)
+
+// wordEntry is one memoised word: its packed pattern entries, projWords
+// per feature, the word feature's first and then each n-gram's in
+// nGramHashes order. Entries are immutable once stored.
+type wordEntry struct {
+	w    string // a copy, so an entry pins none of the encoded text
+	pats []uint64
+}
+
+// memoSlot maps a word's FNV-1a hash to its memo slot. The high half is
+// folded into the low one: FNV-1a's top bits barely move for a short word
+// (the prime's high bit is 2^40), and on a generated corpus's vocabulary
+// they alone collide two to five times as often as a uniform hash.
+func memoSlot(h uint64) uint64 { return (h ^ h>>32) % memoSlots }
+
+// wordPatterns returns the packed pattern entries of word w, whose FNV-1a
+// hash is h, from the memo, deriving and storing them on a miss; a word
+// over memoMaxWord bytes returns nil. A miss replaces the slot's entry:
+// the store is one atomic pointer, so a reader sees the old entry or the
+// new one, and checks its word before using it.
+func (t *projTable) wordPatterns(w string, h uint64) []uint64 {
+	if len(w) > memoMaxWord {
+		return nil
+	}
+	slot := &t.memo[memoSlot(h)]
+	if m := slot.Load(); m != nil && m.w == w {
+		return m.pats
+	}
+	p := t.pattern((h ^ t.seed) % hashSpace)
+	pats := append(make([]uint64, 0, projWords*(1+utf8.RuneCountInString(w))), p[:]...)
+	for g := range nGramHashes(w) {
+		p = t.pattern((g ^ t.seed) % hashSpace)
+		pats = append(pats, p[:]...)
+	}
+	slot.Store(&wordEntry{w: strings.Clone(w), pats: pats})
+	return pats
 }
 
 var (
@@ -346,12 +418,25 @@ func (p *Pool) EncodeAll(texts []string) [][]float32 {
 	return out
 }
 
-// EncodeAllF16 embeds texts in parallel directly into half-precision
-// storage vectors, the layout used by the vector store (FP16, as in the
-// paper's 747 MB FAISS store). Each worker converts the vector it just
-// encoded.
-func (p *Pool) EncodeAllF16(texts []string) [][]uint16 {
-	out := make([][]uint16, len(texts))
-	pipeline.For(len(texts), p.workers, func(i int) { out[i] = f16.Encode(p.enc.Encode(texts[i])) })
-	return out
+// EncodeF16Into embeds texts in parallel directly into half-precision
+// storage, the layout used by the vector store (FP16, as in the paper's
+// 747 MB FAISS store): one contiguous code block, text i at
+// codes[i*Dim:(i+1)*Dim] (len(codes) must be len(texts)·Dim). Each worker
+// encodes into a scratch vector and converts it straight into its row, so
+// no per-text vector outlives the call.
+func (p *Pool) EncodeF16Into(codes []uint16, texts []string) {
+	dim := p.enc.dim
+	if len(codes) != len(texts)*dim {
+		panic("embed: EncodeF16Into block size mismatch")
+	}
+	pipeline.For(len(texts), p.workers, func(i int) {
+		var stack [DefaultDim]float32
+		v := stack[:]
+		if dim > len(stack) {
+			v = make([]float32, dim)
+		}
+		v = v[:dim]
+		p.enc.EncodeInto(v, texts[i])
+		f16.EncodeInto(codes[i*dim:(i+1)*dim], v)
+	})
 }

@@ -168,18 +168,20 @@ func TestPoolEmptyInput(t *testing.T) {
 	}
 }
 
+// The pool's FP16 rows equal each text's vector converted on its own, for
+// a dimension the per-worker stack scratch holds and one it does not.
 func TestPoolF16(t *testing.T) {
-	e := NewDefault()
-	texts := []string{"alpha", "beta gamma", "delta"}
-	halves := NewPool(e, 2).EncodeAllF16(texts)
-	for i, h := range halves {
-		want := f16.Encode(e.Encode(texts[i]))
-		if len(h) != len(want) {
-			t.Fatal("length mismatch")
-		}
-		for j := range h {
-			if h[j] != want[j] {
-				t.Fatalf("f16 pool mismatch text %d dim %d", i, j)
+	texts := []string{"alpha", "beta gamma", "delta", ""}
+	for _, e := range []*Encoder{NewDefault(), New(2*DefaultDim, 5)} {
+		dim := e.Dim()
+		codes := make([]uint16, len(texts)*dim)
+		NewPool(e, 2).EncodeF16Into(codes, texts)
+		for i, text := range texts {
+			want := f16.Encode(e.Encode(text))
+			for j, h := range codes[i*dim : (i+1)*dim] {
+				if h != want[j] {
+					t.Fatalf("f16 pool mismatch dim %d text %d component %d", dim, i, j)
+				}
 			}
 		}
 	}
@@ -396,5 +398,128 @@ func BenchmarkPoolEncode1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.EncodeAll(texts)
+	}
+}
+
+// collidingWords returns two distinct words that share a memo slot.
+func collidingWords(t testing.TB) (string, string) {
+	t.Helper()
+	bySlot := map[uint64]string{}
+	for i := 0; i < 100*memoSlots; i++ {
+		w := fmt.Sprintf("dose%dgy", i)
+		s := memoSlot(rng.HashString(w))
+		if prev, ok := bySlot[s]; ok {
+			return prev, w
+		}
+		bySlot[s] = w
+	}
+	t.Fatal("no two words share a memo slot")
+	return "", ""
+}
+
+// Two words that share a slot replace each other's entry on every other
+// encode; every vector must still equal the reference, with and without
+// IDF weights (which make the accumulation order visible in the bits).
+func TestWordMemoCollisions(t *testing.T) {
+	a, b := collidingWords(t)
+	const dim, seed = 80, 0xc0111de
+	idf := parityIDF()
+	plain := New(dim, seed)
+	texts := []string{
+		a, b, a, b,
+		a + " apoptosis " + a, b + " apoptosis " + b + " " + b,
+		a + " " + b, b + " " + a, a + " " + b + " " + a + " apoptosis",
+	}
+	for round := 0; round < 3; round++ {
+		for _, text := range texts {
+			checkParity(t, plain, nil, text)
+			checkParity(t, plain.WithIDF(idf), idf, text)
+		}
+	}
+	m := plain.proj.memo[memoSlot(rng.HashString(b))].Load()
+	if m == nil || (m.w != a && m.w != b) {
+		t.Fatalf("slot of %q and %q holds %v", a, b, m)
+	}
+}
+
+// Goroutines encode colliding and over-long words while the shared slots
+// are replaced under them; every vector must equal the reference bit for
+// bit (and the race detector sees every slot access).
+func TestWordMemoConcurrentReplace(t *testing.T) {
+	a, b := collidingWords(t)
+	long := strings.Repeat("radiosensitization", 2) // 36 bytes: table path
+	const dim, seed = 72, 0x5107
+	idf := parityIDF()
+	texts := []string{
+		a + " " + long, b + " " + long + " " + a,
+		long + " " + b + " " + b, a + " " + b + " apoptosis",
+	}
+	want := make(map[bool][][]float32)
+	for _, withIDF := range []bool{false, true} {
+		for _, text := range texts {
+			var w *IDF
+			if withIDF {
+				w = idf
+			}
+			want[withIDF] = append(want[withIDF], encodeReference(dim, seed, w, text))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := New(dim, seed)
+			withIDF := g%2 == 1
+			if withIDF {
+				e = e.WithIDF(idf)
+			}
+			for it := 0; it < 200; it++ {
+				i := (it + g) % len(texts)
+				got := e.Encode(texts[i])
+				for j, x := range want[withIDF][i] {
+					if math.Float32bits(got[j]) != math.Float32bits(x) {
+						errs <- fmt.Sprintf("goroutine %d text %d component %d = %v, reference %v", g, i, j, got[j], x)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+}
+
+// The memo's worst-case memory is a constant: memoSlots slots, each
+// holding one word of at most memoMaxWord bytes with its 1+runes patterns;
+// a longer word takes the table path and is never stored. docs (doc.go)
+// state the resulting bound.
+func TestWordMemoBound(t *testing.T) {
+	if memoSlots != 4096 || memoMaxWord != 32 {
+		t.Fatalf("memo is %d slots × %d-byte words; doc.go states its bound for 4096 × 32", memoSlots, memoMaxWord)
+	}
+	const dim, seed = 48, 0xb0d
+	e := New(dim, seed)
+	longest := strings.Repeat("x", memoMaxWord)
+	over := strings.Repeat("y", memoMaxWord+1)
+	for _, w := range []string{longest, over} {
+		checkParity(t, e, nil, w+" dose")
+	}
+	m := e.proj.memo[memoSlot(rng.HashString(longest))].Load()
+	if m == nil || m.w != longest {
+		t.Fatalf("a %d-byte word was not memoised", len(longest))
+	}
+	if want := projWords * (1 + memoMaxWord); len(m.pats) != want || cap(m.pats) != want {
+		t.Fatalf("longest word holds %d (cap %d) pattern words, want %d", len(m.pats), cap(m.pats), want)
+	}
+	if m := e.proj.memo[memoSlot(rng.HashString(over))].Load(); m != nil && m.w == over {
+		t.Fatalf("a %d-byte word was memoised", len(over))
+	}
+	if e.proj.wordPatterns(over, rng.HashString(over)) != nil {
+		t.Fatal("an over-long word left the table path")
 	}
 }

@@ -110,6 +110,16 @@ func Encode(v []float32) []uint16 {
 	return out
 }
 
+// EncodeInto converts v into dst, which must have the same length.
+func EncodeInto(dst []uint16, v []float32) {
+	if len(dst) != len(v) {
+		panic("f16: EncodeInto length mismatch")
+	}
+	for i, f := range v {
+		dst[i] = FromFloat32(f)
+	}
+}
+
 // AppendEncoded appends the binary16 encoding of v to dst and returns the
 // extended slice. It is the allocation-free building block for contiguous
 // code storage in internal/vecstore (one []uint16 holding many rows).

@@ -10,11 +10,13 @@ import (
 // Grade is the output of the grading judge: the parsed choice, whether it
 // matches the gold answer, and the judge's reasoning — the paper's workflow
 // ends with "an arbitrary LLM judge performs the grading and provides a
-// reasoning".
+// reasoning". The evaluation reads only the choice and the verdict, so the
+// reasoning is rendered on demand by Reasoning rather than for every
+// answer graded.
 type Grade struct {
-	ParsedChoice int    `json:"parsed_choice"` // -1 when unparseable
-	Correct      bool   `json:"correct"`
-	Reasoning    string `json:"reasoning"`
+	ParsedChoice int  `json:"parsed_choice"` // -1 when unparseable
+	Correct      bool `json:"correct"`
+	q            *mcq.Question
 }
 
 // Judge grades free-text model responses against the gold answer.
@@ -32,19 +34,22 @@ func NewJudge() *Judge { return &Judge{Name: "judge-sim"} }
 // option string anywhere in the reply.
 func (j *Judge) GradeResponse(q *mcq.Question, reply string) Grade {
 	choice := parseChoice(reply, q.Options)
-	g := Grade{ParsedChoice: choice}
+	return Grade{ParsedChoice: choice, Correct: choice >= 0 && choice == q.Answer, q: q}
+}
+
+// Reasoning renders the judge's justification of a grade GradeResponse
+// returned.
+func (g Grade) Reasoning() string {
 	switch {
-	case choice < 0:
-		g.Reasoning = "no option letter or option text could be identified in the reply"
-	case choice == q.Answer:
-		g.Correct = true
-		g.Reasoning = fmt.Sprintf("reply selects option %c, which matches the keyed answer %q",
-			rune('A'+choice), q.AnswerText())
+	case g.ParsedChoice < 0:
+		return "no option letter or option text could be identified in the reply"
+	case g.Correct:
+		return fmt.Sprintf("reply selects option %c, which matches the keyed answer %q",
+			rune('A'+g.ParsedChoice), g.q.AnswerText())
 	default:
-		g.Reasoning = fmt.Sprintf("reply selects option %c (%q) but the keyed answer is %c (%q)",
-			rune('A'+choice), q.Options[choice], rune('A'+q.Answer), q.AnswerText())
+		return fmt.Sprintf("reply selects option %c (%q) but the keyed answer is %c (%q)",
+			rune('A'+g.ParsedChoice), g.q.Options[g.ParsedChoice], rune('A'+g.q.Answer), g.q.AnswerText())
 	}
-	return g
 }
 
 // parseChoice extracts an option index from a free-text reply, or -1.

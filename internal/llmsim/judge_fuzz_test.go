@@ -28,7 +28,7 @@ func TestJudgeNeverPanics(t *testing.T) {
 		if g.Correct && g.ParsedChoice != q.Answer {
 			return false
 		}
-		return g.Reasoning != ""
+		return g.Reasoning() != ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

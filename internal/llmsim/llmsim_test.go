@@ -569,8 +569,27 @@ func TestJudgeParsesFormats(t *testing.T) {
 		if g.ParsedChoice != tc.want {
 			t.Errorf("reply %q: parsed %d, want %d", tc.reply, g.ParsedChoice, tc.want)
 		}
-		if g.Reasoning == "" {
+		if g.Reasoning() == "" {
 			t.Errorf("reply %q: no judge reasoning", tc.reply)
+		}
+	}
+}
+
+// Reasoning renders each verdict's justification on demand, word for word
+// as the judge states it.
+func TestGradeReasoningText(t *testing.T) {
+	q := &mcq.Question{
+		ID: "q-r", Question: "pick", Answer: 1,
+		Options: []string{"alpha", "beta", "gamma"},
+	}
+	j := NewJudge()
+	for _, tc := range []struct{ reply, want string }{
+		{"Answer: B", `reply selects option B, which matches the keyed answer "beta"`},
+		{"Answer: C", `reply selects option C ("gamma") but the keyed answer is B ("beta")`},
+		{"no idea", "no option letter or option text could be identified in the reply"},
+	} {
+		if got := j.GradeResponse(q, tc.reply).Reasoning(); got != tc.want {
+			t.Errorf("reply %q: reasoning %q, want %q", tc.reply, got, tc.want)
 		}
 	}
 }

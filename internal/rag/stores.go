@@ -50,23 +50,23 @@ type store struct {
 // mode) still leaves k hits.
 const traceOverfetch = 2
 
-// buildStore embeds the records' texts in parallel into a fresh Flat
-// index keyed by their ids, in record order. A nil enc selects the
-// default encoder; workers <= 0 selects GOMAXPROCS.
+// buildStore embeds the records' texts in parallel, each straight into its
+// row of one FP16 code block, and wraps the block in a Flat index keyed by
+// their ids, in record order, whose first pass is derived in parallel
+// blocks. A nil enc selects the default encoder; workers <= 0 selects
+// GOMAXPROCS.
 func buildStore(enc *embed.Encoder, records []Hit, workers int, mode mcq.ReasoningMode) store {
 	if enc == nil {
 		enc = embed.NewDefault()
 	}
 	texts := make([]string, len(records))
+	keys := make([]string, len(records))
 	for i, h := range records {
-		texts[i] = h.Text
+		texts[i], keys[i] = h.Text, h.ID
 	}
-	vecs := embed.NewPool(enc, workers).EncodeAll(texts)
-	ix := vecstore.NewFlat(enc.Dim())
-	for i, h := range records {
-		ix.Add(vecs[i], h.ID)
-	}
-	return newStore(enc, ix, records, mode)
+	codes := make([]uint16, len(records)*enc.Dim())
+	embed.NewPool(enc, workers).EncodeF16Into(codes, texts)
+	return newStore(enc, vecstore.NewFlatFromCodes(enc.Dim(), codes, keys), records, mode)
 }
 
 // newStore wraps an index whose keys are the records' ids. A nil enc

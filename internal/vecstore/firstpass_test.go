@@ -370,3 +370,58 @@ func FuzzFirstPassMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// A Flat wrapped around one FP16 block by NewFlatFromCodes must hold and
+// answer exactly what a Flat built row by row through Add does: at 0 and 1
+// rows, at row counts off the parallel derivation's block size, and with
+// non-finite rows.
+func TestNewFlatFromCodesMatchesAdd(t *testing.T) {
+	const dim = 24
+	r := rng.New(47)
+	queries := randomUnit(r, 6, dim)
+	for _, n := range []int{0, 1, 7, deriveBlockRows + 3, 2*deriveBlockRows + 1} {
+		rows := randomUnit(r, n, dim)
+		if n >= 7 {
+			rows[n/2][3] = float32(math.NaN())
+			rows[n-1][0] = float32(math.Inf(1))
+		}
+		keys := make([]string, n)
+		byRow := NewFlat(dim)
+		var codes []uint16
+		for i, v := range rows {
+			keys[i] = itoaTest(i)
+			byRow.Add(v, keys[i])
+			codes = f16.AppendEncoded(codes, v)
+		}
+		bulk := NewFlatFromCodes(dim, codes, slices.Clone(keys))
+		switch {
+		case !slices.Equal(bulk.codes, byRow.codes):
+			t.Fatalf("n=%d: codes differ", n)
+		case !slices.Equal(bulk.keys, byRow.keys):
+			t.Fatalf("n=%d: keys differ", n)
+		case !slices.Equal(bulk.i8, byRow.i8):
+			t.Fatalf("n=%d: int8 codes differ", n)
+		case !slices.Equal(bulk.bnd, byRow.bnd):
+			t.Fatalf("n=%d: row bounds differ", n)
+		case bulk.MemoryBytes() != byRow.MemoryBytes():
+			t.Fatalf("n=%d: MemoryBytes %d, by row %d", n, bulk.MemoryBytes(), byRow.MemoryBytes())
+		}
+		for _, k := range []int{1, 10} {
+			got, want := bulk.SearchBatch(queries, k), byRow.SearchBatch(queries, k)
+			for qi, q := range queries {
+				label := "n=" + itoaTest(n) + " k=" + itoaTest(k) + " q" + itoaTest(qi)
+				checkSameBits(t, label+" Search", bulk.Search(q, k), byRow.Search(q, k))
+				checkSameBits(t, label+" SearchBatch", got[qi], want[qi])
+			}
+		}
+	}
+}
+
+func TestNewFlatFromCodesRejectsRaggedBlock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on a block that is not rows × dim")
+		}
+	}()
+	NewFlatFromCodes(4, make([]uint16, 7), []string{"a", "b"})
+}

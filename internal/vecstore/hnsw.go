@@ -488,9 +488,7 @@ func (h *HNSW) searchBatch(queries [][]float32, k int, tm *ScanTiming) [][]Resul
 // identity on stored codes, so the view scores exactly like a Flat rebuilt
 // from the decoded vectors.
 func (h *HNSW) flatView() *Flat {
-	f := &Flat{dim: h.dim, codes: h.codes, keys: h.keys}
-	f.deriveFirstPass()
-	return f
+	return NewFlatFromCodes(h.dim, h.codes, h.keys)
 }
 
 // RecallAgainst measures recall@k against a prebuilt exact index over the

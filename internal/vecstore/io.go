@@ -220,21 +220,19 @@ func readFlat(r io.Reader, remain int64) (*Flat, error) {
 	if need := int64(count) * int64(4+2*dim); need > remain {
 		return nil, fmt.Errorf("%w: count %d needs >= %d payload bytes, file has %d", ErrBadFormat, count, need, remain)
 	}
-	ix := NewFlat(int(dim))
-	ix.keys = make([]string, 0, count)
+	keys := make([]string, 0, count)
 	for i := uint64(0); i < count; i++ {
 		key, err := readKey(r, i)
 		if err != nil {
 			return nil, err
 		}
-		ix.keys = append(ix.keys, key)
+		keys = append(keys, key)
 	}
-	ix.codes = make([]uint16, count*uint64(dim))
-	if err := readCodes(r, ix.codes); err != nil {
+	codes := make([]uint16, count*uint64(dim))
+	if err := readCodes(r, codes); err != nil {
 		return nil, fmt.Errorf("%w: code block: %w", ErrBadFormat, err)
 	}
-	ix.deriveFirstPass()
-	return ix, nil
+	return NewFlatFromCodes(int(dim), codes, keys), nil
 }
 
 func readKey(r io.Reader, i uint64) (string, error) {

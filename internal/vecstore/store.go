@@ -59,6 +59,21 @@ func NewFlat(dim int) *Flat {
 	return &Flat{dim: dim}
 }
 
+// NewFlatFromCodes returns an exact index over a whole FP16 code block
+// (row i at codes[i*dim:(i+1)*dim], keyed keys[i]), keeping both slices
+// without a copy and deriving the first-pass state in parallel blocks.
+// It holds exactly what Add would, row by row, given the rows' float32
+// vectors; a VSF2 load and a bulk store build take this path.
+func NewFlatFromCodes(dim int, codes []uint16, keys []string) *Flat {
+	ix := NewFlat(dim)
+	if len(codes) != len(keys)*dim {
+		panic(fmt.Sprintf("vecstore: %d codes for %d rows of dim %d", len(codes), len(keys), dim))
+	}
+	ix.codes, ix.keys = codes, keys
+	ix.deriveFirstPass()
+	return ix
+}
+
 // Add implements Index.
 func (ix *Flat) Add(vec []float32, key string) int {
 	if len(vec) != ix.dim {
