@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ragserve -addr :8080 -scale 0.02              # synthetic corpus
-//	ragserve -artifacts out/ -index hnsw          # reuse saved artifacts
+//	ragserve -artifacts out/                      # reuse saved artifacts
 //	ragserve -save-index /tmp/idx.vsf             # keep a chunk swap target
 //	ragserve -save-traces /tmp/tr                 # keep trace swap targets
 //	ragserve -traces=false                        # chunk route only
@@ -45,7 +45,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rag"
 	"repro/internal/serve"
-	"repro/internal/vecstore"
 )
 
 func main() {
@@ -53,7 +52,6 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "fraction of the paper's corpus to build")
 	seed := flag.Uint64("seed", 42, "corpus seed")
 	artifacts := flag.String("artifacts", "", "load a saved artifact directory (from mcqgen) instead of regenerating")
-	indexKind := flag.String("index", "flat", "chunk index kind: "+indexKindNames()+" (trace stores stay flat)")
 	maxBatch := flag.Int("max-batch", 32, "coalescer batch size")
 	maxDelay := flag.Duration("max-delay", time.Millisecond, "cap on the coalescer admission wait (the wait applied is one batch service time when that is shorter)")
 	cacheCap := flag.Int("cache", 4096, "per-route query cache entries (0 disables)")
@@ -68,58 +66,22 @@ func main() {
 	flag.Parse()
 
 	logger := obs.NewLogger(os.Stderr, "ragserve")
-	// Reject bad flags before the corpus build: a typo'd index kind or
-	// shard spec should fail in milliseconds, not after minutes of
-	// embedding.
-	if err := validateConfig(*indexKind, *shard, *scale); err != nil {
+	// Reject bad flags before the corpus build: a typo'd shard spec should
+	// fail in milliseconds, not after minutes of embedding.
+	if err := validateConfig(*shard, *scale); err != nil {
 		logger.Error("invalid configuration", "err", err)
 		os.Exit(2)
 	}
-	if err := run(*addr, *artifacts, *indexKind, *saveIndex, *saveTraces, *shard, *scale, *seed,
+	if err := run(*addr, *artifacts, *saveIndex, *saveTraces, *shard, *scale, *seed,
 		*maxBatch, *cacheCap, *compactAt, *maxDelay, *drain, *traces, *live, *debug, logger); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
 }
 
-// indexKinds is the one list of -index values: each names how the chunk
-// store's exact Flat becomes the served index (a nil build serves the Flat
-// itself). Every kind has an on-disk format, so each can be -save-index'd.
-var indexKinds = []struct {
-	name  string
-	build func(f *vecstore.Flat, seed uint64) vecstore.Index
-}{
-	{"flat", nil},
-	{"hnsw", func(f *vecstore.Flat, seed uint64) vecstore.Index {
-		return f.ToHNSW(vecstore.HNSWConfig{Seed: seed})
-	}},
-}
-
-// indexKindNames renders the -index values for help and error text.
-func indexKindNames() string {
-	names := make([]string, len(indexKinds))
-	for i, k := range indexKinds {
-		names[i] = k.name
-	}
-	return strings.Join(names, " | ")
-}
-
-// indexBuilder returns the build of the named -index kind.
-func indexBuilder(kind string) (func(*vecstore.Flat, uint64) vecstore.Index, error) {
-	for _, k := range indexKinds {
-		if k.name == kind {
-			return k.build, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown -index %q (%s)", kind, indexKindNames())
-}
-
 // validateConfig checks flag values that would otherwise only fail deep
 // inside the build or serve path.
-func validateConfig(indexKind, shard string, scale float64) error {
-	if _, err := indexBuilder(indexKind); err != nil {
-		return err
-	}
+func validateConfig(shard string, scale float64) error {
 	if shard != "" {
 		if _, _, err := parseShard(shard); err != nil {
 			return err
@@ -131,9 +93,9 @@ func validateConfig(indexKind, shard string, scale float64) error {
 	return nil
 }
 
-func run(addr, artifactDir, indexKind, saveIndex, saveTraces, shard string, scale float64, seed uint64,
+func run(addr, artifactDir, saveIndex, saveTraces, shard string, scale float64, seed uint64,
 	maxBatch, cacheCap, compactAt int, maxDelay, drain time.Duration, traces, live, debug bool, logger *obs.Logger) error {
-	a, err := buildArtifacts(artifactDir, shard, scale, seed, indexKind)
+	a, err := buildArtifacts(artifactDir, shard, scale, seed)
 	if err != nil {
 		return err
 	}
@@ -169,7 +131,9 @@ func run(addr, artifactDir, indexKind, saveIndex, saveTraces, shard string, scal
 		// Mutable chunk route: a memtable layer accepts POST /v1/chunks/add
 		// while searches keep running; the background compactor drains it
 		// into the base index once it reaches -compact-at rows.
-		store.EnableLive()
+		if err := store.EnableLive(); err != nil {
+			return err
+		}
 		cfg.CompactAt = compactAt
 	}
 	srv := serve.New(store, cfg)
@@ -202,7 +166,7 @@ func run(addr, artifactDir, indexKind, saveIndex, saveTraces, shard string, scal
 	return nil
 }
 
-func buildArtifacts(artifactDir, shard string, scale float64, seed uint64, indexKind string) (*core.Artifacts, error) {
+func buildArtifacts(artifactDir, shard string, scale float64, seed uint64) (*core.Artifacts, error) {
 	var a *core.Artifacts
 	var err error
 	if artifactDir != "" {
@@ -221,13 +185,6 @@ func buildArtifacts(artifactDir, shard string, scale float64, seed uint64, index
 		if err := shardChunks(a, shard); err != nil {
 			return nil, err
 		}
-	}
-	build, err := indexBuilder(indexKind)
-	if err != nil || build == nil {
-		return a, err
-	}
-	if err := a.ChunkStore.UseIndex(func(f *vecstore.Flat) vecstore.Index { return build(f, seed) }); err != nil {
-		return nil, err
 	}
 	return a, nil
 }

@@ -282,11 +282,10 @@ func RenderTopicBreakdown(row *Row, conds []llmsim.Condition, minN int) string {
 
 // RenderRetrievalStats prints the retrieval-store configuration table for
 // a setup: which index family backs each store and what it costs per
-// vector. Together with the accuracy tables this is where the
-// recall/memory trade-off of swapping Flat for HNSW or IVF-PQ (via
-// ChunkStore.UseIndex; IVF-PQ lives only in the process that built it)
-// becomes visible in an eval report; IVF-PQ's residual encoding is part
-// of the rendered index kind, e.g. "IVF-PQ(nlist=64,nprobe=8,m=48,res)".
+// vector. Together with the accuracy tables this is where the store's
+// index and its footprint become visible in an eval report. Stores serve
+// an exact Flat; a snapshot over an in-memory HNSW or IVF-PQ (WithIndex)
+// renders its own kind, e.g. "IVF-PQ(nlist=64,nprobe=8,m=48,res)".
 func RenderRetrievalStats(s *Setup) string {
 	var b strings.Builder
 	b.WriteString("Retrieval stores\n\n")

@@ -8,16 +8,15 @@
 // vecstore index (Flat by default) and the Hit record behind each key.
 // Hit is the only retrieval record — the chunk store's hits are chunks
 // (Group = document id), the trace stores' are traces (Group = source
-// question id) — and it is also serve's wire record. Both stores expose
-// the same scaling knobs: UseIndex swaps the exact index for one built
-// from it — HNSW, or the in-memory IVF-PQ (recall vs memory vs QPS — see
-// docs/ARCHITECTURE.md), RetrieveBatch answers whole question sets
-// through the index's multi-query scan kernel (the query-embedding pool
-// is built once per store and capped at the batch size — the serving hot
-// path retrieves per micro-batch), SaveIndex/vecstore.Load persist a
-// Flat or HNSW store's vectors in the index's own VSF format, and IndexStats feeds the
-// eval report's retrieval-configuration table. Only trace stores
-// over-fetch by 2 and honour per-query question exclusion.
+// question id) — and it is also serve's wire record. Both stores serve an
+// exact Flat and expose the same knobs: RetrieveBatch answers whole
+// question sets through the index's multi-query scan kernel (the
+// query-embedding pool is built once per store and capped at the batch
+// size — the serving hot path retrieves per micro-batch),
+// SaveIndex/vecstore.LoadFlat persist the store's vectors as VSF2, and
+// IndexStats feeds the eval report's retrieval-configuration table. Only
+// trace stores over-fetch by 2 and honour per-query question exclusion;
+// only a chunk store goes live (EnableLive, AddChunks).
 //
 // Facade (NewChunkFacade/NewTraceFacade) presents both store kinds
 // behind one store-agnostic interface — Hit results with the batch's

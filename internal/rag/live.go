@@ -48,17 +48,22 @@ func (l *liveChunks) has(key string) bool {
 	return ok
 }
 
-// EnableLive wraps the store's index in a vecstore.Live mutable layer so
-// AddChunks works, and allocates the shared metadata overlay. Call before
-// serving; it is not safe concurrently with searches. No-op if the store
-// is already live.
-func (s *ChunkStore) EnableLive() {
-	if _, ok := s.index.(*vecstore.Live); !ok {
-		s.index = vecstore.NewLive(s.index, nil)
+// EnableLive wraps the store's Flat index in a vecstore.Live mutable layer
+// so AddChunks works, and allocates the shared metadata overlay. Call
+// before serving; it is not safe concurrently with searches. No-op if the
+// store is already live; a store over any other index fails unchanged.
+func (s *ChunkStore) EnableLive() error {
+	switch ix := s.index.(type) {
+	case *vecstore.Flat:
+		s.index = vecstore.NewLive(ix, nil)
+	case *vecstore.Live:
+	default:
+		return fmt.Errorf("rag: EnableLive needs a Flat-backed store, have %s", vecstore.StatsOf(ix).Kind)
 	}
 	if s.live == nil {
 		s.live = &liveChunks{byKey: make(map[string]Hit)}
 	}
+	return nil
 }
 
 // AddChunks embeds and inserts chunks into the live index. Every chunk

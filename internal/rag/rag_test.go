@@ -91,45 +91,64 @@ func TestChunkRetrievalFindsSourceFact(t *testing.T) {
 	}
 }
 
-func mustUseIndex(t *testing.T, store *ChunkStore, build func(*vecstore.Flat) vecstore.Index) {
+// withIVFPQ returns a snapshot of store serving an IVF-PQ index built from
+// its Flat.
+func withIVFPQ(t *testing.T, store *ChunkStore, cfg vecstore.IVFPQConfig) *ChunkStore {
 	t.Helper()
-	if err := store.UseIndex(build); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUseIndexRejectsNonFlat: swapping in an approximate index needs the
-// exact Flat to build it from, so a live store, an already-swapped store
-// and a WithIndex snapshot serving a graph must refuse with an error and
-// keep serving their index, not silently ignore the request.
-func TestUseIndexRejectsNonFlat(t *testing.T) {
-	fx := buildFixture(t, 2)
-	toHNSW := func(f *vecstore.Flat) vecstore.Index { return f.ToHNSW(vecstore.HNSWConfig{Seed: 1}) }
-	toIVFPQ := func(f *vecstore.Flat) vecstore.Index { return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 4, Seed: 1}) }
-
-	live := BuildChunkStore(nil, fx.chunks, 0)
-	live.EnableLive()
-	graph := BuildChunkStore(nil, fx.chunks, 0)
-	mustUseIndex(t, graph, toHNSW)
-	snap, err := BuildChunkStore(nil, fx.chunks, 0).WithIndex(graph.Index())
+	snap, err := store.WithIndex(store.Index().(*vecstore.Flat).ToIVFPQ(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*ChunkStore{"live": live, "hnsw": graph, "snapshot": snap} {
-		before := s.IndexStats().Kind
-		if err := s.UseIndex(toIVFPQ); err == nil {
-			t.Errorf("%s: UseIndex on a %s store succeeded", name, before)
-		}
-		if after := s.IndexStats().Kind; after != before {
-			t.Errorf("%s: failed UseIndex changed the index %s → %s", name, before, after)
-		}
-	}
-	traces := TraceStores(nil, fx.traces, QuestionFactMap(fx.questions), 0)[mcq.ModeDetailed]
-	if err := traces.UseIndex(toHNSW); err != nil {
+	return snap
+}
+
+// TestLiveStoreStaysLive pins how a live store treats indexes: EnableLive
+// needs a Flat (a store over an in-memory ANN index fails unchanged), a
+// swapped-in Flat gets a fresh memtable layer so inserts keep working, a
+// Live passes through, and an index that cannot take inserts is refused.
+func TestLiveStoreStaysLive(t *testing.T) {
+	fx := buildFixture(t, 2)
+	flatStore := BuildChunkStore(nil, fx.chunks, 0)
+	flat := flatStore.Index().(*vecstore.Flat)
+	graph, err := flatStore.WithIndex(flat.ToHNSW(vecstore.HNSWConfig{Seed: 1}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := traces.UseIndex(toIVFPQ); err == nil {
-		t.Error("TraceStore.UseIndex on an HNSW store succeeded")
+	before := graph.IndexStats().Kind
+	if err := graph.EnableLive(); err == nil {
+		t.Fatalf("EnableLive on a %s store succeeded", before)
+	}
+	if after := graph.IndexStats().Kind; after != before {
+		t.Fatalf("failed EnableLive changed the index %s → %s", before, after)
+	}
+
+	live := BuildChunkStore(nil, fx.chunks, 0)
+	if err := live.EnableLive(); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.EnableLive(); err != nil {
+		t.Fatalf("second EnableLive: %v", err)
+	}
+	swapped, err := live.WithIndex(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, ok := swapped.Index().(*vecstore.Live)
+	if !ok || lv.Base() != flat {
+		t.Fatalf("live store swapped to a Flat serves %T, want a Live over that Flat", swapped.Index())
+	}
+	added := chunk.Chunk{ID: "live-after-swap", DocID: "live", Text: "a chunk inserted after the hot swap of the exact index"}
+	if _, err := swapped.AddChunks([]chunk.Chunk{added}); err != nil {
+		t.Fatalf("AddChunks after a swap: %v", err)
+	}
+	if hits := swapped.Retrieve(added.Text, 1); len(hits) != 1 || hits[0].ID != added.ID {
+		t.Fatalf("insert after swap not retrieved first: %v", hits)
+	}
+	if again, err := swapped.WithIndex(lv); err != nil || again.Index() != vecstore.Index(lv) {
+		t.Fatalf("WithIndex(Live) = %v, %v; want the Live unchanged", again, err)
+	}
+	if _, err := live.WithIndex(graph.Index()); err == nil {
+		t.Fatal("live store accepted an HNSW index")
 	}
 }
 
@@ -140,9 +159,7 @@ func TestChunkStorePQSwap(t *testing.T) {
 	fx := buildFixture(t, 4)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	n := store.Len()
-	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
-		return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 1, M: embed.DefaultDim / 4, Seed: 1})
-	})
+	store = withIVFPQ(t, store, vecstore.IVFPQConfig{NList: 1, M: embed.DefaultDim / 4, Seed: 1})
 	if store.Len() != n {
 		t.Fatal("PQ swap lost vectors")
 	}
@@ -168,9 +185,7 @@ func TestChunkStoreIVFPQSwap(t *testing.T) {
 	fx := buildFixture(t, 4)
 	store := BuildChunkStore(nil, fx.chunks, 0)
 	n := store.Len()
-	mustUseIndex(t, store, func(f *vecstore.Flat) vecstore.Index {
-		return f.ToIVFPQ(vecstore.IVFPQConfig{NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1})
-	})
+	store = withIVFPQ(t, store, vecstore.IVFPQConfig{NList: 8, NProbe: 8, M: embed.DefaultDim / 4, Seed: 1})
 	if store.Len() != n {
 		t.Fatal("IVF-PQ swap lost vectors")
 	}
@@ -487,7 +502,7 @@ func TestChunkStoreWithIndexSnapshot(t *testing.T) {
 	if err := store.SaveIndex(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := vecstore.Load(path)
+	loaded, err := vecstore.LoadFlat(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,21 @@ func (s *TraceStore) WithIndex(index vecstore.Index) (*TraceStore, error) {
 	return &TraceStore{snap}, nil
 }
 
-// withIndex is both stores' WithIndex.
+// withIndex is both stores' WithIndex. A live store stays live: a
+// swapped-in Flat gets a fresh memtable layer over it, and a Live (the
+// compaction publish) passes through.
 func (s *store) withIndex(index vecstore.Index) (store, error) {
 	if err := s.validate(index); err != nil {
 		return store{}, err
+	}
+	if s.live != nil {
+		switch ix := index.(type) {
+		case *vecstore.Flat:
+			index = vecstore.NewLive(ix, nil)
+		case *vecstore.Live:
+		default:
+			return store{}, fmt.Errorf("rag: WithIndex: a live store cannot serve a %s index", vecstore.StatsOf(ix).Kind)
+		}
 	}
 	snap := *s
 	snap.index = index

@@ -134,20 +134,6 @@ func (s *store) collect(res []vecstore.Result, k int, exclude string) []Hit {
 	return out
 }
 
-// UseIndex replaces the store's exact Flat index with build(flat) — for
-// example flat.ToHNSW, trading recall for latency, or flat.ToIVFPQ, an
-// in-memory index that SaveIndex cannot persist.
-// It fails, leaving the store unchanged, when the current index is not a
-// *vecstore.Flat (already swapped, or wrapped by EnableLive).
-func (s *store) UseIndex(build func(*vecstore.Flat) vecstore.Index) error {
-	flat, ok := s.index.(*vecstore.Flat)
-	if !ok {
-		return fmt.Errorf("rag: UseIndex needs a Flat-backed store, have %s", vecstore.StatsOf(s.index).Kind)
-	}
-	s.index = build(flat)
-	return nil
-}
-
 // IndexStats reports the underlying index's storage profile (kind,
 // bytes/vector), surfaced by the eval report's retrieval-config table.
 func (s *store) IndexStats() vecstore.IndexStats {
@@ -157,15 +143,14 @@ func (s *store) IndexStats() vecstore.IndexStats {
 // Len reports the number of stored records.
 func (s *store) Len() int { return s.index.Len() }
 
-// SaveIndex persists the underlying vector index in its family's format
-// (VSF2 for Flat, VSF5 for HNSW including the whole graph). IVF-PQ and
-// Live stores have no on-disk format and return an error.
+// SaveIndex persists the store's Flat index as VSF2. Any other index
+// (HNSW, IVF-PQ, Live) has no on-disk format and returns an error.
 func (s *store) SaveIndex(path string) error {
-	saver, ok := s.index.(interface{ Save(path string) error })
+	flat, ok := s.index.(*vecstore.Flat)
 	if !ok {
 		return fmt.Errorf("rag: SaveIndex: a %s index has no on-disk format", vecstore.StatsOf(s.index).Kind)
 	}
-	return saver.Save(path)
+	return flat.Save(path)
 }
 
 // describe names the store for logging.

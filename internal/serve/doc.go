@@ -33,8 +33,9 @@
 //     rather than left squatting under a dead epoch.
 //
 //   - Hot index swap. Each route publishes immutable Snapshots through an
-//     atomic pointer. A replacement index (any VSF generation) is loaded
-//     off the serving path, wrapped via the facade's WithIndex hook, and
+//     atomic pointer. A replacement index (a VSF2 Flat) is loaded off the
+//     serving path, wrapped via the facade's WithIndex hook (a live
+//     route's swapped-in Flat gets a fresh memtable layer), and
 //     swapped in with one pointer store; the route's cache is purged and
 //     its epoch incremented — other routes keep serving warm. In-flight
 //     batches finish on the old snapshot — zero downtime, no torn reads.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -190,6 +191,66 @@ func TestCompactEndpoint(t *testing.T) {
 		t.Fatalf("post-compaction base=%d mem=%d", lv.Base().Len(), lv.MemLen())
 	}
 	_ = store
+}
+
+// TestSwapKeepsLiveRouteWritable: a hot swap on a live route publishes the
+// swapped-in Flat under a fresh memtable, so the route still accepts
+// inserts and still compacts. The uncompacted insert made before the swap
+// is not in the swapped-in file and leaves with the old corpus.
+func TestSwapKeepsLiveRouteWritable(t *testing.T) {
+	s, store, _ := liveTestServer(t, 24, DefaultConfig())
+	c := NewClient("http://"+s.Addr(), nil)
+	path := filepath.Join(t.TempDir(), "chunks.vsf")
+	if err := store.Index().(*vecstore.Live).Base().Save(path); err != nil {
+		t.Fatal(err)
+	}
+
+	before, after := freshChunk(0), freshChunk(1)
+	if _, err := c.AddRoute(RouteChunks, []AddChunk{before}); err != nil {
+		t.Fatal(err)
+	}
+	if sw, err := c.SwapRoute(RouteChunks, path); err != nil || sw.Epoch != 1 {
+		t.Fatalf("swap: %+v, %v", sw, err)
+	}
+	if rows := s.routes[RouteChunks].gMemRows.Value(); rows != 0 {
+		t.Fatalf("index.memrows reads %d after the swap, want 0", rows)
+	}
+	add, err := c.AddRoute(RouteChunks, []AddChunk{after})
+	if err != nil {
+		t.Fatalf("insert after swap: %v", err)
+	}
+	if add.MemRows != 1 || add.Vectors != 25 {
+		t.Fatalf("add response after swap %+v", add)
+	}
+	resp, err := c.SearchRoute(RouteChunks, after.Text, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 || resp.Results[0].ID != after.ID {
+		t.Fatalf("insert after swap not retrieved first: %+v", resp.Results)
+	}
+	resp, err = c.SearchRoute(RouteChunks, before.Text, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) == 1 && resp.Results[0].ID == before.ID {
+		t.Fatal("an uncompacted pre-swap insert survived the swap")
+	}
+
+	cr, err := c.CompactRoute(RouteChunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cr.Compacted || cr.Epoch != 2 || cr.MemRows != 0 || cr.Vectors != 25 {
+		t.Fatalf("compact after swap %+v", cr)
+	}
+	resp, err = c.SearchRoute(RouteChunks, after.Text, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 || resp.Results[0].ID != after.ID {
+		t.Fatalf("compacted insert not retrievable: %+v", resp.Results)
+	}
 }
 
 // TestAutoCompaction checks the CompactAt trigger: once the memtable

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -255,6 +256,17 @@ func TestSwapRejectsBadInput(t *testing.T) {
 	}
 	if _, err := c.SwapRoute(RouteChunks, v4); err == nil {
 		t.Fatal("swap from a VSF4 file succeeded")
+	}
+	// So is VSF5 (HNSW): a route swaps in only a VSF2 Flat.
+	v5 := filepath.Join(t.TempDir(), "hnsw.vsf")
+	if err := os.WriteFile(v5, []byte("VSF5\x08\x00\x00\x00\x04\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SwapRouteFromFile(RouteChunks, v5); !errors.Is(err, vecstore.ErrBadFormat) {
+		t.Fatalf("swap from a VSF5 file: %v, want ErrBadFormat", err)
+	}
+	if _, err := c.SwapRoute(RouteChunks, v5); err == nil {
+		t.Fatal("swap from a VSF5 file succeeded over HTTP")
 	}
 	if _, err := s.SwapRouteIndex(RouteChunks, vecstore.NewFlat(7), "bad-dim"); err == nil {
 		t.Fatal("swap to a mismatched index succeeded")

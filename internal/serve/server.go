@@ -547,6 +547,7 @@ func (rt *route) swapIndex(index vecstore.Index, source string) (*Snapshot, erro
 	rt.mSwaps.Inc()
 	rt.gEpoch.Set(int64(snap.Epoch))
 	rt.gVectors.Set(int64(index.Len()))
+	rt.gMemRows.Set(int64(memRows(snap)))
 	return snap, nil
 }
 
@@ -588,9 +589,10 @@ func (s *Server) SwapFromFile(path string) (*Snapshot, error) {
 	return s.SwapRouteFromFile(RouteChunks, path)
 }
 
-// SwapRouteFromFile loads a persisted index (any VSF generation) in the
-// calling goroutine — the expensive part, off the serving path — then
-// publishes it on the route with swapIndex.
+// SwapRouteFromFile loads a persisted Flat index (VSF2) in the calling
+// goroutine — the expensive part, off the serving path — then publishes it
+// on the route with swapIndex. On a live route the swapped-in Flat gets a
+// fresh memtable, so the route keeps accepting inserts.
 func (s *Server) SwapRouteFromFile(routeName, path string) (*Snapshot, error) {
 	rt, err := s.route(routeName)
 	if err != nil {
@@ -602,7 +604,7 @@ func (s *Server) SwapRouteFromFile(routeName, path string) (*Snapshot, error) {
 // swapFromFile is the load-then-publish sequence shared by the
 // programmatic and HTTP swap paths.
 func (rt *route) swapFromFile(path string) (*Snapshot, error) {
-	index, err := vecstore.Load(path)
+	index, err := vecstore.LoadFlat(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: swap load: %w", err)
 	}
@@ -664,10 +666,10 @@ func (rt *route) compact() (bool, error) {
 }
 
 // compactOnce drains the route's memtable into its base index and
-// publishes the result. The expensive encode (CompactBase) runs outside
-// every lock, concurrent with searches and further inserts; only the
-// rotate+publish step takes writeMu. If an admin swap replaced the
-// snapshot while the encode ran, the compaction is dropped rather than
+// publishes the result. The slow step (CompactBase, the row copy) runs
+// outside every lock, concurrent with searches and further inserts; only
+// the rotate+publish step takes writeMu. If an admin swap replaced the
+// snapshot while the copy ran, the compaction is dropped rather than
 // resurrect the old corpus. Returns whether a compaction was published.
 func (rt *route) compactOnce() (bool, error) {
 	if !rt.compacting.CompareAndSwap(false, true) {
@@ -697,7 +699,6 @@ func (rt *route) compactOnce() (bool, error) {
 		return false, fmt.Errorf("serve: compact %q publish: %w", rt.name, err)
 	}
 	rt.mCompactions.Inc()
-	rt.gMemRows.Set(int64(next.MemLen()))
 	return true, nil
 }
 

@@ -2,8 +2,6 @@ package vecstore
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/rng"
@@ -69,23 +67,6 @@ func factories() []indexFactory {
 			}
 			return mt
 		}},
-		{"HNSW-loaded", func(dim int, vecs [][]float32, keys []string) Index {
-			// The VSF5 round trip must preserve the whole contract, so the
-			// loaded index rides the full suite alongside the built one.
-			ix := NewHNSW(HNSWConfig{Dim: dim, EfSearch: 256, EfConstruction: 128, Seed: 1})
-			for i, v := range vecs {
-				ix.Add(v, keys[i])
-			}
-			path := filepath.Join(conformanceDir, fmt.Sprintf("hnsw-%d-%d.vsf", dim, len(vecs)))
-			if err := ix.Save(path); err != nil {
-				panic(err)
-			}
-			loaded, err := LoadHNSW(path)
-			if err != nil {
-				panic(err)
-			}
-			return loaded
-		}},
 		{"Live-Flat-split", func(dim int, vecs [][]float32, keys []string) Index {
 			// The mutable layer with the corpus split across its two tiers:
 			// the first half is the immutable base, the second half arrives
@@ -101,33 +82,8 @@ func factories() []indexFactory {
 			}
 			return lv
 		}},
-		{"Live-HNSW-split", func(dim int, vecs [][]float32, keys []string) Index {
-			// Live over a graph base — the sub-linear mutable-base shape the
-			// HNSW modernisation gives the live tier. Wide beams keep the
-			// approximate half near-exact for the contract checks.
-			base := NewHNSW(HNSWConfig{Dim: dim, EfSearch: 256, EfConstruction: 128, Seed: 1})
-			cut := len(vecs) / 2
-			for i := 0; i < cut; i++ {
-				base.Add(vecs[i], keys[i])
-			}
-			lv := NewLive(base, nil)
-			for i := cut; i < len(vecs); i++ {
-				lv.Add(vecs[i], keys[i])
-			}
-			return lv
-		}},
 	}
 }
-
-// conformanceDir hosts the save/load factories' round-trip files (the
-// factory signature has no testing.T to take a per-test TempDir from).
-var conformanceDir = func() string {
-	dir, err := os.MkdirTemp("", "vecstore-conformance")
-	if err != nil {
-		panic(err)
-	}
-	return dir
-}()
 
 func conformanceData(n, dim int) ([][]float32, []string) {
 	r := rng.New(777)
@@ -195,8 +151,7 @@ func TestConformanceSelfRetrieval(t *testing.T) {
 			// and HNSW is approximate; exact indexes must not miss at all.
 			limit := 0
 			switch f.name {
-			case "HNSW-wide", "HNSW-loaded", "Live-HNSW-split",
-				"PQ", "IVFPQ-fullprobe", "IVFPQ-residual":
+			case "HNSW-wide", "PQ", "IVFPQ-fullprobe", "IVFPQ-residual":
 				limit = 2
 			}
 			if miss > limit {

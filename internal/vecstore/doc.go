@@ -10,14 +10,16 @@
 //     product-quantized cells scored by LUT-based asymmetric distance
 //     (FAISS IndexIVFPQ) — M bytes per vector instead of 2 per dimension —
 //     with optional residual encoding (codes quantize x − anchor(cell),
-//     scored through per-cell shifted LUTs). It is built once in memory
-//     from a Flat and only searched: it is never saved, appended to after
-//     training, compacted into or served; the ANN benchmark probe and the
-//     trade-off table read it,
-//   - Memtable and Live: the mutable tier over a Flat or HNSW base,
+//     scored through per-cell shifted LUTs),
+//   - Memtable and Live: the mutable tier over a Flat base,
 //   - attached per-vector metadata payloads (ids, provenance),
-//   - binary persistence of Flat and HNSW, and parallel single- and
+//   - binary persistence of Flat (VSF2), and parallel single- and
 //     multi-query batch search.
+//
+// Only Flat (under Live when inserts are on) is served. HNSW and IVF-PQ
+// are built once in memory from a Flat (ToHNSW, ToIVFPQ) and only
+// searched: they are never saved, compacted into or served; the ANN
+// benchmark probe and the trade-off table read them.
 //
 // docs/ARCHITECTURE.md describes the index zoo and when to pick which
 // index; docs/VSF_FORMAT.md is the byte-level persistence specification.

@@ -1,20 +1,22 @@
 package vecstore
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzLoad hammers the VSF magic dispatch and header/section parsing with
-// arbitrary bytes: whatever Load is fed, it must either return a usable
-// index or a clean error — never panic, and never size an allocation from
-// header fields the file cannot physically back (the size-budget checks
-// in readFlat/readHNSW exist because early fuzzing found corrupt 12-byte
-// headers driving multi-gigabyte makes). Seeds are real files of every
-// format still read and of the retired VSF4, plus their truncated
-// prefixes; the corrupt header corpus lives in testdata/fuzz/FuzzLoad,
-// where the retired VSF3 and VSF4 entries now pin rejection.
+// FuzzLoad hammers the VSF loader's magic check and header parsing with
+// arbitrary bytes: whatever LoadFlat is fed, it must either return a
+// usable index or fail with ErrBadFormat — never panic, and never size an
+// allocation from header fields the file cannot physically back (the
+// size-budget checks in readFlat exist because early fuzzing found corrupt
+// 12-byte headers driving multi-gigabyte makes). Seeds are a real VSF2
+// file and well-formed files of the retired VSF4 and VSF5, plus their
+// truncated prefixes; the corrupt header corpus lives in
+// testdata/fuzz/FuzzLoad, where the retired VSF3 and VSF4 entries now pin
+// rejection.
 func FuzzLoad(f *testing.F) {
 	dir := f.TempDir()
 	seed := func(name string, save func(path string) error) {
@@ -49,7 +51,9 @@ func FuzzLoad(f *testing.F) {
 		data := retiredVSF4(flags)
 		seed("vsf4.vsf", func(path string) error { return os.WriteFile(path, data, 0o644) })
 	}
-	seed("hnsw.vsf", flat.ToHNSW(HNSWConfig{M: 4, EfConstruction: 16, Seed: 9}).Save)
+	// So must files of the retired HNSW format.
+	v5 := retiredVSF5()
+	seed("vsf5.vsf", func(path string) error { return os.WriteFile(path, v5, 0o644) })
 	f.Add([]byte("VSF1"))
 	f.Add([]byte("VSF2\x08\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	// VSF5 header bomb: plausible dim/M but a count the payload can't back.
@@ -65,8 +69,11 @@ func FuzzLoad(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := Load(path)
+		ix, err := LoadFlat(path)
 		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("LoadFlat: %v, want ErrBadFormat", err)
+			}
 			return
 		}
 		// A successfully loaded index must honour the Index contract well

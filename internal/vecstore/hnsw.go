@@ -15,9 +15,9 @@ import (
 // HNSW is a hierarchical navigable small-world graph index (the FAISS
 // IndexHNSWFlat equivalent): greedy search descends random-level layers of
 // a proximity graph, giving sub-linear query time without training. Unlike
-// IVF-PQ it needs no k-means pass and supports pure incremental
-// construction, which suits the pipeline's streaming ingestion of trace
-// embeddings.
+// IVF-PQ it needs no k-means pass and is built incrementally. It lives in
+// memory only: ToHNSW builds it from a Flat, and it is never saved or
+// served.
 //
 // Storage is flat. Vectors live in one contiguous FP16 code block — the
 // same layout the scan kernels stream over — and adjacency is a CSR-style
@@ -32,7 +32,6 @@ type HNSW struct {
 	m              int // max neighbours per node per layer (level 0 uses 2M)
 	efConstruction int
 	efSearch       int
-	seed           uint64
 
 	codes  []uint16 // contiguous FP16 rows; row i at codes[i*dim:(i+1)*dim]
 	keys   []string
@@ -80,7 +79,6 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 		m:              cfg.M,
 		efConstruction: cfg.EfConstruction,
 		efSearch:       cfg.EfSearch,
-		seed:           cfg.Seed,
 		entry:          -1,
 		maxLv:          -1,
 		rand:           rng.New(cfg.Seed).Split("hnsw"),

@@ -109,43 +109,6 @@ func TestHNSWBatchParity(t *testing.T) {
 	}
 }
 
-// TestHNSWCloneForAppendIsolation pins the compaction contract: appending
-// to a clone must not disturb the original's graph or results, and the
-// clone must behave exactly like the original grown directly.
-func TestHNSWCloneForAppendIsolation(t *testing.T) {
-	cfg := HNSWConfig{Dim: 16, Seed: 11, M: 8}
-	r := rng.New(811)
-	vecs := randomUnit(r, 260, 16)
-
-	h := NewHNSW(cfg)
-	oracle := NewHNSW(cfg)
-	for i, v := range vecs[:200] {
-		key := fmt.Sprintf("k%03d", i)
-		h.Add(v, key)
-		oracle.Add(v, key)
-	}
-	queries := randomUnit(rng.New(907), 20, 16)
-	before := make([][]Result, len(queries))
-	for i, q := range queries {
-		before[i] = h.Search(q, 5)
-	}
-
-	clone := h.CloneForAppend().(*HNSW)
-	for i, v := range vecs[200:] {
-		key := fmt.Sprintf("k%03d", 200+i)
-		clone.Add(v, key)
-		oracle.Add(v, key)
-	}
-
-	for i, q := range queries {
-		assertResultsIdentical(t, h.Search(q, 5), before[i], fmt.Sprintf("original query %d", i))
-		assertResultsIdentical(t, clone.Search(q, 5), oracle.Search(q, 5), fmt.Sprintf("clone query %d", i))
-	}
-	if h.Len() != 200 || clone.Len() != 260 {
-		t.Fatalf("Len: original %d (want 200), clone %d (want 260)", h.Len(), clone.Len())
-	}
-}
-
 func TestHNSWKeyPanicsOutOfRange(t *testing.T) {
 	h, _ := buildHNSW(t, 5, 8, HNSWConfig{Seed: 1})
 	for _, id := range []int{-1, 5, 100} {

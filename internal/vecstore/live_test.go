@@ -122,55 +122,47 @@ func TestLiveCompactionPreservesResults(t *testing.T) {
 	}
 }
 
-// TestLiveCompactIntoHNSW exercises the modernised graph index as the
-// compaction target: the memtable drains into an HNSW base through
-// CloneForAppend + incremental Add — the sub-linear mutable-base path the
-// HNSW modernisation gives the live tier. Wide beams make the graph
-// near-exact, so every inserted key must be retrievable at k=Len after
-// the drain and the original base must be untouched.
-func TestLiveCompactIntoHNSW(t *testing.T) {
-	const dim, nBase, nMem = 16, 80, 12
-	rng := rand.New(rand.NewSource(17))
-	base := NewHNSW(HNSWConfig{Dim: dim, EfSearch: 256, EfConstruction: 128, Seed: 5})
+// TestLiveCompactCarriesFirstPass pins that compaction appends the
+// memtable's rows as they are: the compacted base holds the base's codes
+// and keys followed by the drained rows', and its first-pass state (int8
+// codes and row bounds) equals what NewFlatFromCodes derives over that same
+// code block. The original base must not grow.
+func TestLiveCompactCarriesFirstPass(t *testing.T) {
+	const dim, nBase, nMem = 20, 37, 23
+	rng := rand.New(rand.NewSource(13))
+	base := NewFlat(dim)
 	for i := 0; i < nBase; i++ {
 		base.Add(randVec(rng, dim), fmt.Sprintf("b%02d", i))
 	}
 	live := NewLive(base, nil)
-	memVecs := make(map[string][]float32, nMem)
 	for i := 0; i < nMem; i++ {
-		key := fmt.Sprintf("m%02d", i)
-		v := randVec(rng, dim)
-		memVecs[key] = v
-		live.Add(v, key)
+		live.Add(randVec(rng, dim), fmt.Sprintf("m%02d", i))
 	}
-	newBase, err := live.CompactBase(nMem)
+	const cut = nMem - 5
+	compacted, err := live.CompactBase(cut)
 	if err != nil {
-		t.Fatalf("CompactBase: %v", err)
+		t.Fatal(err)
 	}
-	live = live.Rotate(newBase, nMem)
-	if live.MemLen() != 0 || live.Len() != nBase+nMem {
-		t.Fatalf("after drain: MemLen=%d Len=%d", live.MemLen(), live.Len())
+	if base.Len() != nBase || compacted.Len() != nBase+cut {
+		t.Fatalf("base %d rows, compacted %d; want %d and %d", base.Len(), compacted.Len(), nBase, nBase+cut)
 	}
-	if base.Len() != nBase {
-		t.Fatalf("original base grew to %d rows", base.Len())
+	mem := live.mem.snapshot()
+	wantCodes := append(append([]uint16(nil), base.codes...), mem.codes[:cut*dim]...)
+	wantKeys := append(append([]string(nil), base.keys...), mem.keys[:cut]...)
+	want := NewFlatFromCodes(dim, wantCodes, wantKeys)
+	if !reflect.DeepEqual(compacted.codes, want.codes) || !reflect.DeepEqual(compacted.keys, want.keys) {
+		t.Fatal("compacted codes or keys differ from the base followed by the drained rows")
 	}
-	for key, v := range memVecs {
-		found := false
-		for _, r := range live.Search(v, live.Len()) {
-			if r.Key == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("key %q not retrievable after compaction into HNSW", key)
-		}
+	if !reflect.DeepEqual(compacted.i8, want.i8) {
+		t.Fatal("compacted int8 codes differ from NewFlatFromCodes over the same codes")
+	}
+	if !reflect.DeepEqual(compacted.bnd, want.bnd) {
+		t.Fatal("compacted row bounds differ from NewFlatFromCodes over the same codes")
 	}
 }
 
-// TestLiveCompactBaseRejects pins the error paths: a cut outside the
-// memtable, and a base without CloneForAppend (a bare Memtable, and the
-// build-once IVF-PQ).
+// TestLiveCompactBaseRejects pins the error path: a cut outside the
+// memtable.
 func TestLiveCompactBaseRejects(t *testing.T) {
 	live := NewLive(NewFlat(4), nil)
 	live.Add([]float32{1, 0, 0, 0}, "a")
@@ -179,20 +171,5 @@ func TestLiveCompactBaseRejects(t *testing.T) {
 	}
 	if _, err := live.CompactBase(-1); err == nil {
 		t.Fatal("CompactBase(-1) succeeded")
-	}
-	mt := NewMemtable(4)
-	mt.Add([]float32{1, 0, 0, 0}, "a")
-	liveMT := NewLive(mt, nil)
-	if _, err := liveMT.CompactBase(0); err == nil {
-		t.Fatal("CompactBase on a non-cloneable base succeeded")
-	}
-	flat := NewFlat(4)
-	for i := 0; i < 8; i++ {
-		flat.Add([]float32{1, float32(i), 0, 1}, "f")
-	}
-	livePQ := NewLive(flat.ToIVFPQ(IVFPQConfig{NList: 2, M: 2, Seed: 1}), nil)
-	livePQ.Add([]float32{0, 1, 0, 0}, "a")
-	if _, err := livePQ.CompactBase(1); err == nil {
-		t.Fatal("CompactBase into an IVF-PQ base succeeded")
 	}
 }

@@ -274,11 +274,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsRetiredVSF1 pins that the retired formats are no longer
-// read: a well-formed VSF2 payload behind the VSF1 magic, a well-formed
-// VSF3 (standalone PQ) file, and well-formed VSF4 (IVF-PQ) files, residual
-// and with the OPQ rotation, each fail with ErrBadFormat through every
-// loader, and no error points at a retired loader.
 // VSF4 flag bits of the retired IVF-PQ format.
 const (
 	vsf4Residual = 1 << 0
@@ -321,6 +316,36 @@ func retiredVSF4(flags uint32) []byte {
 	return append(b, 0, 0)
 }
 
+// retiredVSF5 returns a file of the retired HNSW format, well formed for
+// its old reader: dim=4, M=2, efConstruction=efSearch=16, seed 1, max
+// level 0 and entry node 0 (both biased by one), count=2, keys "a" and
+// "b", both nodes on level 0, each linked to the other, and the 2×4 FP16
+// code block.
+func retiredVSF5() []byte {
+	le := binary.LittleEndian
+	b := []byte("VSF5")
+	for _, u := range []uint32{4, 2, 16, 16} {
+		b = le.AppendUint32(b, u)
+	}
+	b = le.AppendUint64(b, 1)
+	b = le.AppendUint32(le.AppendUint32(b, 1), 1)
+	b = le.AppendUint64(b, 2)
+	b = append(le.AppendUint32(b, 1), 'a')
+	b = append(le.AppendUint32(b, 1), 'b')
+	b = le.AppendUint32(le.AppendUint32(b, 0), 0)
+	b = le.AppendUint32(le.AppendUint32(b, 1), 1)
+	b = le.AppendUint32(le.AppendUint32(b, 1), 0)
+	for i := 0; i < 8; i++ {
+		b = le.AppendUint16(b, 0x3c00)
+	}
+	return b
+}
+
+// TestLoadRejectsRetiredVSF1 pins that the retired formats are no longer
+// read: a well-formed VSF2 payload behind the VSF1 magic, a well-formed
+// VSF3 (standalone PQ) file, well-formed VSF4 (IVF-PQ) files, residual and
+// with the OPQ rotation, and a well-formed VSF5 (HNSW) file each fail
+// LoadFlat with ErrBadFormat, and no error points at a retired loader.
 func TestLoadRejectsRetiredVSF1(t *testing.T) {
 	dir := t.TempDir()
 	le := binary.LittleEndian
@@ -365,22 +390,22 @@ func TestLoadRejectsRetiredVSF1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaders := map[string]func(string) error{
-		"Load":     func(p string) error { _, err := Load(p); return err },
-		"LoadFlat": func(p string) error { _, err := LoadFlat(p); return err },
-		"LoadHNSW": func(p string) error { _, err := LoadHNSW(p); return err },
+	v5 := filepath.Join(dir, "v5.vsf")
+	if err := writeFile(v5, retiredVSF5()); err != nil {
+		t.Fatal(err)
 	}
+
 	for _, in := range []struct{ name, path string }{
-		{"VSF1", v1}, {"VSF3", v3}, {"VSF4", v4}, {"VSF4-rotation", v4rot},
+		{"VSF1", v1}, {"VSF3", v3}, {"VSF4", v4}, {"VSF4-rotation", v4rot}, {"VSF5", v5},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			for name, load := range loaders {
-				err := load(in.path)
-				if !errors.Is(err, ErrBadFormat) {
-					t.Fatalf("%s(%s): %v, want ErrBadFormat", name, in.name, err)
-				}
-				if strings.Contains(err.Error(), "LoadPQ") || strings.Contains(err.Error(), "LoadIVFPQ") {
-					t.Fatalf("%s(%s): error points at a retired loader: %v", name, in.name, err)
+			_, err := LoadFlat(in.path)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("LoadFlat(%s): %v, want ErrBadFormat", in.name, err)
+			}
+			for _, retired := range []string{"LoadPQ", "LoadIVFPQ", "LoadHNSW"} {
+				if strings.Contains(err.Error(), retired) {
+					t.Fatalf("LoadFlat(%s): error points at a retired loader: %v", in.name, err)
 				}
 			}
 		})
